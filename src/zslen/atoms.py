@@ -8,6 +8,13 @@ no longer return to zero within the per-letter multiplicity caps.  The cap
 v(letter) <= ord(class(letter)) is safe: any vector exceeding it is
 divisible by the proper zero-sum power letter^ord.
 
+The dominance test runs against a DominanceIndex: for each letter i and
+multiplicity k one big-int bitset whose bit j marks the found atoms with
+entry i at most k.  A vector is dominated iff the AND of its m bitsets is
+nonzero, so a test costs m word-parallel ANDs (stopping at the first
+zero) however many atoms are known.  The same index checks that an atom
+list is an antichain (antichain_violations, and the cache validation).
+
 The same engine serves both B(G0) (letters are group elements) and the
 concrete Krull instances of the transfer module (letters are primes with a
 class map).
@@ -20,9 +27,55 @@ from functools import lru_cache
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, elements, tables
-from .sequence import Sequence, canonical_subset, divides, is_zero_sum
+from .sequence import Sequence, canonical_subset, is_zero_sum
 
 DEFAULT_NODE_LIMIT = 10**8
+
+
+class DominanceIndex:
+    """Bitset index over a growing list of nonnegative integer vectors.
+
+    below[i][k] is an int whose bit j is set when vector j has entry i at
+    most k, for k up to caps[i]; looked-up vectors must stay within caps.
+    """
+
+    __slots__ = ("below", "size")
+
+    def __init__(self, caps) -> None:
+        self.below = [[0] * (c + 1) for c in caps]
+        self.size = 0
+
+    def add(self, vec) -> None:
+        bit = 1 << self.size
+        for row, f in zip(self.below, vec):
+            for k in range(f, len(row)):
+                row[k] |= bit
+        self.size += 1
+
+    def below_mask(self, vec) -> int:
+        """Bits of the stored vectors u with u <= vec componentwise."""
+        acc = (1 << self.size) - 1
+        for row, v in zip(self.below, vec):
+            if not acc:
+                break
+            acc &= row[v]
+        return acc
+
+
+def divisible_pairs(vectors) -> list[tuple[int, int]]:
+    """Position pairs (j, l), j != l, with vectors[j] <= vectors[l]
+    componentwise; empty iff the vectors form an antichain without repeats."""
+    index = DominanceIndex([max(col, default=0) for col in zip(*vectors)])
+    for v in vectors:
+        index.add(v)
+    pairs = []
+    for l, v in enumerate(vectors):
+        mask = index.below_mask(v) & ~(1 << l)
+        while mask:
+            low = mask & -mask
+            pairs.append((low.bit_length() - 1, l))
+            mask ^= low
+    return pairs
 
 
 def minimal_nonzero_vectors(
@@ -54,11 +107,10 @@ def minimal_nonzero_vectors(
         reach[i] = {add[s][mu] for s in reach[i + 1] for mu in set(mults)}
 
     found: list[tuple[int, ...]] = []
+    index = DominanceIndex(caps)
     vec = [0] * m
     nodes = 0
-
-    def dominated() -> bool:
-        return any(all(u <= v for u, v in zip(f, vec)) for f in found)
+    below_mask = index.below_mask
 
     def rec(i: int, s: int):
         nonlocal nodes
@@ -75,10 +127,11 @@ def minimal_nonzero_vectors(
             x = add[x][w]
             vec[i] = k
             if x == 0:
-                if not dominated():
+                if not below_mask(vec):
                     found.append(tuple(vec))
+                    index.add(vec)
                 break  # larger k and any extension dominate this atom
-            if dominated():
+            if below_mask(vec):
                 break  # larger k only grows the vector further
             if neg_t[x] in reach[i + 1]:
                 rec(i + 1, x)
@@ -209,12 +262,7 @@ def davenport_star_witness(group: FiniteAbelianGroup) -> Sequence:
 
 
 def antichain_violations(atoms: AtomSet) -> list[tuple[Sequence, Sequence]]:
-    """Pairs (u, v) of distinct atoms with u | v; empty for a valid atom set."""
-    out = []
-    for i, u in enumerate(atoms.atoms):
-        for v in atoms.atoms[i + 1 :]:
-            if divides(u, v):
-                out.append((u, v))
-            elif divides(v, u):
-                out.append((v, u))
-    return out
+    """Pairs (u, v) of atoms at distinct positions with u | v; empty for a
+    valid atom set."""
+    seqs = atoms.atoms
+    return [(seqs[j], seqs[l]) for j, l in divisible_pairs(atoms.vectors())]

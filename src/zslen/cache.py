@@ -2,8 +2,9 @@
 
 Cache files are JSON documents written atomically (temp file + rename).
 Loads validate the stored atoms (zero-sum, antichain) before trusting
-them; any mismatch produces a warning and a recompute, never a wrong
-answer.
+them; the antichain check runs on the stored dense vectors through the
+atom walk's DominanceIndex.  Any mismatch produces a warning and a
+recompute, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import os
 import tempfile
 from pathlib import Path
 
-from .atoms import AtomSet
-from .group import FiniteAbelianGroup, elements
-from .sequence import Sequence, canonical_subset, divides, is_zero_sum
+from .atoms import AtomSet, divisible_pairs
+from .group import FiniteAbelianGroup, GroupElement, elements, order_of
+from .sequence import Sequence, canonical_subset, is_zero_sum
 
 log = logging.getLogger(__name__)
 
@@ -89,27 +90,33 @@ def cache_load(
         log.warning("atom cache %s is for a different subset; recomputing", path)
         return None
     try:
+        vectors = [tuple(vec) for vec in doc.get("atoms", [])]
         atoms = tuple(
             Sequence.make(group, {subset[i]: m for i, m in enumerate(vec) if m})
-            for vec in doc.get("atoms", [])
+            for vec in vectors
         )
     except Exception as exc:
         log.warning("malformed atom cache %s (%s); recomputing", path, exc)
         return None
-    if not _valid_atom_list(atoms):
+    if not _valid_atom_list(subset, atoms, vectors):
         log.warning("atom cache %s failed validation; recomputing", path)
         return None
     return AtomSet(group, subset, atoms)
 
 
-def _valid_atom_list(atoms: tuple[Sequence, ...]) -> bool:
-    if len(set(atoms)) != len(atoms):
-        return False
-    for a in atoms:
+def _valid_atom_list(
+    subset: tuple[GroupElement, ...],
+    atoms: tuple[Sequence, ...],
+    vectors: list[tuple[int, ...]],
+) -> bool:
+    """Every stored vector spans the subset with integer entries at most the
+    order of their element (g^ord(g) divides anything above), describes a
+    nonempty zero-sum sequence, and the vectors form an antichain (a
+    duplicate is a divisible pair)."""
+    caps = [order_of(g) for g in subset]
+    for a, vec in zip(atoms, vectors):
+        if len(vec) != len(caps) or any(type(m) is not int or m > c for m, c in zip(vec, caps)):
+            return False
         if a.length == 0 or not is_zero_sum(a):
             return False
-    for i, u in enumerate(atoms):
-        for v in atoms[i + 1 :]:
-            if divides(u, v) or divides(v, u):
-                return False
-    return True
+    return not divisible_pairs(vectors)

@@ -398,9 +398,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="output format (csv only for tabular commands)")
     p.add_argument("--cache-dir", default=None,
                    help=f"atom cache directory (or ${ENV_CACHE_DIR})")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker pool size (reserved; computations run "
-                        "deterministically in-process)")
     p.add_argument("--stable", action="store_true",
                    help="omit timing so identical runs are byte-identical")
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT,
@@ -535,7 +532,7 @@ def _config_echo(args) -> dict:
 def _validate_common(args):
     if getattr(args, "bound", None) is not None and args.bound < 0:
         raise InvalidArgumentError(f"bound must be nonnegative: {args.bound}")
-    for name in ("node_limit", "memo_limit", "threads"):
+    for name in ("node_limit", "memo_limit"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise InvalidArgumentError(f"{name.replace('_', '-')} must be positive: {value}")

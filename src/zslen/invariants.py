@@ -330,7 +330,8 @@ def delta_of_group(
     if atoms is None:
         atoms = enumerate_atoms(group, alphabet)
     engine = engine_for(atoms, memo_limit)
-    dav, _ = davenport(group)
+    # D(G) needs the atoms over the whole group; reuse the caller's if they are
+    dav, _ = davenport(group, atoms if atoms.subset == elements(group) else None)
     margin = max(bound - dav, 0)
     acc: set[int] = set()
     acc_margin: set[int] = set()
@@ -343,7 +344,7 @@ def delta_of_group(
     distances = tuple(sorted(acc))
     full_group = alphabet == elements(group)
     is_interval_from_1 = bool(distances) and distances == tuple(range(1, distances[-1] + 1))
-    stable = bool(distances) and acc_margin and max(acc_margin) == distances[-1]
+    stable = bool(distances) and bool(acc_margin) and max(acc_margin) == distances[-1]
     exact = full_group and ((not distances and group.order <= 2) or (is_interval_from_1 and stable))
     return DeltaReport(group, alphabet, bound, distances, exact)
 

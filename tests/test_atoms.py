@@ -1,17 +1,25 @@
+import hashlib
 import itertools
+import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zslen.atoms import (
+    AtomSet,
     antichain_violations,
     davenport,
     davenport_star,
     davenport_star_witness,
+    divisible_pairs,
     enumerate_atoms,
     is_atom,
+    minimal_nonzero_vectors,
 )
 from zslen.errors import ResourceLimitError
-from zslen.group import elements, make_group, order_of
+from zslen.group import elements, make_group, order_of, tables
 from zslen.sequence import (
     Sequence,
     divides,
@@ -163,3 +171,82 @@ def test_zero_atom_inclusion(c3):
     assert parse_sequence(c3, "[0:1]") in full.atoms
     no_zero = enumerate_atoms(c3, [c3.element([1]), c3.element([2])])
     assert all(a.v(c3.zero()) == 0 for a in no_zero.atoms)
+
+
+def brute_minimal_vectors(group, letter_classes):
+    """Oracle: every nonzero zero-sum vector with v[i] <= ord(class i), then
+    drop those lying above another one; sorted as the walk sorts."""
+    tab = tables(group)
+    caps = [tab.order[c] for c in letter_classes]
+    zero_sums = []
+    for vec in itertools.product(*(range(c + 1) for c in caps)):
+        s = 0
+        for c, k in zip(letter_classes, vec):
+            for _ in range(k):
+                s = tab.add[s][c]
+        if any(vec) and s == 0:
+            zero_sums.append(vec)
+    minimal = [
+        v for v in zero_sums
+        if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in zero_sums)
+    ]
+    return sorted(minimal, key=lambda v: (sum(v), v))
+
+
+@st.composite
+def walk_instances(draw):
+    mods = draw(st.sampled_from([[2], [3], [4], [5], [6], [2, 2]]))
+    group = make_group(mods)
+    n = len(elements(group))
+    # repeated classes model several primes in one class, as in transfer instances
+    classes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    return group, tuple(classes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_instances())
+def test_walk_matches_brute_force(instance):
+    group, classes = instance
+    found, _ = minimal_nonzero_vectors(group, classes)
+    assert found == brute_minimal_vectors(group, classes)
+
+
+def _digest(atoms):
+    vecs = sorted(list(v) for v in atoms.vectors())
+    return hashlib.sha256(json.dumps(vecs).encode()).hexdigest()
+
+
+# Sorted-vector digests, counts and visited nodes of the linear-scan walk;
+# the bitset index must keep the same walk, not only the same atoms.
+PINNED_WALKS = [
+    ([4, 4], 1107, 12720, "f88eb288e05bd03069c4d1c76f23d73020edcd1067caf203fb1d39ae16d44fae"),
+    ([3, 6], 2642, 34985, "08e3951644d33843187aaa5c277935e7ef2e108da9792697971ac735a0059faa"),
+]
+
+
+@pytest.mark.parametrize("mods,count,nodes,digest", PINNED_WALKS)
+def test_pinned_walks(mods, count, nodes, digest):
+    atoms = enumerate_atoms(make_group(mods))
+    assert (len(atoms), atoms.nodes_visited, _digest(atoms)) == (count, nodes, digest)
+
+
+def test_node_limit_bounds_real_work():
+    # with a linear dominance scan this took minutes: node cost grew with |found|
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        enumerate_atoms(make_group([2] * 5), node_limit=100_000)
+    assert time.perf_counter() - started < 30
+
+
+def test_divisible_pairs():
+    vectors = [(1, 0, 2), (0, 1, 0), (1, 1, 2), (0, 1, 0), (2, 0, 1)]
+    assert divisible_pairs(vectors) == [(3, 1), (0, 2), (1, 2), (3, 2), (1, 3)]
+    assert divisible_pairs([(1, 0), (0, 1)]) == []
+    assert divisible_pairs([]) == []
+
+
+def test_antichain_violations_reports_divisible_atoms(c3):
+    atoms = enumerate_atoms(c3)
+    g3 = parse_sequence(c3, "[1:3]")
+    bad = AtomSet(c3, atoms.subset, atoms.atoms + (g3**2,))
+    assert antichain_violations(bad) == [(g3, g3**2)]

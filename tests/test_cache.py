@@ -1,6 +1,8 @@
 import json
 import logging
 
+import pytest
+
 from zslen.atoms import enumerate_atoms
 from zslen.cache import cache_load, cache_path, cache_store
 from zslen.group import elements
@@ -50,6 +52,23 @@ def test_antichain_violation_rejected(tmp_path, c3, caplog):
     path.write_text(json.dumps(doc))
     with caplog.at_level(logging.WARNING):
         assert cache_load(tmp_path, c3, atoms.subset) is None
+    assert "validation" in caplog.text
+
+
+@pytest.mark.parametrize("edit", [
+    lambda vecs: vecs.append(list(vecs[-1])),  # a duplicate divides its copy
+    lambda vecs: vecs.insert(0, [0, 6, 0]),  # above ord(g): g^3 divides it
+    lambda vecs: vecs.append([1, 0]),  # does not span the subset
+])
+def test_invalid_vectors_rejected(tmp_path, c3, caplog, edit):
+    atoms = enumerate_atoms(c3)
+    path = cache_store(tmp_path, atoms)
+    doc = json.loads(path.read_text())
+    edit(doc["atoms"])
+    path.write_text(json.dumps(doc))
+    with caplog.at_level(logging.WARNING):
+        assert cache_load(tmp_path, c3, atoms.subset) is None
+    assert "validation" in caplog.text
 
 
 def test_corrupt_json_recomputes(tmp_path, c3, caplog):

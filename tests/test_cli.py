@@ -85,6 +85,14 @@ def test_delta_subcommand(capsys):
     assert report["results"]["delta"] == [1, 2]
 
 
+def test_delta_not_exact_is_json_false(capsys):
+    # C3+C3 to bound 10 has no distances within the D(G)-wide margin
+    code, out = run(capsys, "delta", "--group", "3,3", "--bound", "10")
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["exact"] is False
+
+
 def test_delta_star_subcommand(capsys):
     code, report = run_json(capsys, "delta-star", "--group", "3", "--bound", "8")
     assert code == 0
