@@ -23,7 +23,7 @@ class map).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, elements, tables
@@ -155,6 +155,14 @@ class AtomSet:
     def __len__(self):
         return len(self.atoms)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.group, self.subset, self.atoms))
+
+    def __hash__(self):
+        # computed once: engine lookups hash the atom set on every query
+        return self._hash
+
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         """Dense exponent vectors of the atoms over the subset order."""
         return tuple(a.dense(self.subset) for a in self.atoms)
@@ -190,10 +198,7 @@ def _enumerate_atoms_cached(
     tab = tables(group)
     classes = tuple(tab.index[g] for g in alphabet)
     vectors, nodes = minimal_nonzero_vectors(group, classes, node_limit)
-    atoms = tuple(
-        Sequence.make(group, {alphabet[i]: m for i, m in enumerate(v) if m})
-        for v in vectors
-    )
+    atoms = tuple(Sequence.from_dense(group, alphabet, v) for v in vectors)
     return AtomSet(group, alphabet, atoms, nodes)
 
 

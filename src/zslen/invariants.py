@@ -11,15 +11,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atoms import AtomSet, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError, VerificationError
 from .group import FiniteAbelianGroup, GroupElement, elements, order_of
 from .lengths import (
     DEFAULT_MEMO_LIMIT,
     LengthSet,
     engine_for,
     length_set,
+    mask_gaps,
 )
-from .sequence import Sequence, canonical_subset, enumerate_zero_sum, sigma
+from .sequence import Sequence, canonical_subset, sigma, zero_sum_vectors
 
 DEFAULT_PRODUCT_LIMIT = 10**8
 DEFAULT_SUBSET_SCAN_MAX_ORDER = 12
@@ -71,13 +72,17 @@ def system(
     if atoms is None:
         atoms = enumerate_atoms(group, alphabet)
     engine = engine_for(atoms, memo_limit)
-    found: dict[LengthSet, Sequence] = {}
-    for b in enumerate_zero_sum(group, alphabet, bound):
-        ls = LengthSet.from_mask(engine.lengths_mask(b.dense(alphabet)))
-        if ls not in found:
-            found[ls] = b
-    entries = tuple(sorted(found.items(), key=lambda kv: kv[0].values))
-    return SystemOfLengthSets(group, alphabet, bound, entries)
+    first: dict[int, tuple[int, ...]] = {}  # length mask -> first vector
+    for vec in zero_sum_vectors(group, alphabet, bound):
+        first.setdefault(engine.lengths_mask(vec), vec)
+    entries = sorted(
+        (
+            (LengthSet.from_mask(mask), Sequence.from_dense(group, alphabet, vec))
+            for mask, vec in first.items()
+        ),
+        key=lambda entry: entry[0].values,
+    )
+    return SystemOfLengthSets(group, alphabet, bound, tuple(entries))
 
 
 # -- closed-form systems for the five small groups ------------------------------
@@ -227,25 +232,26 @@ def unions_range(
     U_k is the union of L(B) over products B of exactly k atoms, which is
     complete because any B with k in L(B) is such a product.  Products are
     built level by level and deduplicated by canonical exponent vector
-    before hitting the factorization engine.
+    before hitting the factorization engine.  Each level forms
+    len(previous level) * len(atoms) products; their running total is
+    charged against product_limit before the level is formed.
     """
     if k_max < 1:
         raise InvalidArgumentError(f"k must be positive: {k_max}")
     if atoms is None:
         atoms = enumerate_atoms(group)
-    n_atoms = len(atoms)
-    if math.comb(n_atoms + k_max - 1, k_max) > product_limit:
-        raise ResourceLimitError("atom multiset count", product_limit)
     engine = engine_for(atoms, memo_limit)
     atom_vectors = atoms.vectors()
     out: dict[int, UnionOfLengths] = {}
     level: set[tuple[int, ...]] = {(0,) * len(atoms.subset)}
+    formed = 0
     for k in range(1, k_max + 1):
+        formed += len(level) * len(atom_vectors)
+        if formed > product_limit:
+            raise ResourceLimitError("atom products", product_limit, formed)
         level = {
             tuple(x + y for x, y in zip(b, a)) for b in level for a in atom_vectors
         }
-        if len(level) > product_limit:
-            raise ResourceLimitError("distinct atom products", product_limit)
         union_mask = 0
         for vec in level:
             union_mask |= engine.lengths_mask(vec)
@@ -291,15 +297,16 @@ def elasticity(
             engine.lengths_mask(witness.dense(atoms.subset))
         )
         if Fraction(attained.max, attained.min) != value:
-            raise RuntimeError(
+            raise VerificationError(
                 f"elasticity witness {witness} gives {attained}, not {value}"
             )
-        for b in enumerate_zero_sum(group, atoms.subset, min(2 * dav, 10)):
-            if b.length == 0:
+        for vec in zero_sum_vectors(group, atoms.subset, min(2 * dav, 10)):
+            if not any(vec):
                 continue
-            ls = LengthSet.from_mask(engine.lengths_mask(b.dense(atoms.subset)))
+            ls = LengthSet.from_mask(engine.lengths_mask(vec))
             if ls.min and Fraction(ls.max, ls.min) > value:
-                raise RuntimeError(f"{b} exceeds the closed-form elasticity")
+                b = Sequence.from_dense(group, atoms.subset, vec)
+                raise VerificationError(f"{b} exceeds the closed-form elasticity")
     return value
 
 
@@ -333,14 +340,15 @@ def delta_of_group(
     # D(G) needs the atoms over the whole group; reuse the caller's if they are
     dav, _ = davenport(group, atoms if atoms.subset == elements(group) else None)
     margin = max(bound - dav, 0)
-    acc: set[int] = set()
-    acc_margin: set[int] = set()
-    for b in enumerate_zero_sum(group, alphabet, bound):
-        vals = LengthSet.from_mask(engine.lengths_mask(b.dense(alphabet))).values
-        gaps = {y - x for x, y in zip(vals, vals[1:])}
-        acc |= gaps
-        if b.length <= margin:
-            acc_margin |= gaps
+    masks: set[int] = set()
+    margin_masks: set[int] = set()
+    for vec in zero_sum_vectors(group, alphabet, bound):
+        mask = engine.lengths_mask(vec)
+        masks.add(mask)
+        if sum(vec) <= margin:
+            margin_masks.add(mask)
+    acc = set().union(*map(mask_gaps, masks))
+    acc_margin = set().union(*map(mask_gaps, margin_masks))
     distances = tuple(sorted(acc))
     full_group = alphabet == elements(group)
     is_interval_from_1 = bool(distances) and distances == tuple(range(1, distances[-1] + 1))
@@ -381,10 +389,8 @@ def delta_star(
         scanned += 1
         atoms = enumerate_atoms(group, subset, node_limit=node_limit)
         engine = engine_for(atoms, memo_limit)
-        acc: set[int] = set()
-        for b in enumerate_zero_sum(group, subset, bound):
-            vals = LengthSet.from_mask(engine.lengths_mask(b.dense(subset))).values
-            acc.update(y - x for x, y in zip(vals, vals[1:]))
+        masks = {engine.lengths_mask(vec) for vec in zero_sum_vectors(group, subset, bound)}
+        acc = set().union(*map(mask_gaps, masks))
         if acc:
             values.add(math.gcd(*acc))
     return DeltaStarReport(group, bound, tuple(sorted(values)), scanned)
@@ -429,11 +435,13 @@ def is_half_factorial(
         return HalfFactorialVerdict("no-with-witness", witness, ls)
     atoms = enumerate_atoms(group, alphabet)
     engine = engine_for(atoms, memo_limit)
-    for b in enumerate_zero_sum(group, alphabet, bound):
-        mask = engine.lengths_mask(b.dense(alphabet))
+    for vec in zero_sum_vectors(group, alphabet, bound):
+        mask = engine.lengths_mask(vec)
         if mask.bit_count() > 1:
             return HalfFactorialVerdict(
-                "no-with-witness", b, LengthSet.from_mask(mask)
+                "no-with-witness",
+                Sequence.from_dense(group, alphabet, vec),
+                LengthSet.from_mask(mask),
             )
     return HalfFactorialVerdict("yes-up-to-bound")
 
@@ -476,9 +484,7 @@ def has_two_D_lengthset(
             seen.add(prod)
             scanned += 1
             if engine.lengths_mask(prod) == target:
-                witness = Sequence.make(
-                    group, {atoms.subset[j]: m for j, m in enumerate(prod) if m}
-                )
+                witness = Sequence.from_dense(group, atoms.subset, prod)
                 return TwoDavenportReport(group, dav, True, witness, scanned)
     return TwoDavenportReport(group, dav, False, None, scanned)
 

@@ -77,6 +77,22 @@ def delta_of(lengths: LengthSet) -> tuple[int, ...]:
     return tuple(sorted({b - a for a, b in zip(vals, vals[1:])}))
 
 
+def mask_gaps(mask: int) -> set[int]:
+    """delta_of for a length set given as a bitmask: the gaps between
+    successive set bits."""
+    if mask <= 0:
+        raise InvalidArgumentError("empty bitmask")
+    gaps = set()
+    low = mask & -mask
+    mask ^= low
+    while mask:
+        nxt = mask & -mask
+        gaps.add(nxt.bit_length() - low.bit_length())
+        mask ^= nxt
+        low = nxt
+    return gaps
+
+
 def elasticity_of(lengths: LengthSet):
     """max/min as an exact Fraction; {0} maps to 1, other 0-sets to infinity."""
     if lengths.min == 0:

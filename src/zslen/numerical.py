@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InvalidArgumentError
-from .lengths import LengthSet
+from .lengths import LengthSet, mask_gaps
 
 
 @dataclass(frozen=True)
@@ -89,15 +88,22 @@ def num_length_set(monoid: NumericalMonoid, n: int) -> LengthSet:
         return LengthSet.of([0])
     if not contains(monoid, n):
         raise InvalidArgumentError(f"{n} is not in {monoid}")
-    masks = [0] * (n + 1)
+    return LengthSet.from_mask(_length_masks(monoid, n)[n])
+
+
+def _length_masks(monoid: NumericalMonoid, bound: int) -> list[int]:
+    """masks[n] is the bitmask of L(n) for 0 <= n <= bound; 0 marks n
+    outside the monoid."""
+    masks = [0] * (bound + 1)
     masks[0] = 1
-    for m in range(1, n + 1):
+    for m in range(1, bound + 1):
         acc = 0
-        for g in monoid.generators:
-            if g <= m:
-                acc |= masks[m - g] << 1
+        for g in monoid.generators:  # ascending
+            if g > m:
+                break
+            acc |= masks[m - g] << 1
         masks[m] = acc
-    return LengthSet.from_mask(masks[n])
+    return masks
 
 
 def num_elasticity(monoid: NumericalMonoid) -> Fraction:
@@ -115,15 +121,8 @@ def num_min_delta(monoid: NumericalMonoid) -> int | None:
     return math.gcd(*(b - a for a, b in zip(gens, gens[1:])))
 
 
-@lru_cache(maxsize=None)
-def _monoid_members(monoid: NumericalMonoid, bound: int) -> tuple[int, ...]:
-    return tuple(n for n in range(1, bound + 1) if contains(monoid, n))
-
-
 def accumulated_delta(monoid: NumericalMonoid, bound: int) -> tuple[int, ...]:
-    """Union of Delta(L(n)) over members n <= bound."""
-    out: set[int] = set()
-    for n in _monoid_members(monoid, bound):
-        vals = num_length_set(monoid, n).values
-        out.update(b - a for a, b in zip(vals, vals[1:]))
-    return tuple(sorted(out))
+    """Union of Delta(L(n)) over members n <= bound, read off one length
+    table (the bottom-up recursion of Barron, O'Neill and Pelayo)."""
+    masks = _length_masks(monoid, max(bound, 0))[1:]
+    return tuple(sorted(set().union(*(mask_gaps(mask) for mask in masks if mask))))

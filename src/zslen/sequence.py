@@ -9,10 +9,10 @@ group's element order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidArgumentError
-from .group import FiniteAbelianGroup, GroupElement, elements
+from .group import FiniteAbelianGroup, GroupElement, elements, tables
 
 # Multiplicities are mathematically unbounded; this guard keeps encodings
 # and k-fold powers sane.
@@ -56,6 +56,15 @@ class Sequence:
         for g in terms:
             exps[g] = exps.get(g, 0) + 1
         return cls.make(group, exps)
+
+    @classmethod
+    def from_dense(
+        cls, group: FiniteAbelianGroup, order: tuple[GroupElement, ...], vec
+    ) -> "Sequence":
+        """Inverse of dense: the sequence with exponent vec[i] at order[i]."""
+        if len(vec) != len(order):
+            raise InvalidArgumentError(f"vector of width {len(vec)} over {len(order)} letters")
+        return cls.make(group, {g: m for g, m in zip(order, vec) if m})
 
     @classmethod
     def empty(cls, group: FiniteAbelianGroup) -> "Sequence":
@@ -159,6 +168,67 @@ def canonical_subset(group: FiniteAbelianGroup, subset: Iterable[GroupElement]) 
     return tuple(sorted(out, key=lambda g: g.coords))
 
 
+def zero_sum_vectors(
+    group: FiniteAbelianGroup,
+    alphabet: tuple[GroupElement, ...],
+    max_length: int,
+) -> Iterator[tuple[int, ...]]:
+    """Dense exponent vectors over `alphabet` of all zero-sum sequences with
+    length <= max_length.
+
+    Order: length ascending, then lexicographic on the vector.  Each length
+    is walked depth-first over the letters with multiplicities ascending,
+    pruned by an exact-length reach table: exact[i][r] is a bitmask over
+    element indices of the sums of exactly r terms from letters i onward.
+    A branch is entered only when its partial sum can still return to zero,
+    so every leaf is a result.
+    """
+    if max_length < 0:
+        raise InvalidArgumentError(f"max_length must be nonnegative: {max_length}")
+    tab = tables(group)
+    add, neg = tab.add, tab.neg
+    letters = [tab.index[g] for g in alphabet]
+    m = len(letters)
+    exact = [[0] * (max_length + 1) for _ in range(m + 1)]
+    exact[m][0] = 1  # the empty sum is the zero element, index 0
+    for i in range(m - 1, -1, -1):
+        w, row, rest = letters[i], exact[i], exact[i + 1]
+        row[0] = 1
+        for r in range(1, max_length + 1):
+            # no copy of letter i, or one copy plus exactly r-1 more terms
+            sums, moved = row[r - 1], 0
+            while sums:
+                low = sums & -sums
+                moved |= 1 << add[low.bit_length() - 1][w]
+                sums ^= low
+            row[r] = rest[r] | moved
+    vec = [0] * m
+
+    def rec(i: int, r: int, s: int):
+        # invariant: neg[s] is in exact[i][r]
+        if r == 0:
+            yield tuple(vec)
+            return
+        if i == m - 1:
+            vec[i] = r
+            yield tuple(vec)
+            vec[i] = 0
+            return
+        w, rest = letters[i], exact[i + 1]
+        x = s
+        for k in range(r + 1):
+            if k:
+                x = add[x][w]
+            if rest[r - k] >> neg[x] & 1:
+                vec[i] = k
+                yield from rec(i + 1, r - k, x)
+        vec[i] = 0
+
+    for length in range(max_length + 1):
+        if exact[0][length] & 1:
+            yield from rec(0, length, 0)
+
+
 def enumerate_zero_sum(
     group: FiniteAbelianGroup,
     subset: Iterable[GroupElement] | None,
@@ -169,34 +239,10 @@ def enumerate_zero_sum(
     Deterministic order: length ascending, then lexicographic on the dense
     exponent vector over the subset's canonical element order.
     """
-    if max_length < 0:
-        raise InvalidArgumentError(f"max_length must be nonnegative: {max_length}")
     alphabet = canonical_subset(group, elements(group) if subset is None else subset)
-    found: list[tuple[int, tuple[int, ...]]] = []
-    facs = group.invariant_factors
-    rank = len(facs)
-    coords = [g.coords for g in alphabet]
-    vec = [0] * len(alphabet)
-
-    def rec(i: int, remaining: int, total: tuple[int, ...]):
-        if i == len(alphabet):
-            if all(x == 0 for x in total):
-                found.append((max_length - remaining, tuple(vec)))
-            return
-        g = coords[i]
-        cur = total
-        for k in range(remaining + 1):
-            if k:
-                cur = tuple((cur[j] + g[j]) % facs[j] for j in range(rank))
-                vec[i] = k
-            rec(i + 1, remaining - k, cur)
-        vec[i] = 0
-
-    rec(0, max_length, (0,) * rank)
-    found.sort()
     return [
-        Sequence.make(group, {alphabet[i]: m for i, m in enumerate(v) if m})
-        for _, v in found
+        Sequence.from_dense(group, alphabet, v)
+        for v in zero_sum_vectors(group, alphabet, max_length)
     ]
 
 

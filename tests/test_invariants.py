@@ -1,9 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from zslen import invariants
 from zslen.atoms import davenport, enumerate_atoms
-from zslen.errors import InvalidArgumentError, ResourceLimitError
+from zslen.errors import InvalidArgumentError, ResourceLimitError, VerificationError
 from zslen.group import elements, make_group
 from zslen.invariants import (
     all_subgroups,
@@ -43,6 +46,17 @@ def test_system_c3_contents(c3):
     for ls, witness in sys_.entries:
         assert length_set(witness, atoms) == ls
         assert witness.length <= 6
+
+
+def test_system_c33_pinned(c33):
+    """Entries and witnesses as found by the Sequence-building scan that the
+    dense-vector walker replaced."""
+    sys_ = system(c33, None, 9)
+    text = json.dumps([[list(ls.values), str(w)] for ls, w in sys_.entries])
+    assert len(sys_) == 16
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8516068b5c730d63de3da7303025fd7f82273f5cb6ec7df187dcd61127ef0cf7"
+    )
 
 
 def test_system_half_factorial_groups():
@@ -151,9 +165,29 @@ def test_elasticity_cross_check(c3, c4):
     assert elasticity(c4, cross_check=True) == Fraction(2)
 
 
+def test_elasticity_cross_check_failure(c3, monkeypatch):
+    dav, longest = davenport(c3)
+    monkeypatch.setattr(invariants, "davenport", lambda group, atoms=None: (dav + 1, longest))
+    with pytest.raises(VerificationError):
+        elasticity(c3, cross_check=True)
+
+
 def test_union_resource_limit(c33):
     with pytest.raises(ResourceLimitError):
         unions_range(c33, 8, product_limit=10)
+
+
+def test_union_limit_charges_products_formed():
+    # Over {1, 2} in C10 (6 atoms) k = 7 forms 672 products, fewer than the
+    # C(12, 7) = 792 atom multisets that an up-front estimate would count.
+    group = make_group([10])
+    atoms = enumerate_atoms(group, [group.element([1]), group.element([2])])
+    assert len(atoms) == 6
+    unions = unions_range(group, 7, atoms, product_limit=672)
+    assert unions == unions_range(group, 7, atoms)
+    with pytest.raises(ResourceLimitError) as info:
+        unions_range(group, 7, atoms, product_limit=671)
+    assert info.value.reached == 672
 
 
 # -- distance sets ------------------------------------------------------------------

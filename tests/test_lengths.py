@@ -16,6 +16,7 @@ from zslen.lengths import (
     elasticity_of,
     exhaustive_length_set,
     length_set,
+    mask_gaps,
     shift,
     sumset,
 )
@@ -43,6 +44,17 @@ def test_delta_examples():
     assert delta_of(L(2, 3)) == (1,)
     assert delta_of(L(2, 4, 7)) == (2, 3)
     assert delta_of(L(5)) == ()
+
+
+@given(st.sets(st.integers(0, 200), min_size=1))
+def test_mask_gaps_matches_delta_of(values):
+    ls = LengthSet.of(values)
+    assert mask_gaps(ls.to_mask()) == set(delta_of(ls))
+
+
+def test_mask_gaps_rejects_empty_mask():
+    with pytest.raises(InvalidArgumentError):
+        mask_gaps(0)
 
 
 def test_elasticity_examples():

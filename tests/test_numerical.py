@@ -127,6 +127,20 @@ def test_min_delta_stabilizes_to_closed_form(gens):
     assert min(delta) == num_min_delta(h)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 15), min_size=1, max_size=4), st.integers(0, 150))
+def test_accumulated_delta_matches_per_member_tables(gens, bound):
+    gens = gens + [max(gens) + 1]  # consecutive generators force gcd 1
+    h = make_numerical(gens)
+    expected = set()
+    for n in range(bound + 1):
+        if n and contains(h, n):
+            vals = num_length_set(h, n).values
+            expected.update(b - a for a, b in zip(vals, vals[1:]))
+        # every prefix bound, so a gap first seen at n = bound counts too
+        assert accumulated_delta(h, n) == tuple(sorted(expected))
+
+
 def test_elasticity_approached_at_lcm_multiples():
     h = make_numerical([2, 3])
     n = 2 * 3 * 4

@@ -17,6 +17,7 @@ from zslen.sequence import (
     parse_sequence,
     quotient,
     sigma,
+    zero_sum_vectors,
 )
 
 
@@ -132,6 +133,57 @@ def test_enumerate_zero_sum_against_full_scan(mods, max_length):
     assert len(out) == brute_zero_sum_count(group, max_length)
     lengths = [s.length for s in out]
     assert lengths == sorted(lengths)
+
+
+@st.composite
+def walker_instances(draw):
+    """A group, an alphabet in any order (0 and single letters included) and
+    a bound kept small enough for a full scan of the exponent box."""
+    group = make_group(draw(st.sampled_from(
+        [[2], [3], [4], [5], [6], [2, 2], [2, 4], [3, 3]]
+    )))
+    els = elements(group)
+    alphabet = tuple(draw(st.lists(st.sampled_from(els), min_size=1, max_size=6, unique=True)))
+    top = max(b for b in range(7) if (b + 1) ** len(alphabet) <= 50_000)
+    return group, alphabet, draw(st.integers(0, top))
+
+
+def brute_zero_sum_vectors(group, alphabet, max_length):
+    """Every exponent vector in the box, filtered, sorted by (length, vector)."""
+    facs = group.invariant_factors
+    out = []
+    for vec in itertools.product(range(max_length + 1), repeat=len(alphabet)):
+        total = [sum(v * g.coords[i] for v, g in zip(vec, alphabet)) % facs[i] for i in range(len(facs))]
+        if sum(vec) <= max_length and not any(total):
+            out.append(vec)
+    return sorted(out, key=lambda v: (sum(v), v))
+
+
+@settings(max_examples=120, deadline=None)
+@given(walker_instances())
+def test_zero_sum_vectors_match_brute_force(instance):
+    group, alphabet, max_length = instance
+    assert list(zero_sum_vectors(group, alphabet, max_length)) == brute_zero_sum_vectors(
+        group, alphabet, max_length
+    )
+
+
+def test_zero_sum_vectors_edges(c3, c33):
+    assert list(zero_sum_vectors(c3, (), 3)) == [()]
+    assert list(zero_sum_vectors(c3, (c3.zero(),), 2)) == [(0,), (1,), (2,)]
+    assert list(zero_sum_vectors(c3, (c3.element([1]),), 7)) == [(0,), (3,), (6,)]
+    full = elements(c33)
+    assert list(zero_sum_vectors(c33, full, 2)) == brute_zero_sum_vectors(c33, full, 2)
+    with pytest.raises(InvalidArgumentError):
+        list(zero_sum_vectors(c3, elements(c3), -1))
+
+
+def test_from_dense_inverts_dense(c4):
+    order = elements(c4)
+    s = seq(c4, "[1:2,2:1]")
+    assert Sequence.from_dense(c4, order, s.dense(order)) == s
+    with pytest.raises(InvalidArgumentError):
+        Sequence.from_dense(c4, order, (1, 2))
 
 
 def test_enumerate_order_is_deterministic(c3):
