@@ -163,6 +163,11 @@ class AtomSet:
         # computed once: engine lookups hash the atom set on every query
         return self._hash
 
+    @cached_property
+    def positions(self) -> dict[GroupElement, int]:
+        """Position of each subset element in the subset order."""
+        return {g: i for i, g in enumerate(self.subset)}
+
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         """Dense exponent vectors of the atoms over the subset order."""
         return tuple(a.dense(self.subset) for a in self.atoms)

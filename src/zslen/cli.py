@@ -2,7 +2,8 @@
 machine-readable reports tying the computation modules together.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 resource limit.  JSON is the canonical machine format; CSV is available
+3 resource limit, 4 internal error (an unexpected exception, reported as
+JSON rather than a traceback).  JSON is the canonical machine format; CSV is available
 for the tabular outputs (system, unions); text is a readable summary.
 """
 
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import __version__
@@ -63,6 +65,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_INVALID_ARGUMENTS = 2
 EXIT_RESOURCE_LIMIT = 3
+EXIT_INTERNAL_ERROR = 4
 
 REPORT_SCHEMA = "zslen-report/1"
 
@@ -580,6 +583,18 @@ def main(argv=None) -> int:
         }
         print(json.dumps(report, indent=2, sort_keys=True))
         return EXIT_RESOURCE_LIMIT
+    except Exception as exc:
+        # a bug, not bad input: keep only the fields that are known to
+        # serialize, since the failure may lie in the results themselves
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        report = {k: report[k] for k in ("schema", "tool", "command", "config")}
+        report["error"] = {
+            "type": "internal-error",
+            "reason": f"{type(exc).__name__}: {exc}",
+            "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+        }
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return EXIT_INTERNAL_ERROR
     sys.stdout.write(output)
     if any(not v["pass"] for v in verdicts):
         return EXIT_VERIFICATION_FAILURE

@@ -6,6 +6,7 @@ forms used as oracles.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -250,7 +251,7 @@ def unions_range(
         if formed > product_limit:
             raise ResourceLimitError("atom products", product_limit, formed)
         level = {
-            tuple(x + y for x, y in zip(b, a)) for b in level for a in atom_vectors
+            tuple(map(operator.add, b, a)) for b in level for a in atom_vectors
         }
         union_mask = 0
         for vec in level:

@@ -6,6 +6,15 @@ atoms that cover the pivot loses no lengths (every factorization covers
 each copy of the pivot with exactly one atom) and removes permutation
 blowup.  Length sets are carried as integer bitmasks inside the engine, so
 the union is a bitwise or and "1 +" is a shift.
+
+The atoms dividing B are found with one DominanceIndex per pivot bucket:
+bit j of the AND over letters of below[i][B[i]] marks bucket atom j
+dividing B, and a letter whose count in B reaches the bucket's largest
+entry for it constrains nothing, so it is skipped.  The recursion runs on
+an explicit stack of (vector, divisor bits still to visit, bucket, partial
+mask) frames, so its depth does not depend on the length of B.  Bits are
+visited low to high, which is bucket order: the children, and the memo
+entries stored, are those of the plain recursion.
 """
 
 from __future__ import annotations
@@ -13,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable
 
-from .atoms import AtomSet
+from .atoms import AtomSet, DominanceIndex
 from .errors import InvalidArgumentError, ResourceLimitError
 from .sequence import Sequence, is_zero_sum
 
@@ -135,28 +145,80 @@ class FactorizationEngine:
         self._by_pivot = [
             [v for v in vectors if v[i] > 0] for i in range(width)
         ]
+        self._divisors = [_divisor_rows(bucket, width) for bucket in self._by_pivot]
         self._memo: dict[tuple[int, ...], int] = {(0,) * width: 1}
 
     @property
     def memo_size(self) -> int:
         return len(self._memo)
 
+    def _dividing(self, vec: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+        """Bits of the pivot bucket atoms dividing a nonzero vec, and the bucket."""
+        pivot = 0
+        while not vec[pivot]:
+            pivot += 1
+        bits, rows = self._divisors[pivot]
+        for i, row, cap in rows:
+            v = vec[i]
+            if v < cap:
+                bits &= row[v]
+                if not bits:
+                    break
+        return bits, self._by_pivot[pivot]
+
     def lengths_mask(self, vec: tuple[int, ...]) -> int:
-        """Bitmask of L(vec); 0 when no factorization exists."""
+        """Bitmask of L(vec); 0 when no factorization exists.
+
+        Every frame on the stack is a vector not yet in the memo that will
+        be stored there, so a new frame is refused once the memo and the
+        stack together would pass memo_limit: the limit then bounds the
+        stack too, and fires for exactly the queries that would overflow
+        the memo.
+        """
         memo = self._memo
         cached = memo.get(vec)
         if cached is not None:
             return cached
-        pivot = next(i for i, x in enumerate(vec) if x)
+        limit = self.memo_limit
+        if len(memo) >= limit:
+            raise ResourceLimitError("memo table", limit)
+        dividing = self._dividing
+        stack: list[tuple[tuple[int, ...], int, list[tuple[int, ...]], int]] = []
+        bits, bucket = dividing(vec)
         mask = 0
-        for a in self._by_pivot[pivot]:
-            if all(x <= y for x, y in zip(a, vec)):
-                child = tuple(y - x for x, y in zip(a, vec))
-                mask |= self.lengths_mask(child) << 1
-        if len(memo) >= self.memo_limit:
-            raise ResourceLimitError("memo table", self.memo_limit)
-        memo[vec] = mask
-        return mask
+        while True:
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                child = tuple(map(sub, vec, bucket[low.bit_length() - 1]))
+                child_mask = memo.get(child)
+                if child_mask is None:
+                    if len(memo) + len(stack) + 1 >= limit:
+                        raise ResourceLimitError("memo table", limit)
+                    stack.append((vec, bits, bucket, mask))
+                    vec = child
+                    bits, bucket = dividing(vec)
+                    mask = 0
+                else:
+                    mask |= child_mask << 1
+            memo[vec] = mask
+            if not stack:
+                return mask
+            child_mask = mask
+            vec, bits, bucket, mask = stack.pop()
+            mask |= child_mask << 1
+
+
+def _divisor_rows(bucket: list[tuple[int, ...]], width: int):
+    """All bits of a bucket's DominanceIndex, and (letter, below row, cap)
+    for the letters some bucket atom uses; a count at or above the cap
+    passes every atom."""
+    caps = [max((a[i] for a in bucket), default=0) for i in range(width)]
+    index = DominanceIndex(caps)
+    for a in bucket:
+        index.add(a)
+    rows = [(i, row, caps[i]) for i, row in enumerate(index.below) if caps[i]]
+    return (1 << index.size) - 1, rows
 
 
 _ENGINES: dict[tuple[AtomSet, int], FactorizationEngine] = {}
@@ -180,7 +242,7 @@ def length_set(b: Sequence, atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT
     """Exact L(B) for a zero-sum sequence B over the atom set's subset."""
     if not is_zero_sum(b):
         raise InvalidArgumentError(f"sequence {b} is not zero-sum")
-    vec = b.dense(atoms.subset)  # raises if support leaves the subset
+    vec = b.dense_at(atoms.positions)  # raises if support leaves the subset
     mask = engine_for(atoms, memo_limit).lengths_mask(vec)
     if mask == 0:
         raise InvalidArgumentError(f"{b} has no factorization over the given atoms")

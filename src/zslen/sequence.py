@@ -90,12 +90,16 @@ class Sequence:
 
     def dense(self, order: tuple[GroupElement, ...]) -> tuple[int, ...]:
         """Exponent vector relative to an element order covering the support."""
-        pos = {g: i for i, g in enumerate(order)}
-        vec = [0] * len(order)
+        return self.dense_at({g: i for i, g in enumerate(order)})
+
+    def dense_at(self, pos: Mapping[GroupElement, int]) -> tuple[int, ...]:
+        """dense for an order given as its element -> position map."""
+        vec = [0] * len(pos)
         for g, m in self.items:
-            if g not in pos:
+            i = pos.get(g)
+            if i is None:
                 raise InvalidArgumentError(f"support element {g} outside alphabet")
-            vec[pos[g]] = m
+            vec[i] = m
         return tuple(vec)
 
     def __mul__(self, other: "Sequence") -> "Sequence":

@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import zslen.cli as cli_mod
 from zslen.cli import main
 
 
@@ -165,7 +171,6 @@ def test_exit_code_resource_limit(capsys):
 
 
 def test_exit_code_verification_failure(capsys, monkeypatch):
-    import zslen.cli as cli_mod
     from zslen.verify import Verdict
 
     monkeypatch.setattr(
@@ -202,3 +207,73 @@ def test_text_format_verdicts(capsys):
     code, out = run(capsys, "verify", "prop2.3", "--group", "3", "--format", "text")
     assert code == 0
     assert "[PASS]" in out
+
+
+def test_exit_code_internal_error(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(cli_mod, "cmd_lengths", boom)
+    code, report = run_json(capsys, "lengths", "--group", "3", "--sequence", "[1:3]")
+    assert code == 4
+    assert report["error"]["type"] == "internal-error"
+    assert report["error"]["reason"] == "RuntimeError: forced failure"
+    assert report["error"]["where"].startswith("test_cli.py:")
+    assert report["command"] == "lengths"
+    assert "results" not in report
+
+
+def test_long_sequence_gets_an_exact_answer(capsys):
+    code, report = run_json(capsys, "lengths", "--group", "3", "--sequence", "[0:3000]")
+    assert code == 0
+    assert report["results"]["lengths"] == [3000]
+
+
+# -- fuzzing: every input gets a documented exit code and a JSON report ---------
+
+FUZZ_GROUPS = ["2", "3", "4", "5", "6", "2,2", "2,4", "3,3"]
+MALFORMED_GROUPS = ["", "0", "1", "-3", "3,x", "2,,2", "9999", "2,3,5,7,11"]
+
+
+@st.composite
+def sequence_text(draw, group):
+    moduli = [int(t) for t in group.split(",")]
+    if draw(st.booleans()):
+        # short malformed text: at most four digits in a row, so a
+        # multiplicity that parses stays small
+        return draw(st.text(alphabet="[]:,()0123 -x", max_size=8))
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, n - 1) for n in moduli]), st.integers(1, 8)),
+        max_size=4,
+    ))
+    def element(coords):
+        return str(coords[0]) if len(coords) == 1 else "(" + ",".join(map(str, coords)) + ")"
+    return "[" + ",".join(f"{element(c)}:{m}" for c, m in terms) + "]"
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["lengths", "system", "unions", "delta"]))
+    valid_group = draw(st.sampled_from(FUZZ_GROUPS))
+    group = draw(st.sampled_from(MALFORMED_GROUPS)) if draw(st.integers(0, 4)) == 0 else valid_group
+    argv = [command, f"--group={group}", "--format", "json", "--stable"]
+    if command == "lengths":
+        argv.append(f"--sequence={draw(sequence_text(valid_group))}")
+    elif command == "unions":
+        argv.append(f"--k={draw(st.sampled_from(['1', '3', '1..4', '0', '3..1', 'x', '2..']))}")
+    else:
+        argv.append(f"--bound={draw(st.integers(-2, 6))}")
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--memo-limit={draw(st.integers(0, 12))}")
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=60, deadline=None)
+def test_cli_fuzz_documented_exit_and_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in {0, 1, 2, 3, 4}, argv
+    report = json.loads(out.getvalue())
+    assert report["command"] == argv[0]

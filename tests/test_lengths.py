@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zslen import lengths
 from zslen.atoms import enumerate_atoms
 from zslen.errors import InvalidArgumentError, ResourceLimitError
-from zslen.group import make_group
+from zslen.group import elements, make_group
+from zslen.invariants import system
 from zslen.lengths import (
     FactorizationEngine,
     LengthSet,
@@ -121,6 +124,14 @@ def test_rejects_non_zero_sum(c3):
         length_set(parse_sequence(c3, "[1:1]"), atoms)
 
 
+def test_rejects_support_outside_subset(c3):
+    atoms = enumerate_atoms(c3, [c3.element([1]), c3.element([2])])
+    b = parse_sequence(c3, "[0:1,1:3]")
+    with pytest.raises(InvalidArgumentError, match="outside alphabet"):
+        length_set(b, atoms)
+    assert length_set(parse_sequence(c3, "[1:3,2:3]"), atoms) == L(2, 3)
+
+
 def test_memo_limit(c33):
     atoms = enumerate_atoms(c33)
     engine = FactorizationEngine(atoms.vectors(), memo_limit=4)
@@ -171,3 +182,95 @@ def test_min_delta_is_gcd_accumulated(c4):
     for b in enumerate_zero_sum(c4, None, 10):
         acc.update(delta_of(length_set(b, atoms)))
     assert acc and min(acc) == math.gcd(*acc)
+
+
+# -- the divisor index and the explicit stack -----------------------------------
+
+DIFFERENTIAL_GROUPS = [[2], [3], [4], [5], [6], [2, 2], [2, 4], [3, 3]]
+
+
+@st.composite
+def random_zero_sum(draw, max_length=10):
+    group = make_group(draw(st.sampled_from(DIFFERENTIAL_GROUPS)))
+    els = list(elements(group))
+    n = draw(st.integers(min_value=0, max_value=max_length - 1))
+    terms = [els[draw(st.integers(0, len(els) - 1))] for _ in range(n)]
+    total = group.zero()
+    for g in terms:
+        total = total + g
+    return Sequence.from_elements(group, terms + [-total])
+
+
+@given(random_zero_sum())
+@settings(max_examples=80, deadline=None)
+def test_engine_matches_exhaustive_oracle(b):
+    atoms = enumerate_atoms(b.group)
+    engine = FactorizationEngine(atoms.vectors())
+    mask = engine.lengths_mask(b.dense(atoms.subset))
+    assert LengthSet.from_mask(mask) == exhaustive_length_set(b, atoms), str(b)
+
+
+def brute_lengths(atoms, vec):
+    """Every k such that vec is a sum of k of the atoms (with repetition),
+    by trying every multiplicity vector."""
+    ranges = [
+        range(min(y // x for x, y in zip(a, vec) if x) + 1) for a in atoms
+    ]
+    out = set()
+    for counts in itertools.product(*ranges):
+        total = [sum(c * a[i] for c, a in zip(counts, atoms)) for i in range(len(vec))]
+        if total == list(vec):
+            out.add(sum(counts))
+    return out
+
+
+@st.composite
+def vector_monoid(draw):
+    width = draw(st.integers(1, 3))
+    entry = st.integers(0, 3)
+    atom = st.tuples(*[entry] * width).filter(any)
+    atoms = draw(st.lists(atom, min_size=1, max_size=4))
+    queries = draw(st.lists(st.tuples(*[st.integers(0, 6)] * width), max_size=6))
+    return atoms, queries
+
+
+@given(vector_monoid())
+@settings(max_examples=80, deadline=None)
+def test_engine_on_arbitrary_vectors_matches_brute_force(case):
+    # the transfer instances feed vectors that are not zero-sum atoms
+    atoms, queries = case
+    engine = FactorizationEngine(atoms)
+    for vec in queries:
+        mask = engine.lengths_mask(vec)
+        assert {k for k in range(mask.bit_length()) if mask >> k & 1} == brute_lengths(
+            atoms, vec
+        ), (atoms, vec)
+
+
+def test_system_memo_size_pinned(c33, monkeypatch):
+    # a fresh engine: memo_size after system(C3+C3, 9) is the number of
+    # distinct vectors the recursion visits
+    monkeypatch.setattr(lengths, "_ENGINES", {})
+    atoms = enumerate_atoms(c33)
+    system(c33, None, 9, atoms)
+    assert lengths.engine_for(atoms).memo_size == 5420
+
+
+def test_depth_does_not_depend_on_length(c3):
+    atoms = enumerate_atoms(c3)
+    assert length_set(parse_sequence(c3, "[1:3000]"), atoms) == L(1000)
+
+
+def test_memo_limit_fires_exactly_at_overflow(c3):
+    # [0:30] stores 30 vectors besides the zero vector
+    atoms = enumerate_atoms(c3)
+    vec = parse_sequence(c3, "[0:30]").dense(atoms.subset)
+    assert FactorizationEngine(atoms.vectors(), memo_limit=31).lengths_mask(vec) == 1 << 30
+    engine = FactorizationEngine(atoms.vectors(), memo_limit=30)
+    with pytest.raises(ResourceLimitError):
+        engine.lengths_mask(vec)
+    # the pending frames count against the limit, so the stack stays small
+    deep = FactorizationEngine(atoms.vectors(), memo_limit=100)
+    with pytest.raises(ResourceLimitError):
+        deep.lengths_mask(parse_sequence(c3, "[1:30000]").dense(atoms.subset))
+    assert deep.memo_size <= 100
