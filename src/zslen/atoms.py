@@ -15,6 +15,9 @@ nonzero, so a test costs m word-parallel ANDs (stopping at the first
 zero) however many atoms are known.  The same index checks that an atom
 list is an antichain (antichain_violations, and the cache validation).
 
+An AtomSet holds the walk's vectors; it builds the atoms as Sequences
+only when asked, and owns the factorization engines built over it.
+
 The same engine serves both B(G0) (letters are group elements) and the
 concrete Krull instances of the transfer module (letters are primes with a
 class map).
@@ -145,23 +148,23 @@ def minimal_nonzero_vectors(
 
 @dataclass(frozen=True)
 class AtomSet:
-    """The finite set A(G0) of minimal zero-sum sequences over G0."""
+    """The finite set A(G0) of minimal zero-sum sequences over G0, held as
+    dense exponent vectors over the subset order.  `engines` maps a memo
+    limit to this set's FactorizationEngine (lengths.engine_for)."""
 
     group: FiniteAbelianGroup
     subset: tuple[GroupElement, ...]
-    atoms: tuple[Sequence, ...]
+    atom_vectors: tuple[tuple[int, ...], ...]
     nodes_visited: int = field(default=0, compare=False)
+    engines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __len__(self):
-        return len(self.atoms)
+        return len(self.atom_vectors)
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.group, self.subset, self.atoms))
-
-    def __hash__(self):
-        # computed once: engine lookups hash the atom set on every query
-        return self._hash
+    def atoms(self) -> tuple[Sequence, ...]:
+        """The atoms as sequences, built on first use."""
+        return tuple(Sequence.from_dense(self.group, self.subset, v) for v in self.atom_vectors)
 
     @cached_property
     def positions(self) -> dict[GroupElement, int]:
@@ -170,10 +173,7 @@ class AtomSet:
 
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         """Dense exponent vectors of the atoms over the subset order."""
-        return tuple(a.dense(self.subset) for a in self.atoms)
-
-    def max_length(self) -> int:
-        return max((a.length for a in self.atoms), default=0)
+        return self.atom_vectors
 
 
 def enumerate_atoms(
@@ -203,8 +203,7 @@ def _enumerate_atoms_cached(
     tab = tables(group)
     classes = tuple(tab.index[g] for g in alphabet)
     vectors, nodes = minimal_nonzero_vectors(group, classes, node_limit)
-    atoms = tuple(Sequence.from_dense(group, alphabet, v) for v in vectors)
-    return AtomSet(group, alphabet, atoms, nodes)
+    return AtomSet(group, alphabet, tuple(vectors), nodes)
 
 
 def is_atom(s: Sequence) -> bool:
@@ -245,9 +244,10 @@ def davenport(
     """D(G) = max atom length, with a witness atom of that length."""
     if atoms is None:
         atoms = enumerate_atoms(group, node_limit=node_limit)
-    # every nonempty G0 carries at least the atom g^ord(g)
-    best = max(atoms.atoms, key=lambda a: a.length)
-    return best.length, best
+    # every nonempty G0 carries at least the atom g^ord(g); max keeps the
+    # first longest vector, the first longest atom in (length, vector) order
+    best = max(atoms.vectors(), key=sum)
+    return sum(best), Sequence.from_dense(atoms.group, atoms.subset, best)
 
 
 def davenport_star(group: FiniteAbelianGroup) -> int:

@@ -1,10 +1,10 @@
 """Versioned on-disk cache for atom sets.
 
 Cache files are JSON documents written atomically (temp file + rename).
-Loads validate the stored atoms (zero-sum, antichain) before trusting
-them; the antichain check runs on the stored dense vectors through the
-atom walk's DominanceIndex.  Any mismatch produces a warning and a
-recompute, never a wrong answer.
+Loads check the file's shape and validate the stored dense vectors (the
+antichain check through the atom walk's DominanceIndex) before building
+the atom set straight from them.  Any bad file or mismatch produces a
+warning and a recompute, never a wrong answer or a crash.
 """
 
 from __future__ import annotations
@@ -75,48 +75,46 @@ def cache_load(
         return None
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         log.warning("unreadable atom cache %s (%s); recomputing", path, exc)
         return None
-    if doc.get("format_version") != FORMAT_VERSION:
-        log.warning("atom cache %s has format %r, want %r; recomputing",
-                    path, doc.get("format_version"), FORMAT_VERSION)
+    try:  # a JSON value of the wrong shape raises here
+        version = doc.get("format_version")
+        factors = tuple(doc.get("invariant_factors", []))
+        stored_subset = [tuple(c) for c in doc.get("subset", [])]
+        vectors = tuple(tuple(vec) for vec in doc.get("atoms", []))
+    except (AttributeError, TypeError) as exc:
+        log.warning("malformed atom cache %s (%s); recomputing", path, exc)
         return None
-    if tuple(doc.get("invariant_factors", [])) != group.invariant_factors:
+    if version != FORMAT_VERSION:
+        log.warning("atom cache %s has format %r, want %r; recomputing",
+                    path, version, FORMAT_VERSION)
+        return None
+    if factors != group.invariant_factors:
         log.warning("atom cache %s is for a different group; recomputing", path)
         return None
-    stored_subset = [tuple(c) for c in doc.get("subset", [])]
     if stored_subset != [g.coords for g in subset]:
         log.warning("atom cache %s is for a different subset; recomputing", path)
         return None
-    try:
-        vectors = [tuple(vec) for vec in doc.get("atoms", [])]
-        atoms = tuple(
-            Sequence.make(group, {subset[i]: m for i, m in enumerate(vec) if m})
-            for vec in vectors
-        )
-    except Exception as exc:
-        log.warning("malformed atom cache %s (%s); recomputing", path, exc)
-        return None
-    if not _valid_atom_list(subset, atoms, vectors):
+    if not _valid_atom_list(group, subset, vectors):
         log.warning("atom cache %s failed validation; recomputing", path)
         return None
-    return AtomSet(group, subset, atoms)
+    return AtomSet(group, subset, vectors)
 
 
 def _valid_atom_list(
+    group: FiniteAbelianGroup,
     subset: tuple[GroupElement, ...],
-    atoms: tuple[Sequence, ...],
-    vectors: list[tuple[int, ...]],
+    vectors: tuple[tuple[int, ...], ...],
 ) -> bool:
-    """Every stored vector spans the subset with integer entries at most the
-    order of their element (g^ord(g) divides anything above), describes a
-    nonempty zero-sum sequence, and the vectors form an antichain (a
-    duplicate is a divisible pair)."""
+    """The list is nonempty (each g^ord(g) is an atom); every vector spans the
+    subset with int entries from 0 to the order of their element (g^ord(g)
+    divides anything above), is nonzero and sums to zero; and the vectors
+    form an antichain (a duplicate is a divisible pair)."""
     caps = [order_of(g) for g in subset]
-    for a, vec in zip(atoms, vectors):
-        if len(vec) != len(caps) or any(type(m) is not int or m > c for m, c in zip(vec, caps)):
+    for vec in vectors:
+        if len(vec) != len(caps) or any(type(m) is not int or not 0 <= m <= c for m, c in zip(vec, caps)):
             return False
-        if a.length == 0 or not is_zero_sum(a):
+        if not any(vec) or not is_zero_sum(Sequence.from_dense(group, subset, vec)):
             return False
-    return not divisible_pairs(vectors)
+    return bool(vectors) and not divisible_pairs(vectors)

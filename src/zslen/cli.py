@@ -41,7 +41,6 @@ from .lengths import (
     delta_of,
     elasticity_of,
     length_set,
-    peek_engine,
 )
 from .numerical import (
     contains,
@@ -139,7 +138,7 @@ def _resource_counters(args) -> dict:
         "memo_entries": sum(
             engine.memo_size
             for a in _TOUCHED_ATOMS
-            if (engine := peek_engine(a, args.memo_limit)) is not None
+            if (engine := a.engines.get(args.memo_limit)) is not None
         ),
     }
 

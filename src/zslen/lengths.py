@@ -15,6 +15,9 @@ an explicit stack of (vector, divisor bits still to visit, bucket, partial
 mask) frames, so its depth does not depend on the length of B.  Bits are
 visited low to high, which is bucket order: the children, and the memo
 entries stored, are those of the plain recursion.
+
+engine_for keeps one engine per memo limit on the AtomSet itself, so the
+memo lives as long as the atom set and there is no module-level table.
 """
 
 from __future__ import annotations
@@ -221,21 +224,12 @@ def _divisor_rows(bucket: list[tuple[int, ...]], width: int):
     return (1 << index.size) - 1, rows
 
 
-_ENGINES: dict[tuple[AtomSet, int], FactorizationEngine] = {}
-
-
 def engine_for(atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> FactorizationEngine:
-    """The shared engine for an atom set; memo tables persist across calls."""
-    key = (atoms, memo_limit)
-    engine = _ENGINES.get(key)
+    """The atom set's engine for this memo limit; memo tables persist across calls."""
+    engine = atoms.engines.get(memo_limit)
     if engine is None:
-        engine = _ENGINES[key] = FactorizationEngine(atoms.vectors(), memo_limit)
+        engine = atoms.engines[memo_limit] = FactorizationEngine(atoms.vectors(), memo_limit)
     return engine
-
-
-def peek_engine(atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> FactorizationEngine | None:
-    """The engine for an atom set if one was already built (for reporting)."""
-    return _ENGINES.get((atoms, memo_limit))
 
 
 def length_set(b: Sequence, atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> LengthSet:

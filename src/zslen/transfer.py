@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .atoms import DEFAULT_NODE_LIMIT, enumerate_atoms, minimal_nonzero_vectors
 from .errors import InvalidArgumentError
 from .group import FiniteAbelianGroup, GroupElement, elements, tables
 from .lengths import DEFAULT_MEMO_LIMIT, FactorizationEngine, LengthSet, length_set
-from .sequence import Sequence, canonical_subset
+from .sequence import Sequence, canonical_subset, is_zero_sum, sigma
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,9 @@ class KrullInstance:
         if set(self.classes) != set(self.subset):
             raise InvalidArgumentError("class map must be surjective onto G0")
 
-    def class_of(self, prime: str) -> GroupElement:
-        return self.classes[self.primes.index(prime)]
+    @cached_property
+    def class_by_prime(self) -> dict[str, GroupElement]:
+        return dict(zip(self.primes, self.classes))
 
 
 def make_instance(
@@ -108,15 +109,19 @@ class PrimeWord:
         return "[" + ",".join(f"{p}:{m}" for p, m in self.items) + "]"
 
 
-def class_sum(instance: KrullInstance, word: PrimeWord) -> GroupElement:
-    facs = instance.group.invariant_factors
-    total = [0] * len(facs)
-    cls_by_prime = dict(zip(instance.primes, instance.classes))
+def class_image(instance: KrullInstance, word: PrimeWord) -> Sequence:
+    """Replace every prime of a word of F(P) by its class."""
+    exps: dict[GroupElement, int] = {}
     for p, m in word.items:
-        g = cls_by_prime[p]
-        for i, a in enumerate(g.coords):
-            total[i] = (total[i] + m * a) % facs[i]
-    return GroupElement(instance.group, tuple(total))
+        g = instance.class_by_prime.get(p)
+        if g is None:
+            raise InvalidArgumentError(f"prime {p!r} is not in the instance")
+        exps[g] = exps.get(g, 0) + m
+    return Sequence.make(instance.group, exps)
+
+
+def class_sum(instance: KrullInstance, word: PrimeWord) -> GroupElement:
+    return sigma(class_image(instance, word))
 
 
 def in_monoid(instance: KrullInstance, word: PrimeWord) -> bool:
@@ -125,14 +130,10 @@ def in_monoid(instance: KrullInstance, word: PrimeWord) -> bool:
 
 def beta(instance: KrullInstance, word: PrimeWord) -> Sequence:
     """Replace every prime by its class; defined exactly on H."""
-    if not in_monoid(instance, word):
+    image = class_image(instance, word)
+    if not is_zero_sum(image):
         raise InvalidArgumentError(f"word {word} is not in the Krull monoid")
-    cls_by_prime = dict(zip(instance.primes, instance.classes))
-    exps: dict[GroupElement, int] = {}
-    for p, m in word.items:
-        g = cls_by_prime[p]
-        exps[g] = exps.get(g, 0) + m
-    return Sequence.make(instance.group, exps)
+    return image
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +177,7 @@ def random_word(instance: KrullInstance, rng: random.Random, max_length: int) ->
     uniformly, then append one prime fixing the class sum.  When no class
     can fix the sum (possible for proper subsets G0) the draw is retried;
     the empty word is the final fallback."""
-    cls_by_prime = dict(zip(instance.primes, instance.classes))
+    by_prime = instance.class_by_prime
     for _ in range(64):
         target = rng.randint(0, max(0, max_length - 1))
         exps: dict[str, int] = {}
@@ -184,10 +185,10 @@ def random_word(instance: KrullInstance, rng: random.Random, max_length: int) ->
         for _ in range(target):
             p = rng.choice(instance.primes)
             exps[p] = exps.get(p, 0) + 1
-            total = total + cls_by_prime[p]
+            total = total + by_prime[p]
         if total == instance.group.zero():
             return PrimeWord.make(exps)
-        fixers = [p for p in instance.primes if cls_by_prime[p] == -total]
+        fixers = [p for p in instance.primes if by_prime[p] == -total]
         if fixers:
             p = rng.choice(fixers)
             exps[p] = exps.get(p, 0) + 1
@@ -275,11 +276,10 @@ def split_word(
     have = dict(image.items)
     if any(need.get(g, 0) > have.get(g, 0) for g in need):
         raise InvalidArgumentError("part does not divide the class image")
-    cls_by_prime = dict(zip(instance.primes, instance.classes))
     b_exps: dict[str, int] = {}
     c_exps: dict[str, int] = {}
     for p, m in word.items:
-        g = cls_by_prime[p]
+        g = instance.class_by_prime[p]
         take = min(m, need.get(g, 0))
         if take:
             b_exps[p] = take

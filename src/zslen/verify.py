@@ -229,25 +229,30 @@ def run_suite(
     primes_per_class: int,
     small: bool = False,
 ) -> list[Verdict]:
-    """Dispatch a named suite; `all` runs the bundled acceptance set."""
+    """Dispatch a named suite; `all` runs the bundled acceptance set.  Only
+    a parameter left at None takes the suite's default: 0 is kept."""
     if name != "all" and group is None:
         raise InvalidArgumentError(f"suite {name!r} requires --group")
+
+    def given(value: int | None, default: int) -> int:
+        return default if value is None else value
+
     if name == "prop2.3":
-        return verify_prop_2_3(group, bound or 10)
+        return verify_prop_2_3(group, given(bound, 10))
     if name == "prop6.1":
-        return verify_prop_6_1(group, k_max or 6, bound or 10)
+        return verify_prop_6_1(group, given(k_max, 6), given(bound, 10))
     if name == "prop6.2":
-        return verify_prop_6_2(group, bound or 10)
+        return verify_prop_6_2(group, given(bound, 10))
     if name == "prop6.5":
         return verify_prop_6_5(group)
     if name == "thm2.6":
-        return verify_thm_2_6(group, k_max or 10)
+        return verify_thm_2_6(group, given(k_max, 10))
     if name == "thm5.3":
-        return verify_thm_5_3(group, bound or 10)
+        return verify_thm_5_3(group, given(bound, 10))
     if name == "thm6.3.1":
-        return verify_thm_6_3_1(group, samples or 200, seed)
+        return verify_thm_6_3_1(group, given(samples, 200), seed)
     if name == "lemma4.2":
-        return verify_lemma_4_2(group, primes_per_class, samples or 100, seed)
+        return verify_lemma_4_2(group, primes_per_class, given(samples, 100), seed)
     if name == "all":
         return _run_all(small, seed)
     raise InvalidArgumentError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

@@ -6,6 +6,7 @@ import pytest
 from zslen.atoms import enumerate_atoms
 from zslen.cache import cache_load, cache_path, cache_store
 from zslen.group import elements
+from zslen.lengths import engine_for
 
 
 def test_round_trip(tmp_path, c3):
@@ -59,6 +60,11 @@ def test_antichain_violation_rejected(tmp_path, c3, caplog):
     lambda vecs: vecs.append(list(vecs[-1])),  # a duplicate divides its copy
     lambda vecs: vecs.insert(0, [0, 6, 0]),  # above ord(g): g^3 divides it
     lambda vecs: vecs.append([1, 0]),  # does not span the subset
+    lambda vecs: vecs.clear(),  # every nonempty subset has the atoms g^ord(g)
+    lambda vecs: vecs.clear() or vecs.append([-1, 1, 1]),  # zero-sum, but a negative entry
+    lambda vecs: vecs[0].__setitem__(0, True),  # (1, 0, 0) with a bool entry
+    lambda vecs: vecs.clear() or vecs.append([0, 0, 0]),  # the empty sequence
+    lambda vecs: vecs.clear() or vecs.append([0, 2, 1]),  # an antichain of one summing to 2*1 + 1*2 = 1 in C3
 ])
 def test_invalid_vectors_rejected(tmp_path, c3, caplog, edit):
     atoms = enumerate_atoms(c3)
@@ -77,6 +83,40 @@ def test_corrupt_json_recomputes(tmp_path, c3, caplog):
     path.write_text("{ not json")
     with caplog.at_level(logging.WARNING):
         assert cache_load(tmp_path, c3, atoms.subset) is None
+
+
+def test_undecodable_file_recomputes(tmp_path, c3, caplog):
+    atoms = enumerate_atoms(c3)
+    path = cache_store(tmp_path, atoms)
+    path.write_bytes(b"\xff\xfe")
+    with caplog.at_level(logging.WARNING):
+        assert cache_load(tmp_path, c3, atoms.subset) is None
+    assert "unreadable" in caplog.text
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [],
+    lambda doc: {**doc, "invariant_factors": 3},
+    lambda doc: {**doc, "subset": [0, 1, 2]},
+    lambda doc: {**doc, "atoms": 5},
+    lambda doc: {**doc, "atoms": [None]},
+])
+def test_wrong_shape_recomputes(tmp_path, c3, caplog, edit):
+    atoms = enumerate_atoms(c3)
+    path = cache_store(tmp_path, atoms)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with caplog.at_level(logging.WARNING):
+        assert cache_load(tmp_path, c3, atoms.subset) is None
+    assert "malformed" in caplog.text
+
+
+def test_loaded_set_owns_fresh_engines(tmp_path, c3):
+    atoms = enumerate_atoms(c3)
+    cache_store(tmp_path, atoms)
+    loaded = cache_load(tmp_path, c3, atoms.subset)
+    assert loaded == atoms and loaded.vectors() == atoms.vectors()
+    assert loaded.engines == {}
+    assert engine_for(loaded) is engine_for(loaded) is not engine_for(atoms)
 
 
 def test_subset_key_distinct(tmp_path, c3):

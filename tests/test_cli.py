@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,6 +154,40 @@ def test_verify_prop62(capsys):
     code, report = run_json(capsys, "verify", "prop6.2", "--group", "4", "--bound", "10")
     assert code == 0
     assert report["results"]["failed"] == 0
+
+
+def test_verify_explicit_zero_k_max_is_rejected(capsys):
+    # k_max 0 reaches unions_range, which rejects k < 1; it is not the default 6
+    code, report = run_json(capsys, "verify", "prop6.1", "--group", "3", "--k-max", "0")
+    assert code == 2
+    assert report["error"]["type"] == "invalid-argument"
+
+
+def test_verify_explicit_zero_samples_runs_none(capsys):
+    code, report = run_json(capsys, "verify", "thm6.3.1", "--group", "2", "--samples", "0")
+    assert code == 0
+    assert report["verdicts"][0]["witness"].startswith("0 samples")
+
+
+def test_verify_explicit_zero_bound_is_kept(capsys):
+    code, report = run_json(capsys, "verify", "prop2.3", "--group", "3", "--bound", "0")
+    assert code == 0
+    assert report["verdicts"][0]["name"] == "prop2.3 over C3 (bound 0)"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [],
+    lambda doc: {**doc, "invariant_factors": 3},
+    lambda doc: {**doc, "subset": [0, 1, 2]},
+])
+def test_malformed_cache_file_is_recomputed(capsys, tmp_path, edit):
+    code, first = run_json(capsys, "atoms", "--group", "3", "--cache-dir", str(tmp_path))
+    assert code == 0
+    (path,) = tmp_path.glob("atoms_*.json")
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, again = run_json(capsys, "atoms", "--group", "3", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert again["results"] == first["results"]
 
 
 def test_exit_code_invalid_arguments(capsys):

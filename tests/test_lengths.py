@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -247,11 +248,11 @@ def test_engine_on_arbitrary_vectors_matches_brute_force(case):
         ), (atoms, vec)
 
 
-def test_system_memo_size_pinned(c33, monkeypatch):
+def test_system_memo_size_pinned(c33):
     # a fresh engine: memo_size after system(C3+C3, 9) is the number of
     # distinct vectors the recursion visits
-    monkeypatch.setattr(lengths, "_ENGINES", {})
-    atoms = enumerate_atoms(c33)
+    atoms = dataclasses.replace(enumerate_atoms(c33))
+    assert not atoms.engines
     system(c33, None, 9, atoms)
     assert lengths.engine_for(atoms).memo_size == 5420
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,21 @@ def test_contains():
     assert contains(h, 7)
     assert all(contains(h, n) for n in range(2, 40))
     assert not contains(h, -2)
+
+
+def test_membership_memory_linear_in_n():
+    """Building <2,20001> and rejecting its Frobenius number take one boolean
+    per integer, not a length bitmask per integer (~12 MB of ints here)."""
+    tracemalloc.start()
+    try:
+        h = make_numerical([2, 20001])
+        member = contains(h, 19999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.generators == (2, 20001) and h.frobenius_bound == 19999
+    assert not member
+    assert peak < 1_000_000
 
 
 def test_length_set_examples():

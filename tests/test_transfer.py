@@ -12,6 +12,7 @@ from zslen.transfer import (
     beta,
     check_atom_correspondence,
     check_transfer,
+    class_sum,
     direct_length_set,
     in_monoid,
     instance_atoms,
@@ -30,6 +31,13 @@ def test_beta_basics(c3):
     assert beta(inst, PrimeWord.make({})) == parse_sequence(c3, "[]")
     with pytest.raises(InvalidArgumentError):
         beta(inst, PrimeWord.make({p: 1}))
+
+
+@pytest.mark.parametrize("fn", [beta, in_monoid, class_sum, direct_length_set])
+def test_prime_outside_instance_is_invalid_argument(c3, fn):
+    inst = make_instance(c3, None, 1)
+    with pytest.raises(InvalidArgumentError, match="not in the instance"):
+        fn(inst, PrimeWord.make({inst.primes[0]: 3, "q": 1}))
 
 
 def test_beta_images_are_zero_sum(c4):
