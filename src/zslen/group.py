@@ -90,6 +90,10 @@ class GroupElement:
         if any(not (0 <= a < n) for a, n in zip(self.coords, facs)):
             raise InvalidArgumentError(f"coordinates not reduced: {self.coords}")
 
+    def __hash__(self):
+        # equal elements have equal coords; equality still compares the group
+        return hash(self.coords)
+
     def __add__(self, other: "GroupElement") -> "GroupElement":
         return add(self, other)
 

@@ -16,6 +16,17 @@ mask) frames, so its depth does not depend on the length of B.  Bits are
 visited low to high, which is bucket order: the children, and the memo
 entries stored, are those of the plain recursion.
 
+The memo is keyed by one packed int per vector: letter i sits in an
+unsigned field of a fixed number of bytes, starting at 8 bits, which holds
+every atom entry (ord(g) <= 64).  A child is vec minus the packed atom,
+which cannot borrow because the atom divides vec; the pivot is the lowest
+nonzero field, and a count is read as vec >> offset & field mask.  A query
+is packed with int.from_bytes(bytes(vec)); bytes() raising on an entry
+above 255 is the signal to widen the field, which re-keys the memo once in
+insertion order, so any nonnegative entry is answered exactly.  A query of
+the wrong width or with a negative or non-integer entry raises
+InvalidArgumentError and stores nothing.
+
 engine_for keeps one engine per memo limit on the AtomSet itself, so the
 memo lives as long as the atom set and there is no module-level table.
 """
@@ -25,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 from typing import Iterable
 
 from .atoms import AtomSet, DominanceIndex
@@ -56,9 +66,19 @@ class LengthSet:
 
     @classmethod
     def from_mask(cls, mask: int) -> "LengthSet":
+        """The set of bit positions of a positive mask.  Its values are
+        sorted, distinct and nonnegative by construction, so __post_init__
+        is not run."""
         if mask <= 0:
             raise InvalidArgumentError("empty bitmask")
-        return cls(tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
+        values = []
+        while mask:
+            low = mask & -mask
+            values.append(low.bit_length() - 1)
+            mask ^= low
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", tuple(values))
+        return out
 
     def to_mask(self) -> int:
         return sum(1 << v for v in self.values)
@@ -132,8 +152,8 @@ def dilate(k: int, lengths: LengthSet) -> LengthSet:
 class FactorizationEngine:
     """Memoized set-of-lengths computation over a fixed atom list.
 
-    The memo is keyed by dense exponent vectors and shared across calls, so
-    whole-system scans reuse subproblems.
+    The memo is keyed by packed exponent vectors and shared across calls,
+    so whole-system scans reuse subproblems.
     """
 
     def __init__(self, atom_vectors: Iterable[tuple[int, ...]], memo_limit: int = DEFAULT_MEMO_LIMIT):
@@ -143,41 +163,83 @@ class FactorizationEngine:
         width = len(vectors[0])
         if any(len(v) != width for v in vectors):
             raise InvalidArgumentError("atom vectors of mixed width")
+        if any(not isinstance(x, int) or x < 0 for v in vectors for x in v):
+            raise InvalidArgumentError("atom entries must be nonnegative integers")
         self.width = width
         self.memo_limit = memo_limit
         self._by_pivot = [
             [v for v in vectors if v[i] > 0] for i in range(width)
         ]
-        self._divisors = [_divisor_rows(bucket, width) for bucket in self._by_pivot]
-        self._memo: dict[tuple[int, ...], int] = {(0,) * width: 1}
+        self._index = [_divisor_rows(bucket, width) for bucket in self._by_pivot]
+        self._memo: dict[int, int] = {0: 1}
+        self._field_bytes = 0
+        self._set_field(_bytes_for(max((x for v in vectors for x in v), default=0)))
 
     @property
     def memo_size(self) -> int:
         return len(self._memo)
 
-    def _dividing(self, vec: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
-        """Bits of the pivot bucket atoms dividing a nonzero vec, and the bucket."""
-        pivot = 0
-        while not vec[pivot]:
-            pivot += 1
-        bits, rows = self._divisors[pivot]
-        for i, row, cap in rows:
-            v = vec[i]
+    def _set_field(self, nbytes: int) -> None:
+        """Use fields of nbytes bytes: re-pack the atoms, the letter offsets
+        and every memo key, keeping the memo's insertion order."""
+        old = self._field_bytes
+        if old:
+            self._memo = {
+                _pack(_unpack(key, self.width, old), nbytes): mask
+                for key, mask in self._memo.items()
+            }
+        self._field_bytes = nbytes
+        self._field_bits = bits = 8 * nbytes
+        self._field_mask = (1 << bits) - 1
+        self._divisors = [
+            (all_bits, [(i * bits, row, cap) for i, row, cap in rows],
+             [_pack(a, nbytes) for a in bucket])
+            for (all_bits, rows), bucket in zip(self._index, self._by_pivot)
+        ]
+
+    def _key(self, vec: tuple[int, ...]) -> int:
+        """The packed key of a query vector, widening the field if an entry
+        does not fit in it."""
+        if len(vec) != self.width:
+            raise InvalidArgumentError(
+                f"vector of width {len(vec)} for an engine of width {self.width}"
+            )
+        nbytes = self._field_bytes
+        try:
+            if nbytes == 1:
+                return int.from_bytes(bytes(vec), "little")
+            return _pack(vec, nbytes)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        if any(not isinstance(x, int) or x < 0 for x in vec):
+            raise InvalidArgumentError(f"vector entries must be nonnegative integers: {vec}")
+        self._set_field(_bytes_for(max(vec)))
+        return _pack(vec, self._field_bytes)
+
+    def _dividing(self, vec: int) -> tuple[int, list[int]]:
+        """Bits of the pivot bucket atoms dividing a nonzero packed vec, and
+        the bucket's packed atoms.  The pivot is the lowest nonzero field."""
+        bits, rows, bucket = self._divisors[((vec & -vec).bit_length() - 1) // self._field_bits]
+        fmask = self._field_mask
+        for off, row, cap in rows:
+            v = vec >> off & fmask
             if v < cap:
                 bits &= row[v]
                 if not bits:
                     break
-        return bits, self._by_pivot[pivot]
+        return bits, bucket
 
     def lengths_mask(self, vec: tuple[int, ...]) -> int:
         """Bitmask of L(vec); 0 when no factorization exists.
 
+        vec must have the engine's width and nonnegative integer entries.
         Every frame on the stack is a vector not yet in the memo that will
         be stored there, so a new frame is refused once the memo and the
         stack together would pass memo_limit: the limit then bounds the
         stack too, and fires for exactly the queries that would overflow
         the memo.
         """
+        vec = self._key(vec)
         memo = self._memo
         cached = memo.get(vec)
         if cached is not None:
@@ -186,14 +248,15 @@ class FactorizationEngine:
         if len(memo) >= limit:
             raise ResourceLimitError("memo table", limit)
         dividing = self._dividing
-        stack: list[tuple[tuple[int, ...], int, list[tuple[int, ...]], int]] = []
+        stack: list[tuple[int, int, list[int], int]] = []
         bits, bucket = dividing(vec)
         mask = 0
         while True:
             while bits:
                 low = bits & -bits
                 bits ^= low
-                child = tuple(map(sub, vec, bucket[low.bit_length() - 1]))
+                # the atom divides vec, so no field borrows
+                child = vec - bucket[low.bit_length() - 1]
                 child_mask = memo.get(child)
                 if child_mask is None:
                     if len(memo) + len(stack) + 1 >= limit:
@@ -222,6 +285,25 @@ def _divisor_rows(bucket: list[tuple[int, ...]], width: int):
         index.add(a)
     rows = [(i, row, caps[i]) for i, row in enumerate(index.below) if caps[i]]
     return (1 << index.size) - 1, rows
+
+
+def _bytes_for(top: int) -> int:
+    """Bytes per field for entries up to top; at least one."""
+    return max(1, (top.bit_length() + 7) // 8)
+
+
+def _pack(vec, nbytes: int) -> int:
+    """Letter i of vec in the unsigned field of nbytes bytes at byte i*nbytes;
+    raises OverflowError for an entry that does not fit and TypeError for a
+    non-integer entry."""
+    return int.from_bytes(b"".join(int.to_bytes(x, nbytes, "little") for x in vec), "little")
+
+
+def _unpack(key: int, width: int, nbytes: int) -> tuple[int, ...]:
+    data = key.to_bytes(width * nbytes, "little")
+    return tuple(
+        int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)
+    )
 
 
 def engine_for(atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> FactorizationEngine:

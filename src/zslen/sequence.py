@@ -114,18 +114,23 @@ class Sequence:
         return encode_sequence(self)
 
 
+def _coordinate_sums(s: Sequence) -> tuple[int, ...]:
+    """Coordinates of the sum of the sequence, folded without building
+    group elements."""
+    items = s.items
+    return tuple(
+        sum(m * g.coords[i] for g, m in items) % n
+        for i, n in enumerate(s.group.invariant_factors)
+    )
+
+
 def sigma(s: Sequence) -> GroupElement:
     """Sum of the sequence; the empty sequence sums to zero."""
-    facs = s.group.invariant_factors
-    total = [0] * len(facs)
-    for g, m in s.items:
-        for i, a in enumerate(g.coords):
-            total[i] = (total[i] + m * a) % facs[i]
-    return GroupElement(s.group, tuple(total))
+    return GroupElement(s.group, _coordinate_sums(s))
 
 
 def is_zero_sum(s: Sequence) -> bool:
-    return sigma(s) == s.group.zero()
+    return not any(_coordinate_sums(s))
 
 
 def negate(s: Sequence) -> Sequence:

@@ -11,8 +11,8 @@ and factorization lengths are computed by the same memoized recursion.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .atoms import DEFAULT_NODE_LIMIT, enumerate_atoms, minimal_nonzero_vectors
@@ -30,6 +30,10 @@ class KrullInstance:
     subset: tuple[GroupElement, ...]  # G0, in canonical order
     primes: tuple[str, ...]
     classes: tuple[GroupElement, ...]  # class of each prime, aligned with primes
+    # H-atoms per node limit (instance_atoms) and factorization engines per
+    # (node limit, memo limit) (_instance_engine), owned by the instance
+    h_atoms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    engines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.primes) != len(self.classes):
@@ -136,25 +140,31 @@ def beta(instance: KrullInstance, word: PrimeWord) -> Sequence:
     return image
 
 
-@lru_cache(maxsize=None)
 def instance_atoms(
     instance: KrullInstance, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> tuple[PrimeWord, ...]:
     """Atoms of H: Dickson-minimal nonzero class-sum-zero prime vectors."""
-    tab = tables(instance.group)
-    letter_classes = tuple(tab.index[g] for g in instance.classes)
-    vectors, _ = minimal_nonzero_vectors(instance.group, letter_classes, node_limit)
-    return tuple(PrimeWord.from_dense(instance.primes, v) for v in vectors)
+    atoms = instance.h_atoms.get(node_limit)
+    if atoms is None:
+        tab = tables(instance.group)
+        letter_classes = tuple(tab.index[g] for g in instance.classes)
+        vectors, _ = minimal_nonzero_vectors(instance.group, letter_classes, node_limit)
+        atoms = instance.h_atoms[node_limit] = tuple(
+            PrimeWord.from_dense(instance.primes, v) for v in vectors
+        )
+    return atoms
 
 
-@lru_cache(maxsize=None)
 def _instance_engine(
-    instance: KrullInstance,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
+    instance: KrullInstance, node_limit: int, memo_limit: int
 ) -> FactorizationEngine:
-    vectors = tuple(w.dense(instance.primes) for w in instance_atoms(instance, node_limit))
-    return FactorizationEngine(vectors, memo_limit)
+    engine = instance.engines.get((node_limit, memo_limit))
+    if engine is None:
+        vectors = [w.dense(instance.primes) for w in instance_atoms(instance, node_limit)]
+        engine = instance.engines[node_limit, memo_limit] = FactorizationEngine(
+            vectors, memo_limit
+        )
+    return engine
 
 
 def direct_length_set(

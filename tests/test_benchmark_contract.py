@@ -1,7 +1,9 @@
 """Smoke test of the benchmark contract: perfbench/worker.py imports zslen
 from src/ and, with tracing on, rebinds zslen entry points by name
 (perfbench/spans.py).  A renamed entry point breaks the traced pass, so
-one traced pass of the smallest workload runs here."""
+one traced pass of the smallest workload runs here.  A query that no
+longer goes through FactorizationEngine.lengths_mask would read as zero
+queries, so a traced `lengths` pass pins its counters."""
 
 import json
 import subprocess
@@ -11,9 +13,9 @@ from pathlib import Path
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
 
-def test_traced_atoms_pass_answers_every_op(tmp_path):
+def traced_pass(workload: str, seed: int, workdir: Path) -> dict:
     proc = subprocess.run(
-        [sys.executable, str(WORKER), "atoms", "0", "1", str(tmp_path)],
+        [sys.executable, str(WORKER), workload, str(seed), "1", str(workdir)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -22,4 +24,16 @@ def test_traced_atoms_pass_answers_every_op(tmp_path):
     for op in out["ops"]:
         assert "error" not in op, op
         assert "answer" in op, op
+    return out
+
+
+def test_traced_atoms_pass_answers_every_op(tmp_path):
+    out = traced_pass("atoms", 0, tmp_path)
     assert out["layers"]["atoms.nodes"] > 0
+
+
+def test_traced_lengths_pass_counts_every_query(tmp_path):
+    layers = traced_pass("lengths", 1, tmp_path)["layers"]
+    assert layers["lengths.queries"] == 12200
+    assert layers["lengths.memo_entries"] == 38478
+    assert layers["sequence.dense_calls"] == 0

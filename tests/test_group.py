@@ -98,3 +98,22 @@ def test_element_reduction(c4):
     assert c4.element([7]).coords == (3,)
     with pytest.raises(InvalidArgumentError):
         c4.element([1, 2])
+
+
+@given(moduli_lists, st.data())
+@settings(max_examples=60, deadline=None)
+def test_equal_elements_hash_equal(mods, data):
+    group = make_group(mods)
+    coords = data.draw(st.sampled_from(elements(group))).coords
+    a, b = group.element(coords), group.element(coords)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+def test_same_coords_in_different_groups_are_unequal():
+    c4, c6, c22 = make_group([4]), make_group([6]), make_group([2, 2])
+    assert c4.element([1]) != c6.element([1])
+    assert c22.element([1, 1]) != make_group([2, 4]).element([1, 1])
+    # the hash reads coords only, so such elements share a hash but not a key
+    table = {c4.element([1]): "C4", c6.element([1]): "C6"}
+    assert table[c4.element([1])] == "C4" and table[c6.element([1])] == "C6"

@@ -275,3 +275,85 @@ def test_memo_limit_fires_exactly_at_overflow(c3):
     with pytest.raises(ResourceLimitError):
         deep.lengths_mask(parse_sequence(c3, "[1:30000]").dense(atoms.subset))
     assert deep.memo_size <= 100
+
+
+# -- packed keys: input checks, field width and the warm path -------------------
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [(0, 3, 0, 0), (0, 3, -3), (0, -1, 2)],
+    ids=["too-wide", "negative-entry-raised-indexerror", "negative-entry-stored-0"],
+)
+def test_engine_rejects_malformed_vectors(c3, vec):
+    engine = FactorizationEngine(enumerate_atoms(c3).vectors())
+    with pytest.raises(InvalidArgumentError):
+        engine.lengths_mask(vec)
+    assert engine.memo_size == 1
+
+
+def test_widened_engine_still_rejects_malformed_vectors(c3):
+    engine = FactorizationEngine(enumerate_atoms(c3).vectors())
+    assert engine.lengths_mask((300, 0, 0)) == 1 << 300
+    size = engine.memo_size
+    for vec in [(0, 3, -3), (0, 1.5, 0), (1, 2), (0, 3, 0, 0)]:
+        with pytest.raises(InvalidArgumentError):
+            engine.lengths_mask(vec)
+    assert engine.memo_size == size
+    assert engine.lengths_mask((0, 3, 0)) == 1 << 1
+
+
+@pytest.mark.parametrize(
+    "text, expected", [("[0:255]", L(255)), ("[0:256]", L(256)), ("[1:768]", L(256))]
+)
+def test_field_width_boundary(c3, text, expected):
+    # 255 fills an 8-bit field; 256 and 768 need a wider one
+    atoms = enumerate_atoms(c3)
+    engine = FactorizationEngine(atoms.vectors())
+    mask = engine.lengths_mask(parse_sequence(c3, text).dense(atoms.subset))
+    assert LengthSet.from_mask(mask) == expected
+
+
+def test_widening_keeps_answers_and_memo(c3):
+    atoms = enumerate_atoms(c3)
+    small = parse_sequence(c3, "[0:2,1:6,2:3]").dense(atoms.subset)
+    wide = parse_sequence(c3, "[0:1,1:300,2:300]").dense(atoms.subset)
+    engine = FactorizationEngine(atoms.vectors())
+    answers = [engine.lengths_mask(v) for v in (small, wide, small)]
+    fresh = [FactorizationEngine(atoms.vectors()).lengths_mask(v) for v in (small, wide, small)]
+    assert answers == fresh
+    both = FactorizationEngine(atoms.vectors())
+    both.lengths_mask(wide)
+    both.lengths_mask(small)
+    assert engine.memo_size == both.memo_size
+
+
+def test_warm_length_set_builds_no_elements_or_length_sets(c33, monkeypatch):
+    from zslen.group import GroupElement
+
+    atoms = enumerate_atoms(c33)
+    b = parse_sequence(c33, "[(0,1):1,(0,2):1,(1,0):3,(1,1):1,(2,2):1]")
+    expected = length_set(b, atoms)
+    built = {"elements": 0, "length_sets": 0}
+    element_init = GroupElement.__post_init__
+    lengthset_init = LengthSet.__post_init__
+
+    def count_element(self):
+        built["elements"] += 1
+        element_init(self)
+
+    def count_length_set(self):
+        built["length_sets"] += 1
+        lengthset_init(self)
+
+    monkeypatch.setattr(GroupElement, "__post_init__", count_element)
+    monkeypatch.setattr(LengthSet, "__post_init__", count_length_set)
+    assert length_set(b, atoms) == expected
+    assert built == {"elements": 0, "length_sets": 0}
+
+
+def test_from_mask_is_trusted_but_rejects_empty_masks():
+    assert LengthSet.from_mask(0b101100) == LengthSet((2, 3, 5))
+    for mask in (0, -1, -8):
+        with pytest.raises(InvalidArgumentError):
+            LengthSet.from_mask(mask)

@@ -69,6 +69,28 @@ def test_sigma_is_additive(data):
     assert sigma(negate(s)) == -sigma(s)
 
 
+ZERO_SUM_GROUPS = [[2], [3], [4], [5], [6], [2, 2], [2, 4], [3, 3]]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_zero_sum_matches_sigma(data):
+    # is_zero_sum folds coordinates; the reference adds group elements
+    group = make_group(data.draw(st.sampled_from(ZERO_SUM_GROUPS)))
+    exps = data.draw(st.dictionaries(st.sampled_from(elements(group)), st.integers(1, 20)))
+    s = Sequence.make(group, exps)
+    total = zero(group)
+    for g, m in s.items:
+        for _ in range(m):
+            total = total + g
+    assert sigma(s) == total
+    assert is_zero_sum(s) == (sigma(s) == group.zero()) == (total == zero(group))
+    if exps:
+        # complete to a zero-sum sequence with one more term
+        fixed = Sequence.make(group, {**s.exponents, -total: s.v(-total) + 1})
+        assert is_zero_sum(fixed)
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_quotient_round_trip(data):

@@ -142,3 +142,38 @@ def test_seed_reproducibility(c3):
     a = check_transfer(inst, 20, 8, seed=7)
     b = check_transfer(inst, 20, 8, seed=7)
     assert a == b
+
+
+def test_checked_instance_is_not_kept_alive(c4):
+    import gc
+    import weakref
+
+    inst = make_instance(c4, None, 2)
+    assert check_transfer(inst, 10, 8, 0).ok
+    assert inst.h_atoms and inst.engines
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None
+
+
+def test_instance_walks_its_atoms_once(c22, monkeypatch):
+    import zslen.transfer
+
+    walks = []
+    walk = zslen.transfer.minimal_nonzero_vectors
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(zslen.transfer, "minimal_nonzero_vectors", counted)
+    inst = make_instance(c22, None, 2)
+    assert check_transfer(inst, 20, 8, 1).ok
+    assert check_atom_correspondence(inst).ok
+    assert len(walks) == 1
+    # an equal instance owns its own atoms and engines
+    other = make_instance(c22, None, 2)
+    assert other == inst and not other.h_atoms and not other.engines
+    assert instance_atoms(other) == instance_atoms(inst)
+    assert len(walks) == 2
