@@ -15,12 +15,13 @@ nonzero, so a test costs m word-parallel ANDs (stopping at the first
 zero) however many atoms are known.  The same index checks that an atom
 list is an antichain (antichain_violations, and the cache validation).
 
-An AtomSet holds the walk's vectors; it builds the atoms as Sequences
-only when asked, and owns the factorization engines built over it.
-
-The same engine serves both B(G0) (letters are group elements) and the
-concrete Krull instances of the transfer module (letters are primes with a
-class map).
+An AtomSet holds the walk's vectors over letters with classes, and owns
+the engines built over it.  Letters are labels: the elements of G0 for
+B(G0), prime names for a Krull instance.  build_atoms, the one builder,
+caches nothing; the owner of an atom set decides how long its memos live.
+enumerate_atoms caches the sets over G0, so repeated length queries and
+the verify suites reuse one memo; a KrullInstance owns its H-atoms, which
+die with it; delta_star owns nothing and drops each subset's set.
 """
 
 from __future__ import annotations
@@ -148,12 +149,13 @@ def minimal_nonzero_vectors(
 
 @dataclass(frozen=True)
 class AtomSet:
-    """The finite set A(G0) of minimal zero-sum sequences over G0, held as
-    dense exponent vectors over the subset order.  `engines` maps a memo
-    limit to this set's FactorizationEngine (lengths.engine_for)."""
+    """The atoms of a monoid of class-sum-zero words (B(G0), or the H of a
+    Krull instance), held as dense exponent vectors over the letter order.
+    `engines` maps a memo limit to this set's FactorizationEngine
+    (lengths.engine_for)."""
 
     group: FiniteAbelianGroup
-    subset: tuple[GroupElement, ...]
+    letters: tuple  # labels: elements of G0, or prime names
     atom_vectors: tuple[tuple[int, ...], ...]
     nodes_visited: int = field(default=0, compare=False)
     engines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -163,17 +165,27 @@ class AtomSet:
 
     @cached_property
     def atoms(self) -> tuple[Sequence, ...]:
-        """The atoms as sequences, built on first use."""
-        return tuple(Sequence.from_dense(self.group, self.subset, v) for v in self.atom_vectors)
+        """The atoms of B(G0) as sequences, built on first use."""
+        return tuple(Sequence.from_dense(self.group, self.letters, v) for v in self.atom_vectors)
 
     @cached_property
-    def positions(self) -> dict[GroupElement, int]:
-        """Position of each subset element in the subset order."""
-        return {g: i for i, g in enumerate(self.subset)}
+    def positions(self) -> dict:
+        """Position of each letter in the letter order."""
+        return {g: i for i, g in enumerate(self.letters)}
 
     def vectors(self) -> tuple[tuple[int, ...], ...]:
-        """Dense exponent vectors of the atoms over the subset order."""
+        """Dense exponent vectors of the atoms over the letter order."""
         return self.atom_vectors
+
+
+def build_atoms(
+    group: FiniteAbelianGroup, letters: tuple, classes: tuple, node_limit: int
+) -> AtomSet:
+    """The atom set over letters whose classes (elements of the group) are
+    given in letter order.  Walks afresh on every call."""
+    index = tables(group).index
+    vectors, nodes = minimal_nonzero_vectors(group, tuple(index[g] for g in classes), node_limit)
+    return AtomSet(group, letters, tuple(vectors), nodes)
 
 
 def enumerate_atoms(
@@ -183,8 +195,8 @@ def enumerate_atoms(
 ) -> AtomSet:
     """Enumerate A(G0) for G0 a subset of the group (default: all of it).
 
-    Results are cached per (group, subset, node limit); atom sets are
-    immutable, so sharing them is safe.
+    Results are cached per (group, subset, node limit), and so are their
+    engine memos; atom sets are immutable, so sharing them is safe.
     """
     alphabet = canonical_subset(
         group, elements(group) if subset is None else subset
@@ -196,14 +208,9 @@ def enumerate_atoms(
 
 @lru_cache(maxsize=None)
 def _enumerate_atoms_cached(
-    group: FiniteAbelianGroup,
-    alphabet: tuple[GroupElement, ...],
-    node_limit: int,
+    group: FiniteAbelianGroup, alphabet: tuple[GroupElement, ...], node_limit: int
 ) -> AtomSet:
-    tab = tables(group)
-    classes = tuple(tab.index[g] for g in alphabet)
-    vectors, nodes = minimal_nonzero_vectors(group, classes, node_limit)
-    return AtomSet(group, alphabet, tuple(vectors), nodes)
+    return build_atoms(group, alphabet, alphabet, node_limit)
 
 
 def is_atom(s: Sequence) -> bool:
@@ -247,7 +254,7 @@ def davenport(
     # every nonempty G0 carries at least the atom g^ord(g); max keeps the
     # first longest vector, the first longest atom in (length, vector) order
     best = max(atoms.vectors(), key=sum)
-    return sum(best), Sequence.from_dense(atoms.group, atoms.subset, best)
+    return sum(best), Sequence.from_dense(atoms.group, atoms.letters, best)
 
 
 def davenport_star(group: FiniteAbelianGroup) -> int:

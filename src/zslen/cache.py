@@ -45,12 +45,12 @@ def cache_path(cache_dir: str | os.PathLike, group: FiniteAbelianGroup, subset) 
 
 def cache_store(cache_dir: str | os.PathLike, atoms: AtomSet) -> Path:
     """Write the atom set atomically; returns the file path."""
-    path = cache_path(cache_dir, atoms.group, atoms.subset)
+    path = cache_path(cache_dir, atoms.group, atoms.letters)
     path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "format_version": FORMAT_VERSION,
         "invariant_factors": list(atoms.group.invariant_factors),
-        "subset": [list(g.coords) for g in atoms.subset],
+        "subset": [list(g.coords) for g in atoms.letters],
         "atoms": [list(v) for v in atoms.vectors()],
     }
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

@@ -153,7 +153,7 @@ def cmd_atoms(args):
     dav, witness = davenport(group, atoms) if subset == tuple(elements(group)) else (None, None)
     results = {
         "group": list(group.invariant_factors),
-        "subset": [list(g.coords) for g in atoms.subset],
+        "subset": [list(g.coords) for g in atoms.letters],
         "count": len(atoms),
         "atoms": [encode_sequence(a) for a in atoms.atoms],
     }
@@ -387,7 +387,8 @@ def cmd_verify(args):
     results = {
         "suite": args.suite,
         "passed": sum(1 for v in verdicts if v.passed),
-        "failed": sum(1 for v in verdicts if not v.passed),
+        "failed": sum(1 for v in verdicts if v.passed is False),
+        "undecided": sum(1 for v in verdicts if v.passed is None),
     }
     return results, [v.as_dict() for v in verdicts]
 
@@ -517,7 +518,7 @@ def _render_text(report: dict) -> str:
     for key, value in sorted(report["results"].items()):
         lines.append(f"  {key}: {value}")
     for v in report["verdicts"]:
-        mark = "PASS" if v["pass"] else "FAIL"
+        mark = {True: "PASS", False: "FAIL", None: "UNDECIDED"}[v["pass"]]
         lines.append(f"  [{mark}] {v['name']} -- {v['witness']}")
     if "timing" in report:
         lines.append(f"  elapsed: {report['timing']['seconds']:.3f}s")
@@ -595,7 +596,7 @@ def main(argv=None) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
         return EXIT_INTERNAL_ERROR
     sys.stdout.write(output)
-    if any(not v["pass"] for v in verdicts):
+    if any(v["pass"] is False for v in verdicts):
         return EXIT_VERIFICATION_FAILURE
     return EXIT_OK
 

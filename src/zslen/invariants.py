@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .atoms import AtomSet, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
+from .atoms import AtomSet, build_atoms, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
 from .errors import InvalidArgumentError, ResourceLimitError, VerificationError
 from .group import FiniteAbelianGroup, GroupElement, elements, order_of
 from .lengths import (
@@ -69,9 +69,7 @@ def system(
     """Exact { L(B) : B in B(G0), |B| <= bound }."""
     if bound < 0:
         raise InvalidArgumentError(f"bound must be nonnegative: {bound}")
-    alphabet = canonical_subset(group, elements(group) if subset is None else subset)
-    if atoms is None:
-        atoms = enumerate_atoms(group, alphabet)
+    alphabet, atoms = _scan_atoms(group, subset, atoms)
     engine = engine_for(atoms, memo_limit)
     first: dict[int, tuple[int, ...]] = {}  # length mask -> first vector
     for vec in zero_sum_vectors(group, alphabet, bound):
@@ -84,6 +82,17 @@ def system(
         key=lambda entry: entry[0].values,
     )
     return SystemOfLengthSets(group, alphabet, bound, tuple(entries))
+
+
+def _scan_atoms(group: FiniteAbelianGroup, subset, atoms: AtomSet | None):
+    """The canonical alphabet G0 of a scan over B(G0), and A(G0).  A given
+    atom set over another alphabet would give wrong length sets: it raises."""
+    alphabet = canonical_subset(group, elements(group) if subset is None else subset)
+    if atoms is None:
+        atoms = enumerate_atoms(group, alphabet)
+    elif atoms.letters != alphabet:  # elements compare their groups too
+        raise InvalidArgumentError(f"atom set does not match the scanned alphabet of {group}")
+    return alphabet, atoms
 
 
 # -- closed-form systems for the five small groups ------------------------------
@@ -244,7 +253,7 @@ def unions_range(
     engine = engine_for(atoms, memo_limit)
     atom_vectors = atoms.vectors()
     out: dict[int, UnionOfLengths] = {}
-    level: set[tuple[int, ...]] = {(0,) * len(atoms.subset)}
+    level: set[tuple[int, ...]] = {(0,) * len(atoms.letters)}
     formed = 0
     for k in range(1, k_max + 1):
         formed += len(level) * len(atom_vectors)
@@ -295,18 +304,18 @@ def elasticity(
         engine = engine_for(atoms)
         witness = mul(longest, negate(longest))
         attained = LengthSet.from_mask(
-            engine.lengths_mask(witness.dense(atoms.subset))
+            engine.lengths_mask(witness.dense(atoms.letters))
         )
         if Fraction(attained.max, attained.min) != value:
             raise VerificationError(
                 f"elasticity witness {witness} gives {attained}, not {value}"
             )
-        for vec in zero_sum_vectors(group, atoms.subset, min(2 * dav, 10)):
+        for vec in zero_sum_vectors(group, atoms.letters, min(2 * dav, 10)):
             if not any(vec):
                 continue
             ls = LengthSet.from_mask(engine.lengths_mask(vec))
             if ls.min and Fraction(ls.max, ls.min) > value:
-                b = Sequence.from_dense(group, atoms.subset, vec)
+                b = Sequence.from_dense(group, atoms.letters, vec)
                 raise VerificationError(f"{b} exceeds the closed-form elasticity")
     return value
 
@@ -334,12 +343,10 @@ def delta_of_group(
 ) -> DeltaReport:
     """Union of Delta(L(B)) over |B| <= bound; a lower approximation of the
     distance set, flagged exact only under the stability heuristic."""
-    alphabet = canonical_subset(group, elements(group) if subset is None else subset)
-    if atoms is None:
-        atoms = enumerate_atoms(group, alphabet)
+    alphabet, atoms = _scan_atoms(group, subset, atoms)
     engine = engine_for(atoms, memo_limit)
-    # D(G) needs the atoms over the whole group; reuse the caller's if they are
-    dav, _ = davenport(group, atoms if atoms.subset == elements(group) else None)
+    # D(G) needs the atoms over the whole group; reuse the scan's if they are
+    dav, _ = davenport(group, atoms if alphabet == elements(group) else None)
     margin = max(bound - dav, 0)
     masks: set[int] = set()
     margin_masks: set[int] = set()
@@ -378,7 +385,8 @@ def delta_star(
     """For every subset G0 with a nonempty observed distance set, record the
     gcd of its observed distances (min Delta = gcd Delta), and aggregate.
 
-    The scan is 2^|G|, so the group order is capped.
+    The scan is 2^|G|, so the group order is capped.  Each subset's atom
+    set, built uncached, is dropped with its engine after its scan.
     """
     els = elements(group)
     if len(els) > max_group_order:
@@ -388,8 +396,7 @@ def delta_star(
     for mask in range(1, 1 << len(els)):
         subset = tuple(g for i, g in enumerate(els) if mask >> i & 1)
         scanned += 1
-        atoms = enumerate_atoms(group, subset, node_limit=node_limit)
-        engine = engine_for(atoms, memo_limit)
+        engine = engine_for(build_atoms(group, subset, subset, node_limit), memo_limit)
         masks = {engine.lengths_mask(vec) for vec in zero_sum_vectors(group, subset, bound)}
         acc = set().union(*map(mask_gaps, masks))
         if acc:
@@ -485,7 +492,7 @@ def has_two_D_lengthset(
             seen.add(prod)
             scanned += 1
             if engine.lengths_mask(prod) == target:
-                witness = Sequence.from_dense(group, atoms.subset, prod)
+                witness = Sequence.from_dense(group, atoms.letters, prod)
                 return TwoDavenportReport(group, dav, True, witness, scanned)
     return TwoDavenportReport(group, dav, False, None, scanned)
 

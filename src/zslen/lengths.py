@@ -315,10 +315,11 @@ def engine_for(atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> Factoriz
 
 
 def length_set(b: Sequence, atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> LengthSet:
-    """Exact L(B) for a zero-sum sequence B over the atom set's subset."""
+    """Exact L(B) for a zero-sum sequence B over the atom set's letters
+    (so a nonempty B raises against a Krull instance's primes)."""
     if not is_zero_sum(b):
         raise InvalidArgumentError(f"sequence {b} is not zero-sum")
-    vec = b.dense_at(atoms.positions)  # raises if support leaves the subset
+    vec = b.dense_at(atoms.positions)  # raises if support leaves the letters
     mask = engine_for(atoms, memo_limit).lengths_mask(vec)
     if mask == 0:
         raise InvalidArgumentError(f"{b} has no factorization over the given atoms")
@@ -334,7 +335,7 @@ def exhaustive_length_set(b: Sequence, atoms: AtomSet) -> LengthSet:
     if not is_zero_sum(b):
         raise InvalidArgumentError(f"sequence {b} is not zero-sum")
     vectors = atoms.vectors()
-    start = b.dense(atoms.subset)
+    start = b.dense_at(atoms.positions)
 
     def walk(vec: tuple[int, ...]) -> set[int]:
         if not any(vec):

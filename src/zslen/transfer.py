@@ -2,10 +2,13 @@
 the class-replacement map beta: H -> B(G0), and randomized checks that beta
 preserves sets of lengths.
 
-The direct engine never consults beta: atoms of H are the Dickson-minimal
-nonzero solutions of the class-sum-zero condition over the prime-exponent
-lattice (the same enumerator as for B(G0), with the primes as alphabet),
-and factorization lengths are computed by the same memoized recursion.
+The direct engine never consults beta: H is the monoid of class-sum-zero
+words over the primes, as B(G0) is over G0, so its atoms come from the
+builder of A(G0) (atoms.build_atoms, with the prime names as letters and
+the class map as their classes) and its lengths from the same engine_for.
+A KrullInstance owns its atom set per node limit, and with it the engines
+and their memos: they die with the instance and never enter the
+enumerate_atoms cache.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .atoms import DEFAULT_NODE_LIMIT, enumerate_atoms, minimal_nonzero_vectors
+from .atoms import DEFAULT_NODE_LIMIT, AtomSet, build_atoms, enumerate_atoms
 from .errors import InvalidArgumentError
-from .group import FiniteAbelianGroup, GroupElement, elements, tables
-from .lengths import DEFAULT_MEMO_LIMIT, FactorizationEngine, LengthSet, length_set
+from .group import FiniteAbelianGroup, GroupElement, elements
+from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, engine_for, length_set
 from .sequence import Sequence, canonical_subset, is_zero_sum, sigma
 
 
@@ -30,10 +33,8 @@ class KrullInstance:
     subset: tuple[GroupElement, ...]  # G0, in canonical order
     primes: tuple[str, ...]
     classes: tuple[GroupElement, ...]  # class of each prime, aligned with primes
-    # H-atoms per node limit (instance_atoms) and factorization engines per
-    # (node limit, memo limit) (_instance_engine), owned by the instance
-    h_atoms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    engines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the atom set of H per node limit (instance_atoms), with its engines
+    atom_sets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.primes) != len(self.classes):
@@ -90,14 +91,8 @@ class PrimeWord:
     def length(self) -> int:
         return sum(m for _, m in self.items)
 
-    def dense(self, primes: tuple[str, ...]) -> tuple[int, ...]:
-        pos = {p: i for i, p in enumerate(primes)}
-        vec = [0] * len(primes)
-        for p, m in self.items:
-            if p not in pos:
-                raise InvalidArgumentError(f"unknown prime {p!r}")
-            vec[pos[p]] = m
-        return tuple(vec)
+    # both hold (letter, multiplicity) items: one fold for words and sequences
+    dense_at = Sequence.dense_at
 
     @classmethod
     def from_dense(cls, primes: tuple[str, ...], vec) -> "PrimeWord":
@@ -142,29 +137,15 @@ def beta(instance: KrullInstance, word: PrimeWord) -> Sequence:
 
 def instance_atoms(
     instance: KrullInstance, node_limit: int = DEFAULT_NODE_LIMIT
-) -> tuple[PrimeWord, ...]:
-    """Atoms of H: Dickson-minimal nonzero class-sum-zero prime vectors."""
-    atoms = instance.h_atoms.get(node_limit)
+) -> AtomSet:
+    """Atoms of H, the Dickson-minimal nonzero class-sum-zero prime vectors,
+    as the instance's atom set over its primes; walked once per node limit."""
+    atoms = instance.atom_sets.get(node_limit)
     if atoms is None:
-        tab = tables(instance.group)
-        letter_classes = tuple(tab.index[g] for g in instance.classes)
-        vectors, _ = minimal_nonzero_vectors(instance.group, letter_classes, node_limit)
-        atoms = instance.h_atoms[node_limit] = tuple(
-            PrimeWord.from_dense(instance.primes, v) for v in vectors
+        atoms = instance.atom_sets[node_limit] = build_atoms(
+            instance.group, instance.primes, instance.classes, node_limit
         )
     return atoms
-
-
-def _instance_engine(
-    instance: KrullInstance, node_limit: int, memo_limit: int
-) -> FactorizationEngine:
-    engine = instance.engines.get((node_limit, memo_limit))
-    if engine is None:
-        vectors = [w.dense(instance.primes) for w in instance_atoms(instance, node_limit)]
-        engine = instance.engines[node_limit, memo_limit] = FactorizationEngine(
-            vectors, memo_limit
-        )
-    return engine
 
 
 def direct_length_set(
@@ -176,9 +157,8 @@ def direct_length_set(
     """L_H(word) computed inside H, with no use of beta."""
     if not in_monoid(instance, word):
         raise InvalidArgumentError(f"word {word} is not in the Krull monoid")
-    mask = _instance_engine(instance, node_limit, memo_limit).lengths_mask(
-        word.dense(instance.primes)
-    )
+    atoms = instance_atoms(instance, node_limit)
+    mask = engine_for(atoms, memo_limit).lengths_mask(word.dense_at(atoms.positions))
     return LengthSet.from_mask(mask)
 
 
@@ -267,11 +247,11 @@ def check_atom_correspondence(
     h_atoms = instance_atoms(instance, node_limit)
     b_atoms = enumerate_atoms(instance.group, instance.subset, node_limit)
     b_set = set(b_atoms.atoms)
-    images = {beta(instance, w) for w in h_atoms}
+    images = {beta(instance, PrimeWord.from_dense(instance.primes, v)) for v in h_atoms.vectors()}
     mismatch = tuple(sorted((s for s in images - b_set), key=str))
     unlifted = tuple(sorted((s for s in b_set - images), key=str))
     return AtomCorrespondenceReport(
-        instance, len(h_atoms), len(b_atoms.atoms), mismatch, unlifted
+        instance, len(h_atoms), len(b_atoms), mismatch, unlifted
     )
 
 

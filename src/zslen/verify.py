@@ -1,7 +1,8 @@
 """Named verification suites bundling the library's cross-checks.
 
 Each suite returns a list of verdicts (name, pass flag, witness text); the
-CLI turns any failed verdict into exit code 1.  Witnesses always carry the
+CLI turns any failed verdict into exit code 1.  The flag is None when a
+bounded scan was too small to decide the claim: undecided, not failed.  Witnesses always carry the
 concrete inputs so a failure can be replayed by hand.
 """
 
@@ -41,7 +42,7 @@ SUITE_NAMES = (
 @dataclass(frozen=True)
 class Verdict:
     name: str
-    passed: bool
+    passed: bool | None  # None: undecided
     witness: str
 
     def as_dict(self) -> dict:
@@ -122,7 +123,8 @@ def verify_prop_6_1(group: FiniteAbelianGroup, k_max: int, bound: int) -> list[V
             f"distances {list(report.distances)}"))
     else:
         d = report.distances
-        ok = bool(d) and d[0] == 1 and d == tuple(range(1, d[-1] + 1)) and d[-1] <= dav - 2
+        # a bound too small to reach two lengths in one set decides nothing
+        ok = (d[0] == 1 and d == tuple(range(1, d[-1] + 1)) and d[-1] <= dav - 2) if d else None
         out.append(Verdict(
             f"prop6.1 Delta interval from 1, max <= D-2, {group} (bound {bound})",
             ok, f"distances {list(d)}, D={dav}"))

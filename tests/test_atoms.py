@@ -248,5 +248,5 @@ def test_divisible_pairs():
 def test_antichain_violations_reports_divisible_atoms(c3):
     atoms = enumerate_atoms(c3)
     g3 = parse_sequence(c3, "[1:3]")
-    bad = AtomSet(c3, atoms.subset, atoms.vectors() + ((g3**2).dense(atoms.subset),))
+    bad = AtomSet(c3, atoms.letters, atoms.vectors() + ((g3**2).dense(atoms.letters),))
     assert antichain_violations(bad) == [(g3, g3**2)]

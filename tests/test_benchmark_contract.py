@@ -37,3 +37,8 @@ def test_traced_lengths_pass_counts_every_query(tmp_path):
     assert layers["lengths.queries"] == 12200
     assert layers["lengths.memo_entries"] == 38478
     assert layers["sequence.dense_calls"] == 0
+    # the Krull instance's walk: 379 H-atoms on top of the 69 + 39 + 253
+    # atoms of the three groups
+    assert layers["transfer.h_atoms"] == 379
+    assert layers["atoms.count"] == 740
+    assert layers["atoms.nodes"] == 4305

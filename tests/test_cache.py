@@ -13,10 +13,10 @@ def test_round_trip(tmp_path, c3):
     atoms = enumerate_atoms(c3)
     path = cache_store(tmp_path, atoms)
     assert path.exists()
-    loaded = cache_load(tmp_path, c3, atoms.subset)
+    loaded = cache_load(tmp_path, c3, atoms.letters)
     assert loaded is not None
     assert loaded.atoms == atoms.atoms
-    assert loaded.subset == atoms.subset
+    assert loaded.letters == atoms.letters
 
 
 def test_missing_returns_none(tmp_path, c4):
@@ -30,7 +30,7 @@ def test_version_mismatch_recomputes(tmp_path, c3, caplog):
     doc["format_version"] = 999
     path.write_text(json.dumps(doc))
     with caplog.at_level(logging.WARNING):
-        assert cache_load(tmp_path, c3, atoms.subset) is None
+        assert cache_load(tmp_path, c3, atoms.letters) is None
     assert "format" in caplog.text
 
 
@@ -41,7 +41,7 @@ def test_non_zero_sum_entry_rejected(tmp_path, c3, caplog):
     doc["atoms"][0] = [0, 1, 0]  # the sequence g, not zero-sum
     path.write_text(json.dumps(doc))
     with caplog.at_level(logging.WARNING):
-        assert cache_load(tmp_path, c3, atoms.subset) is None
+        assert cache_load(tmp_path, c3, atoms.letters) is None
     assert "validation" in caplog.text
 
 
@@ -52,7 +52,7 @@ def test_antichain_violation_rejected(tmp_path, c3, caplog):
     doc["atoms"].append([0, 3, 3])  # divisible by the stored g^3
     path.write_text(json.dumps(doc))
     with caplog.at_level(logging.WARNING):
-        assert cache_load(tmp_path, c3, atoms.subset) is None
+        assert cache_load(tmp_path, c3, atoms.letters) is None
     assert "validation" in caplog.text
 
 
@@ -73,7 +73,7 @@ def test_invalid_vectors_rejected(tmp_path, c3, caplog, edit):
     edit(doc["atoms"])
     path.write_text(json.dumps(doc))
     with caplog.at_level(logging.WARNING):
-        assert cache_load(tmp_path, c3, atoms.subset) is None
+        assert cache_load(tmp_path, c3, atoms.letters) is None
     assert "validation" in caplog.text
 
 
@@ -82,7 +82,7 @@ def test_corrupt_json_recomputes(tmp_path, c3, caplog):
     path = cache_store(tmp_path, atoms)
     path.write_text("{ not json")
     with caplog.at_level(logging.WARNING):
-        assert cache_load(tmp_path, c3, atoms.subset) is None
+        assert cache_load(tmp_path, c3, atoms.letters) is None
 
 
 def test_undecodable_file_recomputes(tmp_path, c3, caplog):
@@ -90,7 +90,7 @@ def test_undecodable_file_recomputes(tmp_path, c3, caplog):
     path = cache_store(tmp_path, atoms)
     path.write_bytes(b"\xff\xfe")
     with caplog.at_level(logging.WARNING):
-        assert cache_load(tmp_path, c3, atoms.subset) is None
+        assert cache_load(tmp_path, c3, atoms.letters) is None
     assert "unreadable" in caplog.text
 
 
@@ -106,14 +106,14 @@ def test_wrong_shape_recomputes(tmp_path, c3, caplog, edit):
     path = cache_store(tmp_path, atoms)
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with caplog.at_level(logging.WARNING):
-        assert cache_load(tmp_path, c3, atoms.subset) is None
+        assert cache_load(tmp_path, c3, atoms.letters) is None
     assert "malformed" in caplog.text
 
 
 def test_loaded_set_owns_fresh_engines(tmp_path, c3):
     atoms = enumerate_atoms(c3)
     cache_store(tmp_path, atoms)
-    loaded = cache_load(tmp_path, c3, atoms.subset)
+    loaded = cache_load(tmp_path, c3, atoms.letters)
     assert loaded == atoms and loaded.vectors() == atoms.vectors()
     assert loaded.engines == {}
     assert engine_for(loaded) is engine_for(loaded) is not engine_for(atoms)

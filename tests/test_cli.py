@@ -175,6 +175,20 @@ def test_verify_explicit_zero_bound_is_kept(capsys):
     assert report["verdicts"][0]["name"] == "prop2.3 over C3 (bound 0)"
 
 
+def test_verify_too_small_bound_is_undecided(capsys):
+    # no C3 sequence of length at most 5 has two lengths, so the Delta
+    # verdict of prop6.1 can be neither passed nor failed
+    code, report = run_json(capsys, "verify", "prop6.1", "--group", "3", "--bound", "5")
+    assert code == 0
+    assert (report["results"]["failed"], report["results"]["undecided"]) == (0, 1)
+    (undecided,) = [v for v in report["verdicts"] if v["pass"] is None]
+    assert undecided["name"].startswith("prop6.1 Delta interval from 1")
+    code, out = run(capsys, "verify", "prop6.1", "--group", "3", "--bound", "5",
+                    "--format", "text")
+    assert code == 0
+    assert "[UNDECIDED] prop6.1 Delta interval from 1" in out
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: [],
     lambda doc: {**doc, "invariant_factors": 3},

@@ -224,6 +224,31 @@ def test_delta_star_subset_of_delta(c4):
     assert 1 in ds.values  # G0 = G contributes min Delta(G) = 1
 
 
+def test_delta_star_keeps_no_atom_sets(c4):
+    from zslen.atoms import _enumerate_atoms_cached
+
+    before = _enumerate_atoms_cached.cache_info().currsize
+    delta_star(c4, 8)
+    assert _enumerate_atoms_cached.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("scan, bound, truth", [
+    (system, 6, lambda sys_: LengthSet.of([3]) in sys_ and LengthSet.of([2, 3]) not in sys_),
+    (delta_of_group, 12, lambda report: report.distances == (4,)),
+])
+def test_scan_rejects_atoms_over_another_alphabet(scan, bound, truth):
+    # A({0,2,4}) read as vectors over {0,1,5} gave L([1:3,5:3]) = {2,3} and
+    # Delta = (1,); the true values are {3} and (4,)
+    c6 = make_group([6])
+    e = elements(c6)
+    alphabet = [e[0], e[1], e[5]]
+    with pytest.raises(InvalidArgumentError, match="does not match"):
+        scan(c6, alphabet, bound, atoms=enumerate_atoms(c6, [e[0], e[2], e[4]]))
+    with pytest.raises(InvalidArgumentError, match="does not match"):
+        scan(make_group([2, 2]), None, bound, atoms=enumerate_atoms(c6))
+    assert truth(scan(c6, alphabet, bound, atoms=enumerate_atoms(c6, alphabet)))
+
+
 def test_delta_star_order_cap():
     with pytest.raises(ResourceLimitError):
         delta_star(make_group([4, 4]), 6)

@@ -138,7 +138,7 @@ def test_memo_limit(c33):
     engine = FactorizationEngine(atoms.vectors(), memo_limit=4)
     big = parse_sequence(c33, "[(1,0):3,(2,0):3,(0,1):3,(0,2):3]")
     with pytest.raises(ResourceLimitError):
-        engine.lengths_mask(big.dense(atoms.subset))
+        engine.lengths_mask(big.dense(atoms.letters))
 
 
 @pytest.mark.parametrize("mods", [[3], [4], [2, 2]])
@@ -207,7 +207,7 @@ def random_zero_sum(draw, max_length=10):
 def test_engine_matches_exhaustive_oracle(b):
     atoms = enumerate_atoms(b.group)
     engine = FactorizationEngine(atoms.vectors())
-    mask = engine.lengths_mask(b.dense(atoms.subset))
+    mask = engine.lengths_mask(b.dense(atoms.letters))
     assert LengthSet.from_mask(mask) == exhaustive_length_set(b, atoms), str(b)
 
 
@@ -265,7 +265,7 @@ def test_depth_does_not_depend_on_length(c3):
 def test_memo_limit_fires_exactly_at_overflow(c3):
     # [0:30] stores 30 vectors besides the zero vector
     atoms = enumerate_atoms(c3)
-    vec = parse_sequence(c3, "[0:30]").dense(atoms.subset)
+    vec = parse_sequence(c3, "[0:30]").dense(atoms.letters)
     assert FactorizationEngine(atoms.vectors(), memo_limit=31).lengths_mask(vec) == 1 << 30
     engine = FactorizationEngine(atoms.vectors(), memo_limit=30)
     with pytest.raises(ResourceLimitError):
@@ -273,7 +273,7 @@ def test_memo_limit_fires_exactly_at_overflow(c3):
     # the pending frames count against the limit, so the stack stays small
     deep = FactorizationEngine(atoms.vectors(), memo_limit=100)
     with pytest.raises(ResourceLimitError):
-        deep.lengths_mask(parse_sequence(c3, "[1:30000]").dense(atoms.subset))
+        deep.lengths_mask(parse_sequence(c3, "[1:30000]").dense(atoms.letters))
     assert deep.memo_size <= 100
 
 
@@ -310,14 +310,14 @@ def test_field_width_boundary(c3, text, expected):
     # 255 fills an 8-bit field; 256 and 768 need a wider one
     atoms = enumerate_atoms(c3)
     engine = FactorizationEngine(atoms.vectors())
-    mask = engine.lengths_mask(parse_sequence(c3, text).dense(atoms.subset))
+    mask = engine.lengths_mask(parse_sequence(c3, text).dense(atoms.letters))
     assert LengthSet.from_mask(mask) == expected
 
 
 def test_widening_keeps_answers_and_memo(c3):
     atoms = enumerate_atoms(c3)
-    small = parse_sequence(c3, "[0:2,1:6,2:3]").dense(atoms.subset)
-    wide = parse_sequence(c3, "[0:1,1:300,2:300]").dense(atoms.subset)
+    small = parse_sequence(c3, "[0:2,1:6,2:3]").dense(atoms.letters)
+    wide = parse_sequence(c3, "[0:1,1:300,2:300]").dense(atoms.letters)
     engine = FactorizationEngine(atoms.vectors())
     answers = [engine.lengths_mask(v) for v in (small, wide, small)]
     fresh = [FactorizationEngine(atoms.vectors()).lengths_mask(v) for v in (small, wide, small)]

@@ -22,6 +22,11 @@ from zslen.transfer import (
 )
 
 
+def h_atom_words(inst):
+    """The atoms of H as words of F(P)."""
+    return [PrimeWord.from_dense(inst.primes, v) for v in instance_atoms(inst).vectors()]
+
+
 def test_beta_basics(c3):
     inst = make_instance(c3, [c3.element([1]), c3.element([2])], 1)
     p, q = inst.primes
@@ -65,7 +70,7 @@ def test_direct_lengths_one_prime_per_class(c3):
     p, q = inst.primes
     a = PrimeWord.make({p: 3, q: 3})
     assert direct_length_set(inst, a) == LengthSet.of([2, 3])
-    for atom in instance_atoms(inst):
+    for atom in h_atom_words(inst):
         assert direct_length_set(inst, atom) == LengthSet.of([1])
 
 
@@ -94,7 +99,7 @@ def test_atom_correspondence(mods):
     report = check_atom_correspondence(inst)
     assert report.ok
     # beta images of H-atoms are exactly the atoms of B(G0)
-    images = {beta(inst, w) for w in instance_atoms(inst)}
+    images = {beta(inst, w) for w in h_atom_words(inst)}
     assert images == set(enumerate_atoms(group).atoms)
     assert all(is_atom(s) for s in images)
 
@@ -150,30 +155,44 @@ def test_checked_instance_is_not_kept_alive(c4):
 
     inst = make_instance(c4, None, 2)
     assert check_transfer(inst, 10, 8, 0).ok
-    assert inst.h_atoms and inst.engines
-    ref = weakref.ref(inst)
-    del inst
+    # the instance holds its atom set, and the atom set its engine
+    (atoms,) = inst.atom_sets.values()
+    assert atoms.engines
+    refs = [weakref.ref(inst), weakref.ref(atoms)]
+    del inst, atoms
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_instance_walks_its_atoms_once(c22, monkeypatch):
-    import zslen.transfer
+    import zslen.atoms
 
+    enumerate_atoms(c22)  # B(G0) comes from the enumerate_atoms cache
     walks = []
-    walk = zslen.transfer.minimal_nonzero_vectors
+    walk = zslen.atoms.minimal_nonzero_vectors
 
     def counted(*args, **kwargs):
         walks.append(args)
         return walk(*args, **kwargs)
 
-    monkeypatch.setattr(zslen.transfer, "minimal_nonzero_vectors", counted)
+    monkeypatch.setattr(zslen.atoms, "minimal_nonzero_vectors", counted)
     inst = make_instance(c22, None, 2)
     assert check_transfer(inst, 20, 8, 1).ok
     assert check_atom_correspondence(inst).ok
     assert len(walks) == 1
-    # an equal instance owns its own atoms and engines
+    assert len(walks[0][1]) == len(inst.primes)  # the walk over H, not B(G0)
+    # an equal instance owns its own atom set, engines and memos
     other = make_instance(c22, None, 2)
-    assert other == inst and not other.h_atoms and not other.engines
+    assert other == inst and not other.atom_sets
     assert instance_atoms(other) == instance_atoms(inst)
+    assert instance_atoms(other) is not instance_atoms(inst)
     assert len(walks) == 2
+
+
+def test_sequence_query_against_instance_atoms_is_invalid_argument(c3):
+    # the instance's letters are primes, so a sequence's elements miss them
+    inst = make_instance(c3, None, 1)
+    atoms = instance_atoms(inst)
+    with pytest.raises(InvalidArgumentError, match="outside alphabet"):
+        length_set(parse_sequence(c3, "[1:3]"), atoms)
+    assert not atoms.engines
