@@ -22,6 +22,7 @@ caches nothing; the owner of an atom set decides how long its memos live.
 enumerate_atoms caches the sets over G0, so repeated length queries and
 the verify suites reuse one memo; a KrullInstance owns its H-atoms, which
 die with it; delta_star owns nothing and drops each subset's set.
+atoms_over is where every invariant of B(G0) resolves its atom set.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .group import FiniteAbelianGroup, GroupElement, elements, tables
+from .group import FiniteAbelianGroup, GroupElement, tables
 from .sequence import Sequence, canonical_subset, is_zero_sum
 
 DEFAULT_NODE_LIMIT = 10**8
@@ -198,9 +199,7 @@ def enumerate_atoms(
     Results are cached per (group, subset, node limit), and so are their
     engine memos; atom sets are immutable, so sharing them is safe.
     """
-    alphabet = canonical_subset(
-        group, elements(group) if subset is None else subset
-    )
+    alphabet = canonical_subset(group, subset)
     if not alphabet:
         raise InvalidArgumentError("subset must be nonempty")
     return _enumerate_atoms_cached(group, alphabet, node_limit)
@@ -211,6 +210,23 @@ def _enumerate_atoms_cached(
     group: FiniteAbelianGroup, alphabet: tuple[GroupElement, ...], node_limit: int
 ) -> AtomSet:
     return build_atoms(group, alphabet, alphabet, node_limit)
+
+
+def atoms_over(
+    group: FiniteAbelianGroup,
+    subset=None,
+    atoms: AtomSet | None = None,
+    node_limit: int = DEFAULT_NODE_LIMIT,
+) -> AtomSet:
+    """A(G0) for the invariants of B(G0), G0 = subset (default: all of G):
+    the given atom set when it is over the canonical G0, else the cached
+    enumeration.  An atom set over any other alphabet would give silent
+    wrong answers, so it raises."""
+    if atoms is None:
+        return enumerate_atoms(group, subset, node_limit)
+    if atoms.letters != canonical_subset(group, subset):  # elements compare their groups too
+        raise InvalidArgumentError(f"atom set does not match the alphabet of B(G0) over {group}")
+    return atoms
 
 
 def is_atom(s: Sequence) -> bool:
@@ -248,9 +264,9 @@ def davenport(
     atoms: AtomSet | None = None,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> tuple[int, Sequence]:
-    """D(G) = max atom length, with a witness atom of that length."""
-    if atoms is None:
-        atoms = enumerate_atoms(group, node_limit=node_limit)
+    """D(G) = max atom length, with a witness atom of that length; a given
+    atom set must be A(G)."""
+    atoms = atoms_over(group, None, atoms, node_limit)
     # every nonempty G0 carries at least the atom g^ord(g); max keeps the
     # first longest vector, the first longest atom in (length, vector) order
     best = max(atoms.vectors(), key=sum)

@@ -11,17 +11,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .atoms import AtomSet, build_atoms, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
+from .atoms import AtomSet, atoms_over, build_atoms, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
 from .errors import InvalidArgumentError, ResourceLimitError, VerificationError
 from .group import FiniteAbelianGroup, GroupElement, elements, order_of
-from .lengths import (
-    DEFAULT_MEMO_LIMIT,
-    LengthSet,
-    engine_for,
-    length_set,
-    mask_gaps,
-)
-from .sequence import Sequence, canonical_subset, sigma, zero_sum_vectors
+from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, delta_of, engine_for, length_set
+from .sequence import Sequence, mul, negate, sigma, zero_sum_vectors
 
 DEFAULT_PRODUCT_LIMIT = 10**8
 DEFAULT_SUBSET_SCAN_MAX_ORDER = 12
@@ -58,6 +52,10 @@ class SystemOfLengthSets:
     def __len__(self):
         return len(self.entries)
 
+    def distances(self) -> tuple[int, ...]:
+        """The union of Delta(L) over the entries, sorted."""
+        return tuple(sorted(set().union(*(delta_of(ls) for ls, _ in self.entries))))
+
 
 def system(
     group: FiniteAbelianGroup,
@@ -66,10 +64,12 @@ def system(
     atoms: AtomSet | None = None,
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> SystemOfLengthSets:
-    """Exact { L(B) : B in B(G0), |B| <= bound }."""
+    """Exact { L(B) : B in B(G0), |B| <= bound }: the one bounded scan of
+    B(G0), read by the distance sets and the structure fits."""
     if bound < 0:
         raise InvalidArgumentError(f"bound must be nonnegative: {bound}")
-    alphabet, atoms = _scan_atoms(group, subset, atoms)
+    atoms = atoms_over(group, subset, atoms)
+    alphabet = atoms.letters
     engine = engine_for(atoms, memo_limit)
     first: dict[int, tuple[int, ...]] = {}  # length mask -> first vector
     for vec in zero_sum_vectors(group, alphabet, bound):
@@ -82,17 +82,6 @@ def system(
         key=lambda entry: entry[0].values,
     )
     return SystemOfLengthSets(group, alphabet, bound, tuple(entries))
-
-
-def _scan_atoms(group: FiniteAbelianGroup, subset, atoms: AtomSet | None):
-    """The canonical alphabet G0 of a scan over B(G0), and A(G0).  A given
-    atom set over another alphabet would give wrong length sets: it raises."""
-    alphabet = canonical_subset(group, elements(group) if subset is None else subset)
-    if atoms is None:
-        atoms = enumerate_atoms(group, alphabet)
-    elif atoms.letters != alphabet:  # elements compare their groups too
-        raise InvalidArgumentError(f"atom set does not match the scanned alphabet of {group}")
-    return alphabet, atoms
 
 
 # -- closed-form systems for the five small groups ------------------------------
@@ -171,10 +160,7 @@ class SystemComparison:
 
 
 def compare_with_closed_form(
-    group: FiniteAbelianGroup,
-    bound: int,
-    atoms: AtomSet | None = None,
-    sys: SystemOfLengthSets | None = None,
+    group: FiniteAbelianGroup, bound: int, sys: SystemOfLengthSets | None = None
 ) -> SystemComparison:
     """Two-sided check of system(G, bound) against the closed form.
 
@@ -182,13 +168,13 @@ def compare_with_closed_form(
     be a member of the family.  Completeness is only demanded of family
     sets guaranteed a witness within the bound: a set L has a witness of
     length at most D(G)*min L, and a D(G) margin is kept to stay clear of
-    the truncation frontier.
+    the truncation frontier.  A given system must be over all of G.
     """
-    if atoms is None:
-        atoms = enumerate_atoms(group)
     if sys is None:
-        sys = system(group, None, bound, atoms)
-    dav, _ = davenport(group, atoms)
+        sys = system(group, None, bound)
+    elif sys.subset != elements(group):
+        raise InvalidArgumentError(f"system does not match B({group})")
+    dav, _ = davenport(group)
     computed = set(sys.length_sets())
     family = closed_form_system(group, max(bound, max((ls.max for ls in computed), default=0)))
     frontier = bound - dav
@@ -290,32 +276,22 @@ def elasticity(
 
     With cross_check the closed form is validated by brute force: the
     witness (-U)U for a longest atom U must attain the value, and no
-    length set of a bounded scan may exceed it.
+    length set of a bounded scan may exceed it.  A given atom set must be A(G).
     """
+    atoms = atoms_over(group, None, atoms)
     if group.order <= 2:
         return Fraction(1)
-    if atoms is None:
-        atoms = enumerate_atoms(group)
     dav, longest = davenport(group, atoms)
     value = Fraction(dav, 2)
     if cross_check:
-        from .sequence import mul, negate  # local import avoids a cycle
-
-        engine = engine_for(atoms)
         witness = mul(longest, negate(longest))
-        attained = LengthSet.from_mask(
-            engine.lengths_mask(witness.dense(atoms.letters))
-        )
+        attained = length_set(witness, atoms)
         if Fraction(attained.max, attained.min) != value:
             raise VerificationError(
                 f"elasticity witness {witness} gives {attained}, not {value}"
             )
-        for vec in zero_sum_vectors(group, atoms.letters, min(2 * dav, 10)):
-            if not any(vec):
-                continue
-            ls = LengthSet.from_mask(engine.lengths_mask(vec))
+        for ls, b in system(group, None, min(2 * dav, 10), atoms).entries:
             if ls.min and Fraction(ls.max, ls.min) > value:
-                b = Sequence.from_dense(group, atoms.letters, vec)
                 raise VerificationError(f"{b} exceeds the closed-form elasticity")
     return value
 
@@ -341,28 +317,27 @@ def delta_of_group(
     atoms: AtomSet | None = None,
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> DeltaReport:
-    """Union of Delta(L(B)) over |B| <= bound; a lower approximation of the
-    distance set, flagged exact only under the stability heuristic."""
-    alphabet, atoms = _scan_atoms(group, subset, atoms)
-    engine = engine_for(atoms, memo_limit)
-    # D(G) needs the atoms over the whole group; reuse the scan's if they are
-    dav, _ = davenport(group, atoms if alphabet == elements(group) else None)
-    margin = max(bound - dav, 0)
-    masks: set[int] = set()
-    margin_masks: set[int] = set()
-    for vec in zero_sum_vectors(group, alphabet, bound):
-        mask = engine.lengths_mask(vec)
-        masks.add(mask)
-        if sum(vec) <= margin:
-            margin_masks.add(mask)
-    acc = set().union(*map(mask_gaps, masks))
-    acc_margin = set().union(*map(mask_gaps, margin_masks))
-    distances = tuple(sorted(acc))
-    full_group = alphabet == elements(group)
-    is_interval_from_1 = bool(distances) and distances == tuple(range(1, distances[-1] + 1))
-    stable = bool(distances) and bool(acc_margin) and max(acc_margin) == distances[-1]
-    exact = full_group and ((not distances and group.order <= 2) or (is_interval_from_1 and stable))
-    return DeltaReport(group, alphabet, bound, distances, exact)
+    """Union of Delta(L) over the entries of system(G0, bound); a lower
+    approximation of the distance set, flagged exact only under the
+    stability heuristic (G0 = G only).
+
+    The heuristic asks the largest distance to show up already within a
+    D(G) margin below the bound.  Each witness is the first vector in
+    (length, lex) order, so the shortest sequence with its length set: an
+    entry is seen within the margin iff its witness is that short.
+    """
+    sys = system(group, subset, bound, atoms, memo_limit)
+    distances = sys.distances()
+    exact = False
+    if sys.subset == elements(group):
+        dav, _ = davenport(group, atoms)
+        acc_margin = set().union(
+            *(delta_of(ls) for ls, wit in sys.entries if wit.length <= bound - dav)
+        )
+        is_interval_from_1 = bool(distances) and distances == tuple(range(1, distances[-1] + 1))
+        stable = bool(acc_margin) and max(acc_margin) == distances[-1]
+        exact = (not distances and group.order <= 2) or (is_interval_from_1 and stable)
+    return DeltaReport(group, sys.subset, bound, distances, exact)
 
 
 @dataclass(frozen=True)
@@ -378,30 +353,28 @@ class DeltaStarReport:
 def delta_star(
     group: FiniteAbelianGroup,
     bound: int = 8,
-    max_group_order: int = DEFAULT_SUBSET_SCAN_MAX_ORDER,
     node_limit: int = DEFAULT_NODE_LIMIT,
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> DeltaStarReport:
     """For every subset G0 with a nonempty observed distance set, record the
-    gcd of its observed distances (min Delta = gcd Delta), and aggregate.
+    gcd of the distances of system(G0, bound) (min Delta = gcd Delta), and
+    aggregate.
 
-    The scan is 2^|G|, so the group order is capped.  Each subset's atom
-    set, built uncached, is dropped with its engine after its scan.
+    The scan is 2^|G|, so the group order is capped at
+    DEFAULT_SUBSET_SCAN_MAX_ORDER.  Each subset's atom set, built uncached,
+    is dropped with its engine after its scan.
     """
     els = elements(group)
-    if len(els) > max_group_order:
-        raise ResourceLimitError("subset scan group order", max_group_order, len(els))
+    if len(els) > DEFAULT_SUBSET_SCAN_MAX_ORDER:
+        raise ResourceLimitError("subset scan group order", DEFAULT_SUBSET_SCAN_MAX_ORDER, len(els))
     values: set[int] = set()
-    scanned = 0
     for mask in range(1, 1 << len(els)):
         subset = tuple(g for i, g in enumerate(els) if mask >> i & 1)
-        scanned += 1
-        engine = engine_for(build_atoms(group, subset, subset, node_limit), memo_limit)
-        masks = {engine.lengths_mask(vec) for vec in zero_sum_vectors(group, subset, bound)}
-        acc = set().union(*map(mask_gaps, masks))
-        if acc:
-            values.add(math.gcd(*acc))
-    return DeltaStarReport(group, bound, tuple(sorted(values)), scanned)
+        atoms = build_atoms(group, subset, subset, node_limit)
+        distances = system(group, subset, bound, atoms, memo_limit).distances()
+        if distances:
+            values.add(math.gcd(*distances))
+    return DeltaStarReport(group, bound, tuple(sorted(values)), (1 << len(els)) - 1)
 
 
 # -- half-factoriality and the {2, D(G)} criterion --------------------------------
@@ -426,9 +399,9 @@ def is_half_factorial(
 ) -> HalfFactorialVerdict:
     """Exact for G0 = G via the |G| <= 2 criterion, with the classical
     witness relation otherwise; bounded scan for proper subsets."""
-    alphabet = canonical_subset(group, elements(group) if subset is None else subset)
-    full = alphabet == elements(group)
-    if full:
+    atoms = atoms_over(group, subset)
+    alphabet = atoms.letters
+    if alphabet == elements(group):
         if group.order <= 2:
             return HalfFactorialVerdict("yes-exact")
         g = next((h for h in alphabet if order_of(h) >= 3), None)
@@ -438,10 +411,8 @@ def is_half_factorial(
         else:
             e1, e2 = [h for h in alphabet if order_of(h) == 2][:2]
             witness = Sequence.make(group, {e1: 2, e2: 2, e1 + e2: 2})  # U^2 = V0V1V2
-        atoms = enumerate_atoms(group, alphabet)
         ls = length_set(witness, atoms, memo_limit)
         return HalfFactorialVerdict("no-with-witness", witness, ls)
-    atoms = enumerate_atoms(group, alphabet)
     engine = engine_for(atoms, memo_limit)
     for vec in zero_sum_vectors(group, alphabet, bound):
         mask = engine.lengths_mask(vec)
@@ -474,10 +445,10 @@ def has_two_D_lengthset(
 
     The scan is complete: min {2, D} = 2 forces any witness to be a product
     of two atoms.  Pairs are tried longest first so positive cases exit
-    early; exhausting the scan certifies a negative answer.
+    early; exhausting the scan certifies a negative answer.  A given atom
+    set must be A(G).
     """
-    if atoms is None:
-        atoms = enumerate_atoms(group)
+    atoms = atoms_over(group, None, atoms)
     dav, _ = davenport(group, atoms)
     engine = engine_for(atoms, memo_limit)
     target = LengthSet.of([2, dav]).to_mask()
@@ -550,7 +521,6 @@ def interval_support_check(
     group: FiniteAbelianGroup,
     samples: int = 100,
     seed: int = 0,
-    max_extra_length: int = 8,
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> IntervalSupportReport:
     """Sample zero-sum sequences whose support together with 0 is a subgroup
@@ -568,7 +538,7 @@ def interval_support_check(
         exps = {g: rng.randint(1, 3) for g in nonzero}
         if rng.random() < 0.5:
             exps[group.zero()] = rng.randint(1, 2)
-        for _ in range(rng.randint(0, max_extra_length)):
+        for _ in range(rng.randint(0, 8)):  # up to 8 extra letters
             g = rng.choice(list(sub))
             if g != group.zero():
                 exps[g] = exps.get(g, 0) + 1

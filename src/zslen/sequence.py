@@ -164,8 +164,11 @@ def quotient(s: Sequence, t: Sequence) -> Sequence:
     return Sequence.make(s.group, exps)
 
 
-def canonical_subset(group: FiniteAbelianGroup, subset: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
-    """Deduplicate and sort a subset of group elements into canonical order."""
+def canonical_subset(group: FiniteAbelianGroup, subset: Iterable[GroupElement] | None) -> tuple[GroupElement, ...]:
+    """Deduplicate and sort a subset of group elements into canonical order;
+    None means all of the group."""
+    if subset is None:
+        return elements(group)  # already canonical
     out = []
     seen = set()
     for g in subset:
@@ -248,7 +251,7 @@ def enumerate_zero_sum(
     Deterministic order: length ascending, then lexicographic on the dense
     exponent vector over the subset's canonical element order.
     """
-    alphabet = canonical_subset(group, elements(group) if subset is None else subset)
+    alphabet = canonical_subset(group, subset)
     return [
         Sequence.from_dense(group, alphabet, v)
         for v in zero_sum_vectors(group, alphabet, max_length)

@@ -13,18 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .atoms import AtomSet, enumerate_atoms
 from .errors import InvalidArgumentError
 from .group import FiniteAbelianGroup
-from .invariants import (
-    SystemOfLengthSets,
-    UnionOfLengths,
-    delta_of_group,
-    elasticity,
-    system,
-    unions_range,
-)
+from .invariants import UnionOfLengths, elasticity, system, unions_range
 from .lengths import LengthSet
+
+# a difference with more nonzero residues gets only its full residue pattern
+MAX_RESIDUES = 8
+# |U_k|/k has settled once every later ratio is this close to its limit
+DENSITY_TOLERANCE = Fraction(1, 10)
 
 
 @dataclass(frozen=True)
@@ -103,16 +100,12 @@ def fit_aamp(lengths: LengthSet, d: int, period: Iterable[int]) -> AAMPFit | Non
     return best_fit
 
 
-def best_aamp(
-    lengths: LengthSet,
-    candidate_d: Iterable[int],
-    max_residues: int = 8,
-) -> AAMPFit:
+def best_aamp(lengths: LengthSet, candidate_d: Iterable[int]) -> AAMPFit:
     """Search all candidate differences and the residue-driven periods.
 
     Periods are D = {0} | R | {d} with R a subset of the nonzero residues
     of (L - min L) mod d: residues outside the set can never lower M.
-    When a difference has more than max_residues distinct nonzero residues
+    When a difference has more than MAX_RESIDUES distinct nonzero residues
     only the full residue pattern is tried for it.
     """
     cands = sorted(set(candidate_d))
@@ -123,7 +116,7 @@ def best_aamp(
     base = lengths.min
     for d in cands:
         nonzero = sorted({(x - base) % d for x in lengths.values} - {0})
-        if len(nonzero) <= max_residues:
+        if len(nonzero) <= MAX_RESIDUES:
             subsets = [
                 [r for j, r in enumerate(nonzero) if mask >> j & 1]
                 for mask in range(1 << len(nonzero))
@@ -165,20 +158,11 @@ class StructureFitReport:
         return not self.round_trip_failures
 
 
-def verify_structure_theorem(
-    group: FiniteAbelianGroup,
-    bound: int,
-    atoms: AtomSet | None = None,
-    sys: SystemOfLengthSets | None = None,
-) -> StructureFitReport:
+def verify_structure_theorem(group: FiniteAbelianGroup, bound: int) -> StructureFitReport:
     """Fit every L in system(G, bound) as an AAMP with difference drawn from
-    the accumulated distance set, and report the largest bound M needed."""
-    if atoms is None:
-        atoms = enumerate_atoms(group)
-    if sys is None:
-        sys = system(group, None, bound, atoms)
-    delta = delta_of_group(group, None, bound, atoms).distances
-    candidates = delta if delta else (1,)
+    the same system's distances, and report the largest bound M needed."""
+    sys = system(group, None, bound)
+    candidates = sys.distances() or (1,)
     max_bound = -1
     witness = None
     witness_fit = None
@@ -197,7 +181,7 @@ def verify_structure_theorem(
     return StructureFitReport(
         group,
         bound,
-        tuple(candidates),
+        candidates,
         max(max_bound, 0),
         witness,
         witness_fit,
@@ -227,22 +211,15 @@ class UnionsStructureReport:
         return self.all_intervals and all(m == 0 for m in self.aap_bounds)
 
 
-def verify_unions_structure(
-    group: FiniteAbelianGroup,
-    k_max: int,
-    atoms: AtomSet | None = None,
-    tolerance: Fraction = Fraction(1, 10),
-) -> UnionsStructureReport:
+def verify_unions_structure(group: FiniteAbelianGroup, k_max: int) -> UnionsStructureReport:
     """Check each U_k is an AAP with difference min Delta (an interval for a
     finite abelian group), and track |U_k|/k against the limit density.
 
     The density check is a trend statement on the computed range: it
     records the first k from which every later computed ratio stays within
-    the tolerance of the limit value.
+    DENSITY_TOLERANCE of the limit value.
     """
-    if atoms is None:
-        atoms = enumerate_atoms(group)
-    unions = unions_range(group, k_max, atoms)
+    unions = unions_range(group, k_max)
     # min Delta(G) = 1 whenever B(G) is not half-factorial (|G| >= 3); for
     # |G| <= 2 all unions are singletons and d = 1 fits them degenerately.
     d = 1
@@ -250,14 +227,14 @@ def verify_unions_structure(
     for k in sorted(unions):
         fit = fit_aamp(LengthSet.of(unions[k].values), d, (0, d))
         aap_bounds.append(fit.bound if fit is not None else -1)
-    rho = elasticity(group, atoms)
+    rho = elasticity(group)
     target = (rho - 1 / rho) / d
     rows = tuple(
         (k, Fraction(len(unions[k].values), k)) for k in sorted(unions)
     )
     settles_by = None
     for i, (k, ratio) in enumerate(rows):
-        if all(abs(r - target) <= tolerance for _, r in rows[i:]):
+        if all(abs(r - target) <= DENSITY_TOLERANCE for _, r in rows[i:]):
             settles_by = k
             break
     return UnionsStructureReport(
@@ -270,5 +247,5 @@ def verify_unions_structure(
         density_target=target,
         density_rows=rows,
         settles_by=settles_by,
-        tolerance=tolerance,
+        tolerance=DENSITY_TOLERANCE,
     )

@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .atoms import DEFAULT_NODE_LIMIT, AtomSet, build_atoms, enumerate_atoms
 from .errors import InvalidArgumentError
-from .group import FiniteAbelianGroup, GroupElement, elements
+from .group import FiniteAbelianGroup, GroupElement
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, engine_for, length_set
 from .sequence import Sequence, canonical_subset, is_zero_sum, sigma
 
@@ -59,7 +59,7 @@ def make_instance(
     """An instance with the given number of primes over every class of G0."""
     if primes_per_class < 1:
         raise InvalidArgumentError("need at least one prime per class")
-    g0 = canonical_subset(group, elements(group) if subset is None else subset)
+    g0 = canonical_subset(group, subset)
     primes: list[str] = []
     classes: list[GroupElement] = []
     for i, g in enumerate(g0):

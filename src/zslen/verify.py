@@ -67,10 +67,15 @@ def verify_prop_2_3(group: FiniteAbelianGroup, bound: int) -> list[Verdict]:
         out.append(Verdict(
             f"prop2.3 min=gcd over {group} (bound {bound})", ok,
             f"distances {list(report.distances)}"))
-    else:
+    elif group.order <= 2:
         out.append(Verdict(
             f"prop2.3 over {group} (bound {bound})", True,
-            "empty distance set (half-factorial range)"))
+            "empty distance set (half-factorial group)"))
+    else:
+        # |G| >= 3 is not half-factorial: the bound reached no two lengths
+        out.append(Verdict(
+            f"prop2.3 over {group} (bound {bound})", None,
+            "empty distance set: bound too small to decide"))
     for gens in ((2, 3), (3, 5, 7), (4, 9, 11)):
         monoid = make_numerical(list(gens))
         delta = accumulated_delta(monoid, 4 * gens[0] * gens[-1])
@@ -135,7 +140,8 @@ def verify_prop_6_2(group: FiniteAbelianGroup, bound: int) -> list[Verdict]:
     """Brute-force system against the closed form, plus the C3 = C2+C2
     coincidence when applicable."""
     out = []
-    cmp = compare_with_closed_form(group, bound)
+    sys = system(group, None, bound)
+    cmp = compare_with_closed_form(group, bound, sys)
     witness = (
         f"frontier {cmp.frontier}; "
         f"not in family: {[str(ls) for ls in cmp.computed_not_in_family]}; "
@@ -145,7 +151,7 @@ def verify_prop_6_2(group: FiniteAbelianGroup, bound: int) -> list[Verdict]:
                        cmp.ok, witness))
     if group.invariant_factors in ((3,), (2, 2)):
         other = make_group([2, 2] if group.invariant_factors == (3,) else [3])
-        mine = set(system(group, None, bound).length_sets())
+        mine = set(sys.length_sets())
         theirs = set(system(other, None, bound).length_sets())
         diff = mine.symmetric_difference(theirs)
         out.append(Verdict(

@@ -3,7 +3,8 @@ from src/ and, with tracing on, rebinds zslen entry points by name
 (perfbench/spans.py).  A renamed entry point breaks the traced pass, so
 one traced pass of the smallest workload runs here.  A query that no
 longer goes through FactorizationEngine.lengths_mask would read as zero
-queries, so a traced `lengths` pass pins its counters."""
+queries, so a traced `lengths` pass pins its counters, and a traced
+`sweeps` pass pins the counters of the whole-monoid scans."""
 
 import json
 import subprocess
@@ -42,3 +43,13 @@ def test_traced_lengths_pass_counts_every_query(tmp_path):
     assert layers["transfer.h_atoms"] == 379
     assert layers["atoms.count"] == 740
     assert layers["atoms.nodes"] == 4305
+
+
+def test_traced_sweeps_pass_walks_each_system_once(tmp_path):
+    layers = traced_pass("sweeps", 1, tmp_path)["layers"]
+    # 58,135 queries when the structure fit walked B(C3+C3) a second time
+    # for its difference candidates
+    assert layers["lengths.queries"] == 52715
+    assert layers["lengths.memo_entries"] == 32049
+    assert layers["structure_fit.fits"] == 16
+    assert layers["atoms.nodes"] == 641

@@ -176,17 +176,30 @@ def test_verify_explicit_zero_bound_is_kept(capsys):
 
 
 def test_verify_too_small_bound_is_undecided(capsys):
-    # no C3 sequence of length at most 5 has two lengths, so the Delta
-    # verdict of prop6.1 can be neither passed nor failed
-    code, report = run_json(capsys, "verify", "prop6.1", "--group", "3", "--bound", "5")
+    # no C3 sequence of length at most 5 has two lengths, so neither the
+    # Delta verdict of prop6.1 nor the C3 verdict of prop2.3 can be passed
+    # or failed
+    for suite, verdict in (("prop6.1", "prop6.1 Delta interval from 1"),
+                           ("prop2.3", "prop2.3 over C3 (bound 5)")):
+        code, report = run_json(capsys, "verify", suite, "--group", "3", "--bound", "5")
+        assert code == 0
+        assert (report["results"]["failed"], report["results"]["undecided"]) == (0, 1)
+        (undecided,) = [v for v in report["verdicts"] if v["pass"] is None]
+        assert undecided["name"].startswith(verdict)
+        code, out = run(capsys, "verify", suite, "--group", "3", "--bound", "5",
+                        "--format", "text")
+        assert code == 0
+        assert f"[UNDECIDED] {verdict}" in out
+
+
+def test_verify_prop23_half_factorial_group_passes(capsys):
+    # B(C2) is half-factorial: its empty distance set is the answer
+    code, report = run_json(capsys, "verify", "prop2.3", "--group", "2")
     assert code == 0
-    assert (report["results"]["failed"], report["results"]["undecided"]) == (0, 1)
-    (undecided,) = [v for v in report["verdicts"] if v["pass"] is None]
-    assert undecided["name"].startswith("prop6.1 Delta interval from 1")
-    code, out = run(capsys, "verify", "prop6.1", "--group", "3", "--bound", "5",
-                    "--format", "text")
-    assert code == 0
-    assert "[UNDECIDED] prop6.1 Delta interval from 1" in out
+    assert (report["results"]["failed"], report["results"]["undecided"]) == (0, 0)
+    assert report["verdicts"][0] == {
+        "name": "prop2.3 over C2 (bound 10)", "pass": True,
+        "witness": "empty distance set (half-factorial group)"}
 
 
 @pytest.mark.parametrize("edit", [

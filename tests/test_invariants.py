@@ -24,8 +24,8 @@ from zslen.invariants import (
     union_k,
     unions_range,
 )
-from zslen.lengths import LengthSet, exhaustive_length_set, length_set
-from zslen.sequence import enumerate_zero_sum, parse_sequence
+from zslen.lengths import LengthSet, engine_for, exhaustive_length_set, length_set, mask_gaps
+from zslen.sequence import canonical_subset, enumerate_zero_sum, parse_sequence, zero_sum_vectors
 
 
 def L(*values):
@@ -247,6 +247,59 @@ def test_scan_rejects_atoms_over_another_alphabet(scan, bound, truth):
     with pytest.raises(InvalidArgumentError, match="does not match"):
         scan(make_group([2, 2]), None, bound, atoms=enumerate_atoms(c6))
     assert truth(scan(c6, alphabet, bound, atoms=enumerate_atoms(c6, alphabet)))
+
+
+@pytest.mark.parametrize("invariant", [davenport, elasticity, has_two_D_lengthset])
+def test_invariants_of_g_reject_atoms_over_a_subset(invariant):
+    # A({0,2,4}) read as A(C6) gave D = 3 and rho = 3/2; the true values
+    # are 6 and 3
+    c6 = make_group([6])
+    e = elements(c6)
+    with pytest.raises(InvalidArgumentError, match="does not match"):
+        invariant(c6, enumerate_atoms(c6, [e[0], e[2], e[4]]))
+
+
+def test_closed_form_comparison_rejects_a_subset_system(c3):
+    e = elements(c3)
+    with pytest.raises(InvalidArgumentError, match="does not match"):
+        compare_with_closed_form(c3, 6, system(c3, [e[1], e[2]], 6))
+
+
+def reference_delta(group, subset, bound):
+    """The per-vector scan that delta_of_group ran before it read system():
+    the gaps of every zero-sum vector up to the bound, and of those within
+    a D(G) margin below it."""
+    alphabet = canonical_subset(group, subset)
+    engine = engine_for(enumerate_atoms(group, alphabet))
+    dav, _ = davenport(group)
+    margin = max(bound - dav, 0)
+    masks, margin_masks = set(), set()
+    for vec in zero_sum_vectors(group, alphabet, bound):
+        mask = engine.lengths_mask(vec)
+        masks.add(mask)
+        if sum(vec) <= margin:
+            margin_masks.add(mask)
+    acc = set().union(*map(mask_gaps, masks))
+    acc_margin = set().union(*map(mask_gaps, margin_masks))
+    distances = tuple(sorted(acc))
+    full_group = alphabet == elements(group)
+    is_interval_from_1 = bool(distances) and distances == tuple(range(1, distances[-1] + 1))
+    stable = bool(distances) and bool(acc_margin) and max(acc_margin) == distances[-1]
+    exact = full_group and ((not distances and group.order <= 2) or (is_interval_from_1 and stable))
+    return distances, exact
+
+
+@pytest.mark.parametrize("mods, subset", [
+    ([2], None), ([3], None), ([4], None), ([2, 2], None), ([5], None),
+    ([2, 2, 2], None), ([6], (0, 1, 5)),
+])
+def test_delta_of_group_matches_per_vector_scan(mods, subset):
+    group = make_group(mods)
+    if subset is not None:
+        subset = [elements(group)[i] for i in subset]
+    for bound in range(11):
+        report = delta_of_group(group, subset, bound)
+        assert (report.distances, report.exact) == reference_delta(group, subset, bound), bound
 
 
 def test_delta_star_order_cap():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zslen import invariants
 from zslen.errors import InvalidArgumentError
 from zslen.group import make_group
 from zslen.invariants import closed_form_system, delta_of_group
@@ -147,3 +148,18 @@ def test_density_rows_c3(c3):
     assert rows[8] == Fraction(7, 8)
     target = Fraction(5, 6)
     assert all(abs(rows[2 * k] - target) <= Fraction(1, 10) for k in (4, 5))
+
+
+def test_structure_fit_walks_its_system_once(monkeypatch):
+    # the difference candidates come from the fitted system, not a second walk
+    walks = []
+    original = invariants.zero_sum_vectors
+
+    def counted(*args):
+        walks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(invariants, "zero_sum_vectors", counted)
+    report = verify_structure_theorem(make_group([3, 3]), 9)
+    assert report.ok and report.candidates == (1,)
+    assert len(walks) == 1
