@@ -6,7 +6,6 @@ forms used as oracles.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +14,7 @@ from .atoms import AtomSet, atoms_over, build_atoms, davenport, enumerate_atoms,
 from .errors import InvalidArgumentError, ResourceLimitError, VerificationError
 from .group import FiniteAbelianGroup, GroupElement, elements, order_of
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, delta_of, engine_for, length_set
-from .sequence import Sequence, mul, negate, sigma, zero_sum_vectors
+from .sequence import Sequence, mul, negate, sigma, zero_sum_keys
 
 DEFAULT_PRODUCT_LIMIT = 10**8
 DEFAULT_SUBSET_SCAN_MAX_ORDER = 12
@@ -65,19 +64,24 @@ def system(
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> SystemOfLengthSets:
     """Exact { L(B) : B in B(G0), |B| <= bound }: the one bounded scan of
-    B(G0), read by the distance sets and the structure fits."""
+    B(G0), read by the distance sets and the structure fits.
+
+    The engine's field is widened to hold the bound before the walk, so the
+    walk's packed keys go to the engine as they are; only the first key of
+    each distinct length set is unpacked, into its witness."""
     if bound < 0:
         raise InvalidArgumentError(f"bound must be nonnegative: {bound}")
     atoms = atoms_over(group, subset, atoms)
     alphabet = atoms.letters
     engine = engine_for(atoms, memo_limit)
-    first: dict[int, tuple[int, ...]] = {}  # length mask -> first vector
-    for vec in zero_sum_vectors(group, alphabet, bound):
-        first.setdefault(engine.lengths_mask(vec), vec)
+    lengths_mask = engine.lengths_mask
+    first: dict[int, int] = {}  # length mask -> first key
+    for key in zero_sum_keys(group, alphabet, bound, engine.widen(bound)):
+        first.setdefault(lengths_mask(key), key)
     entries = sorted(
         (
-            (LengthSet.from_mask(mask), Sequence.from_dense(group, alphabet, vec))
-            for mask, vec in first.items()
+            (LengthSet.from_mask(mask), Sequence.from_dense(group, alphabet, engine.unpack(key)))
+            for mask, key in first.items()
         ),
         key=lambda entry: entry[0].values,
     )
@@ -227,7 +231,9 @@ def unions_range(
 
     U_k is the union of L(B) over products B of exactly k atoms, which is
     complete because any B with k in L(B) is such a product.  Products are
-    built level by level and deduplicated by canonical exponent vector
+    built level by level as engine keys: the field is first widened to
+    hold k_max times the largest atom entry, so a product of packed atoms
+    is the sum of their keys, and a level is a set of ints, deduplicated
     before hitting the factorization engine.  Each level forms
     len(previous level) * len(atoms) products; their running total is
     charged against product_limit before the level is formed.
@@ -238,19 +244,20 @@ def unions_range(
         atoms = enumerate_atoms(group)
     engine = engine_for(atoms, memo_limit)
     atom_vectors = atoms.vectors()
+    engine.widen(k_max * max(map(max, atom_vectors)))
+    packed = [engine.pack(a) for a in atom_vectors]
+    lengths_mask = engine.lengths_mask
     out: dict[int, UnionOfLengths] = {}
-    level: set[tuple[int, ...]] = {(0,) * len(atoms.letters)}
+    level = {0}
     formed = 0
     for k in range(1, k_max + 1):
-        formed += len(level) * len(atom_vectors)
+        formed += len(level) * len(packed)
         if formed > product_limit:
             raise ResourceLimitError("atom products", product_limit, formed)
-        level = {
-            tuple(map(operator.add, b, a)) for b in level for a in atom_vectors
-        }
+        level = {b + a for b in level for a in packed}
         union_mask = 0
-        for vec in level:
-            union_mask |= engine.lengths_mask(vec)
+        for key in level:
+            union_mask |= lengths_mask(key)
         out[k] = UnionOfLengths(k, LengthSet.from_mask(union_mask).values)
     return out
 
@@ -414,12 +421,12 @@ def is_half_factorial(
         ls = length_set(witness, atoms, memo_limit)
         return HalfFactorialVerdict("no-with-witness", witness, ls)
     engine = engine_for(atoms, memo_limit)
-    for vec in zero_sum_vectors(group, alphabet, bound):
-        mask = engine.lengths_mask(vec)
+    for key in zero_sum_keys(group, alphabet, bound, engine.widen(bound)):
+        mask = engine.lengths_mask(key)
         if mask.bit_count() > 1:
             return HalfFactorialVerdict(
                 "no-with-witness",
-                Sequence.from_dense(group, alphabet, vec),
+                Sequence.from_dense(group, alphabet, engine.unpack(key)),
                 LengthSet.from_mask(mask),
             )
     return HalfFactorialVerdict("yes-up-to-bound")
@@ -452,18 +459,20 @@ def has_two_D_lengthset(
     dav, _ = davenport(group, atoms)
     engine = engine_for(atoms, memo_limit)
     target = LengthSet.of([2, dav]).to_mask()
-    ordered = sorted(atoms.vectors(), key=lambda v: -sum(v))
-    seen: set[tuple[int, ...]] = set()
+    vectors = atoms.vectors()
+    engine.widen(2 * max(map(max, vectors)))
+    ordered = [engine.pack(v) for v in sorted(vectors, key=lambda v: -sum(v))]
+    seen: set[int] = set()
     scanned = 0
     for i, u in enumerate(ordered):
         for v in ordered[i:]:
-            prod = tuple(x + y for x, y in zip(u, v))
+            prod = u + v
             if prod in seen:
                 continue
             seen.add(prod)
             scanned += 1
             if engine.lengths_mask(prod) == target:
-                witness = Sequence.from_dense(group, atoms.letters, prod)
+                witness = Sequence.from_dense(group, atoms.letters, engine.unpack(prod))
                 return TwoDavenportReport(group, dav, True, witness, scanned)
     return TwoDavenportReport(group, dav, False, None, scanned)
 

@@ -27,6 +27,16 @@ insertion order, so any nonnegative entry is answered exactly.  A query of
 the wrong width or with a negative or non-integer entry raises
 InvalidArgumentError and stores nothing.
 
+The whole-monoid scans query with packed keys, not tuples.  A scan first
+calls widen(top) with the largest entry it will form, which re-keys the
+memo at most once and returns the field width in bits.  It then builds
+its keys at that width (the zero-sum walk yields them; sums of atoms
+packed with pack() are keys too) and unpacks only the witnesses it
+reports.  Fixing the width first is what keeps those keys valid: neither
+a key query nor pack() widens the field.  A key that is negative or has
+a bit beyond the width's fields raises InvalidArgumentError and stores
+nothing.
+
 engine_for keeps one engine per memo limit on the AtomSet itself, so the
 memo lives as long as the atom set and there is no module-level table.
 """
@@ -191,11 +201,38 @@ class FactorizationEngine:
         self._field_bytes = nbytes
         self._field_bits = bits = 8 * nbytes
         self._field_mask = (1 << bits) - 1
+        self._key_bits = bits * self.width
         self._divisors = [
             (all_bits, [(i * bits, row, cap) for i, row, cap in rows],
              [_pack(a, nbytes) for a in bucket])
             for (all_bits, rows), bucket in zip(self._index, self._by_pivot)
         ]
+
+    def widen(self, top: int) -> int:
+        """Widen the field, if needed, so that entries up to top fit; the
+        field width in bits, at which a scan then packs its keys."""
+        if not isinstance(top, int) or top < 0:
+            raise InvalidArgumentError(f"largest entry must be a nonnegative integer: {top!r}")
+        nbytes = _bytes_for(top)
+        if nbytes > self._field_bytes:
+            self._set_field(nbytes)
+        return self._field_bits
+
+    def pack(self, vec: tuple[int, ...]) -> int:
+        """The key of vec at the current field width.  Unlike a tuple query
+        it never widens the field, so keys packed earlier stay valid; an
+        entry the field cannot hold raises InvalidArgumentError."""
+        if len(vec) != self.width or any(
+            not isinstance(x, int) or not 0 <= x <= self._field_mask for x in vec
+        ):
+            raise InvalidArgumentError(
+                f"{vec} is not {self.width} fields of {self._field_bits} bits"
+            )
+        return _pack(vec, self._field_bytes)
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The vector of a packed key at the current field width."""
+        return _unpack(key, self.width, self._field_bytes)
 
     def _key(self, vec: tuple[int, ...]) -> int:
         """The packed key of a query vector, widening the field if an entry
@@ -229,17 +266,24 @@ class FactorizationEngine:
                     break
         return bits, bucket
 
-    def lengths_mask(self, vec: tuple[int, ...]) -> int:
+    def lengths_mask(self, vec: tuple[int, ...] | int) -> int:
         """Bitmask of L(vec); 0 when no factorization exists.
 
-        vec must have the engine's width and nonnegative integer entries.
+        vec is either a tuple of the engine's width with nonnegative
+        integer entries, or a key packed at the current field width.
         Every frame on the stack is a vector not yet in the memo that will
         be stored there, so a new frame is refused once the memo and the
         stack together would pass memo_limit: the limit then bounds the
         stack too, and fires for exactly the queries that would overflow
         the memo.
         """
-        vec = self._key(vec)
+        if type(vec) is int:  # cheaper than isinstance on the tuple path
+            if vec < 0 or vec >> self._key_bits:
+                raise InvalidArgumentError(
+                    f"key {vec} is not {self.width} fields of {self._field_bits} bits"
+                )
+        else:
+            vec = self._key(vec)
         memo = self._memo
         cached = memo.get(vec)
         if cached is not None:

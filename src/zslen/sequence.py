@@ -180,23 +180,30 @@ def canonical_subset(group: FiniteAbelianGroup, subset: Iterable[GroupElement] |
     return tuple(sorted(out, key=lambda g: g.coords))
 
 
-def zero_sum_vectors(
+def zero_sum_keys(
     group: FiniteAbelianGroup,
     alphabet: tuple[GroupElement, ...],
     max_length: int,
-) -> Iterator[tuple[int, ...]]:
-    """Dense exponent vectors over `alphabet` of all zero-sum sequences with
-    length <= max_length.
+    field_bits: int,
+) -> Iterator[int]:
+    """Packed exponent vectors over `alphabet` of all zero-sum sequences
+    with length <= max_length: the count of letter i sits in the unsigned
+    field of field_bits bits at bit i * field_bits, the key layout of
+    FactorizationEngine.  The fields must hold max_length.
 
     Order: length ascending, then lexicographic on the vector.  Each length
     is walked depth-first over the letters with multiplicities ascending,
     pruned by an exact-length reach table: exact[i][r] is a bitmask over
     element indices of the sums of exactly r terms from letters i onward.
     A branch is entered only when its partial sum can still return to zero,
-    so every leaf is a result.
+    so every leaf is a result.  The last letter's count is forced, so the
+    walk stops one letter early and emits its leaves there, as it does a
+    branch with no terms left to place.
     """
     if max_length < 0:
         raise InvalidArgumentError(f"max_length must be nonnegative: {max_length}")
+    if max_length >> field_bits:
+        raise InvalidArgumentError(f"{field_bits}-bit fields cannot hold {max_length}")
     tab = tables(group)
     add, neg = tab.add, tab.neg
     letters = [tab.index[g] for g in alphabet]
@@ -214,31 +221,47 @@ def zero_sum_vectors(
                 moved |= 1 << add[low.bit_length() - 1][w]
                 sums ^= low
             row[r] = rest[r] | moved
-    vec = [0] * m
+    last = (m - 1) * field_bits
 
-    def rec(i: int, r: int, s: int):
-        # invariant: neg[s] is in exact[i][r]
-        if r == 0:
-            yield tuple(vec)
-            return
-        if i == m - 1:
-            vec[i] = r
-            yield tuple(vec)
-            vec[i] = 0
-            return
-        w, rest = letters[i], exact[i + 1]
+    def rec(i: int, r: int, s: int, key: int):
+        # invariant: i <= m - 2, r > 0 and neg[s] is in exact[i][r]
+        w, rest, step = letters[i], exact[i + 1], 1 << i * field_bits
         x = s
+        if i == m - 2:
+            for k in range(r + 1):
+                if k:
+                    x = add[x][w]
+                if rest[r - k] >> neg[x] & 1:
+                    yield key + k * step + (r - k << last)
+            return
         for k in range(r + 1):
             if k:
                 x = add[x][w]
             if rest[r - k] >> neg[x] & 1:
-                vec[i] = k
-                yield from rec(i + 1, r - k, x)
-        vec[i] = 0
+                if k == r:
+                    yield key + k * step
+                else:
+                    yield from rec(i + 1, r - k, x, key + k * step)
 
     for length in range(max_length + 1):
         if exact[0][length] & 1:
-            yield from rec(0, length, 0)
+            if length == 0 or m == 1:
+                yield length  # the empty vector, or length copies of the one letter
+            else:
+                yield from rec(0, length, 0, 0)
+
+
+def zero_sum_vectors(
+    group: FiniteAbelianGroup,
+    alphabet: tuple[GroupElement, ...],
+    max_length: int,
+) -> Iterator[tuple[int, ...]]:
+    """zero_sum_keys unpacked into dense exponent vectors, in its order."""
+    bits = max(1, max_length.bit_length())
+    fmask = (1 << bits) - 1
+    offsets = [i * bits for i in range(len(alphabet))]
+    for key in zero_sum_keys(group, alphabet, max_length, bits):
+        yield tuple(key >> off & fmask for off in offsets)
 
 
 def enumerate_zero_sum(

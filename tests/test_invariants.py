@@ -1,8 +1,12 @@
+import functools
 import hashlib
 import json
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zslen import invariants
 from zslen.atoms import davenport, enumerate_atoms
@@ -24,7 +28,7 @@ from zslen.invariants import (
     union_k,
     unions_range,
 )
-from zslen.lengths import LengthSet, engine_for, exhaustive_length_set, length_set, mask_gaps
+from zslen.lengths import FactorizationEngine, LengthSet, engine_for, exhaustive_length_set, length_set, mask_gaps
 from zslen.sequence import canonical_subset, enumerate_zero_sum, parse_sequence, zero_sum_vectors
 
 
@@ -188,6 +192,48 @@ def test_union_limit_charges_products_formed():
     with pytest.raises(ResourceLimitError) as info:
         unions_range(group, 7, atoms, product_limit=671)
     assert info.value.reached == 672
+
+
+@functools.lru_cache(maxsize=None)
+def reference_unions(mods: tuple[int, ...], k_max: int) -> dict[int, tuple[int, ...]]:
+    """The level walk unions_range ran before it packed keys: each level a
+    set of exponent tuples, each tuple queried on a fresh engine."""
+    atoms = enumerate_atoms(make_group(list(mods)))
+    engine = FactorizationEngine(atoms.vectors())
+    level = {(0,) * len(atoms.letters)}
+    out = {}
+    for k in range(1, k_max + 1):
+        level = {tuple(map(operator.add, b, a)) for b in level for a in atoms.vectors()}
+        mask = 0
+        for vec in level:
+            mask |= engine.lengths_mask(vec)
+        out[k] = LengthSet.from_mask(mask).values
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(3,), (4,), (2, 2), (5,), (2, 4)]), st.integers(1, 5))
+def test_unions_range_matches_tuple_level_walk(mods, k_max):
+    unions = unions_range(make_group(list(mods)), k_max)
+    reference = reference_unions(mods, 5)
+    assert {k: u.values for k, u in unions.items()} == {k: reference[k] for k in range(1, k_max + 1)}
+
+
+def test_unions_with_two_byte_fields():
+    # level entries of C2 reach 2 * 130 = 260, past one byte per field
+    group = make_group([2])
+    atoms = enumerate_atoms(group)
+    unions = unions_range(group, 130, atoms)
+    assert engine_for(atoms).widen(0) == 16
+    assert [u.values for u in unions.values()] == [(k,) for k in range(1, 131)]
+    assert engine_for(atoms).memo_size == 8646
+
+
+def test_system_with_two_byte_fields():
+    group = make_group([1])
+    sys_ = system(group, None, 300)
+    assert [(ls.values, wit.length) for ls, wit in sys_.entries] == [((n,), n) for n in range(301)]
+    assert engine_for(enumerate_atoms(group)).widen(0) == 16
 
 
 # -- distance sets ------------------------------------------------------------------

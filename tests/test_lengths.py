@@ -24,7 +24,7 @@ from zslen.lengths import (
     shift,
     sumset,
 )
-from zslen.sequence import Sequence, enumerate_zero_sum, mul, parse_sequence
+from zslen.sequence import Sequence, enumerate_zero_sum, mul, parse_sequence, zero_sum_vectors
 
 
 def L(*values):
@@ -326,6 +326,55 @@ def test_widening_keeps_answers_and_memo(c3):
     both.lengths_mask(wide)
     both.lengths_mask(small)
     assert engine.memo_size == both.memo_size
+
+
+def test_widen_fixes_the_field_once(c3):
+    engine = FactorizationEngine(enumerate_atoms(c3).vectors())
+    assert engine.widen(0) == engine.widen(255) == 8
+    engine.lengths_mask((0, 3, 0))
+    assert engine.widen(256) == 16
+    assert engine.widen(3) == 16  # never narrows
+    assert engine.lengths_mask((0, 3, 0)) == 1 << 1
+    assert engine.memo_size == 2
+    with pytest.raises(InvalidArgumentError):
+        engine.widen(-1)
+
+
+def test_pack_never_widens(c3):
+    engine = FactorizationEngine(enumerate_atoms(c3).vectors())
+    assert engine.pack((1, 2, 255)) == 1 | 2 << 8 | 255 << 16
+    for vec in [(0, 256, 0), (0, -1, 0), (0, 1.5, 0), (1, 2)]:
+        with pytest.raises(InvalidArgumentError):
+            engine.pack(vec)
+    assert engine.widen(0) == 8
+
+
+@pytest.mark.parametrize("top", [0, 300])
+def test_engine_rejects_malformed_keys(c3, top):
+    engine = FactorizationEngine(enumerate_atoms(c3).vectors())
+    bits = engine.widen(top)
+    for key in (-1, -(1 << bits), 1 << 3 * bits, (1 << 3 * bits) | 3, 1 << 4 * bits):
+        with pytest.raises(InvalidArgumentError):
+            engine.lengths_mask(key)
+        assert engine.memo_size == 1
+    # the last field's bits are all read: [2:3] is an atom, and [2:128] and
+    # [2:32768] (the field's top bit) have no factorization
+    assert engine.lengths_mask(3 << 2 * bits) == 1 << 1
+    assert engine.lengths_mask(1 << 3 * bits - 1) == 0
+
+
+@pytest.mark.parametrize("top", [0, 300])
+def test_key_query_matches_tuple_query(c33, top):
+    atoms = enumerate_atoms(c33)
+    by_key = FactorizationEngine(atoms.vectors())
+    by_tuple = FactorizationEngine(atoms.vectors())
+    bits = by_key.widen(top)
+    for vec in zero_sum_vectors(c33, atoms.letters, 7):
+        key = by_key.pack(vec)
+        assert key == sum(x << i * bits for i, x in enumerate(vec))
+        assert by_key.unpack(key) == vec
+        assert by_key.lengths_mask(key) == by_tuple.lengths_mask(vec)
+    assert by_key.memo_size == by_tuple.memo_size
 
 
 def test_warm_length_set_builds_no_elements_or_length_sets(c33, monkeypatch):

@@ -17,6 +17,7 @@ from zslen.sequence import (
     parse_sequence,
     quotient,
     sigma,
+    zero_sum_keys,
     zero_sum_vectors,
 )
 
@@ -188,6 +189,19 @@ def test_zero_sum_vectors_match_brute_force(instance):
     assert list(zero_sum_vectors(group, alphabet, max_length)) == brute_zero_sum_vectors(
         group, alphabet, max_length
     )
+
+
+@pytest.mark.parametrize("field_bits", [3, 8, 16])
+def test_zero_sum_keys_unpack_to_the_vectors(c33, field_bits):
+    alphabet = elements(c33)
+    fmask = (1 << field_bits) - 1
+    unpacked = [
+        tuple(key >> i * field_bits & fmask for i in range(len(alphabet)))
+        for key in zero_sum_keys(c33, alphabet, 5, field_bits)
+    ]
+    assert unpacked == list(zero_sum_vectors(c33, alphabet, 5))
+    with pytest.raises(InvalidArgumentError):
+        next(zero_sum_keys(c33, alphabet, 8, 3))
 
 
 def test_zero_sum_vectors_edges(c3, c33):

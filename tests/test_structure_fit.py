@@ -153,13 +153,13 @@ def test_density_rows_c3(c3):
 def test_structure_fit_walks_its_system_once(monkeypatch):
     # the difference candidates come from the fitted system, not a second walk
     walks = []
-    original = invariants.zero_sum_vectors
+    original = invariants.zero_sum_keys
 
     def counted(*args):
         walks.append(args)
         return original(*args)
 
-    monkeypatch.setattr(invariants, "zero_sum_vectors", counted)
+    monkeypatch.setattr(invariants, "zero_sum_keys", counted)
     report = verify_structure_theorem(make_group([3, 3]), 9)
     assert report.ok and report.candidates == (1,)
     assert len(walks) == 1
