@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import logging
 import os
 import sys
 import time
@@ -58,7 +59,7 @@ from .sequence import (
 )
 from .structure_fit import best_aamp, fit_aamp, verify_structure_theorem
 from .transfer import check_atom_correspondence, check_transfer, make_instance
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -67,6 +68,8 @@ EXIT_RESOURCE_LIMIT = 3
 EXIT_INTERNAL_ERROR = 4
 
 REPORT_SCHEMA = "zslen-report/1"
+
+log = logging.getLogger(__name__)
 
 
 def _parse_group(text: str, max_order: int | None) -> FiniteAbelianGroup:
@@ -127,19 +130,18 @@ def _get_atoms(group: FiniteAbelianGroup, subset, args) -> AtomSet:
     if atoms is None:
         atoms = enumerate_atoms(group, subset, node_limit=args.node_limit)
         if cache_dir:
-            cache_store(cache_dir, atoms)
+            try:
+                cache_store(cache_dir, atoms)
+            except OSError as exc:  # the cache is advisory, as a failed load is
+                log.warning("cannot store atom cache in %s (%s); continuing", cache_dir, exc)
     _TOUCHED_ATOMS.append(atoms)
     return atoms
 
 
-def _resource_counters(args) -> dict:
+def _resource_counters() -> dict:
     return {
         "atom_lattice_nodes": sum(a.nodes_visited for a in _TOUCHED_ATOMS),
-        "memo_entries": sum(
-            engine.memo_size
-            for a in _TOUCHED_ATOMS
-            if (engine := a.engines.get(args.memo_limit)) is not None
-        ),
+        "memo_entries": sum(e.memo_size for a in _TOUCHED_ATOMS for e in a.engines.values()),
     }
 
 
@@ -278,10 +280,10 @@ def cmd_fit(args):
     if args.d is not None:
         period = _parse_ints(args.period) if args.period else [0, args.d]
         fit = fit_aamp(ls, args.d, period)
-    elif args.candidates:
-        fit = best_aamp(ls, _parse_ints(args.candidates))
+    elif args.period is not None:
+        raise InvalidArgumentError("--period needs --d")
     else:
-        raise InvalidArgumentError("fit needs --d (with optional --period) or --candidates")
+        fit = best_aamp(ls, _parse_ints(args.candidates))
     return {"set": list(ls.values), "fit": _fit_payload(fit)}, []
 
 
@@ -308,9 +310,13 @@ def cmd_verify_structure(args):
         }
     ]
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.report, "w") as fh:
+                json.dump(results, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            reason = f"cannot write report {args.report!r}: {exc.strerror}"
+            raise InvalidArgumentError(reason) from None
     return results, verdicts
 
 
@@ -373,17 +379,9 @@ def cmd_transfer_check(args):
 
 
 def cmd_verify(args):
-    group = _parse_group(args.group, args.max_order) if args.group else None
-    verdicts = run_suite(
-        args.suite,
-        group,
-        args.bound,
-        args.k_max,
-        args.samples,
-        args.seed,
-        args.primes_per_class,
-        args.small,
-    )
+    group = _parse_group(args.group, args.max_order) if "group" in args else None
+    options = {dest: getattr(args, dest) for dest in SUITES[args.suite].options}
+    verdicts = run_suite(args.suite, group, **options)
     results = {
         "suite": args.suite,
         "passed": sum(1 for v in verdicts if v.passed),
@@ -396,20 +394,23 @@ def cmd_verify(args):
 # -- argument parsing and report assembly --------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json",
-                   help="output format (csv only for tabular commands)")
-    p.add_argument("--cache-dir", default=None,
-                   help=f"atom cache directory (or ${ENV_CACHE_DIR})")
-    p.add_argument("--stable", action="store_true",
-                   help="omit timing so identical runs are byte-identical")
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT,
-                   help="lattice node ceiling for atom enumeration")
-    p.add_argument("--memo-limit", type=int, default=DEFAULT_MEMO_LIMIT,
-                   help="memo table ceiling for the factorization engine")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                   help="group order cap")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+# the options several commands read; each command names the ones its
+# handler reads, so an option it would ignore is a usage error
+_SHARED = {
+    "--format": dict(choices=("json", "csv", "text"), default="json",
+                     help="output format (csv only for tabular commands)"),
+    "--stable": dict(action="store_true",
+                     help="omit timing so identical runs are byte-identical"),
+    "--group": dict(required=True, help="comma list of moduli, e.g. 3,3"),
+    "--subset": dict(default="all", help="all | nonzero | explicit elements"),
+    "--bound": dict(type=int, required=True, help="sequence length bound"),
+    "--max-order": dict(type=int, default=DEFAULT_MAX_ORDER, help="group order cap"),
+    "--node-limit": dict(type=int, default=DEFAULT_NODE_LIMIT,
+                         help="lattice node ceiling for atom enumeration"),
+    "--memo-limit": dict(type=int, default=DEFAULT_MEMO_LIMIT,
+                         help="memo table ceiling for the factorization engine"),
+    "--cache-dir": dict(default=None, help=f"atom cache directory (or ${ENV_CACHE_DIR})"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,73 +422,74 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"zslen {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kw):
-        p = sub.add_parser(name, **kw)
-        _add_common(p)
+    # one parent parser per shared option: a command copies the options it
+    # reads from them, which costs less than adding each one again
+    shared = {}
+    for flag, kw in _SHARED.items():
+        shared[flag] = argparse.ArgumentParser(add_help=False)
+        shared[flag].add_argument(flag, **kw)
+
+    def add(subparsers, name, flags, **kw):
+        flags = ["--format", "--stable", *flags.split()]
+        return subparsers.add_parser(name, parents=[shared[f] for f in flags], **kw)
+
+    def command(name, handler, flags, **kw):
+        p = add(sub, name, flags, **kw)
         p.set_defaults(handler=handler)
         return p
 
-    p = add("atoms", cmd_atoms, help="enumerate minimal zero-sum sequences")
-    p.add_argument("--group", required=True, help="comma list of moduli, e.g. 3,3")
-    p.add_argument("--subset", default="all", help="all | nonzero | explicit elements")
-
-    p = add("davenport", cmd_davenport, help="Davenport constant and witness")
-    p.add_argument("--group", required=True)
-
-    p = add("lengths", cmd_lengths, help="set of lengths of one sequence")
-    p.add_argument("--group", required=True)
+    # what _parse_group and _get_atoms read
+    walk = "--group --max-order --node-limit --cache-dir"
+    command("atoms", cmd_atoms, f"{walk} --subset", help="enumerate minimal zero-sum sequences")
+    command("davenport", cmd_davenport, walk, help="Davenport constant and witness")
+    p = command("lengths", cmd_lengths, f"{walk} --memo-limit",
+                help="set of lengths of one sequence")
     p.add_argument("--sequence", required=True, help='e.g. "[1:3,2:3]"')
-
-    p = add("system", cmd_system, help="system of sets of lengths up to a bound")
-    p.add_argument("--group", required=True)
-    p.add_argument("--subset", default="all")
-    p.add_argument("--bound", type=int, required=True)
-
-    p = add("unions", cmd_unions, help="unions of sets of lengths U_k")
-    p.add_argument("--group", required=True)
+    command("system", cmd_system, f"{walk} --memo-limit --subset --bound",
+            help="system of sets of lengths up to a bound")
+    p = command("unions", cmd_unions, f"{walk} --memo-limit",
+                help="unions of sets of lengths U_k")
     p.add_argument("--k", required=True, help="single k or range, e.g. 1..6")
+    command("delta", cmd_delta, f"{walk} --memo-limit --subset --bound",
+            help="accumulated distance set")
+    command("delta-star", cmd_delta_star,
+            "--group --max-order --node-limit --memo-limit --bound",
+            help="minimal distances over subsets")
 
-    p = add("delta", cmd_delta, help="accumulated distance set")
-    p.add_argument("--group", required=True)
-    p.add_argument("--subset", default="all")
-    p.add_argument("--bound", type=int, required=True)
-
-    p = add("delta-star", cmd_delta_star, help="minimal distances over subsets")
-    p.add_argument("--group", required=True)
-    p.add_argument("--bound", type=int, required=True)
-
-    p = add("fit", cmd_fit, help="AAMP fit of an explicit set")
+    p = command("fit", cmd_fit, "", help="AAMP fit of an explicit set")
     p.add_argument("--set", required=True, help='comma list, e.g. "2,3,7,8"')
-    p.add_argument("--d", type=int, default=None, help="difference")
-    p.add_argument("--period", default=None, help='period, e.g. "0,1,5"')
-    p.add_argument("--candidates", default=None,
-                   help="candidate differences for a best fit")
-    p = add("verify-structure", cmd_verify_structure,
-            help="AAMP fits across a whole system")
-    p.add_argument("--group", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    how = p.add_mutually_exclusive_group(required=True)
+    how.add_argument("--d", type=int, default=None, help="difference")
+    how.add_argument("--candidates", default=None, help="candidate differences for a best fit")
+    p.add_argument("--period", default=None, help='period for --d, e.g. "0,1,5"')
+
+    p = command("verify-structure", cmd_verify_structure, "--group --max-order --bound",
+                help="AAMP fits across a whole system")
     p.add_argument("--report", default=None, help="also write results to this file")
 
-    p = add("numerical", cmd_numerical, help="numerical monoid invariants")
+    p = command("numerical", cmd_numerical, "", help="numerical monoid invariants")
     p.add_argument("--gens", required=True, help='comma list, e.g. "3,5,7"')
     p.add_argument("--n", type=int, default=None, help="element to factor")
 
-    p = add("transfer-check", cmd_transfer_check,
-            help="transfer homomorphism cross-checks")
-    p.add_argument("--group", required=True)
-    p.add_argument("--subset", default="all")
+    p = command("transfer-check", cmd_transfer_check,
+                "--group --max-order --node-limit --memo-limit --subset",
+                help="transfer homomorphism cross-checks")
+    p.add_argument("--seed", type=int, default=0, help="seed for the sampled words")
     p.add_argument("--primes-per-class", type=int, default=2)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--max-word-length", type=int, default=10)
 
-    p = add("verify", cmd_verify, help="run a named verification suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--group", default=None)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--primes-per-class", type=int, default=2)
-    p.add_argument("--small", action="store_true", help="CI-scale bundle")
+    p = sub.add_parser("verify", help="run a named verification suite")
+    p.set_defaults(handler=cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True)
+    for name, suite in SUITES.items():
+        s = add(suites, name, "--group --max-order" if suite.on_group else "")
+        for dest, default in suite.options.items():
+            flag = "--" + dest.replace("_", "-")
+            if isinstance(default, bool):
+                s.add_argument(flag, action="store_true")
+            else:
+                s.add_argument(flag, type=int, default=default, help=f"default {default}")
 
     return parser
 
@@ -561,7 +563,7 @@ def main(argv=None) -> int:
         results, verdicts = args.handler(args)
         report["results"] = results
         report["verdicts"] = verdicts
-        report["resources"] = _resource_counters(args)
+        report["resources"] = _resource_counters()
         if not args.stable:
             report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
         if args.format == "json":

@@ -405,7 +405,8 @@ def is_half_factorial(
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> HalfFactorialVerdict:
     """Exact for G0 = G via the |G| <= 2 criterion, with the classical
-    witness relation otherwise; bounded scan for proper subsets."""
+    witness relation otherwise; reads `system` to the bound for proper
+    subsets."""
     atoms = atoms_over(group, subset)
     alphabet = atoms.letters
     if alphabet == elements(group):
@@ -420,16 +421,14 @@ def is_half_factorial(
             witness = Sequence.make(group, {e1: 2, e2: 2, e1 + e2: 2})  # U^2 = V0V1V2
         ls = length_set(witness, atoms, memo_limit)
         return HalfFactorialVerdict("no-with-witness", witness, ls)
-    engine = engine_for(atoms, memo_limit)
-    for key in zero_sum_keys(group, alphabet, bound, engine.widen(bound)):
-        mask = engine.lengths_mask(key)
-        if mask.bit_count() > 1:
-            return HalfFactorialVerdict(
-                "no-with-witness",
-                Sequence.from_dense(group, alphabet, engine.unpack(key)),
-                LengthSet.from_mask(mask),
-            )
-    return HalfFactorialVerdict("yes-up-to-bound")
+    entries = system(group, subset, bound, atoms, memo_limit).entries
+    multi = [(ls, w) for ls, w in entries if len(ls) > 1]
+    if not multi:
+        return HalfFactorialVerdict("yes-up-to-bound")
+    # the first multi-length sequence of the walk, as each entry's witness
+    # is the first of its length set in (length, lex) order
+    ls, witness = min(multi, key=lambda entry: (entry[1].length, entry[1].dense(alphabet)))
+    return HalfFactorialVerdict("no-with-witness", witness, ls)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,16 @@
 Each suite returns a list of verdicts (name, pass flag, witness text); the
 CLI turns any failed verdict into exit code 1.  The flag is None when a
 bounded scan was too small to decide the claim: undecided, not failed.  Witnesses always carry the
-concrete inputs so a failure can be replayed by hand.
+concrete inputs so a failure can be replayed by hand.  `SUITES` holds each
+suite's function and the options it reads with their defaults; the CLI
+builds each suite's options from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .atoms import davenport, enumerate_atoms
 from .errors import InvalidArgumentError
@@ -25,19 +28,6 @@ from .invariants import (
 from .numerical import accumulated_delta, make_numerical
 from .structure_fit import verify_structure_theorem, verify_unions_structure
 from .transfer import check_atom_correspondence, check_transfer, make_instance
-
-SUITE_NAMES = (
-    "prop2.3",
-    "prop6.1",
-    "prop6.2",
-    "prop6.5",
-    "thm2.6",
-    "thm5.3",
-    "thm6.3.1",
-    "lemma4.2",
-    "all",
-)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -227,45 +217,6 @@ def verify_lemma_4_2(
     return out
 
 
-def run_suite(
-    name: str,
-    group: FiniteAbelianGroup | None,
-    bound: int | None,
-    k_max: int | None,
-    samples: int | None,
-    seed: int,
-    primes_per_class: int,
-    small: bool = False,
-) -> list[Verdict]:
-    """Dispatch a named suite; `all` runs the bundled acceptance set.  Only
-    a parameter left at None takes the suite's default: 0 is kept."""
-    if name != "all" and group is None:
-        raise InvalidArgumentError(f"suite {name!r} requires --group")
-
-    def given(value: int | None, default: int) -> int:
-        return default if value is None else value
-
-    if name == "prop2.3":
-        return verify_prop_2_3(group, given(bound, 10))
-    if name == "prop6.1":
-        return verify_prop_6_1(group, given(k_max, 6), given(bound, 10))
-    if name == "prop6.2":
-        return verify_prop_6_2(group, given(bound, 10))
-    if name == "prop6.5":
-        return verify_prop_6_5(group)
-    if name == "thm2.6":
-        return verify_thm_2_6(group, given(k_max, 10))
-    if name == "thm5.3":
-        return verify_thm_5_3(group, given(bound, 10))
-    if name == "thm6.3.1":
-        return verify_thm_6_3_1(group, given(samples, 200), seed)
-    if name == "lemma4.2":
-        return verify_lemma_4_2(group, primes_per_class, given(samples, 100), seed)
-    if name == "all":
-        return _run_all(small, seed)
-    raise InvalidArgumentError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-
-
 def _run_all(small: bool, seed: int) -> list[Verdict]:
     c2 = make_group([2])
     c3 = make_group([3])
@@ -301,3 +252,42 @@ def _run_all(small: bool, seed: int) -> list[Verdict]:
     if not small:
         out += verify_lemma_4_2(c22, 2, 100, seed)
     return out
+
+
+class Suite(NamedTuple):
+    """A named suite: its function, the options it reads with their
+    defaults, and whether it runs on one given group."""
+
+    run: Callable[..., list[Verdict]]
+    options: dict[str, int | bool]
+    on_group: bool = True
+
+
+SUITES = {
+    "prop2.3": Suite(verify_prop_2_3, {"bound": 10}),
+    "prop6.1": Suite(verify_prop_6_1, {"k_max": 6, "bound": 10}),
+    "prop6.2": Suite(verify_prop_6_2, {"bound": 10}),
+    "prop6.5": Suite(verify_prop_6_5, {}),
+    "thm2.6": Suite(verify_thm_2_6, {"k_max": 10}),
+    "thm5.3": Suite(verify_thm_5_3, {"bound": 10}),
+    "thm6.3.1": Suite(verify_thm_6_3_1, {"samples": 200, "seed": 0}),
+    "lemma4.2": Suite(verify_lemma_4_2, {"primes_per_class": 2, "samples": 100, "seed": 0}),
+    "all": Suite(_run_all, {"small": False, "seed": 0}, on_group=False),
+}
+
+
+def run_suite(name: str, group: FiniteAbelianGroup | None = None, **options) -> list[Verdict]:
+    """Run a named suite; `all` runs the bundled acceptance set.  An option
+    left out takes the suite's default, a given one (0 included) is used as
+    given, and one the suite does not read is an error."""
+    suite = SUITES.get(name)
+    if suite is None:
+        raise InvalidArgumentError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+    unread = sorted(set(options) - set(suite.options))
+    if unread:
+        raise InvalidArgumentError(f"suite {name!r} does not read {unread}")
+    if suite.on_group != (group is not None):
+        need = "requires" if suite.on_group else "takes no"
+        raise InvalidArgumentError(f"suite {name!r} {need} group")
+    options = {**suite.options, **options}
+    return suite.run(group, **options) if suite.on_group else suite.run(**options)

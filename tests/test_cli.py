@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import json
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 import zslen.cli as cli_mod
 from zslen.cli import main
+from zslen.errors import InvalidArgumentError
+from zslen.group import make_group
 
 
 def run(capsys, *argv):
@@ -339,3 +343,221 @@ def test_cli_fuzz_documented_exit_and_json(argv):
     assert code in {0, 1, 2, 3, 4}, argv
     report = json.loads(out.getvalue())
     assert report["command"] == argv[0]
+
+
+# -- option sets: each command and verify suite accepts only what it reads -------
+
+# {command: option dests}, and {"verify SUITE": option dests} for each suite.
+# An option enters this table only with a handler that reads it.
+OPTION_TABLE = {
+    "atoms": {"format", "stable", "group", "max_order", "node_limit", "cache_dir", "subset"},
+    "davenport": {"format", "stable", "group", "max_order", "node_limit", "cache_dir"},
+    "lengths": {"format", "stable", "group", "max_order", "node_limit", "cache_dir",
+                "memo_limit", "sequence"},
+    "system": {"format", "stable", "group", "max_order", "node_limit", "cache_dir",
+               "memo_limit", "subset", "bound"},
+    "unions": {"format", "stable", "group", "max_order", "node_limit", "cache_dir",
+               "memo_limit", "k"},
+    "delta": {"format", "stable", "group", "max_order", "node_limit", "cache_dir",
+              "memo_limit", "subset", "bound"},
+    "delta-star": {"format", "stable", "group", "max_order", "node_limit", "memo_limit",
+                   "bound"},
+    "fit": {"format", "stable", "set", "d", "candidates", "period"},
+    "verify-structure": {"format", "stable", "group", "max_order", "bound", "report"},
+    "numerical": {"format", "stable", "gens", "n"},
+    "transfer-check": {"format", "stable", "group", "max_order", "node_limit", "memo_limit",
+                       "subset", "seed", "primes_per_class", "samples", "max_word_length"},
+    "verify": set(),
+    "verify prop2.3": {"format", "stable", "group", "max_order", "bound"},
+    "verify prop6.1": {"format", "stable", "group", "max_order", "k_max", "bound"},
+    "verify prop6.2": {"format", "stable", "group", "max_order", "bound"},
+    "verify prop6.5": {"format", "stable", "group", "max_order"},
+    "verify thm2.6": {"format", "stable", "group", "max_order", "k_max"},
+    "verify thm5.3": {"format", "stable", "group", "max_order", "bound"},
+    "verify thm6.3.1": {"format", "stable", "group", "max_order", "samples", "seed"},
+    "verify lemma4.2": {"format", "stable", "group", "max_order", "primes_per_class",
+                        "samples", "seed"},
+    "verify all": {"format", "stable", "small", "seed"},
+}
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _option_dests(parser):
+    return {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+def test_option_sets_match_the_table():
+    table = {}
+    for name, parser in _subcommands(cli_mod.build_parser()).items():
+        table[name] = _option_dests(parser)
+        if name == "verify":
+            for suite, suite_parser in _subcommands(parser).items():
+                table[f"verify {suite}"] = _option_dests(suite_parser)
+    assert table == OPTION_TABLE
+
+
+# a valid invocation of each command and suite, without the option under test
+BASE_ARGV = {
+    "atoms": ["atoms", "--group", "3"],
+    "davenport": ["davenport", "--group", "3"],
+    "lengths": ["lengths", "--group", "3", "--sequence", "[1:3]"],
+    "system": ["system", "--group", "3", "--bound", "3"],
+    "unions": ["unions", "--group", "3", "--k", "1"],
+    "delta": ["delta", "--group", "3", "--bound", "3"],
+    "delta-star": ["delta-star", "--group", "3", "--bound", "3"],
+    "fit": ["fit", "--set", "2,3", "--d", "1"],
+    "verify-structure": ["verify-structure", "--group", "3", "--bound", "3"],
+    "numerical": ["numerical", "--gens", "3,5"],
+    "transfer-check": ["transfer-check", "--group", "3", "--samples", "1"],
+    "verify": ["verify", "prop2.3", "--group", "3"],
+    **{f"verify {suite}": ["verify", suite, "--group", "3"]
+       for suite in ("prop2.3", "prop6.1", "prop6.2", "prop6.5", "thm2.6", "thm5.3",
+                     "thm6.3.1", "lemma4.2")},
+    "verify all": ["verify", "all"],
+}
+OPTION_VALUE = {
+    "--cache-dir": ["cache"], "--node-limit": ["100"], "--memo-limit": ["100"],
+    "--max-order": ["64"], "--seed": ["1"], "--group": ["3"], "--bound": ["3"],
+    "--k-max": ["3"], "--samples": ["1"], "--primes-per-class": ["2"], "--small": [],
+}
+SUITE_CHOICES = ("--group", "--max-order", "--bound", "--k-max", "--samples",
+                 "--primes-per-class", "--small", "--seed")
+REMOVED = [
+    *[(cmd, opt) for cmd in ("atoms", "davenport") for opt in ("--memo-limit", "--seed")],
+    *[(cmd, "--seed") for cmd in ("lengths", "system", "unions", "delta")],
+    ("delta-star", "--cache-dir"), ("delta-star", "--seed"),
+    *[(cmd, opt) for cmd in ("fit", "numerical")
+      for opt in ("--cache-dir", "--node-limit", "--memo-limit", "--max-order", "--seed")],
+    *[("verify-structure", opt)
+      for opt in ("--cache-dir", "--node-limit", "--memo-limit", "--seed")],
+    ("transfer-check", "--cache-dir"),
+    *[("verify", opt) for opt in ("--cache-dir", "--node-limit", "--memo-limit")],
+    *[(f"verify {suite}", opt) for suite, kept in (
+        ("prop2.3", {"--group", "--max-order", "--bound"}),
+        ("prop6.1", {"--group", "--max-order", "--k-max", "--bound"}),
+        ("prop6.2", {"--group", "--max-order", "--bound"}),
+        ("prop6.5", {"--group", "--max-order"}),
+        ("thm2.6", {"--group", "--max-order", "--k-max"}),
+        ("thm5.3", {"--group", "--max-order", "--bound"}),
+        ("thm6.3.1", {"--group", "--max-order", "--samples", "--seed"}),
+        ("lemma4.2", {"--group", "--max-order", "--primes-per-class", "--samples", "--seed"}),
+        ("all", {"--small", "--seed"}),
+    ) for opt in SUITE_CHOICES if opt not in kept],
+]
+
+
+def test_removed_option_count():
+    # 28 command-level options and 43 suite options that nothing read
+    assert len(REMOVED) == len(set(REMOVED)) == 71
+
+
+@pytest.mark.parametrize("command, option", REMOVED)
+def test_option_a_command_does_not_read_is_a_usage_error(capsys, command, option):
+    base = BASE_ARGV[command]
+    cli_mod.build_parser().parse_args(base)  # valid without the option
+    with pytest.raises(SystemExit) as exc:
+        main([*base, option, *OPTION_VALUE[option]])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_fit_takes_d_or_candidates_not_both(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--set", "2,3", "--d", "1", "--candidates", "1"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_fit_period_needs_d(capsys):
+    code, report = run_json(capsys, "fit", "--set", "2,3", "--candidates", "1",
+                            "--period", "0,1")
+    assert code == 2
+    assert report["error"] == {"type": "invalid-argument", "reason": "--period needs --d"}
+
+
+CEILINGS = [
+    *[(argv, "--node-limit") for argv in (
+        ["atoms", "--group", "3,3"],
+        ["davenport", "--group", "3"],
+        ["lengths", "--group", "3", "--sequence", "[1:3,2:3]"],
+        ["system", "--group", "3", "--bound", "6"],
+        ["unions", "--group", "3", "--k", "1..3"],
+        ["delta", "--group", "3", "--bound", "6"],
+        ["delta-star", "--group", "3", "--bound", "6"],
+        ["transfer-check", "--group", "3", "--samples", "5"],
+    )],
+    *[(argv, "--memo-limit") for argv in (
+        ["lengths", "--group", "3", "--sequence", "[1:3,2:3]"],
+        ["system", "--group", "3", "--bound", "6"],
+        ["unions", "--group", "3", "--k", "1..3"],
+        ["delta", "--group", "3", "--bound", "6"],
+        ["delta-star", "--group", "3", "--bound", "6"],
+        ["transfer-check", "--group", "3", "--samples", "5"],
+    )],
+    *[(argv, "--max-order") for argv in (
+        ["atoms", "--group", "3"],
+        ["verify-structure", "--group", "3", "--bound", "4"],
+        ["verify", "prop2.3", "--group", "3"],
+    )],
+]
+
+
+@pytest.mark.parametrize("argv, ceiling", CEILINGS,
+                         ids=[f"{argv[0]} {ceiling}" for argv, ceiling in CEILINGS])
+def test_kept_ceiling_bounds_the_work(capsys, argv, ceiling):
+    code, report = run_json(capsys, *argv, ceiling, "1")
+    assert code == 3
+    assert report["error"]["type"] == "resource-limit"
+
+
+def test_verify_config_echoes_the_options_the_suite_read(capsys, monkeypatch):
+    calls = []
+
+    def record(*args, **options):
+        calls.append((args, options))
+        return []
+
+    monkeypatch.setattr(cli_mod, "run_suite", record)
+    code, report = run_json(capsys, "verify", "all", "--stable")
+    assert code == 0
+    assert report["config"] == {"seed": 0, "small": False, "suite": "all"}
+    assert calls[-1] == (("all", None), {"small": False, "seed": 0})
+    # a left-out option is echoed with the suite's default, not null
+    code, report = run_json(capsys, "verify", "prop6.1", "--group", "3", "--k-max", "0")
+    assert report["config"] == {"bound": 10, "group": "3", "k_max": 0, "max_order": 64,
+                                "suite": "prop6.1"}
+    assert calls[-1][1] == {"k_max": 0, "bound": 10}
+
+
+def test_run_suite_refuses_an_option_the_suite_does_not_read():
+    from zslen.verify import run_suite
+
+    with pytest.raises(InvalidArgumentError, match="does not read"):
+        run_suite("prop6.5", make_group([3]), bound=4)
+    with pytest.raises(InvalidArgumentError, match="requires"):
+        run_suite("prop2.3")
+    with pytest.raises(InvalidArgumentError, match="takes no"):
+        run_suite("all", make_group([3]))
+
+
+def test_unwritable_report_path_is_invalid_argument(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, report = run_json(capsys, "verify-structure", "--group", "3", "--bound", "4",
+                            "--report", str(path))
+    assert code == 2
+    assert report["error"]["type"] == "invalid-argument"
+    assert str(path) in report["error"]["reason"]
+
+
+def test_unwritable_cache_dir_warns_and_answers(capsys, caplog, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with caplog.at_level(logging.WARNING):
+        code, report = run_json(capsys, "atoms", "--group", "3", "--cache-dir", str(blocker))
+    assert code == 0
+    assert report["results"]["count"] == 4
+    assert "cannot store atom cache" in caplog.text

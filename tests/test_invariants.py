@@ -29,7 +29,13 @@ from zslen.invariants import (
     unions_range,
 )
 from zslen.lengths import FactorizationEngine, LengthSet, engine_for, exhaustive_length_set, length_set, mask_gaps
-from zslen.sequence import canonical_subset, enumerate_zero_sum, parse_sequence, zero_sum_vectors
+from zslen.sequence import (
+    Sequence,
+    canonical_subset,
+    enumerate_zero_sum,
+    parse_sequence,
+    zero_sum_vectors,
+)
 
 
 def L(*values):
@@ -377,6 +383,38 @@ def test_half_factorial_c22_witness(c22):
 def test_half_factorial_single_generator(c5):
     verdict = is_half_factorial(c5, [c5.element([1])], bound=10)
     assert verdict.kind == "yes-up-to-bound"
+
+
+def reference_half_factorial(group, subset, bound):
+    """The per-vector scan that is_half_factorial ran on a proper subset
+    before it read system(): the first zero-sum vector in (length, lex)
+    order with two or more lengths, on a fresh engine."""
+    alphabet = canonical_subset(group, subset)
+    engine = FactorizationEngine(enumerate_atoms(group, alphabet).vectors())
+    for vec in zero_sum_vectors(group, alphabet, bound):
+        mask = engine.lengths_mask(vec)
+        if mask.bit_count() > 1:
+            return Sequence.from_dense(group, alphabet, vec), LengthSet.from_mask(mask)
+    return None
+
+
+@pytest.mark.parametrize("mods, step", [
+    ([4], 1), ([2, 2], 1), ([5], 1), ([6], 1), ([2, 4], 1), ([3, 3], 7),
+])
+def test_half_factorial_subsets_match_per_vector_scan(mods, step):
+    # every nonempty proper subset (one in `step` for C3+C3) at four bounds
+    group = make_group(mods)
+    els = elements(group)
+    for mask in range(1, (1 << len(els)) - 1, step):
+        subset = [g for i, g in enumerate(els) if mask >> i & 1]
+        for bound in (0, 3, 6, 8):
+            verdict = is_half_factorial(group, subset, bound)
+            expected = reference_half_factorial(group, subset, bound)
+            if expected is None:
+                assert verdict.kind == "yes-up-to-bound", (subset, bound)
+            else:
+                assert verdict.kind == "no-with-witness", (subset, bound)
+                assert (verdict.witness, verdict.witness_lengths) == expected, (subset, bound)
 
 
 # -- {2, D(G)} criterion ---------------------------------------------------------------
