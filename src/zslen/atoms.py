@@ -8,12 +8,17 @@ no longer return to zero within the per-letter multiplicity caps.  The cap
 v(letter) <= ord(class(letter)) is safe: any vector exceeding it is
 divisible by the proper zero-sum power letter^ord.
 
-The dominance test runs against a DominanceIndex: for each letter i and
-multiplicity k one big-int bitset whose bit j marks the found atoms with
-entry i at most k.  A vector is dominated iff the AND of its m bitsets is
-nonzero, so a test costs m word-parallel ANDs (stopping at the first
-zero) however many atoms are known.  The same index checks that an atom
-list is an antichain (antichain_violations, and the cache validation).
+The dominance test is in complement form over big-int bitsets whose bit
+j marks found atom j: above[i][k] holds the atoms with entry i greater
+than k, and within[i] those whose last nonzero letter is at most i.  A
+node at depth i with partial vector v lies above an atom iff some bit of
+within[i] is in no above[l][v[l]], l <= i.  The OR of those rows over
+the fixed prefix l < i is carried down the recursion, so a test costs
+two big-int operations however many letters and atoms there are, and a
+new atom is ORed only into the rows below its own entries.
+DominanceIndex, the direct form (one AND per letter), checks that an atom
+list is an antichain (antichain_violations, and the cache validation)
+and finds the atoms dividing an element in the factorization engine.
 
 An AtomSet holds the walk's vectors over letters with classes, and owns
 the engines built over it.  Letters are labels: the elements of G0 for
@@ -42,6 +47,9 @@ class DominanceIndex:
 
     below[i][k] is an int whose bit j is set when vector j has entry i at
     most k, for k up to caps[i]; looked-up vectors must stay within caps.
+    A lookup ANDs one row per letter.  It serves divisible_pairs and the
+    factorization engine's divisor buckets; the atom walk keeps its own
+    complement-form rows (minimal_nonzero_vectors).
     """
 
     __slots__ = ("below", "size")
@@ -112,38 +120,52 @@ def minimal_nonzero_vectors(
         reach[i] = {add[s][mu] for s in reach[i + 1] for mu in set(mults)}
 
     found: list[tuple[int, ...]] = []
-    index = DominanceIndex(caps)
+    # Bit j of a mask stands for found[j].  above[i][k]: the atoms with entry
+    # i greater than k (row caps[i] stays 0).  within[i]: the atoms whose last
+    # letter is at most i, i.e. those found at depth i or above.
+    above = [[0] * (c + 1) for c in caps]
+    within = [0] * m
     vec = [0] * m
     nodes = 0
-    below_mask = index.below_mask
 
-    def rec(i: int, s: int):
+    def rec(i: int, s: int, excl: int):
+        # excl = OR of above[l][vec[l]] over l < i: the atoms that the fixed
+        # prefix does not reach.  It stays exact for the whole subtree, as
+        # every atom found below shares the prefix.  A node (i, k) lies above
+        # an atom iff some bit of within[i] is outside excl | above[i][k].
         nonlocal nodes
         if i == m:
             return
-        w = letter_classes[i]
+        w, row = letter_classes[i], above[i]
         if neg_t[s] in reach[i + 1]:
-            rec(i + 1, s)
+            rec(i + 1, s, excl | row[0])
+        # atoms found below have their last letter past i, so within[i] stays put
+        candidates = within[i] & ~excl
         x = s
         for k in range(1, caps[i] + 1):
             nodes += 1
             if nodes > node_limit:
                 raise ResourceLimitError("lattice node", node_limit)
             x = add[x][w]
-            vec[i] = k
+            if candidates & ~row[k]:
+                break  # dominated: so are larger k and every extension
             if x == 0:
-                if not below_mask(vec):
-                    found.append(tuple(vec))
-                    index.add(vec)
+                vec[i] = k
+                bit = 1 << len(found)
+                found.append(tuple(vec))
+                for l in range(i + 1):
+                    for r in range(vec[l]):
+                        above[l][r] |= bit
+                for l in range(i, m):
+                    within[l] |= bit
                 break  # larger k and any extension dominate this atom
-            if below_mask(vec):
-                break  # larger k only grows the vector further
             if neg_t[x] in reach[i + 1]:
-                rec(i + 1, x)
+                vec[i] = k
+                rec(i + 1, x, excl | row[k])
         vec[i] = 0
 
     if 0 in reach[0]:
-        rec(0, 0)
+        rec(0, 0, 0)
     found.sort(key=lambda v: (sum(v), v))
     return found, nodes
 

@@ -413,8 +413,19 @@ _SHARED = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors become InvalidArgumentError,
+    so that main reports them like any other invalid argument.  The usage
+    and the message still go to stderr; --help and --version still exit."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise InvalidArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zslen",
         description="Factorization-length invariants of zero-sum sequence "
                     "monoids over finite abelian groups and numerical monoids.",
@@ -549,15 +560,20 @@ def _validate_common(args):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    report = {"schema": REPORT_SCHEMA, "tool": {"name": "zslen", "version": __version__}}
+    try:
+        args = parser.parse_args(argv)
+    except InvalidArgumentError as exc:
+        # a command line that does not parse: no option took effect
+        tokens = sys.argv[1:] if argv is None else argv
+        command = tokens[0] if tokens and not tokens[0].startswith("-") else None
+        report.update(command=command, config={},
+                      error={"type": "invalid-argument", "reason": str(exc)})
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return EXIT_INVALID_ARGUMENTS
     started = time.perf_counter()
     _TOUCHED_ATOMS.clear()
-    report = {
-        "schema": REPORT_SCHEMA,
-        "tool": {"name": "zslen", "version": __version__},
-        "command": args.command,
-        "config": _config_echo(args),
-    }
+    report.update(command=args.command, config=_config_echo(args))
     try:
         _validate_common(args)
         results, verdicts = args.handler(args)

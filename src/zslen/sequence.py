@@ -223,8 +223,8 @@ def zero_sum_keys(
             row[r] = rest[r] | moved
     last = (m - 1) * field_bits
 
-    def rec(i: int, r: int, s: int, key: int):
-        # invariant: i <= m - 2, r > 0 and neg[s] is in exact[i][r]
+    def rec(i: int, r: int, s: int, key: int, emit) -> None:
+        # invariant: 1 <= i <= m - 2, r > 0 and neg[s] is in exact[i][r]
         w, rest, step = letters[i], exact[i + 1], 1 << i * field_bits
         x = s
         if i == m - 2:
@@ -232,23 +232,37 @@ def zero_sum_keys(
                 if k:
                     x = add[x][w]
                 if rest[r - k] >> neg[x] & 1:
-                    yield key + k * step + (r - k << last)
+                    emit(key + k * step + (r - k << last))
             return
         for k in range(r + 1):
             if k:
                 x = add[x][w]
             if rest[r - k] >> neg[x] & 1:
                 if k == r:
-                    yield key + k * step
+                    emit(key + k * step)
                 else:
-                    yield from rec(i + 1, r - k, x, key + k * step)
+                    rec(i + 1, r - k, x, key + k * step, emit)
 
     for length in range(max_length + 1):
-        if exact[0][length] & 1:
-            if length == 0 or m == 1:
-                yield length  # the empty vector, or length copies of the one letter
-            else:
-                yield from rec(0, length, 0, 0)
+        if not exact[0][length] & 1:
+            continue
+        if length == 0 or m == 1:
+            yield length  # the empty vector, or length copies of the one letter
+            continue
+        # one branch of the first letter at a time: rec fills a list, which
+        # costs less than passing each key up a chain of generators and
+        # holds far fewer keys than a whole length
+        w, rest, x = letters[0], exact[1], 0
+        for k in range(length + 1):
+            if k:
+                x = add[x][w]
+            if rest[length - k] >> neg[x] & 1:
+                if k == length or m == 2:
+                    yield k + (length - k << last)  # the other letters are forced
+                else:
+                    branch: list[int] = []
+                    rec(1, length - k, x, k, branch.append)
+                    yield from branch
 
 
 def zero_sum_vectors(

@@ -175,31 +175,38 @@ def test_zero_atom_inclusion(c3):
 
 def brute_minimal_vectors(group, letter_classes):
     """Oracle: every nonzero zero-sum vector with v[i] <= ord(class i), then
-    drop those lying above another one; sorted as the walk sorts."""
+    drop those lying above another one; sorted as the walk sorts.  A vector
+    above a zero-sum one lies above a minimal one of smaller total, so the
+    minimal ones are kept in order of total and each candidate is checked
+    against them."""
     tab = tables(group)
-    caps = [tab.order[c] for c in letter_classes]
+    multiples = []  # multiples[i][k] = k * class of letter i
+    for c in letter_classes:
+        row = [0]
+        for _ in range(tab.order[c]):
+            row.append(tab.add[row[-1]][c])
+        multiples.append(row)
     zero_sums = []
-    for vec in itertools.product(*(range(c + 1) for c in caps)):
+    for vec in itertools.product(*(range(len(row)) for row in multiples)):
         s = 0
-        for c, k in zip(letter_classes, vec):
-            for _ in range(k):
-                s = tab.add[s][c]
+        for row, k in zip(multiples, vec):
+            s = tab.add[s][row[k]]
         if any(vec) and s == 0:
             zero_sums.append(vec)
-    minimal = [
-        v for v in zero_sums
-        if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in zero_sums)
-    ]
-    return sorted(minimal, key=lambda v: (sum(v), v))
+    minimal = []
+    for v in sorted(zero_sums, key=lambda v: (sum(v), v)):
+        if not any(all(a <= b for a, b in zip(u, v)) for u in minimal):
+            minimal.append(v)
+    return minimal
 
 
 @st.composite
 def walk_instances(draw):
-    mods = draw(st.sampled_from([[2], [3], [4], [5], [6], [2, 2]]))
+    mods = draw(st.sampled_from([[2], [3], [4], [5], [6], [2, 2], [2, 4], [3, 3], [2, 2, 2]]))
     group = make_group(mods)
     n = len(elements(group))
     # repeated classes model several primes in one class, as in transfer instances
-    classes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    classes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
     return group, tuple(classes)
 
 
@@ -217,10 +224,19 @@ def _digest(atoms):
 
 
 # Sorted-vector digests, counts and visited nodes of the linear-scan walk;
-# the bitset index must keep the same walk, not only the same atoms.
+# every faster dominance test must keep the same walk, not only the same
+# atoms.  C2^4, C2+C2+C4 and C2+C6 are the benchmark's atoms workload.
 PINNED_WALKS = [
     ([4, 4], 1107, 12720, "f88eb288e05bd03069c4d1c76f23d73020edcd1067caf203fb1d39ae16d44fae"),
     ([3, 6], 2642, 34985, "08e3951644d33843187aaa5c277935e7ef2e108da9792697971ac735a0059faa"),
+    ([2, 2, 2, 2], 324, 2161, "ef043006022761e142d19491b18f8c6be7e1a5a80bee91b0a1483d51158c5978"),
+    ([2, 2, 4], 698, 4874, "bdb181071ccdc885b4efc2b64aa0034d90024aa7cad1a3f81dbeb210f909cd21"),
+    ([2, 6], 253, 1967, "c9b2b9e7b57e63291d50a1d8d4df9cffdc6553ebdfd3979400fe293c0aa10e4b"),
+    pytest.param(
+        [2, 2, 2, 2, 2], 20368, 237637,
+        "167e42cfbbbc803e1f8b5a17926a2c2863cf564dbfbab084d74872eeb945c8a0",
+        marks=pytest.mark.slow,
+    ),
 ]
 
 
@@ -236,6 +252,21 @@ def test_node_limit_bounds_real_work():
     with pytest.raises(ResourceLimitError):
         enumerate_atoms(make_group([2] * 5), node_limit=100_000)
     assert time.perf_counter() - started < 30
+
+
+@pytest.mark.parametrize("mods,classes", [
+    ([3, 3], None),  # every element once
+    ([2, 4], (1, 1, 3, 5, 5, 5, 6)),  # repeated classes, as in a Krull instance
+])
+def test_node_limit_is_charged_exactly(mods, classes):
+    group = make_group(mods)
+    if classes is None:
+        classes = tuple(range(len(elements(group))))
+    found, nodes = minimal_nonzero_vectors(group, classes)
+    assert minimal_nonzero_vectors(group, classes, node_limit=nodes) == (found, nodes)
+    with pytest.raises(ResourceLimitError) as exc:
+        minimal_nonzero_vectors(group, classes, node_limit=nodes - 1)
+    assert (exc.value.bound_name, exc.value.limit) == ("lattice node", nodes - 1)
 
 
 def test_divisible_pairs():

@@ -331,18 +331,27 @@ def cli_argv(draw):
         argv.append(f"--bound={draw(st.integers(-2, 6))}")
     if draw(st.integers(0, 3)) == 0:
         argv.append(f"--memo-limit={draw(st.integers(0, 12))}")
+    usage = draw(st.integers(0, 5))
+    if usage == 0:
+        # an option the command does not take, or one no command takes
+        argv.append(draw(st.sampled_from(
+            ["--seed=1", "--k-max=3", "--subset=all", "--sequence=[1:2]", "--bogus", "-x"])))
+    elif usage == 1:
+        del argv[draw(st.integers(1, len(argv) - 1))]  # may drop a required option
     return argv
 
 
 @given(cli_argv())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_cli_fuzz_documented_exit_and_json(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in {0, 1, 2, 3, 4}, argv
     report = json.loads(out.getvalue())
     assert report["command"] == argv[0]
+    if code == 2:
+        assert report["error"]["type"] == "invalid-argument", argv
 
 
 # -- option sets: each command and verify suite accepts only what it reads -------
@@ -459,17 +468,55 @@ def test_removed_option_count():
 def test_option_a_command_does_not_read_is_a_usage_error(capsys, command, option):
     base = BASE_ARGV[command]
     cli_mod.build_parser().parse_args(base)  # valid without the option
-    with pytest.raises(SystemExit) as exc:
-        main([*base, option, *OPTION_VALUE[option]])
-    assert exc.value.code == 2
-    assert option in capsys.readouterr().err
+    code = main([*base, option, *OPTION_VALUE[option]])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["error"]["type"] == "invalid-argument"
+    assert option in report["error"]["reason"]
+    assert report["config"] == {}
+    assert option in captured.err
+    assert "usage:" in captured.err
 
 
 def test_fit_takes_d_or_candidates_not_both(capsys):
+    code = main(["fit", "--set", "2,3", "--d", "1", "--candidates", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["command"] == "fit"
+    assert report["error"] == {
+        "type": "invalid-argument",
+        "reason": "argument --candidates: not allowed with argument --d",
+    }
+    assert "not allowed with" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["atoms"], "the following arguments are required: --group"),
+    (["atoms", "--group", "3", "--bogus"], "unrecognized arguments: --bogus"),
+    (["atoms", "--group", "3", "--node-limit", "x"], "argument --node-limit: invalid int value"),
+    (["verify", "prop9.9"], "argument suite: invalid choice: 'prop9.9'"),
+    ([], "the following arguments are required: command"),
+])
+def test_unparsed_command_line_gets_a_report(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["command"] == (argv[0] if argv else None)
+    assert report["config"] == {}
+    assert report["error"]["type"] == "invalid-argument"
+    assert report["error"]["reason"].startswith(message)
+    assert "usage:" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["atoms", "--help"]])
+def test_help_and_version_exit_0_without_a_report(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["fit", "--set", "2,3", "--d", "1", "--candidates", "1"])
-    assert exc.value.code == 2
-    assert "not allowed with" in capsys.readouterr().err
+        main(argv)
+    assert exc.value.code == 0
+    assert "error" not in capsys.readouterr().out
 
 
 def test_fit_period_needs_d(capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,22 @@ def test_zero_sum_keys_unpack_to_the_vectors(c33, field_bits):
     assert unpacked == list(zero_sum_vectors(c33, alphabet, 5))
     with pytest.raises(InvalidArgumentError):
         next(zero_sum_keys(c33, alphabet, 8, 3))
+
+
+# sha256 of the key list as JSON, taken from the generator-chain walk: the
+# scans read keys in this (length, lex) order, so it must not move
+PINNED_KEY_ORDERS = [
+    ([2, 2, 2, 2], 8, 46431, "fe8dd446928289ec8f47b0697352d28894f40fc76ae3845d2ffd5c10e7815339"),
+    ([3, 3], 10, 10282, "4b100c8580e814e6f3fa4a85af2d9e583414f962c87331d4032f18185970b33a"),
+]
+
+
+@pytest.mark.parametrize("mods,max_length,count,digest", PINNED_KEY_ORDERS)
+def test_zero_sum_key_order_is_pinned(mods, max_length, count, digest):
+    group = make_group(mods)
+    keys = list(zero_sum_keys(group, elements(group), max_length, max_length.bit_length()))
+    assert len(keys) == count
+    assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == digest
 
 
 def test_zero_sum_vectors_edges(c3, c33):
