@@ -122,7 +122,7 @@ def minimal_nonzero_vectors(
     found: list[tuple[int, ...]] = []
     # Bit j of a mask stands for found[j].  above[i][k]: the atoms with entry
     # i greater than k (row caps[i] stays 0).  within[i]: the atoms whose last
-    # letter is at most i, i.e. those found at depth i or above.
+    # letter, the depth where the walk found them, is at most i.
     above = [[0] * (c + 1) for c in caps]
     within = [0] * m
     vec = [0] * m
@@ -131,15 +131,16 @@ def minimal_nonzero_vectors(
     def rec(i: int, s: int, excl: int):
         # excl = OR of above[l][vec[l]] over l < i: the atoms that the fixed
         # prefix does not reach.  It stays exact for the whole subtree, as
-        # every atom found below shares the prefix.  A node (i, k) lies above
-        # an atom iff some bit of within[i] is outside excl | above[i][k].
+        # every atom found below shares the prefix.
         nonlocal nodes
         if i == m:
             return
         w, row = letter_classes[i], above[i]
         if neg_t[s] in reach[i + 1]:
             rec(i + 1, s, excl | row[0])
-        # atoms found below have their last letter past i, so within[i] stays put
+        # a node (i, k) lies above an atom iff a bit of candidates is not in
+        # row[k]; atoms found below have their last letter past i, so
+        # within[i], and with it candidates, stays put during the loop
         candidates = within[i] & ~excl
         x = s
         for k in range(1, caps[i] + 1):
@@ -147,10 +148,10 @@ def minimal_nonzero_vectors(
             if nodes > node_limit:
                 raise ResourceLimitError("lattice node", node_limit)
             x = add[x][w]
+            vec[i] = k
             if candidates & ~row[k]:
                 break  # dominated: so are larger k and every extension
             if x == 0:
-                vec[i] = k
                 bit = 1 << len(found)
                 found.append(tuple(vec))
                 for l in range(i + 1):
@@ -160,7 +161,6 @@ def minimal_nonzero_vectors(
                     within[l] |= bit
                 break  # larger k and any extension dominate this atom
             if neg_t[x] in reach[i + 1]:
-                vec[i] = k
                 rec(i + 1, x, excl | row[k])
         vec[i] = 0
 
