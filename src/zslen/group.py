@@ -183,3 +183,88 @@ class _Tables:
 @lru_cache(maxsize=None)
 def tables(group: FiniteAbelianGroup) -> _Tables:
     return _Tables(group)
+
+
+# Past this many automorphisms automorphisms() stops and gives only the
+# identity and negation.  C2^4 has 20,160, and orbits under all of them cost
+# the U_k walk far more images than they save engine queries (see the
+# README's performance notes); C2^5 has about 10M.
+MAX_AUTOMORPHISMS = 1000
+
+
+def automorphisms(group: FiniteAbelianGroup, fixing=None) -> list[tuple[int, ...]]:
+    """The automorphisms of the group that map the set `fixing` of element
+    indices (into elements(group)) onto itself, all of them when it is
+    None.  Each is a permutation s of element indices, s[i] the index of
+    the image of element i; the identity comes first.
+
+    An automorphism is fixed by the images g_t of the basis e_t of the
+    invariant factors, so they are chosen by backtracking: g_t needs
+    n_t * g_t = 0 and no multiple j * g_t, 0 < j < n_t, in the image of
+    the span of e_1..e_(t-1), which is then a subgroup of the same order.
+    A branch is dropped as soon as a newly spanned element and its image
+    differ in a signature that every automorphism fixing the set keeps:
+    membership, and how many members sum with the element into the set.
+    When more than MAX_AUTOMORPHISMS exist, only the identity and negation
+    are given (negation when it fixes the set and is not the identity).
+    """
+    tab = tables(group)
+    add, size = tab.add, group.order
+    inside = [fixing is None] * size
+    for i in fixing or ():
+        inside[i] = True
+    members = [y for y in range(size) if inside[y]]
+    # kept by every automorphism that fixes the set: whether x is in it, and
+    # how many y in it have x + y in it
+    signature = [(inside[x], sum(inside[add[x][y]] for y in members)) for x in range(size)]
+    strides, stride = [], size
+    for n in group.invariant_factors:
+        stride //= n
+        strides.append(stride)
+    image = [0] * size
+    used = [False] * size  # the image of the span so far
+    used[0] = True
+    span = [0]  # indices of the span of e_1..e_t, the zero element first
+    found: list[tuple[int, ...]] = []
+
+    def rec(t: int) -> bool:
+        # False once more than MAX_AUTOMORPHISMS have been found
+        if t == group.rank:
+            found.append(tuple(image))
+            return len(found) <= MAX_AUTOMORPHISMS
+        n, step, base = group.invariant_factors[t], strides[t], len(span)
+        for g in range(1, size):
+            x, ok = g, True
+            for _ in range(n - 1):
+                if used[x]:
+                    ok = False
+                    break
+                x = add[x][g]
+            if not ok or x != 0:
+                continue  # some j * g, 0 < j < n, is hit, or n * g != 0
+            for j in range(1, n):
+                for h in span[:base]:
+                    i = h + j * step
+                    y = image[i] = add[image[i - step]][g]
+                    if signature[i] != signature[y]:
+                        ok = False
+                        break
+                    used[y] = True
+                    span.append(i)
+                if not ok:
+                    break
+            if ok and not rec(t + 1):
+                return False
+            for i in span[base:]:
+                used[image[i]] = False
+            del span[base:]
+        return True
+
+    identity = tuple(range(size))
+    if rec(0):
+        found.sort(key=lambda s: s != identity)  # stable: the identity first
+        return found
+    negation = tab.neg
+    if negation != identity and all(inside[i] == inside[negation[i]] for i in range(size)):
+        return [identity, negation]
+    return [identity]

@@ -9,15 +9,20 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .atoms import AtomSet, atoms_over, build_atoms, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
 from .errors import InvalidArgumentError, ResourceLimitError, VerificationError
-from .group import FiniteAbelianGroup, GroupElement, elements, order_of
+from .group import FiniteAbelianGroup, GroupElement, automorphisms, elements, order_of, tables
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, delta_of, engine_for, length_set
 from .sequence import Sequence, mul, negate, sigma, zero_sum_keys
 
 DEFAULT_PRODUCT_LIMIT = 10**8
 DEFAULT_SUBSET_SCAN_MAX_ORDER = 12
+# The U_k walk keeps each atom's images under the automorphisms; past this
+# many in all it uses only the identity and negation.  See the README's
+# performance notes.
+MAX_ATOM_IMAGES = 300_000
 
 
 # -- systems of sets of lengths ------------------------------------------------
@@ -231,34 +236,87 @@ def unions_range(
 
     U_k is the union of L(B) over products B of exactly k atoms, which is
     complete because any B with k in L(B) is such a product.  Products are
-    built level by level as engine keys: the field is first widened to
-    hold k_max times the largest atom entry, so a product of packed atoms
-    is the sum of their keys, and a level is a set of ints, deduplicated
-    before hitting the factorization engine.  Each level forms
-    len(previous level) * len(atoms) products; their running total is
-    charged against product_limit before the level is formed.
+    engine keys: the field is first widened to hold k_max times the
+    largest atom entry, so a product of packed atoms is the sum of their
+    keys.
+
+    An automorphism s of G that maps the letters onto themselves maps
+    atoms to atoms and keeps lengths, L(sB) = L(B), so a level keeps one
+    product per orbit of those automorphisms (see _atom_images): the
+    orbit's largest key, the only one the engine is asked about.  Level k+1 is (level k) x atoms,
+    reduced the same way; it meets every orbit, since
+    sB * A = s(B * s^-1 A).  s permutes the key's fields, which never
+    carry, so s(BA) = sB + sA: a level holds, for each orbit, the keys of
+    one product's images, and a product's images are the sums of its
+    factors' images.  Each level forms len(previous level) * len(atoms)
+    products; their running total is charged against product_limit before
+    the level is formed.
     """
     if k_max < 1:
         raise InvalidArgumentError(f"k must be positive: {k_max}")
     if atoms is None:
         atoms = enumerate_atoms(group)
     engine = engine_for(atoms, memo_limit)
-    atom_vectors = atoms.vectors()
-    engine.widen(k_max * max(map(max, atom_vectors)))
-    packed = [engine.pack(a) for a in atom_vectors]
+    images = _atom_images(atoms, engine.widen(k_max * max(map(max, atoms.vectors()))))
     lengths_mask = engine.lengths_mask
     out: dict[int, UnionOfLengths] = {}
-    level = {0}
+    single = len(images[0]) == 1  # the identity alone: a product is its own orbit
+    if single:
+        packed = [a for a, in images]
+        level = {0}
+    else:
+        level = {0: (0,) * len(images[0])}  # largest image -> images of one product
     formed = 0
     for k in range(1, k_max + 1):
-        formed += len(level) * len(packed)
+        formed += len(level) * len(images)
         if formed > product_limit:
             raise ResourceLimitError("atom products", product_limit, formed)
-        level = {b + a for b in level for a in packed}
+        if single:
+            level = {b + a for b in level for a in packed}
+        else:
+            last = k == k_max  # the last level needs only the keys
+            nxt: dict[int, list[int] | None] = {}
+            for b in level.values():
+                for a in images:
+                    top = max(map(add, b, a))
+                    if top not in nxt:
+                        nxt[top] = None if last else [*map(add, b, a)]
+            level = nxt
         union_mask = 0
         for key in level:
             union_mask |= lengths_mask(key)
         out[k] = UnionOfLengths(k, LengthSet.from_mask(union_mask).values)
+    return out
+
+
+def _atom_images(atoms: AtomSet, field_bits: int) -> list[tuple[int, ...]]:
+    """The keys, at field_bits bits per letter, of each atom's images under
+    the automorphisms of G that map the letters onto themselves
+    (group.automorphisms), in one order for all atoms: under the identity
+    and negation only when there would be more than MAX_ATOM_IMAGES, and
+    under the identity only when the images are not all atoms, as for an
+    atom set built by hand that is not A(G0)."""
+    letters = atoms.letters
+    if all(isinstance(g, GroupElement) for g in letters):
+        index = tables(atoms.group).index
+        classes = [index[g] for g in letters]
+        position = {c: i for i, c in enumerate(classes)}
+        auts = automorphisms(atoms.group, classes)
+        if len(auts) * len(atoms) > MAX_ATOM_IMAGES:
+            identity, negation = auts[0], tables(atoms.group).neg
+            auts = [s for s in auts if s is identity or s == negation]
+        # letter i of an atom is letter moves[s][i] of its image under s
+        moves = [[position[s[c]] for c in classes] for s in auts]
+    else:  # a Krull instance's letters are primes, not elements of G
+        moves = [range(len(letters))]
+    offsets = [[j * field_bits for j in move] for move in moves]
+    out = []
+    for a in atoms.vectors():
+        support = [(x, i) for i, x in enumerate(a) if x]
+        out.append(tuple(sum(x << off[i] for x, i in support) for off in offsets))
+    keys = {images[0] for images in out}
+    if any(key not in keys for images in out for key in images):
+        return [images[:1] for images in out]
     return out
 
 

@@ -7,9 +7,12 @@ each copy of the pivot with exactly one atom) and removes permutation
 blowup.  Length sets are carried as integer bitmasks inside the engine, so
 the union is a bitwise or and "1 +" is a shift.
 
-The atoms dividing B are found with one DominanceIndex per pivot bucket:
-bit j of the AND over letters of below[i][B[i]] marks bucket atom j
-dividing B, and a letter whose count in B reaches the bucket's largest
+The pivot is B's lowest nonzero letter.  An atom dividing B is zero below
+it and covers it, so the atoms are bucketed by their own lowest nonzero
+letter, and the bucket of B's pivot holds every candidate and no atom
+that needs a letter below it.  Each bucket has one DominanceIndex: bit j
+of the AND over letters of below[i][B[i]] marks bucket atom j dividing
+B, and a letter whose count in B reaches the bucket's largest
 entry for it constrains nothing, so it is skipped.  The recursion runs on
 an explicit stack of (vector, divisor bits still to visit, bucket, partial
 mask) frames, so its depth does not depend on the length of B.  Bits are
@@ -175,11 +178,14 @@ class FactorizationEngine:
             raise InvalidArgumentError("atom vectors of mixed width")
         if any(not isinstance(x, int) or x < 0 for v in vectors for x in v):
             raise InvalidArgumentError("atom entries must be nonnegative integers")
+        if not all(map(any, vectors)):
+            raise InvalidArgumentError("atom vectors must be nonzero")
         self.width = width
         self.memo_limit = memo_limit
-        self._by_pivot = [
-            [v for v in vectors if v[i] > 0] for i in range(width)
-        ]
+        # each atom in the bucket of its lowest nonzero letter
+        self._by_pivot = [[] for _ in range(width)]
+        for v in vectors:
+            self._by_pivot[next(i for i, x in enumerate(v) if x)].append(v)
         self._index = [_divisor_rows(bucket, width) for bucket in self._by_pivot]
         self._memo: dict[int, int] = {0: 1}
         self._field_bytes = 0

@@ -18,6 +18,11 @@ from .group import FiniteAbelianGroup, GroupElement, elements, tables
 # and k-fold powers sane.
 _MAX_MULTIPLICITY = 2**63
 
+# zero_sum_keys buffers the keys that share the counts of this many first
+# letters: C2^4 to length 10 holds at most 41,096 keys at a time, 123,321
+# with one letter (see the README's performance notes)
+_SPLIT_DEPTH = 3
+
 
 @dataclass(frozen=True)
 class Sequence:
@@ -224,7 +229,7 @@ def zero_sum_keys(
     last = (m - 1) * field_bits
 
     def rec(i: int, r: int, s: int, key: int, emit) -> None:
-        # invariant: 1 <= i <= m - 2, r > 0 and neg[s] is in exact[i][r]
+        # invariant: 0 <= i <= m - 2, r > 0 and neg[s] is in exact[i][r]
         w, rest, step = letters[i], exact[i + 1], 1 << i * field_bits
         x = s
         if i == m - 2:
@@ -243,26 +248,40 @@ def zero_sum_keys(
                 else:
                     rec(i + 1, r - k, x, key + k * step, emit)
 
+    # rec fills a list with the keys that share the counts of the first
+    # `split` letters, which the generator yields from: cheaper than passing
+    # each key up a chain of generators, and small even where those letters
+    # are absent and their one branch holds most keys of the length
+    split = min(_SPLIT_DEPTH, m - 2)
+
+    def prefixes(i: int, r: int, s: int, key: int, out: list) -> None:
+        # (terms left, partial sum, key) of each admissible choice of counts
+        # of letters i..split-1, or of a whole key when no terms are left
+        if i == split or r == 0:
+            out.append((r, s, key))
+            return
+        w, rest, x = letters[i], exact[i + 1], s
+        for k in range(r + 1):
+            if k:
+                x = add[x][w]
+            if rest[r - k] >> neg[x] & 1:
+                prefixes(i + 1, r - k, x, key + (k << i * field_bits), out)
+
     for length in range(max_length + 1):
         if not exact[0][length] & 1:
             continue
-        if length == 0 or m == 1:
-            yield length  # the empty vector, or length copies of the one letter
+        if m == 1:
+            yield length  # length copies of the one letter
             continue
-        # one branch of the first letter at a time: rec fills a list, which
-        # costs less than passing each key up a chain of generators and
-        # holds far fewer keys than a whole length
-        w, rest, x = letters[0], exact[1], 0
-        for k in range(length + 1):
-            if k:
-                x = add[x][w]
-            if rest[length - k] >> neg[x] & 1:
-                if k == length or m == 2:
-                    yield k + (length - k << last)  # the other letters are forced
-                else:
-                    branch: list[int] = []
-                    rec(1, length - k, x, k, branch.append)
-                    yield from branch
+        heads: list[tuple[int, int, int]] = []
+        prefixes(0, length, 0, 0, heads)
+        for r, s, key in heads:
+            if r == 0:
+                yield key
+            else:
+                branch: list[int] = []
+                rec(split, r, s, key, branch.append)
+                yield from branch
 
 
 def zero_sum_vectors(

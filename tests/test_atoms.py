@@ -19,7 +19,7 @@ from zslen.atoms import (
     minimal_nonzero_vectors,
 )
 from zslen.errors import ResourceLimitError
-from zslen.group import elements, make_group, order_of, tables
+from zslen.group import automorphisms, elements, make_group, order_of, tables
 from zslen.sequence import (
     Sequence,
     divides,
@@ -281,3 +281,17 @@ def test_antichain_violations_reports_divisible_atoms(c3):
     g3 = parse_sequence(c3, "[1:3]")
     bad = AtomSet(c3, atoms.letters, atoms.vectors() + ((g3**2).dense(atoms.letters),))
     assert antichain_violations(bad) == [(g3, g3**2)]
+
+
+@pytest.mark.parametrize("mods", [[3], [4], [2, 2], [5], [6], [2, 4], [3, 3], [2, 2, 2], [2, 6], [4, 4]])
+def test_atoms_are_closed_under_automorphisms(mods):
+    # the letters of A(G) are the elements in index order, so letter i of
+    # an atom is letter s[i] of its image under s
+    group = make_group(mods)
+    atoms = set(enumerate_atoms(group).vectors())
+    for s in automorphisms(group):
+        for a in atoms:
+            image = [0] * group.order
+            for i, x in enumerate(a):
+                image[s[i]] = x
+            assert tuple(image) in atoms

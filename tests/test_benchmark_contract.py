@@ -48,8 +48,10 @@ def test_traced_lengths_pass_counts_every_query(tmp_path):
 def test_traced_sweeps_pass_walks_each_system_once(tmp_path):
     layers = traced_pass("sweeps", 1, tmp_path)["layers"]
     # 58,135 queries when the structure fit walked B(C3+C3) a second time
-    # for its difference candidates
-    assert layers["lengths.queries"] == 52715
-    assert layers["lengths.memo_entries"] == 32049
+    # for its difference candidates; 52,715 queries and 32,049 memo entries
+    # when the U_k walk of C5 queried every product, not one per orbit of
+    # the automorphisms (12,269 -> 3,593 memo entries for that op)
+    assert layers["lengths.queries"] == 39912
+    assert layers["lengths.memo_entries"] == 23373
     assert layers["structure_fit.fits"] == 16
     assert layers["atoms.nodes"] == 641

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zslen.errors import InvalidArgumentError, ResourceLimitError
-from zslen.group import add, elements, make_group, neg, order_of, zero
+from zslen import group as group_module
+from zslen.group import add, automorphisms, elements, make_group, neg, order_of, tables, zero
 
 moduli_lists = st.lists(
     st.integers(min_value=1, max_value=12), min_size=1, max_size=4
@@ -117,3 +118,64 @@ def test_same_coords_in_different_groups_are_unequal():
     # the hash reads coords only, so such elements share a hash but not a key
     table = {c4.element([1]): "C4", c6.element([1]): "C6"}
     assert table[c4.element([1])] == "C4" and table[c6.element([1])] == "C6"
+
+
+AUTOMORPHISM_COUNTS = [
+    ([2], 1), ([3], 2), ([4], 2), ([2, 2], 6), ([5], 4), ([6], 2),
+    ([2, 4], 8), ([3, 3], 48), ([2, 2, 2], 168), ([2, 6], 12), ([4, 4], 96),
+]
+
+
+@pytest.mark.parametrize("mods, count", AUTOMORPHISM_COUNTS)
+def test_automorphisms_are_the_additive_bijections(mods, count):
+    group = make_group(mods)
+    add_t, n = tables(group).add, group.order
+    auts = automorphisms(group)
+    assert len(auts) == len(set(auts)) == count
+    assert auts[0] == tuple(range(n))
+    for s in auts:
+        assert sorted(s) == list(range(n))
+        assert all(s[add_t[x][y]] == add_t[s[x]][s[y]] for x in range(n) for y in range(n))
+
+
+@given(st.sampled_from([[4], [2, 4], [3, 3], [2, 6]]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_automorphisms_fixing_a_subset_are_its_setwise_stabiliser(mods, data):
+    group = make_group(mods)
+    subset = data.draw(st.sets(st.integers(0, group.order - 1), min_size=1))
+    expected = [s for s in automorphisms(group) if {s[i] for i in subset} == subset]
+    assert automorphisms(group, subset) == expected
+
+
+def test_automorphisms_fixing_named_subsets():
+    c5, c10 = make_group([5]), make_group([10])
+    assert automorphisms(c5, [1, 4]) == [(0, 1, 2, 3, 4), tables(c5).neg]
+    assert automorphisms(c5, [1, 2]) == [(0, 1, 2, 3, 4)]
+    assert automorphisms(c10, [1, 2]) == [tuple(range(10))]
+    # the 120 permutations of a basis of C2^5: a full search, since they are
+    # under the ceiling, over basis images rather than all 32^5 = 33M
+    c25 = make_group([2] * 5)
+    assert len(automorphisms(c25, [1, 2, 4, 8, 16])) == 120
+
+
+def test_automorphisms_past_the_ceiling_are_identity_and_negation(monkeypatch):
+    c33 = make_group([3, 3])
+    identity, negation = tuple(range(9)), tables(c33).neg
+    monkeypatch.setattr(group_module, "MAX_AUTOMORPHISMS", 47)
+    assert automorphisms(c33) == [identity, negation]
+    monkeypatch.setattr(group_module, "MAX_AUTOMORPHISMS", 48)
+    assert len(automorphisms(c33)) == 48
+    # six automorphisms fix (0,1); negation does not
+    assert len(automorphisms(c33, [0, 1])) == 6
+    monkeypatch.setattr(group_module, "MAX_AUTOMORPHISMS", 5)
+    assert automorphisms(c33, [0, 1]) == [identity]
+
+
+def test_automorphisms_of_large_groups_stop_at_the_ceiling():
+    # GL(4,2) has 20,160 elements and GL(5,2) about 10M, both past the
+    # ceiling, and negation is the identity in both
+    for mods in ([2, 2, 2, 2], [2, 2, 2, 2, 2]):
+        group = make_group(mods)
+        assert automorphisms(group) == [tuple(range(group.order))]
+    c333 = make_group([3, 3, 3])  # 11,232 automorphisms
+    assert automorphisms(c333) == [tuple(range(27)), tables(c333).neg]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -5,11 +6,11 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zslen import invariants
-from zslen.atoms import davenport, enumerate_atoms
+from zslen.atoms import AtomSet, davenport, enumerate_atoms
 from zslen.errors import InvalidArgumentError, ResourceLimitError, VerificationError
 from zslen.group import elements, make_group
 from zslen.invariants import (
@@ -36,6 +37,7 @@ from zslen.sequence import (
     parse_sequence,
     zero_sum_vectors,
 )
+from zslen.transfer import instance_atoms, make_instance
 
 
 def L(*values):
@@ -201,10 +203,12 @@ def test_union_limit_charges_products_formed():
 
 
 @functools.lru_cache(maxsize=None)
-def reference_unions(mods: tuple[int, ...], k_max: int) -> dict[int, tuple[int, ...]]:
-    """The level walk unions_range ran before it packed keys: each level a
-    set of exponent tuples, each tuple queried on a fresh engine."""
-    atoms = enumerate_atoms(make_group(list(mods)))
+def reference_unions(mods: tuple[int, ...], k_max: int, subset=None) -> dict[int, tuple[int, ...]]:
+    """The level walk unions_range ran before it packed keys and kept one
+    product per automorphism orbit: each level a set of exponent tuples,
+    each tuple queried on a fresh engine.  subset: coordinates of G0."""
+    group = make_group(list(mods))
+    atoms = enumerate_atoms(group, subset and [group.element(c) for c in subset])
     engine = FactorizationEngine(atoms.vectors())
     level = {(0,) * len(atoms.letters)}
     out = {}
@@ -217,12 +221,88 @@ def reference_unions(mods: tuple[int, ...], k_max: int) -> dict[int, tuple[int, 
     return out
 
 
+# (group, largest k): the C3+C3 oracle takes about 17 s at k = 5
+UNION_ORACLE_CASES = [((3,), 5), ((4,), 5), ((2, 2), 5), ((5,), 5), ((2, 4), 5), ((3, 3), 4)]
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([(3,), (4,), (2, 2), (5,), (2, 4)]), st.integers(1, 5))
-def test_unions_range_matches_tuple_level_walk(mods, k_max):
+@given(st.sampled_from(UNION_ORACLE_CASES), st.integers(1, 5))
+@example(((3, 3), 4), 4)
+@example(((2, 4), 5), 5)
+@example(((5,), 5), 5)
+@example(((2, 2), 5), 5)
+@example(((4,), 5), 5)
+@example(((3,), 5), 5)
+def test_unions_range_matches_tuple_level_walk(case, k):
+    mods, top = case
+    k_max = min(k, top)
     unions = unions_range(make_group(list(mods)), k_max)
-    reference = reference_unions(mods, 5)
+    reference = reference_unions(mods, top)
     assert {k: u.values for k, u in unions.items()} == {k: reference[k] for k in range(1, k_max + 1)}
+
+
+@pytest.mark.parametrize("mods, subset, images", [
+    ((5,), ((1,), (4,)), 2),  # negation swaps 1 and 4
+    ((3, 3), ((0, 1), (0, 2), (1, 0), (2, 0)), 8),
+])
+def test_unions_over_a_subset_merge_orbits_of_its_stabiliser(mods, subset, images):
+    group = make_group(list(mods))
+    atoms = enumerate_atoms(group, [group.element(c) for c in subset])
+    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {images}
+    unions = unions_range(group, 5, atoms)
+    assert {k: u.values for k, u in unions.items()} == reference_unions(mods, 5, subset)
+
+
+def test_unions_past_the_image_ceiling_use_identity_and_negation(monkeypatch):
+    # C3+C3: 69 atoms times 48 automorphisms is past a ceiling of 100
+    c33 = make_group([3, 3])
+    atoms = dataclasses.replace(enumerate_atoms(c33))
+    monkeypatch.setattr(invariants, "MAX_ATOM_IMAGES", 100)
+    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {2}
+    unions = unions_range(c33, 4, atoms)
+    assert {k: u.values for k, u in unions.items()} == reference_unions((3, 3), 4)
+
+
+def test_unions_over_atoms_not_closed_under_automorphisms_keep_every_product(c3):
+    # A(C3) without [1:3]: negation maps [2:3] outside it, so no orbits merge
+    # and U_k is the unmerged walk over what is given
+    full = enumerate_atoms(c3)
+    vectors = tuple(v for v in full.vectors() if v != (0, 3, 0))
+    atoms = AtomSet(c3, full.letters, vectors)
+    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {1}
+    engine = FactorizationEngine(vectors)
+    level, expected = {(0, 0, 0)}, {}
+    for k in range(1, 6):
+        level = {tuple(map(operator.add, b, a)) for b in level for a in vectors}
+        expected[k] = LengthSet.from_mask(functools.reduce(operator.or_, map(engine.lengths_mask, level))).values
+    assert {k: u.values for k, u in unions_range(c3, 5, atoms).items()} == expected
+
+
+def test_unions_over_a_krull_instance_equal_those_of_its_block_monoid(c3):
+    # prime letters get the identity only; the transfer map keeps every U_k
+    atoms = instance_atoms(make_instance(c3, None, 2))
+    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {1}
+    assert unions_range(c3, 5, atoms) == unions_range(c3, 5)
+
+
+def test_union_limit_charges_products_formed_per_orbit(c5):
+    # one product per orbit of C5's 4 automorphisms: k <= 6 forms 26,595
+    # products from its 15 atoms, where the unmerged walk formed 102,390
+    atoms = enumerate_atoms(c5)
+    unions = unions_range(c5, 6, atoms, product_limit=26595)
+    assert unions == unions_range(c5, 6, atoms)
+    with pytest.raises(ResourceLimitError) as info:
+        unions_range(c5, 6, atoms, product_limit=26594)
+    assert info.value.reached == 26595
+
+
+def test_unions_memo_is_pinned(c5):
+    # a fresh engine: only the largest key of each orbit is queried, so the
+    # memo holds 3,593 entries after k <= 6 (12,269 when every product was)
+    atoms = dataclasses.replace(enumerate_atoms(c5))
+    assert not atoms.engines
+    unions_range(c5, 6, atoms)
+    assert engine_for(atoms).memo_size == 3593
 
 
 def test_unions_with_two_byte_fields():

@@ -292,6 +292,22 @@ def test_engine_rejects_malformed_vectors(c3, vec):
     assert engine.memo_size == 1
 
 
+def test_engine_rejects_zero_atoms():
+    # a zero atom has no lowest letter to bucket it by, and is no atom
+    with pytest.raises(InvalidArgumentError):
+        FactorizationEngine([(1, 0), (0, 0)])
+
+
+@pytest.mark.parametrize("mods", [[3, 3], [2, 4], [2, 2, 2]])
+def test_engine_buckets_atoms_by_their_lowest_letter(mods):
+    # an atom dividing a vector is zero below the vector's pivot and covers
+    # it, so the pivot's bucket needs no atom with a lower letter
+    vectors = enumerate_atoms(make_group(mods)).vectors()
+    engine = FactorizationEngine(vectors)
+    for pivot, bucket in enumerate(engine._by_pivot):
+        assert bucket == [v for v in vectors if v[pivot] and not any(v[:pivot])]
+
+
 def test_widened_engine_still_rejects_malformed_vectors(c3):
     engine = FactorizationEngine(enumerate_atoms(c3).vectors())
     assert engine.lengths_mask((300, 0, 0)) == 1 << 300
