@@ -185,18 +185,15 @@ def tables(group: FiniteAbelianGroup) -> _Tables:
     return _Tables(group)
 
 
-# Past this many automorphisms automorphisms() stops and gives only the
-# identity and negation.  C2^4 has 20,160, and orbits under all of them cost
-# the U_k walk far more images than they save engine queries (see the
-# README's performance notes); C2^5 has about 10M.
-MAX_AUTOMORPHISMS = 1000
-
-
-def automorphisms(group: FiniteAbelianGroup, fixing=None) -> list[tuple[int, ...]]:
+def automorphisms(
+    group: FiniteAbelianGroup, fixing=None, limit: int | None = None
+) -> list[tuple[int, ...]] | None:
     """The automorphisms of the group that map the set `fixing` of element
     indices (into elements(group)) onto itself, all of them when it is
     None.  Each is a permutation s of element indices, s[i] the index of
-    the image of element i; the identity comes first.
+    the image of element i; the identity comes first.  None when there
+    are more than `limit`: the search stops there, as C2^5 alone has about
+    10M.
 
     An automorphism is fixed by the images g_t of the basis e_t of the
     invariant factors, so they are chosen by backtracking: g_t needs
@@ -205,8 +202,6 @@ def automorphisms(group: FiniteAbelianGroup, fixing=None) -> list[tuple[int, ...
     A branch is dropped as soon as a newly spanned element and its image
     differ in a signature that every automorphism fixing the set keeps:
     membership, and how many members sum with the element into the set.
-    When more than MAX_AUTOMORPHISMS exist, only the identity and negation
-    are given (negation when it fixes the set and is not the identity).
     """
     tab = tables(group)
     add, size = tab.add, group.order
@@ -228,10 +223,10 @@ def automorphisms(group: FiniteAbelianGroup, fixing=None) -> list[tuple[int, ...
     found: list[tuple[int, ...]] = []
 
     def rec(t: int) -> bool:
-        # False once more than MAX_AUTOMORPHISMS have been found
+        # False once more than `limit` have been found
         if t == group.rank:
             found.append(tuple(image))
-            return len(found) <= MAX_AUTOMORPHISMS
+            return limit is None or len(found) <= limit
         n, step, base = group.invariant_factors[t], strides[t], len(span)
         for g in range(1, size):
             x, ok = g, True
@@ -260,11 +255,8 @@ def automorphisms(group: FiniteAbelianGroup, fixing=None) -> list[tuple[int, ...
             del span[base:]
         return True
 
+    if not rec(0):
+        return None
     identity = tuple(range(size))
-    if rec(0):
-        found.sort(key=lambda s: s != identity)  # stable: the identity first
-        return found
-    negation = tab.neg
-    if negation != identity and all(inside[i] == inside[negation[i]] for i in range(size)):
-        return [identity, negation]
-    return [identity]
+    found.sort(key=lambda s: s != identity)  # stable: the identity first
+    return found

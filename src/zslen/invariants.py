@@ -20,8 +20,8 @@ from .sequence import Sequence, mul, negate, sigma, zero_sum_keys
 DEFAULT_PRODUCT_LIMIT = 10**8
 DEFAULT_SUBSET_SCAN_MAX_ORDER = 12
 # The U_k walk keeps each atom's images under the automorphisms; past this
-# many in all it uses only the identity and negation.  See the README's
-# performance notes.
+# many images, or this many entries in the automorphisms' tables, it uses
+# only the identity and negation.  See the README's performance notes.
 MAX_ATOM_IMAGES = 300_000
 
 
@@ -260,28 +260,20 @@ def unions_range(
     images = _atom_images(atoms, engine.widen(k_max * max(map(max, atoms.vectors()))))
     lengths_mask = engine.lengths_mask
     out: dict[int, UnionOfLengths] = {}
-    single = len(images[0]) == 1  # the identity alone: a product is its own orbit
-    if single:
-        packed = [a for a, in images]
-        level = {0}
-    else:
-        level = {0: (0,) * len(images[0])}  # largest image -> images of one product
+    level = {0: (0,) * len(images[0])}  # largest image -> images of one product
     formed = 0
     for k in range(1, k_max + 1):
         formed += len(level) * len(images)
         if formed > product_limit:
             raise ResourceLimitError("atom products", product_limit, formed)
-        if single:
-            level = {b + a for b in level for a in packed}
-        else:
-            last = k == k_max  # the last level needs only the keys
-            nxt: dict[int, list[int] | None] = {}
-            for b in level.values():
-                for a in images:
-                    top = max(map(add, b, a))
-                    if top not in nxt:
-                        nxt[top] = None if last else [*map(add, b, a)]
-            level = nxt
+        last = k == k_max  # the last level needs only the keys
+        nxt: dict[int, list[int] | None] = {}
+        for b in level.values():
+            for a in images:
+                top = max(map(add, b, a))
+                if top not in nxt:
+                    nxt[top] = None if last else [*map(add, b, a)]
+        level = nxt
         union_mask = 0
         for key in level:
             union_mask |= lengths_mask(key)
@@ -292,22 +284,29 @@ def unions_range(
 def _atom_images(atoms: AtomSet, field_bits: int) -> list[tuple[int, ...]]:
     """The keys, at field_bits bits per letter, of each atom's images under
     the automorphisms of G that map the letters onto themselves
-    (group.automorphisms), in one order for all atoms: under the identity
-    and negation only when there would be more than MAX_ATOM_IMAGES, and
-    under the identity only when the images are not all atoms, as for an
-    atom set built by hand that is not A(G0)."""
+    (group.automorphisms), one per distinct permutation of the letters, in
+    one order for all atoms with the identity first.
+
+    Only the identity and negation (when it maps the letters onto
+    themselves) are used when there are too many automorphisms: more than
+    MAX_ATOM_IMAGES in the images, or in the automorphisms' tables of
+    |G| entries each.  Only the identity is used when the images are not
+    all atoms, as for an atom set built by hand that is not A(G0), and
+    for a Krull instance, whose letters are primes, not elements of G."""
     letters = atoms.letters
     if all(isinstance(g, GroupElement) for g in letters):
-        index = tables(atoms.group).index
-        classes = [index[g] for g in letters]
+        tab = tables(atoms.group)
+        classes = [tab.index[g] for g in letters]
         position = {c: i for i, c in enumerate(classes)}
-        auts = automorphisms(atoms.group, classes)
-        if len(auts) * len(atoms) > MAX_ATOM_IMAGES:
-            identity, negation = auts[0], tables(atoms.group).neg
-            auts = [s for s in auts if s is identity or s == negation]
+        limit = MAX_ATOM_IMAGES // max(len(atoms), atoms.group.order)
+        auts = automorphisms(atoms.group, classes, limit)
+        if auts is None:
+            auts = [range(atoms.group.order)]
+            if all(tab.neg[c] in position for c in classes):
+                auts.append(tab.neg)
         # letter i of an atom is letter moves[s][i] of its image under s
-        moves = [[position[s[c]] for c in classes] for s in auts]
-    else:  # a Krull instance's letters are primes, not elements of G
+        moves = list(dict.fromkeys(tuple(position[s[c]] for c in classes) for s in auts))
+    else:
         moves = [range(len(letters))]
     offsets = [[j * field_bits for j in move] for move in moves]
     out = []

@@ -256,7 +256,8 @@ def zero_sum_keys(
 
     def prefixes(i: int, r: int, s: int, key: int, out: list) -> None:
         # (terms left, partial sum, key) of each admissible choice of counts
-        # of letters i..split-1, or of a whole key when no terms are left
+        # of letters i..split-1, or of a whole key when no terms are left.
+        # It must prune exactly as rec does, or keys are lost or invented.
         if i == split or r == 0:
             out.append((r, s, key))
             return

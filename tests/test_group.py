@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zslen.errors import InvalidArgumentError, ResourceLimitError
-from zslen import group as group_module
 from zslen.group import add, automorphisms, elements, make_group, neg, order_of, tables, zero
 
 moduli_lists = st.lists(
@@ -158,24 +157,16 @@ def test_automorphisms_fixing_named_subsets():
     assert len(automorphisms(c25, [1, 2, 4, 8, 16])) == 120
 
 
-def test_automorphisms_past_the_ceiling_are_identity_and_negation(monkeypatch):
+def test_automorphisms_past_the_limit_are_none():
     c33 = make_group([3, 3])
-    identity, negation = tuple(range(9)), tables(c33).neg
-    monkeypatch.setattr(group_module, "MAX_AUTOMORPHISMS", 47)
-    assert automorphisms(c33) == [identity, negation]
-    monkeypatch.setattr(group_module, "MAX_AUTOMORPHISMS", 48)
-    assert len(automorphisms(c33)) == 48
-    # six automorphisms fix (0,1); negation does not
-    assert len(automorphisms(c33, [0, 1])) == 6
-    monkeypatch.setattr(group_module, "MAX_AUTOMORPHISMS", 5)
-    assert automorphisms(c33, [0, 1]) == [identity]
+    assert automorphisms(c33, limit=47) is None
+    assert len(automorphisms(c33, limit=48)) == 48
+    # six automorphisms fix (0,1)
+    assert len(automorphisms(c33, [0, 1], limit=6)) == 6
+    assert automorphisms(c33, [0, 1], limit=5) is None
 
 
-def test_automorphisms_of_large_groups_stop_at_the_ceiling():
-    # GL(4,2) has 20,160 elements and GL(5,2) about 10M, both past the
-    # ceiling, and negation is the identity in both
-    for mods in ([2, 2, 2, 2], [2, 2, 2, 2, 2]):
-        group = make_group(mods)
-        assert automorphisms(group) == [tuple(range(group.order))]
-    c333 = make_group([3, 3, 3])  # 11,232 automorphisms
-    assert automorphisms(c333) == [tuple(range(27)), tables(c333).neg]
+def test_automorphisms_of_large_groups_stop_at_the_limit():
+    # GL(4,2) has 20,160 elements, GL(5,2) about 10M and Aut(C3^3) 11,232
+    for mods in ([2, 2, 2, 2], [2, 2, 2, 2, 2], [3, 3, 3]):
+        assert automorphisms(make_group(mods), limit=1000) is None

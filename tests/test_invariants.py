@@ -244,6 +244,8 @@ def test_unions_range_matches_tuple_level_walk(case, k):
 @pytest.mark.parametrize("mods, subset, images", [
     ((5,), ((1,), (4,)), 2),  # negation swaps 1 and 4
     ((3, 3), ((0, 1), (0, 2), (1, 0), (2, 0)), 8),
+    # 12 automorphisms fix it, acting on it as the identity or negation
+    ((3, 3), ((1, 0), (2, 0)), 2),
 ])
 def test_unions_over_a_subset_merge_orbits_of_its_stabiliser(mods, subset, images):
     group = make_group(list(mods))
@@ -261,6 +263,18 @@ def test_unions_past_the_image_ceiling_use_identity_and_negation(monkeypatch):
     assert {len(a) for a in invariants._atom_images(atoms, 8)} == {2}
     unions = unions_range(c33, 4, atoms)
     assert {k: u.values for k, u in unions.items()} == reference_unions((3, 3), 4)
+
+
+def test_unions_past_the_image_ceiling_keep_negation_only_if_it_fixes_the_letters(monkeypatch):
+    # two automorphisms fix the letters (0,1), (1,0), (1,1); negation is not one
+    c33 = make_group([3, 3])
+    subset = ((0, 1), (1, 0), (1, 1))
+    atoms = enumerate_atoms(c33, [c33.element(c) for c in subset])
+    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {2}
+    monkeypatch.setattr(invariants, "MAX_ATOM_IMAGES", len(atoms))
+    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {1}
+    unions = unions_range(c33, 5, atoms)
+    assert {k: u.values for k, u in unions.items()} == reference_unions((3, 3), 5, subset)
 
 
 def test_unions_over_atoms_not_closed_under_automorphisms_keep_every_product(c3):
