@@ -255,26 +255,18 @@ def test_unions_over_a_subset_merge_orbits_of_its_stabiliser(mods, subset, image
     assert {k: u.values for k, u in unions.items()} == reference_unions(mods, 5, subset)
 
 
-def test_unions_past_the_image_ceiling_use_identity_and_negation(monkeypatch):
-    # C3+C3: 69 atoms times 48 automorphisms is past a ceiling of 100
+@pytest.mark.parametrize("subset, images", [
+    (None, 2),  # 69 atoms, 48 automorphisms
+    (((0, 1), (1, 0), (1, 1)), 1),  # 2 automorphisms; negation is not one
+])
+def test_unions_past_the_image_ceiling_use_identity_and_negation(monkeypatch, subset, images):
+    # C3+C3 with a ceiling of one automorphism per atom
     c33 = make_group([3, 3])
-    atoms = dataclasses.replace(enumerate_atoms(c33))
-    monkeypatch.setattr(invariants, "MAX_ATOM_IMAGES", 100)
-    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {2}
-    unions = unions_range(c33, 4, atoms)
-    assert {k: u.values for k, u in unions.items()} == reference_unions((3, 3), 4)
-
-
-def test_unions_past_the_image_ceiling_keep_negation_only_if_it_fixes_the_letters(monkeypatch):
-    # two automorphisms fix the letters (0,1), (1,0), (1,1); negation is not one
-    c33 = make_group([3, 3])
-    subset = ((0, 1), (1, 0), (1, 1))
-    atoms = enumerate_atoms(c33, [c33.element(c) for c in subset])
-    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {2}
+    atoms = dataclasses.replace(enumerate_atoms(c33, subset and [c33.element(c) for c in subset]))
     monkeypatch.setattr(invariants, "MAX_ATOM_IMAGES", len(atoms))
-    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {1}
-    unions = unions_range(c33, 5, atoms)
-    assert {k: u.values for k, u in unions.items()} == reference_unions((3, 3), 5, subset)
+    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {images}
+    unions = unions_range(c33, 4, atoms)
+    assert {k: u.values for k, u in unions.items()} == reference_unions((3, 3), 4, subset)
 
 
 def test_unions_over_atoms_not_closed_under_automorphisms_keep_every_product(c3):
