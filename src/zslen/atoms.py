@@ -192,6 +192,16 @@ class AtomSet:
         return tuple(Sequence.from_dense(self.group, self.letters, v) for v in self.atom_vectors)
 
     @cached_property
+    def prime_letters(self) -> tuple[int, ...]:
+        """Positions of the letters whose unit vector is an atom that no
+        other atom uses: the zero element of B(G0), the primes of class 0
+        of a Krull instance.  Such a letter p is a prime of the monoid, so
+        L(p^c * B) = c + L(B); the whole-monoid scans factor it out."""
+        vectors = self.atom_vectors
+        units = sorted({v.index(1) for v in vectors if sum(v) == 1})
+        return tuple(i for i in units if sum(1 for v in vectors if v[i]) == 1)
+
+    @cached_property
     def positions(self) -> dict:
         """Position of each letter in the letter order."""
         return {g: i for i, g in enumerate(self.letters)}

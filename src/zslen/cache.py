@@ -3,8 +3,12 @@
 Cache files are JSON documents written atomically (temp file + rename).
 Loads check the file's shape and validate the stored dense vectors (the
 antichain check through the atom walk's DominanceIndex) before building
-the atom set straight from them.  Any bad file or mismatch produces a
-warning and a recompute, never a wrong answer or a crash.
+the atom set straight from them.  A file that fails a check produces a
+warning and a recompute, never a crash.  The checks cannot see a missing
+atom: over C2+C2, a file listing (0,1)^2(1,0)^2 in place of (0,1)^2 and
+(1,0)^2 is an antichain of zero-sum vectors, loads as 4 atoms, and gives
+D = 4.  Only the walk proves a list complete, so the cache directory
+must be trusted not to hold such a file.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ import json
 import logging
 import os
 import tempfile
+from operator import mul
 from pathlib import Path
 
 from .atoms import AtomSet, divisible_pairs
 from .group import FiniteAbelianGroup, GroupElement, elements, order_of
-from .sequence import Sequence, canonical_subset, is_zero_sum
+from .sequence import canonical_subset
 
 log = logging.getLogger(__name__)
 
@@ -109,12 +114,14 @@ def _valid_atom_list(
 ) -> bool:
     """The list is nonempty (each g^ord(g) is an atom); every vector spans the
     subset with int entries from 0 to the order of their element (g^ord(g)
-    divides anything above), is nonzero and sums to zero; and the vectors
-    form an antichain (a duplicate is a divisible pair)."""
+    divides anything above), is nonzero and sums to zero, coordinate by
+    coordinate over the letters' coordinates; and the vectors form an
+    antichain (a duplicate is a divisible pair)."""
     caps = [order_of(g) for g in subset]
+    columns = list(zip(group.invariant_factors, zip(*(g.coords for g in subset))))
     for vec in vectors:
         if len(vec) != len(caps) or any(type(m) is not int or not 0 <= m <= c for m, c in zip(vec, caps)):
             return False
-        if not any(vec) or not is_zero_sum(Sequence.from_dense(group, subset, vec)):
+        if not any(vec) or any(sum(map(mul, vec, col)) % n for n, col in columns):
             return False
     return bool(vectors) and not divisible_pairs(vectors)

@@ -52,6 +52,8 @@ from .numerical import (
 )
 from .sequence import (
     canonical_subset,
+    encode_dense,
+    encode_element,
     encode_sequence,
     parse_element,
     parse_sequence,
@@ -153,11 +155,12 @@ def cmd_atoms(args):
     subset = _parse_subset(group, args.subset)
     atoms = _get_atoms(group, subset, args)
     dav, witness = davenport(group, atoms) if subset == tuple(elements(group)) else (None, None)
+    codes = [encode_element(g) for g in atoms.letters]
     results = {
         "group": list(group.invariant_factors),
         "subset": [list(g.coords) for g in atoms.letters],
         "count": len(atoms),
-        "atoms": [encode_sequence(a) for a in atoms.atoms],
+        "atoms": [encode_dense(codes, v) for v in atoms.vectors()],
     }
     if dav is not None:
         results["davenport"] = dav

@@ -73,16 +73,36 @@ def system(
 
     The engine's field is widened to hold the bound before the walk, so the
     walk's packed keys go to the engine as they are; only the first key of
-    each distinct length set is unpacked, into its witness."""
+    each distinct length set is unpacked, into its witness.
+
+    When 0 is in G0 it is letter 0 and the one prime of B(G0)
+    (AtomSet.prime_letters), so B(G0) = F({0}) x B(G0 - {0}) and
+    L(0^c B) = c + L(B).  The walk then covers the zero-free sequences
+    only, shifted into the full key layout by one field.  Each length mask
+    m keeps its first zero-free key B_m, and gives the sets m << c for
+    c <= bound - |B_m|, witnessed by 0^c B_m.  A set keeps the witness of
+    least (length, c): letter 0 comes first in the (length, lex) order of
+    the full walk, so that is the key the full walk would have met first."""
     if bound < 0:
         raise InvalidArgumentError(f"bound must be nonnegative: {bound}")
     atoms = atoms_over(group, subset, atoms)
     alphabet = atoms.letters
     engine = engine_for(atoms, memo_limit)
     lengths_mask = engine.lengths_mask
+    bits = engine.widen(bound)
+    lead = int(0 in atoms.prime_letters)  # the zero element is letter 0
     first: dict[int, int] = {}  # length mask -> first key
-    for key in zero_sum_keys(group, alphabet, bound, engine.widen(bound)):
+    for key in zero_sum_keys(group, alphabet[lead:], bound, bits):
+        key <<= lead * bits
         first.setdefault(lengths_mask(key), key)
+    if lead:
+        shifted = []
+        for mask, key in first.items():
+            size = sum(engine.unpack(key))
+            shifted += [(size + c, c, mask << c, key + c) for c in range(bound - size + 1)]
+        first = {}
+        for _, _, mask, key in sorted(shifted):
+            first.setdefault(mask, key)
     entries = sorted(
         (
             (LengthSet.from_mask(mask), Sequence.from_dense(group, alphabet, engine.unpack(key)))
@@ -240,17 +260,24 @@ def unions_range(
     largest atom entry, so a product of packed atoms is the sum of their
     keys.
 
+    The prime letters (AtomSet.prime_letters: the zero element, or the
+    class-0 primes of a Krull instance) are factored out: a product of c
+    prime atoms and k - c others has the lengths c + L(rest), so
+    U_k = union over c of (c + U'_(k-c)) = U'_k | (1 + U_(k-1)), where
+    U'_j is the union over products of j atoms that are not prime and
+    U_0 = U'_0 = {0}.  The level walk runs over those atoms only.
+
     An automorphism s of G that maps the letters onto themselves maps
     atoms to atoms and keeps lengths, L(sB) = L(B), so a level keeps one
     product per orbit of those automorphisms (see _atom_images): the
-    orbit's largest key, the only one the engine is asked about.  Level k+1 is (level k) x atoms,
-    reduced the same way; it meets every orbit, since
-    sB * A = s(B * s^-1 A).  s permutes the key's fields, which never
+    orbit's largest key, the only one the engine is asked about.  Level
+    k+1 is (level k) x atoms, reduced the same way; it meets every orbit,
+    since sB * A = s(B * s^-1 A).  s permutes the key's fields, which never
     carry, so s(BA) = sB + sA: a level holds, for each orbit, the keys of
     one product's images, and a product's images are the sums of its
-    factors' images.  Each level forms len(previous level) * len(atoms)
-    products; their running total is charged against product_limit before
-    the level is formed.
+    factors' images.  Each level forms len(previous level) products per
+    atom that is not prime; their running total is charged against
+    product_limit before the level is formed.
     """
     if k_max < 1:
         raise InvalidArgumentError(f"k must be positive: {k_max}")
@@ -259,8 +286,11 @@ def unions_range(
     engine = engine_for(atoms, memo_limit)
     images = _atom_images(atoms, engine.widen(k_max * max(map(max, atoms.vectors()))))
     lengths_mask = engine.lengths_mask
+    has_primes = bool(atoms.prime_letters)
     out: dict[int, UnionOfLengths] = {}
-    level = {0: (0,) * len(images[0])}  # largest image -> images of one product
+    # largest image -> images of one product; none when every atom is prime
+    level = {0: (0,) * len(images[0])} if images else {}
+    union_mask = 1  # U_0 = {0}
     formed = 0
     for k in range(1, k_max + 1):
         formed += len(level) * len(images)
@@ -274,7 +304,7 @@ def unions_range(
                 if top not in nxt:
                     nxt[top] = None if last else [*map(add, b, a)]
         level = nxt
-        union_mask = 0
+        union_mask = union_mask << 1 if has_primes else 0
         for key in level:
             union_mask |= lengths_mask(key)
         out[k] = UnionOfLengths(k, LengthSet.from_mask(union_mask).values)
@@ -282,10 +312,11 @@ def unions_range(
 
 
 def _atom_images(atoms: AtomSet, field_bits: int) -> list[tuple[int, ...]]:
-    """The keys, at field_bits bits per letter, of each atom's images under
-    the automorphisms of G that map the letters onto themselves
-    (group.automorphisms), one per distinct permutation of the letters, in
-    one order for all atoms with the identity first.
+    """The keys, at field_bits bits per letter, of the images of each atom
+    that is not prime (AtomSet.prime_letters) under the automorphisms of G
+    that map the letters onto themselves (group.automorphisms), one per
+    distinct permutation of the letters, in one order for all atoms with
+    the identity first.
 
     Only the identity and negation (when it maps the letters onto
     themselves) are used when there are too many automorphisms: more than
@@ -294,11 +325,12 @@ def _atom_images(atoms: AtomSet, field_bits: int) -> list[tuple[int, ...]]:
     all atoms, as for an atom set built by hand that is not A(G0), and
     for a Krull instance, whose letters are primes, not elements of G."""
     letters = atoms.letters
+    vectors = [a for a in atoms.vectors() if not any(a[p] for p in atoms.prime_letters)]
     if all(isinstance(g, GroupElement) for g in letters):
         tab = tables(atoms.group)
         classes = [tab.index[g] for g in letters]
         position = {c: i for i, c in enumerate(classes)}
-        limit = MAX_ATOM_IMAGES // max(len(atoms), atoms.group.order)
+        limit = MAX_ATOM_IMAGES // max(len(vectors), atoms.group.order)
         auts = automorphisms(atoms.group, classes, limit)
         if auts is None:
             auts = [range(atoms.group.order)]
@@ -310,7 +342,7 @@ def _atom_images(atoms: AtomSet, field_bits: int) -> list[tuple[int, ...]]:
         moves = [range(len(letters))]
     offsets = [[j * field_bits for j in move] for move in moves]
     out = []
-    for a in atoms.vectors():
+    for a in vectors:
         support = [(x, i) for i, x in enumerate(a) if x]
         out.append(tuple(sum(x << off[i] for x, i in support) for off in offsets))
     keys = {images[0] for images in out}

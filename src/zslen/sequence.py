@@ -330,6 +330,12 @@ def encode_sequence(s: Sequence) -> str:
     return "[" + ",".join(f"{encode_element(g)}:{m}" for g, m in s.items) + "]"
 
 
+def encode_dense(codes: list[str], vec) -> str:
+    """encode_sequence of the sequence with exponent vec[i] at the letter
+    whose encoding is codes[i], for letters in canonical element order."""
+    return "[" + ",".join(f"{c}:{m}" for c, m in zip(codes, vec) if m) + "]"
+
+
 def split_top_level(text: str, sep: str = ",") -> list[str]:
     parts, depth, cur = [], 0, []
     for ch in text:

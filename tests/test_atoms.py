@@ -27,6 +27,7 @@ from zslen.sequence import (
     is_zero_sum,
     parse_sequence,
 )
+from zslen.transfer import instance_atoms, make_instance
 
 
 def naive_atoms(group):
@@ -295,3 +296,16 @@ def test_atoms_are_closed_under_automorphisms(mods):
             for i, x in enumerate(a):
                 image[s[i]] = x
             assert tuple(image) in atoms
+
+
+def test_prime_letters_are_those_of_unit_atoms(c3):
+    # the zero element of B(G0), when in G0; the class-0 primes of a Krull
+    # instance; a unit vector that shares its letter with another atom is
+    # not a prime of the set
+    assert enumerate_atoms(c3).prime_letters == (0,)
+    assert enumerate_atoms(c3, [c3.element([1]), c3.element([2])]).prime_letters == ()
+    assert enumerate_atoms(c3, [c3.zero()]).prime_letters == (0,)
+    krull = instance_atoms(make_instance(c3, None, 2))
+    assert [krull.letters[i] for i in krull.prime_letters] == ["p0.0", "p0.1"]
+    letters = enumerate_atoms(c3).letters
+    assert AtomSet(c3, letters, ((1, 0, 0), (1, 1, 2), (0, 3, 0))).prime_letters == ()

@@ -50,8 +50,10 @@ def test_traced_sweeps_pass_walks_each_system_once(tmp_path):
     # 58,135 queries when the structure fit walked B(C3+C3) a second time
     # for its difference candidates; 52,715 queries and 32,049 memo entries
     # when the U_k walk of C5 queried every product, not one per orbit of
-    # the automorphisms (12,269 -> 3,593 memo entries for that op)
-    assert layers["lengths.queries"] == 39912
-    assert layers["lengths.memo_entries"] == 23373
+    # the automorphisms (12,269 -> 3,593 memo entries for that op); 39,912
+    # queries and 23,373 memo entries when `system` and the U_k walk queried
+    # every key and product holding the prime 0
+    assert layers["lengths.queries"] == 19069
+    assert layers["lengths.memo_entries"] == 11059
     assert layers["structure_fit.fits"] == 16
     assert layers["atoms.nodes"] == 641

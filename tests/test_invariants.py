@@ -292,33 +292,38 @@ def test_unions_over_a_krull_instance_equal_those_of_its_block_monoid(c3):
 
 
 def test_union_limit_charges_products_formed_per_orbit(c5):
-    # one product per orbit of C5's 4 automorphisms: k <= 6 forms 26,595
-    # products from its 15 atoms, where the unmerged walk formed 102,390
+    # one product per orbit of C5's 4 automorphisms, over the 14 atoms other
+    # than the prime [0:1]: k <= 6 forms 16,296 products.  The unmerged walk
+    # over all 15 atoms formed 102,390, the orbit walk over all 15 26,595.
     atoms = enumerate_atoms(c5)
-    unions = unions_range(c5, 6, atoms, product_limit=26595)
+    unions = unions_range(c5, 6, atoms, product_limit=16296)
     assert unions == unions_range(c5, 6, atoms)
     with pytest.raises(ResourceLimitError) as info:
-        unions_range(c5, 6, atoms, product_limit=26594)
-    assert info.value.reached == 26595
+        unions_range(c5, 6, atoms, product_limit=16295)
+    assert info.value.reached == 16296
 
 
 def test_unions_memo_is_pinned(c5):
-    # a fresh engine: only the largest key of each orbit is queried, so the
-    # memo holds 3,593 entries after k <= 6 (12,269 when every product was)
+    # a fresh engine: only the largest key of each orbit of zero-free
+    # products is queried, so the memo holds 2,219 entries after k <= 6
+    # (12,269 when every product was, 3,593 when those holding 0 were too)
     atoms = dataclasses.replace(enumerate_atoms(c5))
     assert not atoms.engines
     unions_range(c5, 6, atoms)
-    assert engine_for(atoms).memo_size == 3593
+    assert engine_for(atoms).memo_size == 2219
 
 
 def test_unions_with_two_byte_fields():
-    # level entries of C2 reach 2 * 130 = 260, past one byte per field
+    # level entries of C2 reach 2 * 130 = 260, past one byte per field.  The
+    # walk forms only the powers [1:2k] of the one atom besides [0:1], so the
+    # memo holds [1:2k] for 0 <= k <= 130: 131 entries (8,646 when the
+    # products with the prime [0:1] were queried too)
     group = make_group([2])
     atoms = enumerate_atoms(group)
     unions = unions_range(group, 130, atoms)
     assert engine_for(atoms).widen(0) == 16
     assert [u.values for u in unions.values()] == [(k,) for k in range(1, 131)]
-    assert engine_for(atoms).memo_size == 8646
+    assert engine_for(atoms).memo_size == 131
 
 
 def test_system_with_two_byte_fields():
