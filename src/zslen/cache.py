@@ -29,8 +29,6 @@ log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
 
-ENV_CACHE_DIR = "ZSLEN_CACHE_DIR"
-
 
 def cache_key(group: FiniteAbelianGroup, subset) -> str:
     """Filesystem-safe key from the canonical group and subset encoding."""

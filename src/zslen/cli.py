@@ -27,7 +27,7 @@ from .atoms import (
     davenport_star,
     enumerate_atoms,
 )
-from .cache import ENV_CACHE_DIR, cache_load, cache_store
+from .cache import cache_load, cache_store
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import DEFAULT_MAX_ORDER, FiniteAbelianGroup, elements, make_group
 from .invariants import (
@@ -124,8 +124,7 @@ _TOUCHED_ATOMS: list[AtomSet] = []
 
 
 def _get_atoms(group: FiniteAbelianGroup, subset, args) -> AtomSet:
-    # the environment variable overrides the flag
-    cache_dir = os.environ.get(ENV_CACHE_DIR) or args.cache_dir
+    cache_dir = args.cache_dir
     atoms = None
     if cache_dir:
         atoms = cache_load(cache_dir, group, subset)
@@ -412,7 +411,7 @@ _SHARED = {
                          help="lattice node ceiling for atom enumeration"),
     "--memo-limit": dict(type=int, default=DEFAULT_MEMO_LIMIT,
                          help="memo table ceiling for the factorization engine"),
-    "--cache-dir": dict(default=None, help=f"atom cache directory (or ${ENV_CACHE_DIR})"),
+    "--cache-dir": dict(default=None, help="atom cache directory"),
 }
 
 
@@ -555,7 +554,7 @@ def _validate_common(args):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise InvalidArgumentError(f"{name.replace('_', '-')} must be positive: {value}")
-    for name in ("samples", "max_order"):
+    for name in ("samples", "max_order", "max_word_length"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise InvalidArgumentError(f"{name.replace('_', '-')} must be nonnegative: {value}")

@@ -92,9 +92,13 @@ def system(
     bits = engine.widen(bound)
     lead = int(0 in atoms.prime_letters)  # the zero element is letter 0
     first: dict[int, int] = {}  # length mask -> first key
-    for key in zero_sum_keys(group, alphabet[lead:], bound, bits):
-        key <<= lead * bits
-        first.setdefault(lengths_mask(key), key)
+    keep, shift = first.setdefault, lead * bits
+
+    def visit(key: int) -> None:
+        key <<= shift
+        keep(lengths_mask(key), key)
+
+    zero_sum_keys(group, alphabet[lead:], bound, bits, visit)
     if lead:
         shifted = []
         for mask, key in first.items():

@@ -9,7 +9,7 @@ group's element order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import InvalidArgumentError
 from .group import FiniteAbelianGroup, GroupElement, elements, tables
@@ -17,11 +17,6 @@ from .group import FiniteAbelianGroup, GroupElement, elements, tables
 # Multiplicities are mathematically unbounded; this guard keeps encodings
 # and k-fold powers sane.
 _MAX_MULTIPLICITY = 2**63
-
-# zero_sum_keys buffers the keys that share the counts of this many first
-# letters: C2^4 to length 10 holds at most 41,096 keys at a time, 123,321
-# with one letter (see the README's performance notes)
-_SPLIT_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -54,13 +49,6 @@ class Sequence:
             if m != 0
         )
         return cls(group, items)
-
-    @classmethod
-    def from_elements(cls, group: FiniteAbelianGroup, terms: Iterable[GroupElement]) -> "Sequence":
-        exps: dict[GroupElement, int] = {}
-        for g in terms:
-            exps[g] = exps.get(g, 0) + 1
-        return cls.make(group, exps)
 
     @classmethod
     def from_dense(
@@ -190,11 +178,12 @@ def zero_sum_keys(
     alphabet: tuple[GroupElement, ...],
     max_length: int,
     field_bits: int,
-) -> Iterator[int]:
-    """Packed exponent vectors over `alphabet` of all zero-sum sequences
-    with length <= max_length: the count of letter i sits in the unsigned
-    field of field_bits bits at bit i * field_bits, the key layout of
-    FactorizationEngine.  The fields must hold max_length.
+    emit: Callable[[int], object],
+) -> None:
+    """Call emit with the packed exponent vector over `alphabet` of each
+    zero-sum sequence with length <= max_length: the count of letter i sits
+    in the unsigned field of field_bits bits at bit i * field_bits, the key
+    layout of FactorizationEngine.  The fields must hold max_length.
 
     Order: length ascending, then lexicographic on the vector.  Each length
     is walked depth-first over the letters with multiplicities ascending,
@@ -228,7 +217,7 @@ def zero_sum_keys(
             row[r] = rest[r] | moved
     last = (m - 1) * field_bits
 
-    def rec(i: int, r: int, s: int, key: int, emit) -> None:
+    def rec(i: int, r: int, s: int, key: int) -> None:
         # invariant: 0 <= i <= m - 2, r > 0 and neg[s] is in exact[i][r]
         w, rest, step = letters[i], exact[i + 1], 1 << i * field_bits
         x = s
@@ -246,56 +235,15 @@ def zero_sum_keys(
                 if k == r:
                     emit(key + k * step)
                 else:
-                    rec(i + 1, r - k, x, key + k * step, emit)
-
-    # rec fills a list with the keys that share the counts of the first
-    # `split` letters, which the generator yields from: cheaper than passing
-    # each key up a chain of generators, and small even where those letters
-    # are absent and their one branch holds most keys of the length
-    split = min(_SPLIT_DEPTH, m - 2)
-
-    def prefixes(i: int, r: int, s: int, key: int, out: list) -> None:
-        # (terms left, partial sum, key) of each admissible choice of counts
-        # of letters i..split-1, or of a whole key when no terms are left.
-        # It must prune exactly as rec does, or keys are lost or invented.
-        if i == split or r == 0:
-            out.append((r, s, key))
-            return
-        w, rest, x = letters[i], exact[i + 1], s
-        for k in range(r + 1):
-            if k:
-                x = add[x][w]
-            if rest[r - k] >> neg[x] & 1:
-                prefixes(i + 1, r - k, x, key + (k << i * field_bits), out)
+                    rec(i + 1, r - k, x, key + k * step)
 
     for length in range(max_length + 1):
         if not exact[0][length] & 1:
             continue
-        if m == 1:
-            yield length  # length copies of the one letter
-            continue
-        heads: list[tuple[int, int, int]] = []
-        prefixes(0, length, 0, 0, heads)
-        for r, s, key in heads:
-            if r == 0:
-                yield key
-            else:
-                branch: list[int] = []
-                rec(split, r, s, key, branch.append)
-                yield from branch
-
-
-def zero_sum_vectors(
-    group: FiniteAbelianGroup,
-    alphabet: tuple[GroupElement, ...],
-    max_length: int,
-) -> Iterator[tuple[int, ...]]:
-    """zero_sum_keys unpacked into dense exponent vectors, in its order."""
-    bits = max(1, max_length.bit_length())
-    fmask = (1 << bits) - 1
-    offsets = [i * bits for i in range(len(alphabet))]
-    for key in zero_sum_keys(group, alphabet, max_length, bits):
-        yield tuple(key >> off & fmask for off in offsets)
+        if m < 2 or not length:
+            emit(length)  # the empty key, or length copies of the one letter
+        else:
+            rec(0, length, 0, 0)
 
 
 def enumerate_zero_sum(
@@ -309,9 +257,14 @@ def enumerate_zero_sum(
     exponent vector over the subset's canonical element order.
     """
     alphabet = canonical_subset(group, subset)
+    bits = max(1, max_length.bit_length())
+    fmask = (1 << bits) - 1
+    offsets = range(0, len(alphabet) * bits, bits)
+    keys: list[int] = []
+    zero_sum_keys(group, alphabet, max_length, bits, keys.append)
     return [
-        Sequence.from_dense(group, alphabet, v)
-        for v in zero_sum_vectors(group, alphabet, max_length)
+        Sequence.from_dense(group, alphabet, [key >> off & fmask for off in offsets])
+        for key in keys
     ]
 
 

@@ -87,20 +87,21 @@ def verify_prop_6_1(group: FiniteAbelianGroup, k_max: int, bound: int) -> list[V
     out.append(Verdict(
         f"prop6.1 U_k intervals, k<={k_max}, {group}", ok,
         "; ".join(f"U_{k}={list(u.values)}" for k, u in sorted(unions.items()))))
+    # a k range too short to hold a case decides nothing
     if group.order >= 3:
         rho_even = {k: unions[2 * k].rho for k in range(1, k_max // 2 + 1)}
-        ok = all(v == k * dav for k, v in rho_even.items())
+        ok = all(v == k * dav for k, v in rho_even.items()) if rho_even else None
         out.append(Verdict(
             f"prop6.1 rho_2k = k*D for {group}", ok, f"{rho_even}, D={dav}"))
         odd = {
             k: unions[2 * k + 1].rho
             for k in range(1, (k_max - 1) // 2 + 1)
         }
-        ok = all(1 + k * dav <= v <= k * dav + dav // 2 for k, v in odd.items())
+        ok = all(1 + k * dav <= v <= k * dav + dav // 2 for k, v in odd.items()) if odd else None
         out.append(Verdict(
             f"prop6.1 rho_2k+1 bounds for {group}", ok, f"{odd}, D={dav}"))
-    chain_ok = True
-    chain_witness = "all pairs"
+    chain_ok = True if k_max >= 2 else None
+    chain_witness = "all pairs" if k_max >= 2 else "no pairs"
     for k in range(1, k_max):
         for l in range(1, k_max - k + 1):
             lam_k, rho_kk = unions[k].lam, unions[k].rho

@@ -3,11 +3,6 @@ import pytest
 from zslen.group import make_group
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_cache(monkeypatch):
-    monkeypatch.delenv("ZSLEN_CACHE_DIR", raising=False)
-
-
 @pytest.fixture(scope="session")
 def c2():
     return make_group([2])

@@ -54,18 +54,6 @@ def test_atoms_with_cache(capsys, tmp_path):
     assert report2["results"]["atoms"] == report["results"]["atoms"]
 
 
-def test_cache_env_var_overrides_flag(capsys, tmp_path, monkeypatch):
-    env_dir = tmp_path / "env"
-    flag_dir = tmp_path / "flag"
-    monkeypatch.setenv("ZSLEN_CACHE_DIR", str(env_dir))
-    code, _ = run_json(
-        capsys, "atoms", "--group", "2,2", "--cache-dir", str(flag_dir)
-    )
-    assert code == 0
-    assert list(env_dir.glob("atoms_*.json"))
-    assert not flag_dir.exists()
-
-
 def test_resource_counters_reported(capsys):
     code, report = run_json(capsys, "system", "--group", "3", "--bound", "8")
     assert code == 0
@@ -182,18 +170,23 @@ def test_verify_explicit_zero_bound_is_kept(capsys):
 def test_verify_too_small_bound_is_undecided(capsys):
     # no C3 sequence of length at most 5 has two lengths, so neither the
     # Delta verdict of prop6.1 nor the C3 verdict of prop2.3 can be passed
-    # or failed
-    for suite, verdict in (("prop6.1", "prop6.1 Delta interval from 1"),
-                           ("prop2.3", "prop2.3 over C3 (bound 5)")):
-        code, report = run_json(capsys, "verify", suite, "--group", "3", "--bound", "5")
+    # or failed; nor can the rho_k and chain verdicts of prop6.1 when
+    # --k-max leaves their k range empty
+    for suite, option, verdicts in (
+        ("prop6.1", ("--bound", "5"), ["prop6.1 Delta interval from 1"]),
+        ("prop2.3", ("--bound", "5"), ["prop2.3 over C3 (bound 5)"]),
+        ("prop6.1", ("--k-max", "1"), ["prop6.1 rho_2k = k*D", "prop6.1 rho_2k+1 bounds",
+                                       "prop6.1 lambda/rho chain"]),
+        ("prop6.1", ("--k-max", "2"), ["prop6.1 rho_2k+1 bounds"]),
+    ):
+        code, report = run_json(capsys, "verify", suite, "--group", "3", *option)
         assert code == 0
-        assert (report["results"]["failed"], report["results"]["undecided"]) == (0, 1)
-        (undecided,) = [v for v in report["verdicts"] if v["pass"] is None]
-        assert undecided["name"].startswith(verdict)
-        code, out = run(capsys, "verify", suite, "--group", "3", "--bound", "5",
-                        "--format", "text")
+        assert (report["results"]["failed"], report["results"]["undecided"]) == (0, len(verdicts))
+        undecided = [v["name"] for v in report["verdicts"] if v["pass"] is None]
+        assert all(name.startswith(verdict) for name, verdict in zip(undecided, verdicts))
+        code, out = run(capsys, "verify", suite, "--group", "3", *option, "--format", "text")
         assert code == 0
-        assert f"[UNDECIDED] {verdict}" in out
+        assert all(f"[UNDECIDED] {verdict}" in out for verdict in verdicts)
 
 
 def test_verify_prop23_half_factorial_group_passes(capsys):
@@ -223,6 +216,18 @@ def test_malformed_cache_file_is_recomputed(capsys, tmp_path, edit):
 
 def test_exit_code_invalid_arguments(capsys):
     code, report = run_json(capsys, "davenport", "--group", "0")
+    assert code == 2
+    assert report["error"]["type"] == "invalid-argument"
+
+
+@pytest.mark.parametrize("argv", [
+    ["system", "--group", "3", "--bound", "-1"],
+    ["transfer-check", "--group", "3", "--samples", "-1"],
+    ["transfer-check", "--group", "3", "--max-word-length", "-4"],
+])
+def test_negative_option_is_invalid_argument(capsys, argv):
+    # a count below 0 is refused, not clamped and echoed as given
+    code, report = run_json(capsys, *argv)
     assert code == 2
     assert report["error"]["type"] == "invalid-argument"
 

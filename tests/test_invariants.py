@@ -35,7 +35,6 @@ from zslen.sequence import (
     canonical_subset,
     enumerate_zero_sum,
     parse_sequence,
-    zero_sum_vectors,
 )
 from zslen.transfer import instance_atoms, make_instance
 
@@ -406,6 +405,12 @@ def test_closed_form_comparison_rejects_a_subset_system(c3):
     e = elements(c3)
     with pytest.raises(InvalidArgumentError, match="does not match"):
         compare_with_closed_form(c3, 6, system(c3, [e[1], e[2]], 6))
+
+
+def zero_sum_vectors(group, alphabet, bound):
+    """Dense exponent vectors of the zero-sum sequences over a canonical
+    alphabet, in the walk's (length, lex) order."""
+    return [b.dense(alphabet) for b in enumerate_zero_sum(group, alphabet, bound)]
 
 
 def reference_delta(group, subset, bound):

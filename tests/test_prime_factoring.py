@@ -34,8 +34,10 @@ def full_system(group, atoms, bound):
     first key of each length mask in (length, lex) order, on a fresh engine."""
     alphabet = atoms.letters
     engine = FactorizationEngine(atoms.vectors())
+    keys = []
+    zero_sum_keys(group, alphabet, bound, engine.widen(bound), keys.append)
     first = {}
-    for key in zero_sum_keys(group, alphabet, bound, engine.widen(bound)):
+    for key in keys:
         first.setdefault(engine.lengths_mask(key), key)
     return sorted(
         (

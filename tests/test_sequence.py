@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from zslen.sequence import (
     quotient,
     sigma,
     zero_sum_keys,
-    zero_sum_vectors,
 )
 
 
@@ -58,7 +58,7 @@ def test_mul_lengths(c5):
 def random_sequences(group):
     els = elements(group)
     return st.lists(st.sampled_from(els), min_size=0, max_size=6).map(
-        lambda terms: Sequence.from_elements(group, terms)
+        lambda terms: Sequence.make(group, Counter(terms))
     )
 
 
@@ -173,6 +173,15 @@ def walker_instances(draw):
     return group, alphabet, draw(st.integers(0, top))
 
 
+def zero_sum_vectors(group, alphabet, max_length):
+    """The walk's keys unpacked into dense exponent vectors, in its order."""
+    bits = max(1, max_length.bit_length())
+    keys = []
+    zero_sum_keys(group, alphabet, max_length, bits, keys.append)
+    fmask = (1 << bits) - 1
+    return [tuple(key >> i * bits & fmask for i in range(len(alphabet))) for key in keys]
+
+
 def brute_zero_sum_vectors(group, alphabet, max_length):
     """Every exponent vector in the box, filtered, sorted by (length, vector)."""
     facs = group.invariant_factors
@@ -188,7 +197,7 @@ def brute_zero_sum_vectors(group, alphabet, max_length):
 @given(walker_instances())
 def test_zero_sum_vectors_match_brute_force(instance):
     group, alphabet, max_length = instance
-    assert list(zero_sum_vectors(group, alphabet, max_length)) == brute_zero_sum_vectors(
+    assert zero_sum_vectors(group, alphabet, max_length) == brute_zero_sum_vectors(
         group, alphabet, max_length
     )
 
@@ -197,13 +206,12 @@ def test_zero_sum_vectors_match_brute_force(instance):
 def test_zero_sum_keys_unpack_to_the_vectors(c33, field_bits):
     alphabet = elements(c33)
     fmask = (1 << field_bits) - 1
-    unpacked = [
-        tuple(key >> i * field_bits & fmask for i in range(len(alphabet)))
-        for key in zero_sum_keys(c33, alphabet, 5, field_bits)
-    ]
-    assert unpacked == list(zero_sum_vectors(c33, alphabet, 5))
+    keys = []
+    zero_sum_keys(c33, alphabet, 5, field_bits, keys.append)
+    unpacked = [tuple(key >> i * field_bits & fmask for i in range(len(alphabet))) for key in keys]
+    assert unpacked == zero_sum_vectors(c33, alphabet, 5)
     with pytest.raises(InvalidArgumentError):
-        next(zero_sum_keys(c33, alphabet, 8, 3))
+        zero_sum_keys(c33, alphabet, 8, 3, keys.append)
 
 
 # sha256 of the key list as JSON, taken from the generator-chain walk: the
@@ -212,24 +220,42 @@ PINNED_KEY_ORDERS = [
     ([2, 2, 2, 2], 8, 46431, "fe8dd446928289ec8f47b0697352d28894f40fc76ae3845d2ffd5c10e7815339"),
     ([3, 3], 10, 10282, "4b100c8580e814e6f3fa4a85af2d9e583414f962c87331d4032f18185970b33a"),
 ]
+# the same over G0 without 0, the alphabet system walks when 0 is in G0;
+# taken from the walk that buffered its keys per branch
+PINNED_ZERO_FREE_KEY_ORDERS = [
+    ([3, 3], 10, 4862, "1bcd07c321973674f23a1fab1bf5f9523188099888a934856ea5fd9eb5327c22"),
+    ([2, 2, 2, 2], 8, 30954, "9e58df00e2b161f8a9d9becaa248cf8d1d7148e169195e360ebf8e9f473721f3"),
+    ([2, 4], 11, 3978, "0ac229cbe52d8c546f38ed8c4b64aa75809430558380588ab611df18a8eed1ca"),
+]
+
+
+def key_order(group, alphabet, max_length):
+    """The number of keys the walk emits and the sha256 of their JSON list."""
+    keys = []
+    zero_sum_keys(group, alphabet, max_length, max_length.bit_length(), keys.append)
+    return len(keys), hashlib.sha256(json.dumps(keys).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("mods,max_length,count,digest", PINNED_KEY_ORDERS)
 def test_zero_sum_key_order_is_pinned(mods, max_length, count, digest):
     group = make_group(mods)
-    keys = list(zero_sum_keys(group, elements(group), max_length, max_length.bit_length()))
-    assert len(keys) == count
-    assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == digest
+    assert key_order(group, elements(group), max_length) == (count, digest)
+
+
+@pytest.mark.parametrize("mods,max_length,count,digest", PINNED_ZERO_FREE_KEY_ORDERS)
+def test_zero_free_key_order_is_pinned(mods, max_length, count, digest):
+    group = make_group(mods)
+    assert key_order(group, elements(group)[1:], max_length) == (count, digest)
 
 
 def test_zero_sum_vectors_edges(c3, c33):
-    assert list(zero_sum_vectors(c3, (), 3)) == [()]
-    assert list(zero_sum_vectors(c3, (c3.zero(),), 2)) == [(0,), (1,), (2,)]
-    assert list(zero_sum_vectors(c3, (c3.element([1]),), 7)) == [(0,), (3,), (6,)]
+    assert zero_sum_vectors(c3, (), 3) == [()]
+    assert zero_sum_vectors(c3, (c3.zero(),), 2) == [(0,), (1,), (2,)]
+    assert zero_sum_vectors(c3, (c3.element([1]),), 7) == [(0,), (3,), (6,)]
     full = elements(c33)
-    assert list(zero_sum_vectors(c33, full, 2)) == brute_zero_sum_vectors(c33, full, 2)
+    assert zero_sum_vectors(c33, full, 2) == brute_zero_sum_vectors(c33, full, 2)
     with pytest.raises(InvalidArgumentError):
-        list(zero_sum_vectors(c3, elements(c3), -1))
+        zero_sum_vectors(c3, elements(c3), -1)
 
 
 def test_from_dense_inverts_dense(c4):
