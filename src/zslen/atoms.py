@@ -32,12 +32,13 @@ atoms_over is where every invariant of B(G0) resolves its atom set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, tables
-from .sequence import Sequence, canonical_subset, is_zero_sum
+from .sequence import Sequence, canonical_subset, index_sum, is_zero_sum
 
 DEFAULT_NODE_LIMIT = 10**8
 
@@ -111,13 +112,8 @@ def minimal_nonzero_vectors(
     reach: list[set[int]] = [set() for _ in range(m + 1)]
     reach[m] = {0}
     for i in range(m - 1, -1, -1):
-        w = letter_classes[i]
-        mults = [0]
-        x = 0
-        for _ in range(caps[i]):
-            x = add[x][w]
-            mults.append(x)
-        reach[i] = {add[s][mu] for s in reach[i + 1] for mu in set(mults)}
+        span = set(tab.mult[letter_classes[i]])  # the multiples of letter i
+        reach[i] = {add[s][mu] for s in reach[i + 1] for mu in span}
 
     found: list[tuple[int, ...]] = []
     # Bit j of a mask stands for found[j].  above[i][k]: the atoms with entry
@@ -203,8 +199,15 @@ class AtomSet:
 
     @cached_property
     def positions(self) -> dict:
-        """Position of each letter in the letter order."""
-        return {g: i for i, g in enumerate(self.letters)}
+        """Position of each letter in the letter order, keyed as the items
+        of the words over it: by element index for B(G0), by prime name
+        for a Krull instance (a name is no element, so it keys itself)."""
+        return {self.tables.index.get(g, g): i for i, g in enumerate(self.letters)}
+
+    @cached_property
+    def tables(self):
+        """tables(group), kept for the queries against this set."""
+        return tables(self.group)
 
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         """Dense exponent vectors of the atoms over the letter order."""
@@ -269,8 +272,8 @@ def is_atom(s: Sequence) -> bool:
     """
     if s.length == 0 or not is_zero_sum(s):
         return False
-    items = s.items
-    k = len(items)
+    tab, letters = tables(s.group), [i for i, _ in s.items]
+    k = len(letters)
     sub = [0] * k
 
     def rec(i: int) -> bool:
@@ -279,9 +282,8 @@ def is_atom(s: Sequence) -> bool:
             total = sum(sub)
             if total == 0 or total == s.length:
                 return False
-            t = Sequence.make(s.group, {items[j][0]: sub[j] for j in range(k) if sub[j]})
-            return is_zero_sum(t)
-        for c in range(items[i][1] + 1):
+            return not index_sum(tab, zip(letters, sub))
+        for c in range(s.items[i][1] + 1):
             sub[i] = c
             if rec(i + 1):
                 return True
@@ -314,15 +316,11 @@ def davenport_star_witness(group: FiniteAbelianGroup) -> Sequence:
     """The classical extremal atom (e1+...+er) * prod e_i^(n_i - 1)."""
     if group.rank == 0:
         raise InvalidArgumentError("trivial group has no nonzero atoms")
-    basis = [
-        group.element(tuple(1 if j == i else 0 for j in range(group.rank)))
-        for i in range(group.rank)
-    ]
-    exps: dict[GroupElement, int] = {}
-    for e, n in zip(basis, group.invariant_factors):
-        exps[e] = exps.get(e, 0) + (n - 1)
-    s = group.element(tuple(1 for _ in range(group.rank)))
-    exps[s] = exps.get(s, 0) + 1
+    exps = Counter({
+        group.element(1 if j == i else 0 for j in range(group.rank)): n - 1
+        for i, n in enumerate(group.invariant_factors)
+    })
+    exps[group.element([1] * group.rank)] += 1  # e1 itself when G is cyclic
     return Sequence.make(group, exps)
 
 

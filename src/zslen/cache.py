@@ -18,12 +18,11 @@ import json
 import logging
 import os
 import tempfile
-from operator import mul
 from pathlib import Path
 
 from .atoms import AtomSet, divisible_pairs
-from .group import FiniteAbelianGroup, GroupElement, elements, order_of
-from .sequence import canonical_subset
+from .group import FiniteAbelianGroup, GroupElement, elements, tables
+from .sequence import canonical_subset, index_sum
 
 log = logging.getLogger(__name__)
 
@@ -34,7 +33,7 @@ def cache_key(group: FiniteAbelianGroup, subset) -> str:
     """Filesystem-safe key from the canonical group and subset encoding."""
     facs = "x".join(str(n) for n in group.invariant_factors) or "1"
     subset = canonical_subset(group, subset)
-    if subset == canonical_subset(group, elements(group)):
+    if subset == elements(group):
         token = "all"
     else:
         blob = ";".join(",".join(map(str, g.coords)) for g in subset)
@@ -112,14 +111,15 @@ def _valid_atom_list(
 ) -> bool:
     """The list is nonempty (each g^ord(g) is an atom); every vector spans the
     subset with int entries from 0 to the order of their element (g^ord(g)
-    divides anything above), is nonzero and sums to zero, coordinate by
-    coordinate over the letters' coordinates; and the vectors form an
-    antichain (a duplicate is a divisible pair)."""
-    caps = [order_of(g) for g in subset]
-    columns = list(zip(group.invariant_factors, zip(*(g.coords for g in subset))))
+    divides anything above), is nonzero and sums to zero, folded over the
+    letters' element indices; and the vectors form an antichain (a
+    duplicate is a divisible pair)."""
+    tab = tables(group)
+    letters = [tab.index[g] for g in subset]
+    caps = [tab.order[i] for i in letters]
     for vec in vectors:
         if len(vec) != len(caps) or any(type(m) is not int or not 0 <= m <= c for m, c in zip(vec, caps)):
             return False
-        if not any(vec) or any(sum(map(mul, vec, col)) % n for n, col in columns):
+        if not any(vec) or index_sum(tab, zip(letters, vec)):
             return False
     return bool(vectors) and not divisible_pairs(vectors)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product, repeat
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -167,17 +167,23 @@ def elements(group: FiniteAbelianGroup) -> tuple[GroupElement, ...]:
 class _Tables:
     """Index-based arithmetic tables for the enumeration engines."""
 
-    __slots__ = ("group", "index", "add", "neg", "order")
+    __slots__ = ("group", "index", "add", "neg", "order", "exp", "mult")
 
     def __init__(self, group: FiniteAbelianGroup):
         els = elements(group)
         self.group = group
         self.index = {g: i for i, g in enumerate(els)}
-        self.add = tuple(
+        self.add = add_t = tuple(
             tuple(self.index[add(a, b)] for b in els) for a in els
         )
         self.neg = tuple(self.index[neg(a)] for a in els)
         self.order = tuple(order_of(a) for a in els)
+        # mult[i][k] = k * element i for k < exp(G): m copies sum to mult[i][m % exp]
+        self.exp = max(group.invariant_factors, default=1)
+        self.mult = tuple(
+            tuple(accumulate(repeat(i, self.exp - 1), lambda x, y: add_t[x][y], initial=0))
+            for i in range(len(els))
+        )
 
 
 @lru_cache(maxsize=None)
@@ -229,14 +235,9 @@ def automorphisms(
             return limit is None or len(found) <= limit
         n, step, base = group.invariant_factors[t], strides[t], len(span)
         for g in range(1, size):
-            x, ok = g, True
-            for _ in range(n - 1):
-                if used[x]:
-                    ok = False
-                    break
-                x = add[x][g]
-            if not ok or x != 0:
-                continue  # some j * g, 0 < j < n, is hit, or n * g != 0
+            mult, ok = tab.mult[g], True
+            if mult[n % tab.exp] or any(used[mult[j]] for j in range(1, n)):
+                continue  # n * g != 0, or some j * g, 0 < j < n, is hit
             for j in range(1, n):
                 for h in span[:base]:
                     i = h + j * step

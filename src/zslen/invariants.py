@@ -15,7 +15,7 @@ from .atoms import AtomSet, atoms_over, build_atoms, davenport, enumerate_atoms,
 from .errors import InvalidArgumentError, ResourceLimitError, VerificationError
 from .group import FiniteAbelianGroup, GroupElement, automorphisms, elements, order_of, tables
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, delta_of, engine_for, length_set
-from .sequence import Sequence, mul, negate, sigma, zero_sum_keys
+from .sequence import Sequence, index_sum, mul, negate, zero_sum_keys
 
 DEFAULT_PRODUCT_LIMIT = 10**8
 DEFAULT_SUBSET_SCAN_MAX_ORDER = 12
@@ -328,12 +328,11 @@ def _atom_images(atoms: AtomSet, field_bits: int) -> list[tuple[int, ...]]:
     |G| entries each.  Only the identity is used when the images are not
     all atoms, as for an atom set built by hand that is not A(G0), and
     for a Krull instance, whose letters are primes, not elements of G."""
-    letters = atoms.letters
     vectors = [a for a in atoms.vectors() if not any(a[p] for p in atoms.prime_letters)]
-    if all(isinstance(g, GroupElement) for g in letters):
-        tab = tables(atoms.group)
-        classes = [tab.index[g] for g in letters]
-        position = {c: i for i, c in enumerate(classes)}
+    position = atoms.positions  # keyed by element index, or by a Krull instance's prime names
+    if all(type(c) is int for c in position):
+        tab = atoms.tables
+        classes = list(position)
         limit = MAX_ATOM_IMAGES // max(len(vectors), atoms.group.order)
         auts = automorphisms(atoms.group, classes, limit)
         if auts is None:
@@ -343,7 +342,7 @@ def _atom_images(atoms: AtomSet, field_bits: int) -> list[tuple[int, ...]]:
         # letter i of an atom is letter moves[s][i] of its image under s
         moves = list(dict.fromkeys(tuple(position[s[c]] for c in classes) for s in auts))
     else:
-        moves = [range(len(letters))]
+        moves = [range(len(position))]
     offsets = [[j * field_bits for j in move] for move in moves]
     out = []
     for a in vectors:
@@ -572,38 +571,28 @@ def has_two_D_lengthset(
 # -- interval criterion sampling (subgroup support) --------------------------------
 
 
-def all_subgroups(group: FiniteAbelianGroup) -> list[tuple[GroupElement, ...]]:
-    """All subgroups, found by closing generator sets upward from {0}."""
-    els = elements(group)
-    zero = group.zero()
-
-    def closure(gens: frozenset[GroupElement]) -> frozenset[GroupElement]:
-        out = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in gens:
-                    s = h + g
-                    if s not in out:
-                        out.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return frozenset(out)
-
-    subgroups = {frozenset([zero])}
-    frontier = [frozenset([zero])]
+def _subgroup_indices(group: FiniteAbelianGroup) -> list[tuple[int, ...]]:
+    """All subgroups as sorted element indices, by size and then indices.
+    They are found by adding one cyclic subgroup at a time to {0}: for a
+    subgroup H, H + <g> is again one."""
+    tab = tables(group)
+    subgroups = {frozenset([0])}
+    frontier = list(subgroups)
     while frontier:
-        nxt = []
-        for sub in frontier:
-            for g in els:
-                if g not in sub:
-                    bigger = closure(frozenset(sub | {g}))
-                    if bigger not in subgroups:
-                        subgroups.add(bigger)
-                        nxt.append(bigger)
-        frontier = nxt
-    return [tuple(sorted(s, key=lambda g: g.coords)) for s in sorted(subgroups, key=lambda s: (len(s), sorted(g.coords for g in s)))]
+        sub = frontier.pop()
+        for g in range(group.order):
+            if g not in sub:
+                bigger = frozenset(tab.add[h][tab.mult[g][k]] for h in sub for k in range(tab.order[g]))
+                if bigger not in subgroups:
+                    subgroups.add(bigger)
+                    frontier.append(bigger)
+    return sorted((tuple(sorted(s)) for s in subgroups), key=lambda s: (len(s), s))
+
+
+def all_subgroups(group: FiniteAbelianGroup) -> list[tuple[GroupElement, ...]]:
+    """All subgroups, by size and then canonical element order."""
+    els = elements(group)
+    return [tuple(els[i] for i in s) for s in _subgroup_indices(group)]
 
 
 @dataclass(frozen=True)
@@ -628,26 +617,24 @@ def interval_support_check(
     and check every L(A) is an interval.  A failure would expose an
     implementation bug, not a gap in the underlying theory."""
     rng = random.Random(seed)
-    subgroups = [s for s in all_subgroups(group) if len(s) >= 2]
-    if not subgroups:
-        subgroups = [tuple([group.zero()])]
+    # element indices: the zero element 0 leads each subgroup
+    subgroups = [s for s in _subgroup_indices(group) if len(s) >= 2] or [(0,)]
+    tab = tables(group)
     atoms = enumerate_atoms(group)
     failures: list[tuple[Sequence, LengthSet]] = []
     for _ in range(samples):
         sub = rng.choice(subgroups)
-        nonzero = [g for g in sub if g != group.zero()]
-        exps = {g: rng.randint(1, 3) for g in nonzero}
+        exps = {i: rng.randint(1, 3) for i in sub[1:]}
         if rng.random() < 0.5:
-            exps[group.zero()] = rng.randint(1, 2)
+            exps[0] = rng.randint(1, 2)
         for _ in range(rng.randint(0, 8)):  # up to 8 extra letters
-            g = rng.choice(list(sub))
-            if g != group.zero():
-                exps[g] = exps.get(g, 0) + 1
-        a = Sequence.make(group, exps)
-        s = sigma(a)
-        if s != group.zero():
-            exps[-s] = exps.get(-s, 0) + 1
-            a = Sequence.make(group, exps)
+            i = rng.choice(sub)
+            if i:
+                exps[i] = exps.get(i, 0) + 1
+        s = tab.neg[index_sum(tab, exps.items())]
+        if s:
+            exps[s] = exps.get(s, 0) + 1
+        a = Sequence.of_indices(group, exps)
         ls = length_set(a, atoms, memo_limit)
         if not ls.is_interval():
             failures.append((a, ls))

@@ -53,7 +53,7 @@ from typing import Iterable
 
 from .atoms import AtomSet, DominanceIndex
 from .errors import InvalidArgumentError, ResourceLimitError
-from .sequence import Sequence, is_zero_sum
+from .sequence import Sequence, index_sum
 
 DEFAULT_MEMO_LIMIT = 10**7
 
@@ -108,7 +108,7 @@ class LengthSet:
         return self.max - self.min + 1 == len(self.values)
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.values)
+        return x in self.values
 
     def __len__(self):
         return len(self.values)
@@ -364,12 +364,20 @@ def engine_for(atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> Factoriz
     return engine
 
 
-def length_set(b: Sequence, atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> LengthSet:
-    """Exact L(B) for a zero-sum sequence B over the atom set's letters
+def _query(b: Sequence, atoms: AtomSet) -> tuple[int, ...]:
+    """The dense vector of a zero-sum B over the atom set's group and letters
     (so a nonempty B raises against a Krull instance's primes)."""
-    if not is_zero_sum(b):
+    # element indices of other groups overlap, so the groups are compared
+    if b.group.invariant_factors != atoms.group.invariant_factors:
+        raise InvalidArgumentError(f"sequence over {b.group} queried against atoms over {atoms.group}")
+    if index_sum(atoms.tables, b.items):  # the zero element has index 0
         raise InvalidArgumentError(f"sequence {b} is not zero-sum")
-    vec = b.dense_at(atoms.positions)  # raises if support leaves the letters
+    return b.dense_at(atoms.positions)
+
+
+def length_set(b: Sequence, atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> LengthSet:
+    """Exact L(B) for a zero-sum sequence B over the atom set's letters."""
+    vec = _query(b, atoms)  # before engine_for: a refused query builds no engine
     mask = engine_for(atoms, memo_limit).lengths_mask(vec)
     if mask == 0:
         raise InvalidArgumentError(f"{b} has no factorization over the given atoms")
@@ -382,10 +390,8 @@ def exhaustive_length_set(b: Sequence, atoms: AtomSet) -> LengthSet:
     No memoization and no pivot restriction; exponential, for cross-checks
     on short sequences only.
     """
-    if not is_zero_sum(b):
-        raise InvalidArgumentError(f"sequence {b} is not zero-sum")
+    start = _query(b, atoms)
     vectors = atoms.vectors()
-    start = b.dense_at(atoms.positions)
 
     def walk(vec: tuple[int, ...]) -> set[int]:
         if not any(vec):

@@ -1,8 +1,8 @@
 """Numerical monoids: cofinite additive submonoids of the nonnegative integers.
 
-Length sets are tabulated bottom-up: lengths[n] is the bitmask of achievable
-factorization lengths of n over the minimal generators, so the table costs
-O(n * #generators) bitwise ors.
+Length sets are tabulated bottom-up as bitmasks, L(n) = 1 + union of L(n - g)
+over the minimal generators g: O(n * #generators) bitwise ors, of which only
+the last max(generators) masks are kept.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import InvalidArgumentError
 from .lengths import LengthSet, mask_gaps
@@ -84,26 +85,29 @@ def contains(monoid: NumericalMonoid, n: int) -> bool:
 
 def num_length_set(monoid: NumericalMonoid, n: int) -> LengthSet:
     """Exact L(n) = { sum k_i : sum k_i*g_i = n }; L(0) = {0}."""
-    if n == 0:
-        return LengthSet.of([0])
     if not contains(monoid, n):
         raise InvalidArgumentError(f"{n} is not in {monoid}")
-    return LengthSet.from_mask(_length_masks(monoid, n)[n])
+    for mask in _length_masks(monoid, n):
+        pass
+    return LengthSet.from_mask(mask)
 
 
-def _length_masks(monoid: NumericalMonoid, bound: int) -> list[int]:
-    """masks[n] is the bitmask of L(n) for 0 <= n <= bound; 0 marks n
+def _length_masks(monoid: NumericalMonoid, bound: int) -> Iterator[int]:
+    """The bitmask of L(m) for m = 0, 1, ..., bound in turn; 0 marks m
     outside the monoid."""
-    masks = [0] * (bound + 1)
-    masks[0] = 1
-    for m in range(1, bound + 1):
-        acc = 0
-        for g in monoid.generators:  # ascending
-            if g > m:
-                break
-            acc |= masks[m - g] << 1
-        masks[m] = acc
-    return masks
+    gens = monoid.generators
+    top = gens[-1]
+    # window[-g] is the mask of m - g; the leading zeros stand for m - g < 0
+    window = [0] * (top - 1) + [1]
+    yield 1
+    for _ in range(bound):
+        mask = 0
+        for g in gens:
+            mask |= window[-g]
+        window.append(mask << 1)
+        if len(window) > 2 * top:
+            del window[:top]
+        yield window[-1]
 
 
 def num_elasticity(monoid: NumericalMonoid) -> Fraction:
@@ -124,5 +128,8 @@ def num_min_delta(monoid: NumericalMonoid) -> int | None:
 def accumulated_delta(monoid: NumericalMonoid, bound: int) -> tuple[int, ...]:
     """Union of Delta(L(n)) over members n <= bound, read off one length
     table (the bottom-up recursion of Barron, O'Neill and Pelayo)."""
-    masks = _length_masks(monoid, max(bound, 0))[1:]
-    return tuple(sorted(set().union(*(mask_gaps(mask) for mask in masks if mask))))
+    gaps: set[int] = set()
+    for mask in _length_masks(monoid, bound):
+        if mask:
+            gaps |= mask_gaps(mask)
+    return tuple(sorted(gaps))

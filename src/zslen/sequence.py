@@ -1,13 +1,17 @@
 """Sequences over a subset G0 of a finite abelian group.
 
 A sequence is a finite multiset of group elements, i.e. an element of the
-free abelian monoid F(G0), stored sparsely as an exponent mapping.  The
-canonical text encoding is "[g:mult,...]" with elements listed in the
-group's element order.
+free abelian monoid F(G0), stored sparsely as (element index, multiplicity)
+pairs.  Indices point into elements(group) and tables(group), whose
+lexicographic order is the canonical element order, so sums fold over the
+index tables and dense vectors are read off int positions.  Elements appear
+only at the boundary: make/from_dense/dense take them, support/exponents/
+v/sigma return them, and the text encoding "[g:mult,...]" lists them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -19,36 +23,44 @@ from .group import FiniteAbelianGroup, GroupElement, elements, tables
 _MAX_MULTIPLICITY = 2**63
 
 
+def _indices(group: FiniteAbelianGroup, elems: Iterable[GroupElement]) -> list[int]:
+    """The element index of each element; one outside the group raises."""
+    index = tables(group).index
+    try:
+        return [index[g] for g in elems]
+    except KeyError as exc:
+        raise InvalidArgumentError(f"element {exc.args[0]} not in group {group}") from None
+
+
 @dataclass(frozen=True)
 class Sequence:
-    """A multiset over group elements with strictly positive multiplicities."""
+    """A multiset over group elements with strictly positive multiplicities,
+    held as (element index, multiplicity) pairs in index order."""
 
     group: FiniteAbelianGroup
-    items: tuple[tuple[GroupElement, int], ...]
+    items: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        seen = set()
-        for g, m in self.items:
-            if g.group != self.group:
-                raise InvalidArgumentError("sequence term from a different group")
+        last, size = -1, self.group.order
+        for i, m in self.items:
+            if type(i) is not int or not 0 <= i < size:
+                raise InvalidArgumentError(f"element index {i!r} outside {self.group}")
             if not isinstance(m, int) or m <= 0:
                 raise InvalidArgumentError(f"multiplicity must be positive: {m!r}")
             if m >= _MAX_MULTIPLICITY:
                 raise InvalidArgumentError(f"multiplicity overflow: {m}")
-            if g in seen:
-                raise InvalidArgumentError(f"duplicate term {g}")
-            seen.add(g)
-        if tuple(sorted(self.items, key=lambda it: it[0].coords)) != self.items:
-            raise InvalidArgumentError("items not in canonical element order")
+            if i <= last:
+                raise InvalidArgumentError("items not in canonical element order")
+            last = i
 
     @classmethod
     def make(cls, group: FiniteAbelianGroup, exponents: Mapping[GroupElement, int]) -> "Sequence":
-        items = tuple(
-            (g, m)
-            for g, m in sorted(exponents.items(), key=lambda it: it[0].coords)
-            if m != 0
-        )
-        return cls(group, items)
+        return cls.of_indices(group, dict(zip(_indices(group, exponents), exponents.values())))
+
+    @classmethod
+    def of_indices(cls, group: FiniteAbelianGroup, exponents: Mapping[int, int]) -> "Sequence":
+        """make for exponents keyed by element index; zeros are dropped."""
+        return cls(group, tuple(sorted((i, m) for i, m in exponents.items() if m != 0)))
 
     @classmethod
     def from_dense(
@@ -57,7 +69,7 @@ class Sequence:
         """Inverse of dense: the sequence with exponent vec[i] at order[i]."""
         if len(vec) != len(order):
             raise InvalidArgumentError(f"vector of width {len(vec)} over {len(order)} letters")
-        return cls.make(group, {g: m for g, m in zip(order, vec) if m})
+        return cls.of_indices(group, dict(zip(_indices(group, order), vec)))
 
     @classmethod
     def empty(cls, group: FiniteAbelianGroup) -> "Sequence":
@@ -69,31 +81,36 @@ class Sequence:
 
     @property
     def support(self) -> tuple[GroupElement, ...]:
-        return tuple(g for g, _ in self.items)
+        els = elements(self.group)
+        return tuple(els[i] for i, _ in self.items)
 
     @property
     def exponents(self) -> dict[GroupElement, int]:
-        return dict(self.items)
+        els = elements(self.group)
+        return {els[i]: m for i, m in self.items}
 
     def v(self, g: GroupElement) -> int:
-        for h, m in self.items:
-            if h == g:
-                return m
-        return 0
+        return dict(self.items).get(tables(self.group).index.get(g), 0)
 
     def dense(self, order: tuple[GroupElement, ...]) -> tuple[int, ...]:
         """Exponent vector relative to an element order covering the support."""
-        return self.dense_at({g: i for i, g in enumerate(order)})
+        return self.dense_at({i: p for p, i in enumerate(_indices(self.group, order))})
 
-    def dense_at(self, pos: Mapping[GroupElement, int]) -> tuple[int, ...]:
-        """dense for an order given as its element -> position map."""
+    def dense_at(self, pos: Mapping) -> tuple[int, ...]:
+        """dense for an order given as its letter -> position map, keyed
+        by element index (by prime name for a transfer.PrimeWord)."""
         vec = [0] * len(pos)
-        for g, m in self.items:
-            i = pos.get(g)
-            if i is None:
-                raise InvalidArgumentError(f"support element {g} outside alphabet")
-            vec[i] = m
+        try:
+            for i, m in self.items:
+                vec[pos[i]] = m
+        except KeyError as exc:
+            letter = self.letter(exc.args[0])
+            raise InvalidArgumentError(f"support element {letter} outside alphabet") from None
         return tuple(vec)
+
+    def letter(self, i: int) -> GroupElement:
+        """The element that item index i stands for."""
+        return elements(self.group)[i]
 
     def __mul__(self, other: "Sequence") -> "Sequence":
         return mul(self, other)
@@ -101,42 +118,40 @@ class Sequence:
     def __pow__(self, k: int) -> "Sequence":
         if not isinstance(k, int) or k < 0:
             raise InvalidArgumentError(f"power must be a nonnegative integer: {k!r}")
-        return Sequence.make(self.group, {g: m * k for g, m in self.items})
+        return Sequence(self.group, tuple((i, m * k) for i, m in self.items) if k else ())
 
     def __str__(self):
         return encode_sequence(self)
 
 
-def _coordinate_sums(s: Sequence) -> tuple[int, ...]:
-    """Coordinates of the sum of the sequence, folded without building
-    group elements."""
-    items = s.items
-    return tuple(
-        sum(m * g.coords[i] for g, m in items) % n
-        for i, n in enumerate(s.group.invariant_factors)
-    )
+def index_sum(tab, pairs: Iterable[tuple[int, int]]) -> int:
+    """Element index of the sum of m copies of element i over the (i, m)
+    pairs, folded over the index tables tab = tables(group)."""
+    add, mult, exp = tab.add, tab.mult, tab.exp
+    x = 0
+    for i, m in pairs:
+        x = add[x][mult[i][m % exp]]
+    return x
 
 
 def sigma(s: Sequence) -> GroupElement:
     """Sum of the sequence; the empty sequence sums to zero."""
-    return GroupElement(s.group, _coordinate_sums(s))
+    return elements(s.group)[index_sum(tables(s.group), s.items)]
 
 
 def is_zero_sum(s: Sequence) -> bool:
-    return not any(_coordinate_sums(s))
+    return not index_sum(tables(s.group), s.items)  # the zero element has index 0
 
 
 def negate(s: Sequence) -> Sequence:
-    return Sequence.make(s.group, {-g: m for g, m in s.items})
+    neg = tables(s.group).neg
+    return Sequence.of_indices(s.group, {neg[i]: m for i, m in s.items})
 
 
 def mul(s: Sequence, t: Sequence) -> Sequence:
-    if s.group != t.group:
+    if s.group != t.group:  # element indices of other groups overlap
         raise InvalidArgumentError("sequences over different groups")
-    exps = dict(s.items)
-    for g, m in t.items:
-        exps[g] = exps.get(g, 0) + m
-    return Sequence.make(s.group, exps)
+    return Sequence.of_indices(s.group, Counter(dict(s.items)) + Counter(dict(t.items)))
 
 
 def divides(t: Sequence, s: Sequence) -> bool:
@@ -144,33 +159,23 @@ def divides(t: Sequence, s: Sequence) -> bool:
     if t.group != s.group:
         raise InvalidArgumentError("sequences over different groups")
     exps = dict(s.items)
-    return all(exps.get(g, 0) >= m for g, m in t.items)
+    return all(exps.get(i, 0) >= m for i, m in t.items)
 
 
 def quotient(s: Sequence, t: Sequence) -> Sequence:
     """s with t removed; requires divides(t, s)."""
     if not divides(t, s):
         raise InvalidArgumentError("quotient requires divisibility")
-    exps = dict(s.items)
-    for g, m in t.items:
-        exps[g] -= m
-    return Sequence.make(s.group, exps)
+    return Sequence.of_indices(s.group, Counter(dict(s.items)) - Counter(dict(t.items)))
 
 
 def canonical_subset(group: FiniteAbelianGroup, subset: Iterable[GroupElement] | None) -> tuple[GroupElement, ...]:
     """Deduplicate and sort a subset of group elements into canonical order;
     None means all of the group."""
+    els = elements(group)  # already canonical
     if subset is None:
-        return elements(group)  # already canonical
-    out = []
-    seen = set()
-    for g in subset:
-        if g.group != group:
-            raise InvalidArgumentError(f"element {g} not in group {group}")
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-    return tuple(sorted(out, key=lambda g: g.coords))
+        return els
+    return tuple(els[i] for i in sorted(set(_indices(group, subset))))
 
 
 def zero_sum_keys(
@@ -200,7 +205,7 @@ def zero_sum_keys(
         raise InvalidArgumentError(f"{field_bits}-bit fields cannot hold {max_length}")
     tab = tables(group)
     add, neg = tab.add, tab.neg
-    letters = [tab.index[g] for g in alphabet]
+    letters = _indices(group, alphabet)
     m = len(letters)
     exact = [[0] * (max_length + 1) for _ in range(m + 1)]
     exact[m][0] = 1  # the empty sum is the zero element, index 0
@@ -259,13 +264,10 @@ def enumerate_zero_sum(
     alphabet = canonical_subset(group, subset)
     bits = max(1, max_length.bit_length())
     fmask = (1 << bits) - 1
-    offsets = range(0, len(alphabet) * bits, bits)
+    fields = list(zip(_indices(group, alphabet), range(0, len(alphabet) * bits, bits)))
     keys: list[int] = []
     zero_sum_keys(group, alphabet, max_length, bits, keys.append)
-    return [
-        Sequence.from_dense(group, alphabet, [key >> off & fmask for off in offsets])
-        for key in keys
-    ]
+    return [Sequence.of_indices(group, {i: key >> off & fmask for i, off in fields}) for key in keys]
 
 
 # -- text encoding ------------------------------------------------------------
@@ -280,7 +282,8 @@ def encode_element(g: GroupElement) -> str:
 
 
 def encode_sequence(s: Sequence) -> str:
-    return "[" + ",".join(f"{encode_element(g)}:{m}" for g, m in s.items) + "]"
+    els = elements(s.group)
+    return "[" + ",".join(f"{encode_element(els[i])}:{m}" for i, m in s.items) + "]"
 
 
 def encode_dense(codes: list[str], vec) -> str:

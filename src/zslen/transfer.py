@@ -14,15 +14,16 @@ enumerate_atoms cache.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
 from .atoms import DEFAULT_NODE_LIMIT, AtomSet, build_atoms, enumerate_atoms
 from .errors import InvalidArgumentError
-from .group import FiniteAbelianGroup, GroupElement
+from .group import FiniteAbelianGroup, GroupElement, tables
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, engine_for, length_set
-from .sequence import Sequence, canonical_subset, is_zero_sum, sigma
+from .sequence import Sequence, canonical_subset, divides, is_zero_sum, sigma
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,10 @@ class KrullInstance:
             raise InvalidArgumentError("class map must be surjective onto G0")
 
     @cached_property
-    def class_by_prime(self) -> dict[str, GroupElement]:
-        return dict(zip(self.primes, self.classes))
+    def class_by_prime(self) -> dict[str, int]:
+        """The element index (into elements(group)) of each prime's class."""
+        index = tables(self.group).index
+        return {p: index[g] for p, g in zip(self.primes, self.classes)}
 
 
 def make_instance(
@@ -60,13 +63,8 @@ def make_instance(
     if primes_per_class < 1:
         raise InvalidArgumentError("need at least one prime per class")
     g0 = canonical_subset(group, subset)
-    primes: list[str] = []
-    classes: list[GroupElement] = []
-    for i, g in enumerate(g0):
-        for j in range(primes_per_class):
-            primes.append(f"p{i}.{j}")
-            classes.append(g)
-    return KrullInstance(group, g0, tuple(primes), tuple(classes))
+    pairs = [(f"p{i}.{j}", g) for i, g in enumerate(g0) for j in range(primes_per_class)]
+    return KrullInstance(group, g0, tuple(p for p, _ in pairs), tuple(g for _, g in pairs))
 
 
 @dataclass(frozen=True)
@@ -94,15 +92,15 @@ class PrimeWord:
     # both hold (letter, multiplicity) items: one fold for words and sequences
     dense_at = Sequence.dense_at
 
+    def letter(self, p: str) -> str:
+        return p
+
     @classmethod
     def from_dense(cls, primes: tuple[str, ...], vec) -> "PrimeWord":
         return cls.make({p: m for p, m in zip(primes, vec) if m})
 
     def __mul__(self, other: "PrimeWord") -> "PrimeWord":
-        exps = dict(self.items)
-        for p, m in other.items:
-            exps[p] = exps.get(p, 0) + m
-        return PrimeWord.make(exps)
+        return PrimeWord.make(Counter(dict(self.items)) + Counter(dict(other.items)))
 
     def __str__(self):
         return "[" + ",".join(f"{p}:{m}" for p, m in self.items) + "]"
@@ -110,13 +108,13 @@ class PrimeWord:
 
 def class_image(instance: KrullInstance, word: PrimeWord) -> Sequence:
     """Replace every prime of a word of F(P) by its class."""
-    exps: dict[GroupElement, int] = {}
+    exps: dict[int, int] = {}
     for p, m in word.items:
-        g = instance.class_by_prime.get(p)
-        if g is None:
+        i = instance.class_by_prime.get(p)
+        if i is None:
             raise InvalidArgumentError(f"prime {p!r} is not in the instance")
-        exps[g] = exps.get(g, 0) + m
-    return Sequence.make(instance.group, exps)
+        exps[i] = exps.get(i, 0) + m
+    return Sequence.of_indices(instance.group, exps)
 
 
 def class_sum(instance: KrullInstance, word: PrimeWord) -> GroupElement:
@@ -124,7 +122,7 @@ def class_sum(instance: KrullInstance, word: PrimeWord) -> GroupElement:
 
 
 def in_monoid(instance: KrullInstance, word: PrimeWord) -> bool:
-    return class_sum(instance, word) == instance.group.zero()
+    return is_zero_sum(class_image(instance, word))
 
 
 def beta(instance: KrullInstance, word: PrimeWord) -> Sequence:
@@ -167,18 +165,18 @@ def random_word(instance: KrullInstance, rng: random.Random, max_length: int) ->
     uniformly, then append one prime fixing the class sum.  When no class
     can fix the sum (possible for proper subsets G0) the draw is retried;
     the empty word is the final fallback."""
-    by_prime = instance.class_by_prime
+    by_prime, tab = instance.class_by_prime, tables(instance.group)
     for _ in range(64):
         target = rng.randint(0, max(0, max_length - 1))
         exps: dict[str, int] = {}
-        total = instance.group.zero()
+        total = 0  # the index of the class sum; 0 is the zero element
         for _ in range(target):
             p = rng.choice(instance.primes)
             exps[p] = exps.get(p, 0) + 1
-            total = total + by_prime[p]
-        if total == instance.group.zero():
+            total = tab.add[total][by_prime[p]]
+        if total == 0:
             return PrimeWord.make(exps)
-        fixers = [p for p in instance.primes if by_prime[p] == -total]
+        fixers = [p for p in instance.primes if by_prime[p] == tab.neg[total]]
         if fixers:
             p = rng.choice(fixers)
             exps[p] = exps.get(p, 0) + 1
@@ -261,19 +259,14 @@ def split_word(
     """Lift a zero-sum divisor of beta(word): greedily assign, class by
     class, enough primes of the word to cover the divisor's multiplicities.
     Returns (b, c) with word = b*c and beta(b) = part."""
-    image = beta(instance, word)
-    need = dict(part.items)
-    have = dict(image.items)
-    if any(need.get(g, 0) > have.get(g, 0) for g in need):
+    if not divides(part, beta(instance, word)):
         raise InvalidArgumentError("part does not divide the class image")
+    need = dict(part.items)
     b_exps: dict[str, int] = {}
     c_exps: dict[str, int] = {}
     for p, m in word.items:
-        g = instance.class_by_prime[p]
-        take = min(m, need.get(g, 0))
-        if take:
-            b_exps[p] = take
-            need[g] = need[g] - take
-        if m - take:
-            c_exps[p] = m - take
+        i = instance.class_by_prime[p]
+        b_exps[p] = take = min(m, need.get(i, 0))  # make drops the zeros
+        c_exps[p] = m - take
+        need[i] = need.get(i, 0) - take
     return PrimeWord.make(b_exps), PrimeWord.make(c_exps)

@@ -318,7 +318,8 @@ def test_unions_with_two_byte_fields():
     # memo holds [1:2k] for 0 <= k <= 130: 131 entries (8,646 when the
     # products with the prime [0:1] were queried too)
     group = make_group([2])
-    atoms = enumerate_atoms(group)
+    atoms = dataclasses.replace(enumerate_atoms(group))  # a fresh engine
+    assert not atoms.engines
     unions = unions_range(group, 130, atoms)
     assert engine_for(atoms).widen(0) == 16
     assert [u.values for u in unions.values()] == [(k,) for k in range(1, 131)]

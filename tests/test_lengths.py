@@ -396,14 +396,18 @@ def test_key_query_matches_tuple_query(c33, top):
 
 
 def test_warm_length_set_builds_no_elements_or_length_sets(c33, monkeypatch):
+    # a warm query folds element indices: it builds no element, length set
+    # or sequence, and hashes no element
     from zslen.group import GroupElement
 
     atoms = enumerate_atoms(c33)
     b = parse_sequence(c33, "[(0,1):1,(0,2):1,(1,0):3,(1,1):1,(2,2):1]")
     expected = length_set(b, atoms)
-    built = {"elements": 0, "length_sets": 0}
+    built = {"elements": 0, "length_sets": 0, "sequences": 0, "element_hashes": 0}
     element_init = GroupElement.__post_init__
     lengthset_init = LengthSet.__post_init__
+    sequence_init = Sequence.__post_init__
+    element_hash = GroupElement.__hash__
 
     def count_element(self):
         built["elements"] += 1
@@ -413,10 +417,35 @@ def test_warm_length_set_builds_no_elements_or_length_sets(c33, monkeypatch):
         built["length_sets"] += 1
         lengthset_init(self)
 
+    def count_sequence(self):
+        built["sequences"] += 1
+        sequence_init(self)
+
+    def count_hash(self):
+        built["element_hashes"] += 1
+        return element_hash(self)
+
     monkeypatch.setattr(GroupElement, "__post_init__", count_element)
     monkeypatch.setattr(LengthSet, "__post_init__", count_length_set)
+    monkeypatch.setattr(Sequence, "__post_init__", count_sequence)
+    monkeypatch.setattr(GroupElement, "__hash__", count_hash)
     assert length_set(b, atoms) == expected
-    assert built == {"elements": 0, "length_sets": 0}
+    assert built == {"elements": 0, "length_sets": 0, "sequences": 0, "element_hashes": 0}
+    assert hash(c33.zero()) == element_hash(c33.zero())
+    assert built["element_hashes"] == 1  # the counter does see a hash
+
+
+@pytest.mark.parametrize("mods", [[6], [2, 2]])
+def test_query_against_atoms_of_another_group_is_invalid_argument(c3, mods):
+    # element indices of C3 are indices of C6 and of C2+C2 too, and the
+    # indices of [1:2,2:2] sum to zero there as well: the groups themselves
+    # must be compared
+    atoms = enumerate_atoms(make_group(mods))
+    for text in ("[1:2,2:2]", "[0:1]", "[1:1]"):
+        with pytest.raises(InvalidArgumentError):
+            length_set(parse_sequence(c3, text), atoms)
+        with pytest.raises(InvalidArgumentError):
+            exhaustive_length_set(parse_sequence(c3, text), atoms)
 
 
 def test_from_mask_is_trusted_but_rejects_empty_masks():

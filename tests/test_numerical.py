@@ -82,6 +82,21 @@ def test_membership_memory_linear_in_n():
     assert peak < 1_000_000
 
 
+def test_length_table_memory_is_windowed():
+    """L(n) keeps the last max(generators) masks of the table, not one mask
+    per integer up to n (~30 MB for <3,5> at n = 20000)."""
+    h = make_numerical([3, 5])
+    tracemalloc.start()
+    try:
+        ls = num_length_set(h, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 20000 = 3a + 5b with b = 4000, 3997, ..., 1: lengths 4000, 4002, ..., 6666
+    assert ls == LengthSet.of(range(4000, 6667, 2))
+    assert peak < 1_000_000
+
+
 def test_length_set_examples():
     h = make_numerical([2, 3])
     assert num_length_set(h, 6) == LengthSet.of([2, 3])

@@ -12,6 +12,7 @@ from zslen.group import elements, make_group, zero
 from zslen.sequence import (
     Sequence,
     divides,
+    encode_element,
     encode_sequence,
     enumerate_zero_sum,
     is_zero_sum,
@@ -83,7 +84,7 @@ def test_is_zero_sum_matches_sigma(data):
     exps = data.draw(st.dictionaries(st.sampled_from(elements(group)), st.integers(1, 20)))
     s = Sequence.make(group, exps)
     total = zero(group)
-    for g, m in s.items:
+    for g, m in s.exponents.items():
         for _ in range(m):
             total = total + g
     assert sigma(s) == total
@@ -92,6 +93,54 @@ def test_is_zero_sum_matches_sigma(data):
         # complete to a zero-sum sequence with one more term
         fixed = Sequence.make(group, {**s.exponents, -total: s.v(-total) + 1})
         assert is_zero_sum(fixed)
+
+
+def model_sum(group, model):
+    total = zero(group)
+    for g, m in model.items():
+        for _ in range(m):
+            total = total + g
+    return total
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sequence_matches_element_keyed_model(data):
+    # a Sequence holds element indices; every element-facing result must be
+    # that of a plain {GroupElement: multiplicity} dict
+    group = make_group(data.draw(st.sampled_from(ZERO_SUM_GROUPS)))
+    els = elements(group)
+    models = st.dictionaries(st.sampled_from(els), st.integers(1, 9), max_size=5)
+    a, b = data.draw(models), data.draw(models)
+    s, t = Sequence.make(group, a), Sequence.make(group, b)
+    canonical = sorted(a.items(), key=lambda it: it[0].coords)
+    assert s.exponents == a
+    assert s.support == tuple(g for g, _ in canonical)
+    assert [s.v(g) for g in els] == [a.get(g, 0) for g in els]
+    assert s.length == sum(a.values())
+    order = tuple(data.draw(st.permutations(els)))
+    assert s.dense(order) == tuple(a.get(g, 0) for g in order)
+    assert Sequence.from_dense(group, order, s.dense(order)) == s
+    assert mul(s, t).exponents == dict(Counter(a) + Counter(b))
+    assert divides(t, s) == all(a.get(g, 0) >= m for g, m in b.items())
+    assert divides(s, mul(s, t)) and quotient(mul(s, t), t) == s
+    assert negate(s).exponents == {-g: m for g, m in a.items()}
+    k = data.draw(st.integers(0, 3))
+    assert (s**k).exponents == {g: m * k for g, m in a.items() if k}
+    assert sigma(s) == model_sum(group, a)
+    assert is_zero_sum(s) == (model_sum(group, a) == zero(group))
+    text = encode_sequence(s)
+    assert text == "[" + ",".join(f"{encode_element(g)}:{m}" for g, m in canonical) + "]"
+    assert parse_sequence(group, text) == s
+
+
+def test_operations_across_groups_are_invalid_argument(c3):
+    # element index 1 is valid in C3 and C6 alike, so the groups are compared
+    s, t = seq(c3, "[1:2]"), seq(make_group([6]), "[1:2]")
+    for op in (mul, divides, quotient):
+        with pytest.raises(InvalidArgumentError):
+            op(s, t)
+    assert s != t
 
 
 @given(st.data())

@@ -110,7 +110,7 @@ def zero_sum_divisors(image):
 
     from zslen.sequence import Sequence, is_zero_sum
 
-    items = image.items
+    items = list(image.exponents.items())
     out = []
     for combo in itertools.product(*(range(m + 1) for _, m in items)):
         cand = Sequence.make(image.group, {g: c for (g, _), c in zip(items, combo) if c})
