@@ -10,6 +10,7 @@ for the tabular outputs (system, unions); text is a readable summary.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import logging
@@ -150,7 +151,7 @@ def _resource_counters() -> dict:
 
 
 def cmd_atoms(args):
-    group = _parse_group(args.group, args.max_order)
+    group = args.group
     subset = _parse_subset(group, args.subset)
     atoms = _get_atoms(group, subset, args)
     dav, witness = davenport(group, atoms) if subset == tuple(elements(group)) else (None, None)
@@ -168,7 +169,7 @@ def cmd_atoms(args):
 
 
 def cmd_davenport(args):
-    group = _parse_group(args.group, args.max_order)
+    group = args.group
     atoms = _get_atoms(group, tuple(elements(group)), args)
     dav, witness = davenport(group, atoms)
     return {
@@ -180,7 +181,7 @@ def cmd_davenport(args):
 
 
 def cmd_lengths(args):
-    group = _parse_group(args.group, args.max_order)
+    group = args.group
     seq = parse_sequence(group, args.sequence)
     atoms = _get_atoms(group, tuple(elements(group)), args)
     ls = length_set(seq, atoms, args.memo_limit)
@@ -194,7 +195,7 @@ def cmd_lengths(args):
 
 
 def cmd_system(args):
-    group = _parse_group(args.group, args.max_order)
+    group = args.group
     subset = _parse_subset(group, args.subset)
     atoms = _get_atoms(group, subset, args)
     sys_ = system(group, subset, args.bound, atoms, args.memo_limit)
@@ -210,7 +211,7 @@ def cmd_system(args):
 
 
 def cmd_unions(args):
-    group = _parse_group(args.group, args.max_order)
+    group = args.group
     atoms = _get_atoms(group, tuple(elements(group)), args)
     lo, hi = _parse_k_range(args.k)
     if lo < 1 or hi < lo:
@@ -232,7 +233,7 @@ def cmd_unions(args):
 
 
 def cmd_delta(args):
-    group = _parse_group(args.group, args.max_order)
+    group = args.group
     subset = _parse_subset(group, args.subset)
     atoms = _get_atoms(group, subset, args)
     report = delta_of_group(group, subset, args.bound, atoms, args.memo_limit)
@@ -246,12 +247,10 @@ def cmd_delta(args):
 
 
 def cmd_delta_star(args):
-    group = _parse_group(args.group, args.max_order)
-    report = delta_star(
-        group, args.bound, node_limit=args.node_limit, memo_limit=args.memo_limit
-    )
+    report = delta_star(args.group, args.bound, node_limit=args.node_limit,
+                        memo_limit=args.memo_limit)
     return {
-        "group": list(group.invariant_factors),
+        "group": list(args.group.invariant_factors),
         "bound": report.bound,
         "delta_star": list(report.values),
         "subsets_scanned": report.subsets_scanned,
@@ -261,17 +260,7 @@ def cmd_delta_star(args):
 def _fit_payload(fit):
     if fit is None:
         return None
-    return {
-        "shift": fit.shift,
-        "difference": fit.difference,
-        "period": list(fit.period),
-        "length": fit.length,
-        "bound": fit.bound,
-        "initial": list(fit.initial),
-        "central": list(fit.central),
-        "end": list(fit.end),
-        "degenerate": fit.degenerate,
-    }
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(fit).items()}
 
 
 def cmd_fit(args):
@@ -290,7 +279,7 @@ def cmd_fit(args):
 
 
 def cmd_verify_structure(args):
-    group = _parse_group(args.group, args.max_order)
+    group = args.group
     report = verify_structure_theorem(group, args.bound)
     results = {
         "group": list(group.invariant_factors),
@@ -334,7 +323,7 @@ def cmd_numerical(args):
         member = contains(monoid, args.n)
         results["n"] = args.n
         results["member"] = member
-        if member or args.n == 0:
+        if member:
             ls = num_length_set(monoid, args.n)
             results["lengths"] = list(ls.values)
             results["delta"] = list(delta_of(ls))
@@ -343,7 +332,7 @@ def cmd_numerical(args):
 
 
 def cmd_transfer_check(args):
-    group = _parse_group(args.group, args.max_order)
+    group = args.group
     subset = _parse_subset(group, args.subset)
     instance = make_instance(group, subset, args.primes_per_class)
     report = check_transfer(
@@ -381,9 +370,8 @@ def cmd_transfer_check(args):
 
 
 def cmd_verify(args):
-    group = _parse_group(args.group, args.max_order) if "group" in args else None
     options = {dest: getattr(args, dest) for dest in SUITES[args.suite].options}
-    verdicts = run_suite(args.suite, group, **options)
+    verdicts = run_suite(args.suite, args.group, **options)
     results = {
         "suite": args.suite,
         "passed": sum(1 for v in verdicts if v.passed),
@@ -560,6 +548,13 @@ def _validate_common(args):
             raise InvalidArgumentError(f"{name.replace('_', '-')} must be nonnegative: {value}")
 
 
+def _error_report(report: dict, code: int, kind: str, reason: str, **extra) -> int:
+    """Print the report with its error and return the exit code."""
+    report["error"] = {"type": kind, "reason": reason, **extra}
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     report = {"schema": REPORT_SCHEMA, "tool": {"name": "zslen", "version": __version__}}
@@ -569,16 +564,18 @@ def main(argv=None) -> int:
         # a command line that does not parse: no option took effect
         tokens = sys.argv[1:] if argv is None else argv
         command = tokens[0] if tokens and not tokens[0].startswith("-") else None
-        report.update(command=command, config={},
-                      error={"type": "invalid-argument", "reason": str(exc)})
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return EXIT_INVALID_ARGUMENTS
+        report.update(command=command, config={})
+        return _error_report(report, EXIT_INVALID_ARGUMENTS, "invalid-argument", str(exc))
     started = time.perf_counter()
     _TOUCHED_ATOMS.clear()
     report.update(command=args.command, config=_config_echo(args))
     try:
         _validate_common(args)
-        results, verdicts = args.handler(args)
+        # handlers read the parsed group from a copy; args keeps the text
+        # that the config echoes
+        parsed = argparse.Namespace(**vars(args))
+        parsed.group = _parse_group(args.group, args.max_order) if "group" in args else None
+        results, verdicts = args.handler(parsed)
         report["results"] = results
         report["verdicts"] = verdicts
         report["resources"] = _resource_counters()
@@ -591,30 +588,19 @@ def main(argv=None) -> int:
         else:
             output = _render_text(report)
     except InvalidArgumentError as exc:
-        report["error"] = {"type": "invalid-argument", "reason": str(exc)}
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return EXIT_INVALID_ARGUMENTS
+        return _error_report(report, EXIT_INVALID_ARGUMENTS, "invalid-argument", str(exc))
     except ResourceLimitError as exc:
-        report["error"] = {
-            "type": "resource-limit",
-            "reason": str(exc),
-            "bound": exc.bound_name,
-            "limit": exc.limit,
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return EXIT_RESOURCE_LIMIT
+        return _error_report(report, EXIT_RESOURCE_LIMIT, "resource-limit", str(exc),
+                             bound=exc.bound_name, limit=exc.limit)
     except Exception as exc:
         # a bug, not bad input: keep only the fields that are known to
         # serialize, since the failure may lie in the results themselves
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         report = {k: report[k] for k in ("schema", "tool", "command", "config")}
-        report["error"] = {
-            "type": "internal-error",
-            "reason": f"{type(exc).__name__}: {exc}",
-            "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return EXIT_INTERNAL_ERROR
+        return _error_report(
+            report, EXIT_INTERNAL_ERROR, "internal-error", f"{type(exc).__name__}: {exc}",
+            where=f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+        )
     sys.stdout.write(output)
     if any(v["pass"] is False for v in verdicts):
         return EXIT_VERIFICATION_FAILURE

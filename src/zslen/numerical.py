@@ -1,5 +1,11 @@
 """Numerical monoids: cofinite additive submonoids of the nonnegative integers.
 
+Membership, minimal generators and the Frobenius bound are read off one
+Apery set: apery[r] is the least element congruent to r modulo the least
+generator n1, built by one round-robin pass per generator (Boecker and
+Liptak, "A fast and simple algorithm for the money changing problem"), so
+n lies in the monoid iff n >= apery[n % n1].
+
 Length sets are tabulated bottom-up as bitmasks, L(n) = 1 + union of L(n - g)
 over the minimal generators g: O(n * #generators) bitwise ors, of which only
 the last max(generators) masks are kept.
@@ -8,7 +14,7 @@ the last max(generators) masks are kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -22,22 +28,34 @@ class NumericalMonoid:
 
     generators: tuple[int, ...]
     frobenius_bound: int  # largest integer outside the monoid; -1 for N0
+    apery: tuple[int, ...] = field(repr=False, compare=False)  # least member per residue mod n1
 
     def __str__(self):
         return "<" + ",".join(str(n) for n in self.generators) + ">"
 
 
-def _reachable(target: int, gens: tuple[int, ...]) -> bool:
-    table = [False] * (target + 1)
-    table[0] = True
-    for n in range(1, target + 1):
-        table[n] = any(n >= g and table[n - g] for g in gens)
-    return table[target]
+def _apery(gens: list[int]) -> list[int]:
+    """The Apery set of <gens> with respect to its least generator n1: one
+    round-robin pass per further generator g walks each cycle r, r + g, ...
+    of residues mod n1 from the cycle's least entry."""
+    n1 = gens[0]
+    apery = [0] + [math.inf] * (n1 - 1)
+    for g in gens[1:]:
+        d = math.gcd(n1, g)
+        for p in range(d):
+            n = min(apery[p::d])
+            if n == math.inf:
+                continue
+            for _ in range(n1 // d - 1):
+                n += g
+                r = n % n1
+                n = apery[r] = min(n, apery[r])
+    return apery
 
 
 def make_numerical(raw_gens) -> NumericalMonoid:
-    """Build the monoid, dropping redundant generators and computing the
-    Frobenius bound by an Apery-style sweep modulo the least generator."""
+    """Build the monoid from its Apery set, dropping redundant generators:
+    g is redundant iff g - h is a member for a smaller generator h."""
     gens = sorted(set(raw_gens))
     if not gens:
         raise InvalidArgumentError("at least one generator required")
@@ -45,42 +63,17 @@ def make_numerical(raw_gens) -> NumericalMonoid:
         raise InvalidArgumentError(f"generators must be positive integers: {raw_gens}")
     if math.gcd(*gens) != 1:
         raise InvalidArgumentError(f"gcd of generators must be 1: {gens}")
-    minimal: list[int] = []
-    for i, g in enumerate(gens):
-        others = tuple(h for j, h in enumerate(gens) if j != i)
-        if not others or not _reachable(g, others):
-            minimal.append(g)
-    gens = tuple(minimal)
-
+    apery = tuple(_apery(gens))
     n1 = gens[0]
-    if n1 == 1:
-        return NumericalMonoid((1,), -1)
-    # apery[r] = least element of the monoid congruent to r mod n1
-    INF = math.inf
-    apery = [INF] * n1
-    apery[0] = 0
-    # relax residue classes until stable; bounded by n1 rounds
-    for _ in range(n1):
-        changed = False
-        for r in range(n1):
-            if apery[r] == INF:
-                continue
-            for g in gens[1:]:
-                cand = apery[r] + g
-                rr = cand % n1
-                if cand < apery[rr]:
-                    apery[rr] = cand
-                    changed = True
-        if not changed:
-            break
-    frobenius = int(max(apery)) - n1
-    return NumericalMonoid(gens, frobenius)
+    minimal = tuple(
+        g for g in gens if not any(g - h >= apery[(g - h) % n1] for h in gens if h < g)
+    )
+    return NumericalMonoid(minimal, max(apery) - n1, apery)
 
 
 def contains(monoid: NumericalMonoid, n: int) -> bool:
-    if n < 0:
-        return False
-    return n > monoid.frobenius_bound or _reachable(n, monoid.generators)
+    apery = monoid.apery
+    return n >= 0 and n >= apery[n % len(apery)]
 
 
 def num_length_set(monoid: NumericalMonoid, n: int) -> LengthSet:

@@ -32,6 +32,14 @@ def _indices(group: FiniteAbelianGroup, elems: Iterable[GroupElement]) -> list[i
         raise InvalidArgumentError(f"element {exc.args[0]} not in group {group}") from None
 
 
+def _positions(group: FiniteAbelianGroup, order: tuple[GroupElement, ...]) -> dict[int, int]:
+    """The element index -> position map of an order; a repeated letter raises."""
+    pos = {i: p for p, i in enumerate(_indices(group, order))}
+    if len(pos) != len(order):
+        raise InvalidArgumentError("element order repeats a letter")
+    return pos
+
+
 @dataclass(frozen=True)
 class Sequence:
     """A multiset over group elements with strictly positive multiplicities,
@@ -69,7 +77,7 @@ class Sequence:
         """Inverse of dense: the sequence with exponent vec[i] at order[i]."""
         if len(vec) != len(order):
             raise InvalidArgumentError(f"vector of width {len(vec)} over {len(order)} letters")
-        return cls.of_indices(group, dict(zip(_indices(group, order), vec)))
+        return cls.of_indices(group, {i: vec[p] for i, p in _positions(group, order).items()})
 
     @classmethod
     def empty(cls, group: FiniteAbelianGroup) -> "Sequence":
@@ -94,7 +102,7 @@ class Sequence:
 
     def dense(self, order: tuple[GroupElement, ...]) -> tuple[int, ...]:
         """Exponent vector relative to an element order covering the support."""
-        return self.dense_at({i: p for p, i in enumerate(_indices(self.group, order))})
+        return self.dense_at(_positions(self.group, order))
 
     def dense_at(self, pos: Mapping) -> tuple[int, ...]:
         """dense for an order given as its letter -> position map, keyed

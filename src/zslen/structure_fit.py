@@ -9,6 +9,7 @@ too short to put d itself into the central part still fits with the window
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -68,20 +69,14 @@ def fit_aamp(lengths: LengthSet, d: int, period: Iterable[int]) -> AAMPFit | Non
         rel = [x - y for x in vals]
         if any(x % d not in residues for x in rel):
             continue
-        rel_set = set(rel)
-        # candidate windows end at m in the pattern; the window must be
-        # covered exactly
-        for m in rel:
-            if m < 0 or m % d not in residues:
+        # every x in rel lies on the pattern, so a candidate window [0, m]
+        # is covered exactly when it holds as many lengths as pattern points
+        below = sum(1 for x in rel if x < 0)
+        for j, m in enumerate(rel[below:], 1):  # j lengths in [0, m]
+            points = m // d * (len(dset) - 1) + bisect_right(dset, m % d)
+            if points != j:
                 continue
-            pattern = [x for x in range(0, m + 1) if x % d in residues]
-            if not all(x in rel_set for x in pattern):
-                continue
-            if any(0 <= x <= m and x not in pattern for x in rel_set):
-                continue
-            initial = tuple(x for x in rel if x < 0)
-            end = tuple(x for x in rel if x > m)
-            bound = max([0] + [-x for x in initial] + [x - m for x in end])
+            bound = max(0, -rel[0], rel[-1] - m)
             ell = m // d
             key = (bound, -ell, y)
             if best is None or key < best:
@@ -92,9 +87,9 @@ def fit_aamp(lengths: LengthSet, d: int, period: Iterable[int]) -> AAMPFit | Non
                     period=dset,
                     length=ell,
                     bound=bound,
-                    initial=initial,
-                    central=tuple(pattern),
-                    end=end,
+                    initial=tuple(rel[:below]),
+                    central=tuple(rel[below:below + j]),
+                    end=tuple(rel[below + j:]),
                     degenerate=ell == 0,
                 )
     return best_fit

@@ -232,6 +232,7 @@ UNION_ORACLE_CASES = [((3,), 5), ((4,), 5), ((2, 2), 5), ((5,), 5), ((2, 4), 5),
 @example(((2, 2), 5), 5)
 @example(((4,), 5), 5)
 @example(((3,), 5), 5)
+@pytest.mark.slow
 def test_unions_range_matches_tuple_level_walk(case, k):
     mods, top = case
     k_max = min(k, top)
@@ -255,7 +256,7 @@ def test_unions_over_a_subset_merge_orbits_of_its_stabiliser(mods, subset, image
 
 
 @pytest.mark.parametrize("subset, images", [
-    (None, 2),  # 69 atoms, 48 automorphisms
+    pytest.param(None, 2, marks=pytest.mark.slow),  # 69 atoms, 48 automorphisms
     (((0, 1), (1, 0), (1, 1)), 1),  # 2 automorphisms; negation is not one
 ])
 def test_unions_past_the_image_ceiling_use_identity_and_negation(monkeypatch, subset, images):

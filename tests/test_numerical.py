@@ -82,6 +82,56 @@ def test_membership_memory_linear_in_n():
     assert peak < 1_000_000
 
 
+def representable(gens, limit):
+    """Oracle: reach[n] says whether n <= limit is a sum of the generators."""
+    reach = [True] + [False] * limit
+    for n in range(1, limit + 1):
+        reach[n] = any(g <= n and reach[n - g] for g in gens)
+    return reach
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=6).filter(lambda g: math.gcd(*g) == 1),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=3),
+)
+def test_apery_table_matches_representability_oracle(gens, pairs):
+    # sums of two drawn generators are redundant ones; draws may repeat
+    gens = gens + [gens[i % len(gens)] + gens[j % len(gens)] for i, j in pairs]
+    h = make_numerical(gens)
+    distinct = sorted(set(gens))
+    minimal = tuple(
+        g for g in distinct if not representable([x for x in distinct if x != g], g)[g]
+    )
+    assert h.generators == minimal
+    n1, nt = distinct[0], distinct[-1]
+    # Schur: the Frobenius number is at most (n1 - 1)(nt - 1) - 1
+    reach = representable(distinct, (n1 - 1) * (nt - 1) + n1)
+    frobenius = max((n for n, r in enumerate(reach) if not r), default=-1)
+    assert all(reach[frobenius + 1:frobenius + 1 + n1])
+    assert h.frobenius_bound == frobenius
+    for n in range(-2, frobenius + n1 + 1):
+        assert contains(h, n) == (n >= 0 and reach[n]), n
+
+
+def test_frobenius_bound_of_two_generators_is_sylvester():
+    assert make_numerical([6007, 9011]).frobenius_bound == 6007 * 9011 - 6007 - 9011
+
+
+def test_membership_reads_the_apery_table():
+    """Deciding 9 * 10**6 builds no table over the integers below it
+    (one boolean per integer took 68 MiB)."""
+    h = make_numerical([3001, 3011])
+    tracemalloc.start()
+    try:
+        member = contains(h, 9_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert member
+    assert peak < 1_000_000
+
+
 def test_length_table_memory_is_windowed():
     """L(n) keeps the last max(generators) masks of the table, not one mask
     per integer up to n (~30 MB for <3,5> at n = 20000)."""

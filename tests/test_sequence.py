@@ -307,12 +307,18 @@ def test_zero_sum_vectors_edges(c3, c33):
         zero_sum_vectors(c3, elements(c3), -1)
 
 
-def test_from_dense_inverts_dense(c4):
+def test_from_dense_inverts_dense(c3, c4):
     order = elements(c4)
     s = seq(c4, "[1:2,2:1]")
     assert Sequence.from_dense(c4, order, s.dense(order)) == s
     with pytest.raises(InvalidArgumentError):
         Sequence.from_dense(c4, order, (1, 2))
+    # an order that repeats a letter has no one position for it
+    g1, g2 = c3.element([1]), c3.element([2])
+    with pytest.raises(InvalidArgumentError):
+        seq(c3, "[1:3]").dense((g1, g1, g2))
+    with pytest.raises(InvalidArgumentError):
+        Sequence.from_dense(c3, (g1, g1), (1, 2))
 
 
 def test_enumerate_order_is_deterministic(c3):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,21 @@ def test_two_element_sets():
     assert fit.bound == 0
     assert fit.length == 1
     assert not fit.degenerate
+
+
+def test_wide_windows_cost_the_lengths_not_the_span():
+    # the window [0, 10**7] holds 10**7 + 1 pattern points but two lengths
+    tracemalloc.start()
+    try:
+        fit = fit_aamp(L(0, 10**7), 1, [0, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (fit.shift, fit.central, fit.end, fit.bound) == (0, (0,), (10**7,), 10**7)
+    assert fit.degenerate
+    assert peak < 1_000_000
+    fit = fit_aamp(L(0, 10**7), 10**7, [0, 10**7])
+    assert (fit.central, fit.length, fit.bound) == ((0, 10**7), 1, 0)
 
 
 def test_best_aamp_examples():
