@@ -56,6 +56,7 @@ from .invariants import (
     interval_support_check,
     is_half_factorial,
     lambda_k,
+    min_distance,
     rho_k,
     system,
     union_k,

@@ -16,9 +16,10 @@ within[i] is in no above[l][v[l]], l <= i.  The OR of those rows over
 the fixed prefix l < i is carried down the recursion, so a test costs
 two big-int operations however many letters and atoms there are, and a
 new atom is ORed only into the rows below its own entries.
-DominanceIndex, the direct form (one AND per letter), checks that an atom
-list is an antichain (antichain_violations, and the cache validation)
-and finds the atoms dividing an element in the factorization engine.
+below_rows builds the direct form (one AND per letter), which checks that
+an atom list is an antichain (antichain_violations, and the cache
+validation) and finds the atoms dividing an element in the factorization
+engine.
 
 An AtomSet holds the walk's vectors over letters with classes, and owns
 the engines built over it.  Letters are labels: the elements of G0 for
@@ -43,48 +44,32 @@ from .sequence import Sequence, canonical_subset, index_sum, is_zero_sum
 DEFAULT_NODE_LIMIT = 10**8
 
 
-class DominanceIndex:
-    """Bitset index over a growing list of nonnegative integer vectors.
-
-    below[i][k] is an int whose bit j is set when vector j has entry i at
-    most k, for k up to caps[i]; looked-up vectors must stay within caps.
-    A lookup ANDs one row per letter.  It serves divisible_pairs and the
-    factorization engine's divisor buckets; the atom walk keeps its own
-    complement-form rows (minimal_nonzero_vectors).
-    """
-
-    __slots__ = ("below", "size")
-
-    def __init__(self, caps) -> None:
-        self.below = [[0] * (c + 1) for c in caps]
-        self.size = 0
-
-    def add(self, vec) -> None:
-        bit = 1 << self.size
-        for row, f in zip(self.below, vec):
+def below_rows(vectors, caps) -> list[list[int]]:
+    """rows[i][k] has bit j set when vectors[j][i] <= k, for k up to
+    caps[i]: the AND over letters of rows[i][v[i]] marks the vectors below
+    v, for v within caps.  They serve divisible_pairs and the factorization
+    engine's divisor buckets; the atom walk keeps its own complement-form
+    rows (minimal_nonzero_vectors)."""
+    rows = [[0] * (c + 1) for c in caps]
+    for j, vec in enumerate(vectors):
+        bit = 1 << j
+        for row, f in zip(rows, vec):
             for k in range(f, len(row)):
                 row[k] |= bit
-        self.size += 1
-
-    def below_mask(self, vec) -> int:
-        """Bits of the stored vectors u with u <= vec componentwise."""
-        acc = (1 << self.size) - 1
-        for row, v in zip(self.below, vec):
-            if not acc:
-                break
-            acc &= row[v]
-        return acc
+    return rows
 
 
 def divisible_pairs(vectors) -> list[tuple[int, int]]:
     """Position pairs (j, l), j != l, with vectors[j] <= vectors[l]
     componentwise; empty iff the vectors form an antichain without repeats."""
-    index = DominanceIndex([max(col, default=0) for col in zip(*vectors)])
-    for v in vectors:
-        index.add(v)
-    pairs = []
+    rows = below_rows(vectors, [max(col, default=0) for col in zip(*vectors)])
+    full, pairs = (1 << len(vectors)) - 1, []
     for l, v in enumerate(vectors):
-        mask = index.below_mask(v) & ~(1 << l)
+        mask = full ^ (1 << l)
+        for row, x in zip(rows, v):
+            if not mask:
+                break
+            mask &= row[x]
         while mask:
             low = mask & -mask
             pairs.append((low.bit_length() - 1, l))

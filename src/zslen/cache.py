@@ -2,7 +2,7 @@
 
 Cache files are JSON documents written atomically (temp file + rename).
 Loads check the file's shape and validate the stored dense vectors (the
-antichain check through the atom walk's DominanceIndex) before building
+antichain check, atoms.divisible_pairs) before building
 the atom set straight from them.  A file that fails a check produces a
 warning and a recompute, never a crash.  The checks cannot see a missing
 atom: over C2+C2, a file listing (0,1)^2(1,0)^2 in place of (0,1)^2 and

@@ -54,7 +54,6 @@ from .numerical import (
 from .sequence import (
     canonical_subset,
     encode_dense,
-    encode_element,
     encode_sequence,
     parse_element,
     parse_sequence,
@@ -155,7 +154,7 @@ def cmd_atoms(args):
     subset = _parse_subset(group, args.subset)
     atoms = _get_atoms(group, subset, args)
     dav, witness = davenport(group, atoms) if subset == tuple(elements(group)) else (None, None)
-    codes = [encode_element(g) for g in atoms.letters]
+    codes = [str(g) for g in atoms.letters]
     results = {
         "group": list(group.invariant_factors),
         "subset": [list(g.coords) for g in atoms.letters],
@@ -247,11 +246,9 @@ def cmd_delta(args):
 
 
 def cmd_delta_star(args):
-    report = delta_star(args.group, args.bound, node_limit=args.node_limit,
-                        memo_limit=args.memo_limit)
+    report = delta_star(args.group, node_limit=args.node_limit)
     return {
         "group": list(args.group.invariant_factors),
-        "bound": report.bound,
         "delta_star": list(report.values),
         "subsets_scanned": report.subsets_scanned,
     }, []
@@ -453,9 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, help="single k or range, e.g. 1..6")
     command("delta", cmd_delta, f"{walk} --memo-limit --subset --bound",
             help="accumulated distance set")
-    command("delta-star", cmd_delta_star,
-            "--group --max-order --node-limit --memo-limit --bound",
-            help="minimal distances over subsets")
+    command("delta-star", cmd_delta_star, "--group --max-order --node-limit",
+            help="exact set of minimal distances over subsets")
 
     p = command("fit", cmd_fit, "", help="AAMP fit of an explicit set")
     p.add_argument("--set", required=True, help='comma list, e.g. "2,3,7,8"')

@@ -167,11 +167,10 @@ def elements(group: FiniteAbelianGroup) -> tuple[GroupElement, ...]:
 class _Tables:
     """Index-based arithmetic tables for the enumeration engines."""
 
-    __slots__ = ("group", "index", "add", "neg", "order", "exp", "mult")
+    __slots__ = ("index", "add", "neg", "order", "exp", "mult")
 
     def __init__(self, group: FiniteAbelianGroup):
         els = elements(group)
-        self.group = group
         self.index = {g: i for i, g in enumerate(els)}
         self.add = add_t = tuple(
             tuple(self.index[add(a, b)] for b in els) for a in els

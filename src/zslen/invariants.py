@@ -439,41 +439,62 @@ def delta_of_group(
     return DeltaReport(group, sys.subset, bound, distances, exact)
 
 
+def min_distance(vectors) -> int:
+    """min Delta of the monoid whose atoms have these exponent vectors: the
+    gcd of |x| - |y| over the pairs of factorizations x, y of one element
+    (min Delta = gcd Delta, Prop. 2.3), 0 when it is half-factorial.
+
+    x - y runs over the integer relations z with sum_a z_a * a = 0.
+    Row-reducing [vectors | 1] over Z, column by column with Euclid steps,
+    leaves the rows that are zero on the atom columns as a basis of those
+    relations, and the last entry of each is its sum_a z_a = |x| - |y|.
+    """
+    rows = [[*v, 1] for v in vectors]
+    for col in range(len(rows[0]) - 1 if rows else 0):
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda r: abs(r[col]))
+            rest = [pivot]
+            for r in live:
+                if r is not pivot:
+                    q = r[col] // pivot[col]
+                    r = [x - q * y for x, y in zip(r, pivot)]
+                    (rest if r[col] else rows).append(r)
+            live = rest
+    return math.gcd(*(r[-1] for r in rows))
+
+
 @dataclass(frozen=True)
 class DeltaStarReport:
-    """Approximation of the set of minimal distances over all subsets."""
+    """The set of minimal distances Delta*(G) = {min Delta(G0) : G0 a
+    subset of G with Delta(G0) nonempty}, exact."""
 
     group: FiniteAbelianGroup
-    bound: int
     values: tuple[int, ...]
     subsets_scanned: int
 
 
-def delta_star(
-    group: FiniteAbelianGroup,
-    bound: int = 8,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
-) -> DeltaStarReport:
-    """For every subset G0 with a nonempty observed distance set, record the
-    gcd of the distances of system(G0, bound) (min Delta = gcd Delta), and
-    aggregate.
+def delta_star(group: FiniteAbelianGroup, *, node_limit: int = DEFAULT_NODE_LIMIT) -> DeltaStarReport:
+    """Delta*(G): the nonzero min_distance of the atoms of each zero-free
+    subset G0, sorted.  A subset with 0 has the Delta of the same subset
+    without it, as 0 is a prime of B(G0), so every nonempty subset is
+    covered.
 
     The scan is 2^|G|, so the group order is capped at
     DEFAULT_SUBSET_SCAN_MAX_ORDER.  Each subset's atom set, built uncached,
-    is dropped with its engine after its scan.
+    is dropped after use.
     """
     els = elements(group)
     if len(els) > DEFAULT_SUBSET_SCAN_MAX_ORDER:
         raise ResourceLimitError("subset scan group order", DEFAULT_SUBSET_SCAN_MAX_ORDER, len(els))
+    nonzero = els[1:]  # elements(group) starts with 0
     values: set[int] = set()
-    for mask in range(1, 1 << len(els)):
-        subset = tuple(g for i, g in enumerate(els) if mask >> i & 1)
-        atoms = build_atoms(group, subset, subset, node_limit)
-        distances = system(group, subset, bound, atoms, memo_limit).distances()
-        if distances:
-            values.add(math.gcd(*distances))
-    return DeltaStarReport(group, bound, tuple(sorted(values)), (1 << len(els)) - 1)
+    for mask in range(1, 1 << len(nonzero)):
+        subset = tuple(g for i, g in enumerate(nonzero) if mask >> i & 1)
+        values.add(min_distance(build_atoms(group, subset, subset, node_limit).vectors()))
+    values.discard(0)  # half-factorial: Delta(G0) is empty
+    return DeltaStarReport(group, tuple(sorted(values)), (1 << len(els)) - 1)
 
 
 # -- half-factoriality and the {2, D(G)} criterion --------------------------------

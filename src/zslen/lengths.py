@@ -10,8 +10,8 @@ the union is a bitwise or and "1 +" is a shift.
 The pivot is B's lowest nonzero letter.  An atom dividing B is zero below
 it and covers it, so the atoms are bucketed by their own lowest nonzero
 letter, and the bucket of B's pivot holds every candidate and no atom
-that needs a letter below it.  Each bucket has one DominanceIndex: bit j
-of the AND over letters of below[i][B[i]] marks bucket atom j dividing
+that needs a letter below it.  Each bucket has one set of below_rows: bit
+j of the AND over letters of rows[i][B[i]] marks bucket atom j dividing
 B, and a letter whose count in B reaches the bucket's largest
 entry for it constrains nothing, so it is skipped.  The recursion runs on
 an explicit stack of (vector, divisor bits still to visit, bucket, partial
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .atoms import AtomSet, DominanceIndex
+from .atoms import AtomSet, below_rows
 from .errors import InvalidArgumentError, ResourceLimitError
 from .sequence import Sequence, index_sum
 
@@ -326,15 +326,11 @@ class FactorizationEngine:
 
 
 def _divisor_rows(bucket: list[tuple[int, ...]], width: int):
-    """All bits of a bucket's DominanceIndex, and (letter, below row, cap)
-    for the letters some bucket atom uses; a count at or above the cap
-    passes every atom."""
+    """All bits of a bucket, and (letter, below row, cap) for the letters
+    some bucket atom uses; a count at or above the cap passes every atom."""
     caps = [max((a[i] for a in bucket), default=0) for i in range(width)]
-    index = DominanceIndex(caps)
-    for a in bucket:
-        index.add(a)
-    rows = [(i, row, caps[i]) for i, row in enumerate(index.below) if caps[i]]
-    return (1 << index.size) - 1, rows
+    rows = [(i, row, caps[i]) for i, row in enumerate(below_rows(bucket, caps)) if caps[i]]
+    return (1 << len(bucket)) - 1, rows
 
 
 def _bytes_for(top: int) -> int:

@@ -281,17 +281,9 @@ def enumerate_zero_sum(
 # -- text encoding ------------------------------------------------------------
 
 
-def encode_element(g: GroupElement) -> str:
-    if len(g.coords) == 0:
-        return "()"
-    if len(g.coords) == 1:
-        return str(g.coords[0])
-    return "(" + ",".join(str(a) for a in g.coords) + ")"
-
-
 def encode_sequence(s: Sequence) -> str:
     els = elements(s.group)
-    return "[" + ",".join(f"{encode_element(els[i])}:{m}" for i, m in s.items) + "]"
+    return "[" + ",".join(f"{els[i]}:{m}" for i, m in s.items) + "]"
 
 
 def encode_dense(codes: list[str], vec) -> str:

@@ -93,9 +93,16 @@ def test_delta_not_exact_is_json_false(capsys):
 
 
 def test_delta_star_subcommand(capsys):
-    code, report = run_json(capsys, "delta-star", "--group", "3", "--bound", "8")
+    code, report = run_json(capsys, "delta-star", "--group", "3")
     assert code == 0
     assert report["results"]["delta_star"] == [1]
+
+
+def test_delta_star_is_exact_without_a_bound(capsys):
+    # the bounded scan missed 3 on C5: {2, 5} needs sequences of length 10
+    code, report = run_json(capsys, "delta-star", "--group", "5", "--stable")
+    assert code == 0
+    assert report["results"] == {"group": [5], "delta_star": [1, 3], "subsets_scanned": 31}
 
 
 def test_fit_subcommand(capsys):
@@ -374,8 +381,7 @@ OPTION_TABLE = {
                "memo_limit", "k"},
     "delta": {"format", "stable", "group", "max_order", "node_limit", "cache_dir",
               "memo_limit", "subset", "bound"},
-    "delta-star": {"format", "stable", "group", "max_order", "node_limit", "memo_limit",
-                   "bound"},
+    "delta-star": {"format", "stable", "group", "max_order", "node_limit"},
     "fit": {"format", "stable", "set", "d", "candidates", "period"},
     "verify-structure": {"format", "stable", "group", "max_order", "bound", "report"},
     "numerical": {"format", "stable", "gens", "n"},
@@ -422,7 +428,7 @@ BASE_ARGV = {
     "system": ["system", "--group", "3", "--bound", "3"],
     "unions": ["unions", "--group", "3", "--k", "1"],
     "delta": ["delta", "--group", "3", "--bound", "3"],
-    "delta-star": ["delta-star", "--group", "3", "--bound", "3"],
+    "delta-star": ["delta-star", "--group", "3"],
     "fit": ["fit", "--set", "2,3", "--d", "1"],
     "verify-structure": ["verify-structure", "--group", "3", "--bound", "3"],
     "numerical": ["numerical", "--gens", "3,5"],
@@ -443,7 +449,7 @@ SUITE_CHOICES = ("--group", "--max-order", "--bound", "--k-max", "--samples",
 REMOVED = [
     *[(cmd, opt) for cmd in ("atoms", "davenport") for opt in ("--memo-limit", "--seed")],
     *[(cmd, "--seed") for cmd in ("lengths", "system", "unions", "delta")],
-    ("delta-star", "--cache-dir"), ("delta-star", "--seed"),
+    *[("delta-star", opt) for opt in ("--cache-dir", "--seed", "--bound", "--memo-limit")],
     *[(cmd, opt) for cmd in ("fit", "numerical")
       for opt in ("--cache-dir", "--node-limit", "--memo-limit", "--max-order", "--seed")],
     *[("verify-structure", opt)
@@ -465,8 +471,8 @@ REMOVED = [
 
 
 def test_removed_option_count():
-    # 28 command-level options and 43 suite options that nothing read
-    assert len(REMOVED) == len(set(REMOVED)) == 71
+    # 30 command-level options and 43 suite options that nothing read
+    assert len(REMOVED) == len(set(REMOVED)) == 73
 
 
 @pytest.mark.parametrize("command, option", REMOVED)
@@ -539,7 +545,7 @@ CEILINGS = [
         ["system", "--group", "3", "--bound", "6"],
         ["unions", "--group", "3", "--k", "1..3"],
         ["delta", "--group", "3", "--bound", "6"],
-        ["delta-star", "--group", "3", "--bound", "6"],
+        ["delta-star", "--group", "3"],
         ["transfer-check", "--group", "3", "--samples", "5"],
     )],
     *[(argv, "--memo-limit") for argv in (
@@ -547,7 +553,6 @@ CEILINGS = [
         ["system", "--group", "3", "--bound", "6"],
         ["unions", "--group", "3", "--k", "1..3"],
         ["delta", "--group", "3", "--bound", "6"],
-        ["delta-star", "--group", "3", "--bound", "6"],
         ["transfer-check", "--group", "3", "--samples", "5"],
     )],
     *[(argv, "--max-order") for argv in (

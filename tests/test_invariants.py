@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import operator
 from fractions import Fraction
 
@@ -10,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zslen import invariants
-from zslen.atoms import AtomSet, davenport, enumerate_atoms
+from zslen.atoms import AtomSet, build_atoms, davenport, enumerate_atoms
 from zslen.errors import InvalidArgumentError, ResourceLimitError, VerificationError
-from zslen.group import elements, make_group
+from zslen.group import elements, make_group, order_of
 from zslen.invariants import (
     all_subgroups,
     closed_form_system,
@@ -24,6 +25,7 @@ from zslen.invariants import (
     interval_support_check,
     is_half_factorial,
     lambda_k,
+    min_distance,
     rho_k,
     system,
     union_k,
@@ -356,13 +358,13 @@ def test_delta_c4(c4):
 
 
 def test_delta_star_c3(c3):
-    report = delta_star(c3, 8)
+    report = delta_star(c3)
     assert report.values == (1,)
     assert report.subsets_scanned == 7
 
 
 def test_delta_star_subset_of_delta(c4):
-    ds = delta_star(c4, 8)
+    ds = delta_star(c4)
     d = delta_of_group(c4, None, 10)
     assert set(ds.values) <= set(d.distances)
     assert 1 in ds.values  # G0 = G contributes min Delta(G) = 1
@@ -372,8 +374,105 @@ def test_delta_star_keeps_no_atom_sets(c4):
     from zslen.atoms import _enumerate_atoms_cached
 
     before = _enumerate_atoms_cached.cache_info().currsize
-    delta_star(c4, 8)
+    delta_star(c4)
     assert _enumerate_atoms_cached.cache_info().currsize == before
+
+
+def test_delta_star_reads_neither_the_scan_nor_the_engine(c4, monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("delta_star must not scan sequences or factor them")
+
+    monkeypatch.setattr(invariants, "system", refuse)
+    monkeypatch.setattr(invariants, "zero_sum_keys", refuse)
+    monkeypatch.setattr(invariants, "engine_for", refuse)
+    monkeypatch.setattr(invariants, "length_set", refuse)
+    assert delta_star(c4).values == (1, 2)
+
+
+def test_delta_star_takes_no_positional_bound(c4):
+    # a stale delta_star(group, bound) call must not become a node limit
+    with pytest.raises(TypeError):
+        delta_star(c4, 8)
+
+
+def _zero_free_subsets(group):
+    nonzero = elements(group)[1:]
+    for mask in range(1, 1 << len(nonzero)):
+        yield tuple(g for i, g in enumerate(nonzero) if mask >> i & 1)
+
+
+def bounded_delta_star(group, bound):
+    """The bounded scan delta_star once was: for each zero-free subset G0
+    whose system to the bound shows a distance, the gcd of those distances.
+    It sees only the sequences up to the bound, so each gcd is a multiple
+    of min Delta(G0)."""
+    seen = {}
+    for subset in _zero_free_subsets(group):
+        atoms = build_atoms(group, subset, subset, 10**8)
+        distances = system(group, subset, bound, atoms).distances()
+        if distances:
+            seen[subset] = (atoms, math.gcd(*distances))
+    return seen
+
+
+@pytest.mark.parametrize("moduli, bound", [
+    ([5], 8), ([6], 8), ([2, 4], 8), ([2, 2, 2], 8), ([3, 3], 7),
+])
+def test_min_distance_divides_the_bounded_scans_gcd(moduli, bound):
+    seen = bounded_delta_star(make_group(moduli), bound)
+    assert seen
+    for subset, (atoms, gcd) in seen.items():
+        md = min_distance(atoms.vectors())
+        assert md and gcd % md == 0, (subset, md, gcd)
+
+
+@pytest.mark.parametrize("moduli", [
+    [3], [4], [5], [6], [8], [2, 2], [2, 4], [3, 3], [2, 2, 2],
+])
+def test_min_distance_is_zero_iff_every_cross_number_is_one(moduli):
+    # B(G0) is half-factorial iff every atom has cross number
+    # sum v_g / ord(g) = 1 (Geroldinger and Halter-Koch, 2006)
+    group = make_group(moduli)
+    for subset in _zero_free_subsets(group):
+        atoms = build_atoms(group, subset, subset, 10**8)
+        orders = [order_of(g) for g in subset]
+        cross_one = all(
+            sum(Fraction(v, n) for v, n in zip(vec, orders)) == 1 for vec in atoms.vectors()
+        )
+        assert (min_distance(atoms.vectors()) == 0) == cross_one, subset
+
+
+def test_min_distance_small_cases():
+    assert min_distance([]) == 0
+    assert min_distance([(4,)]) == 0  # B({g}) is free
+    assert min_distance([(3, 0), (0, 3), (1, 1)]) == 1  # U(-U) = V^3 over C3
+    assert min_distance([(5, 0), (0, 5), (1, 1)]) == 3  # {2, 5} over C5
+
+
+@pytest.mark.parametrize("moduli, values", [
+    ([3], (1,)),
+    ([4], (1, 2)),
+    ([5], (1, 3)),
+    ([6], (1, 2, 4)),
+    ([7], (1, 2, 5)),
+    ([8], (1, 2, 3, 6)),
+    ([9], (1, 3, 7)),
+    ([10], (1, 2, 3, 4, 8)),
+    pytest.param([11], (1, 4, 9), marks=pytest.mark.slow),
+    pytest.param([12], (1, 2, 4, 5, 10), marks=pytest.mark.slow),
+    ([2, 2], (1,)),
+    ([2, 4], (1, 2)),
+    pytest.param([2, 6], (1, 2, 4), marks=pytest.mark.slow),
+    ([3, 3], (1,)),
+    ([2, 2, 2], (1, 2)),
+])
+def test_delta_star_exact_values(moduli, values):
+    group = make_group(moduli)
+    report = delta_star(group)
+    assert report.values == values
+    assert report.subsets_scanned == 2 ** group.order - 1
+    # max Delta*(G) = max{exp(G) - 2, r(G) - 1} (Geroldinger and Zhong, 2016)
+    assert max(values) == max(group.invariant_factors[-1] - 2, group.rank - 1)
 
 
 @pytest.mark.parametrize("scan, bound, truth", [
@@ -454,7 +553,7 @@ def test_delta_of_group_matches_per_vector_scan(mods, subset):
 
 def test_delta_star_order_cap():
     with pytest.raises(ResourceLimitError):
-        delta_star(make_group([4, 4]), 6)
+        delta_star(make_group([4, 4]))
 
 
 # -- half-factoriality ----------------------------------------------------------------
