@@ -311,6 +311,6 @@ def davenport_star_witness(group: FiniteAbelianGroup) -> Sequence:
 
 def antichain_violations(atoms: AtomSet) -> list[tuple[Sequence, Sequence]]:
     """Pairs (u, v) of atoms at distinct positions with u | v; empty for a
-    valid atom set."""
-    seqs = atoms.atoms
-    return [(seqs[j], seqs[l]) for j, l in divisible_pairs(atoms.vectors())]
+    valid atom set.  The atoms are built as sequences only for a pair, so a
+    Krull instance's set, whose letters are prime names, is read too."""
+    return [(atoms.atoms[j], atoms.atoms[l]) for j, l in divisible_pairs(atoms.vectors())]

@@ -13,7 +13,7 @@ from operator import add
 
 from .atoms import AtomSet, atoms_over, build_atoms, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
 from .errors import InvalidArgumentError, ResourceLimitError, VerificationError
-from .group import FiniteAbelianGroup, GroupElement, automorphisms, elements, order_of, tables
+from .group import FiniteAbelianGroup, GroupElement, automorphisms, elements, tables
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, delta_of, engine_for, length_set
 from .sequence import Sequence, index_sum, mul, negate, zero_sum_keys
 
@@ -406,7 +406,7 @@ class DeltaReport:
     subset: tuple[GroupElement, ...]
     bound: int
     distances: tuple[int, ...]
-    exact: bool  # interval starting at 1 and stable across a D(G)-wide window
+    exact: bool  # B(G0) half-factorial, or interval from 1 stable across a D(G)-wide window
 
 
 def delta_of_group(
@@ -417,25 +417,26 @@ def delta_of_group(
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> DeltaReport:
     """Union of Delta(L) over the entries of system(G0, bound); a lower
-    approximation of the distance set, flagged exact only under the
-    stability heuristic (G0 = G only).
+    approximation of the distance set, exact if B(G0) is half-factorial
+    (_non_unit_atom) or under the stability heuristic (G0 = G only).
 
     The heuristic asks the largest distance to show up already within a
     D(G) margin below the bound.  Each witness is the first vector in
     (length, lex) order, so the shortest sequence with its length set: an
     entry is seen within the margin iff its witness is that short.
     """
+    atoms = atoms_over(group, subset, atoms)
     sys = system(group, subset, bound, atoms, memo_limit)
     distances = sys.distances()
-    exact = False
-    if sys.subset == elements(group):
+    exact = _non_unit_atom(atoms) is None  # half-factorial: Delta(G0) is empty
+    if not exact and sys.subset == elements(group):
         dav, _ = davenport(group, atoms)
         acc_margin = set().union(
             *(delta_of(ls) for ls, wit in sys.entries if wit.length <= bound - dav)
         )
         is_interval_from_1 = bool(distances) and distances == tuple(range(1, distances[-1] + 1))
         stable = bool(acc_margin) and max(acc_margin) == distances[-1]
-        exact = (not distances and group.order <= 2) or (is_interval_from_1 and stable)
+        exact = is_interval_from_1 and stable
     return DeltaReport(group, sys.subset, bound, distances, exact)
 
 
@@ -502,46 +503,42 @@ def delta_star(group: FiniteAbelianGroup, *, node_limit: int = DEFAULT_NODE_LIMI
 
 @dataclass(frozen=True)
 class HalfFactorialVerdict:
-    kind: str  # "yes-exact" | "no-with-witness" | "yes-up-to-bound"
+    """Exact; the witness of a "no-with-witness" verdict has two or more lengths."""
+
+    kind: str  # "yes-exact" | "no-with-witness"
     witness: Sequence | None = None
     witness_lengths: LengthSet | None = None
 
     @property
     def is_half_factorial(self) -> bool:
-        return self.kind != "no-with-witness"
+        return self.kind == "yes-exact"
 
 
-def is_half_factorial(
-    group: FiniteAbelianGroup,
-    subset=None,
-    bound: int = 8,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
-) -> HalfFactorialVerdict:
-    """Exact for G0 = G via the |G| <= 2 criterion, with the classical
-    witness relation otherwise; reads `system` to the bound for proper
-    subsets."""
+def _non_unit_atom(atoms: AtomSet) -> tuple[int, ...] | None:
+    """The first atom vector of A(G0), in the set's (length, vector) order,
+    whose cross number k(U) = sum_g v_g(U)/ord(g) is not 1; None when every
+    atom has cross number 1, which holds iff B(G0) is half-factorial
+    (Skula, Sliwa and Zaks; Geroldinger and Halter-Koch, 2006).  In
+    integers, k(U) = 1 iff sum_g v_g(U) * exp(G)/ord(g) = exp(G)."""
+    tab = atoms.tables
+    weights = [tab.exp // tab.order[tab.index[g]] for g in atoms.letters]
+    return next(
+        (v for v in atoms.vectors() if sum(x * w for x, w in zip(v, weights)) != tab.exp), None
+    )
+
+
+def is_half_factorial(group: FiniteAbelianGroup, subset=None) -> HalfFactorialVerdict:
+    """Exact half-factoriality of B(G0), G0 = subset (default: all of G), by
+    the cross-number criterion (_non_unit_atom).  For the first atom U with
+    k(U) != 1 and N the lcm of the orders of its support, the witness U^N
+    is N atoms U and also N*k(U) != N atoms g^ord(g), so two lengths."""
     atoms = atoms_over(group, subset)
-    alphabet = atoms.letters
-    if alphabet == elements(group):
-        if group.order <= 2:
-            return HalfFactorialVerdict("yes-exact")
-        g = next((h for h in alphabet if order_of(h) >= 3), None)
-        if g is not None:
-            n = order_of(g)
-            witness = Sequence.make(group, {g: n, -g: n})  # (-U)U = V^n
-        else:
-            e1, e2 = [h for h in alphabet if order_of(h) == 2][:2]
-            witness = Sequence.make(group, {e1: 2, e2: 2, e1 + e2: 2})  # U^2 = V0V1V2
-        ls = length_set(witness, atoms, memo_limit)
-        return HalfFactorialVerdict("no-with-witness", witness, ls)
-    entries = system(group, subset, bound, atoms, memo_limit).entries
-    multi = [(ls, w) for ls, w in entries if len(ls) > 1]
-    if not multi:
-        return HalfFactorialVerdict("yes-up-to-bound")
-    # the first multi-length sequence of the walk, as each entry's witness
-    # is the first of its length set in (length, lex) order
-    ls, witness = min(multi, key=lambda entry: (entry[1].length, entry[1].dense(alphabet)))
-    return HalfFactorialVerdict("no-with-witness", witness, ls)
+    vec = _non_unit_atom(atoms)
+    if vec is None:
+        return HalfFactorialVerdict("yes-exact")
+    u = Sequence.from_dense(group, atoms.letters, vec)
+    witness = u ** math.lcm(*(atoms.tables.order[i] for i, _ in u.items))
+    return HalfFactorialVerdict("no-with-witness", witness, length_set(witness, atoms))
 
 
 @dataclass(frozen=True)

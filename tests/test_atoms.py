@@ -284,6 +284,13 @@ def test_antichain_violations_reports_divisible_atoms(c3):
     assert antichain_violations(bad) == [(g3, g3**2)]
 
 
+@pytest.mark.parametrize("mods, primes", [([3], 2), ([2, 2], 3)])
+def test_antichain_violations_reads_a_krull_instance(mods, primes):
+    # the letters are prime names, not elements of G: no sequence is built
+    # unless a pair divides
+    assert antichain_violations(instance_atoms(make_instance(make_group(mods), None, primes))) == []
+
+
 @pytest.mark.parametrize("mods", [[3], [4], [2, 2], [5], [6], [2, 4], [3, 3], [2, 2, 2], [2, 6], [4, 4]])
 def test_atoms_are_closed_under_automorphisms(mods):
     # the letters of A(G) are the elements in index order, so letter i of

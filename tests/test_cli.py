@@ -92,6 +92,15 @@ def test_delta_not_exact_is_json_false(capsys):
     assert report["results"]["exact"] is False
 
 
+@pytest.mark.parametrize("group, subset", [("5", "1"), ("2,2", "(0,1),(1,0)")])
+def test_delta_of_a_half_factorial_subset_is_exact(capsys, group, subset):
+    # the cross-number criterion decides that Delta(G0) is empty for any G0
+    code, report = run_json(capsys, "delta", "--group", group, "--subset", subset, "--bound", "8")
+    assert code == 0
+    assert report["results"]["delta"] == []
+    assert report["results"]["exact"] is True
+
+
 def test_delta_star_subcommand(capsys):
     code, report = run_json(capsys, "delta-star", "--group", "3")
     assert code == 0

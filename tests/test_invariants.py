@@ -36,6 +36,7 @@ from zslen.sequence import (
     Sequence,
     canonical_subset,
     enumerate_zero_sum,
+    is_zero_sum,
     parse_sequence,
 )
 from zslen.transfer import instance_atoms, make_instance
@@ -534,13 +535,14 @@ def reference_delta(group, subset, bound):
     full_group = alphabet == elements(group)
     is_interval_from_1 = bool(distances) and distances == tuple(range(1, distances[-1] + 1))
     stable = bool(distances) and bool(acc_margin) and max(acc_margin) == distances[-1]
-    exact = full_group and ((not distances and group.order <= 2) or (is_interval_from_1 and stable))
+    half_factorial = min_distance(enumerate_atoms(group, alphabet).vectors()) == 0
+    exact = half_factorial or (full_group and is_interval_from_1 and stable)
     return distances, exact
 
 
 @pytest.mark.parametrize("mods, subset", [
     ([2], None), ([3], None), ([4], None), ([2, 2], None), ([5], None),
-    ([2, 2, 2], None), ([6], (0, 1, 5)),
+    ([2, 2, 2], None), ([6], (0, 1, 5)), ([4], (0, 2)), ([2, 2], (1, 2)),
 ])
 def test_delta_of_group_matches_per_vector_scan(mods, subset):
     group = make_group(mods)
@@ -578,14 +580,41 @@ def test_half_factorial_c22_witness(c22):
 
 
 def test_half_factorial_single_generator(c5):
-    verdict = is_half_factorial(c5, [c5.element([1])], bound=10)
-    assert verdict.kind == "yes-up-to-bound"
+    verdict = is_half_factorial(c5, [c5.element([1])])
+    assert verdict.kind == "yes-exact"
+    assert verdict.is_half_factorial
+
+
+def test_half_factorial_c5_plus_minus_one(c5):
+    # no zero-sum sequence over {1, 4} shorter than 10 has two lengths
+    verdict = is_half_factorial(c5, [c5.element([1]), c5.element([4])])
+    assert verdict.kind == "no-with-witness"
+    assert not verdict.is_half_factorial
+    assert verdict.witness == parse_sequence(c5, "[1:5,4:5]")
+    assert verdict.witness_lengths == L(2, 5)
+
+
+def test_half_factorial_takes_no_bound(c5):
+    with pytest.raises(TypeError):
+        is_half_factorial(c5, None, 8)
+    with pytest.raises(TypeError):
+        is_half_factorial(c5, bound=8)
+
+
+def test_half_factorial_reads_neither_the_scan_nor_the_walk(c4, monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("is_half_factorial must not scan sequences")
+
+    monkeypatch.setattr(invariants, "system", refuse)
+    monkeypatch.setattr(invariants, "zero_sum_keys", refuse)
+    assert is_half_factorial(c4).witness_lengths == L(2, 4)
+    assert is_half_factorial(c4, [c4.element([2])]).kind == "yes-exact"
 
 
 def reference_half_factorial(group, subset, bound):
-    """The per-vector scan that is_half_factorial ran on a proper subset
-    before it read system(): the first zero-sum vector in (length, lex)
-    order with two or more lengths, on a fresh engine."""
+    """A bounded oracle: the first zero-sum vector over G0 in (length, lex)
+    order with two or more lengths, on a fresh engine, or None when there
+    is none up to the bound."""
     alphabet = canonical_subset(group, subset)
     engine = FactorizationEngine(enumerate_atoms(group, alphabet).vectors())
     for vec in zero_sum_vectors(group, alphabet, bound):
@@ -595,23 +624,31 @@ def reference_half_factorial(group, subset, bound):
     return None
 
 
-@pytest.mark.parametrize("mods, step", [
-    ([4], 1), ([2, 2], 1), ([5], 1), ([6], 1), ([2, 4], 1), ([3, 3], 7),
+@pytest.mark.parametrize("mods", [
+    [3], [4], [5], [6], [7], [8], [2, 2], [2, 4], [2, 2, 2],
 ])
-def test_half_factorial_subsets_match_per_vector_scan(mods, step):
-    # every nonempty proper subset (one in `step` for C3+C3) at four bounds
+def test_half_factorial_is_exact_on_every_subset(mods):
+    # the verdict agrees with min Delta(G0) = 0 on all 1,023 nonempty subsets
+    # of these nine groups, and with the bound-8 scan wherever it sees two
+    # lengths; each witness is a zero-sum sequence over G0 with two lengths
+    # or more
     group = make_group(mods)
     els = elements(group)
-    for mask in range(1, (1 << len(els)) - 1, step):
+    for mask in range(1, 1 << len(els)):
         subset = [g for i, g in enumerate(els) if mask >> i & 1]
-        for bound in (0, 3, 6, 8):
-            verdict = is_half_factorial(group, subset, bound)
-            expected = reference_half_factorial(group, subset, bound)
-            if expected is None:
-                assert verdict.kind == "yes-up-to-bound", (subset, bound)
-            else:
-                assert verdict.kind == "no-with-witness", (subset, bound)
-                assert (verdict.witness, verdict.witness_lengths) == expected, (subset, bound)
+        verdict = is_half_factorial(group, subset)
+        atoms = enumerate_atoms(group, subset)
+        assert verdict.is_half_factorial == (min_distance(atoms.vectors()) == 0), subset
+        if reference_half_factorial(group, subset, 8) is not None:
+            assert not verdict.is_half_factorial, subset
+        if verdict.is_half_factorial:
+            assert verdict.kind == "yes-exact" and verdict.witness is None, subset
+            continue
+        assert verdict.kind == "no-with-witness", subset
+        w = verdict.witness
+        assert is_zero_sum(w) and set(w.support) <= set(subset), (subset, w)
+        assert verdict.witness_lengths == length_set(w, atoms), subset
+        assert len(verdict.witness_lengths) >= 2, subset
 
 
 # -- {2, D(G)} criterion ---------------------------------------------------------------
