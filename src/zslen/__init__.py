@@ -5,7 +5,7 @@ AAP/AAMP structural fits, by brute force and by closed form."""
 
 __version__ = "0.1.0"
 
-from .errors import InvalidArgumentError, ResourceLimitError, VerificationError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .group import (
     FiniteAbelianGroup,
     GroupElement,

@@ -168,9 +168,13 @@ class AtomSet:
         return len(self.atom_vectors)
 
     @cached_property
-    def atoms(self) -> tuple[Sequence, ...]:
-        """The atoms of B(G0) as sequences, built on first use."""
-        return tuple(Sequence.from_dense(self.group, self.letters, v) for v in self.atom_vectors)
+    def atoms(self) -> tuple:
+        """The atoms as words, built on first use: Sequences over G0, or
+        a Krull instance's PrimeWords when the letters are prime names."""
+        if all(isinstance(g, GroupElement) for g in self.letters):
+            return tuple(Sequence.from_dense(self.group, self.letters, v) for v in self.atom_vectors)
+        from .transfer import PrimeWord  # transfer imports this module
+        return tuple(PrimeWord.from_dense(self.letters, v) for v in self.atom_vectors)
 
     @cached_property
     def prime_letters(self) -> tuple[int, ...]:
@@ -232,18 +236,13 @@ def _enumerate_atoms_cached(
     return build_atoms(group, alphabet, alphabet, node_limit)
 
 
-def atoms_over(
-    group: FiniteAbelianGroup,
-    subset=None,
-    atoms: AtomSet | None = None,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> AtomSet:
+def atoms_over(group: FiniteAbelianGroup, subset=None, atoms: AtomSet | None = None) -> AtomSet:
     """A(G0) for the invariants of B(G0), G0 = subset (default: all of G):
     the given atom set when it is over the canonical G0, else the cached
     enumeration.  An atom set over any other alphabet would give silent
     wrong answers, so it raises."""
     if atoms is None:
-        return enumerate_atoms(group, subset, node_limit)
+        return enumerate_atoms(group, subset)
     if atoms.letters != canonical_subset(group, subset):  # elements compare their groups too
         raise InvalidArgumentError(f"atom set does not match the alphabet of B(G0) over {group}")
     return atoms
@@ -278,14 +277,10 @@ def is_atom(s: Sequence) -> bool:
     return not rec(0)
 
 
-def davenport(
-    group: FiniteAbelianGroup,
-    atoms: AtomSet | None = None,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> tuple[int, Sequence]:
+def davenport(group: FiniteAbelianGroup, atoms: AtomSet | None = None) -> tuple[int, Sequence]:
     """D(G) = max atom length, with a witness atom of that length; a given
     atom set must be A(G)."""
-    atoms = atoms_over(group, None, atoms, node_limit)
+    atoms = atoms_over(group, None, atoms)
     # every nonempty G0 carries at least the atom g^ord(g); max keeps the
     # first longest vector, the first longest atom in (length, vector) order
     best = max(atoms.vectors(), key=sum)
@@ -309,8 +304,7 @@ def davenport_star_witness(group: FiniteAbelianGroup) -> Sequence:
     return Sequence.make(group, exps)
 
 
-def antichain_violations(atoms: AtomSet) -> list[tuple[Sequence, Sequence]]:
-    """Pairs (u, v) of atoms at distinct positions with u | v; empty for a
-    valid atom set.  The atoms are built as sequences only for a pair, so a
-    Krull instance's set, whose letters are prime names, is read too."""
+def antichain_violations(atoms: AtomSet) -> list[tuple]:
+    """Pairs (u, v) of atoms at distinct positions with u | v, as words
+    (AtomSet.atoms); empty for a valid atom set."""
     return [(atoms.atoms[j], atoms.atoms[l]) for j, l in divisible_pairs(atoms.vectors())]

@@ -4,7 +4,8 @@ machine-readable reports tying the computation modules together.
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 3 resource limit, 4 internal error (an unexpected exception, reported as
 JSON rather than a traceback).  JSON is the canonical machine format; CSV is available
-for the tabular outputs (system, unions); text is a readable summary.
+for the tabular outputs (system, unions), and the other commands refuse it;
+text is a readable summary.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .sequence import (
     split_top_level,
 )
 from .structure_fit import best_aamp, fit_aamp, verify_structure_theorem
-from .transfer import check_atom_correspondence, check_transfer, make_instance
+from .transfer import check_atom_correspondence, check_transfer, instance_atoms, make_instance
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -211,10 +212,10 @@ def cmd_system(args):
 
 def cmd_unions(args):
     group = args.group
-    atoms = _get_atoms(group, tuple(elements(group)), args)
     lo, hi = _parse_k_range(args.k)
     if lo < 1 or hi < lo:
         raise InvalidArgumentError(f"bad k range {args.k!r}")
+    atoms = _get_atoms(group, tuple(elements(group)), args)
     unions = unions_range(group, hi, atoms, memo_limit=args.memo_limit)
     return {
         "group": list(group.invariant_factors),
@@ -337,6 +338,8 @@ def cmd_transfer_check(args):
         args.node_limit, args.memo_limit,
     )
     corr = check_atom_correspondence(instance, args.node_limit)
+    _TOUCHED_ATOMS.extend((instance_atoms(instance, args.node_limit),
+                           enumerate_atoms(group, subset, args.node_limit)))
     results = {
         "group": list(group.invariant_factors),
         "primes_per_class": args.primes_per_class,
@@ -384,8 +387,7 @@ def cmd_verify(args):
 # the options several commands read; each command names the ones its
 # handler reads, so an option it would ignore is a usage error
 _SHARED = {
-    "--format": dict(choices=("json", "csv", "text"), default="json",
-                     help="output format (csv only for tabular commands)"),
+    "--format": dict(choices=("json", "text"), default="json", help="output format"),
     "--stable": dict(action="store_true",
                      help="omit timing so identical runs are byte-identical"),
     "--group": dict(required=True, help="comma list of moduli, e.g. 3,3"),
@@ -426,10 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, kw in _SHARED.items():
         shared[flag] = argparse.ArgumentParser(add_help=False)
         shared[flag].add_argument(flag, **kw)
+    # the tabular commands, system and unions, also print CSV (_render_csv)
+    tabular = argparse.ArgumentParser(add_help=False)
+    tabular.add_argument("--format", **{**_SHARED["--format"], "choices": ("json", "csv", "text")})
 
-    def add(subparsers, name, flags, **kw):
-        flags = ["--format", "--stable", *flags.split()]
-        return subparsers.add_parser(name, parents=[shared[f] for f in flags], **kw)
+    def add(subparsers, name, flags, csv=False, **kw):
+        parents = [tabular if csv else shared["--format"]]
+        parents += [shared[f] for f in ["--stable", *flags.split()]]
+        return subparsers.add_parser(name, parents=parents, **kw)
 
     def command(name, handler, flags, **kw):
         p = add(sub, name, flags, **kw)
@@ -443,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("lengths", cmd_lengths, f"{walk} --memo-limit",
                 help="set of lengths of one sequence")
     p.add_argument("--sequence", required=True, help='e.g. "[1:3,2:3]"')
-    command("system", cmd_system, f"{walk} --memo-limit --subset --bound",
+    command("system", cmd_system, f"{walk} --memo-limit --subset --bound", csv=True,
             help="system of sets of lengths up to a bound")
-    p = command("unions", cmd_unions, f"{walk} --memo-limit",
+    p = command("unions", cmd_unions, f"{walk} --memo-limit", csv=True,
                 help="unions of sets of lengths U_k")
     p.add_argument("--k", required=True, help="single k or range, e.g. 1..6")
     command("delta", cmd_delta, f"{walk} --memo-limit --subset --bound",
@@ -500,15 +506,13 @@ def _render_csv(command: str, results: dict) -> str:
         writer.writerow(["lengths", "witness"])
         for entry in results["entries"]:
             writer.writerow([" ".join(map(str, entry["lengths"])), entry["witness"]])
-    elif command == "unions":
+    else:  # unions, the other command that offers csv
         writer.writerow(["k", "lambda_k", "rho_k", "values"])
         for row in results["unions"]:
             writer.writerow(
                 [row["k"], row["lambda_k"], row["rho_k"],
                  " ".join(map(str, row["values"]))]
             )
-    else:
-        raise InvalidArgumentError(f"csv output is not defined for {command!r}")
     return buf.getvalue()
 
 

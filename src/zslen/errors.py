@@ -22,11 +22,3 @@ class ResourceLimitError(RuntimeError):
         if reached is not None:
             detail += f" (needed at least {reached})"
         super().__init__(detail)
-
-
-class VerificationError(RuntimeError):
-    """A brute-force cross-check contradicted a closed form.
-
-    Raised only when the package disagrees with itself, which points to an
-    implementation bug rather than to bad input.
-    """

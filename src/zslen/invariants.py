@@ -12,12 +12,13 @@ from fractions import Fraction
 from operator import add
 
 from .atoms import AtomSet, atoms_over, build_atoms, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
-from .errors import InvalidArgumentError, ResourceLimitError, VerificationError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, automorphisms, elements, tables
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, delta_of, engine_for, length_set
-from .sequence import Sequence, index_sum, mul, negate, zero_sum_keys
+from .sequence import Sequence, index_sum, zero_sum_keys
 
-DEFAULT_PRODUCT_LIMIT = 10**8
+# ceiling on the atom products one unions_range call forms
+PRODUCT_LIMIT = 10**8
 DEFAULT_SUBSET_SCAN_MAX_ORDER = 12
 # The U_k walk keeps each atom's images under the automorphisms; past this
 # many images, or this many entries in the automorphisms' tables, it uses
@@ -253,7 +254,6 @@ def unions_range(
     group: FiniteAbelianGroup,
     k_max: int,
     atoms: AtomSet | None = None,
-    product_limit: int = DEFAULT_PRODUCT_LIMIT,
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> dict[int, UnionOfLengths]:
     """U_k for all k in [1, k_max].
@@ -281,7 +281,7 @@ def unions_range(
     one product's images, and a product's images are the sums of its
     factors' images.  Each level forms len(previous level) products per
     atom that is not prime; their running total is charged against
-    product_limit before the level is formed.
+    PRODUCT_LIMIT before the level is formed.
     """
     if k_max < 1:
         raise InvalidArgumentError(f"k must be positive: {k_max}")
@@ -298,8 +298,8 @@ def unions_range(
     formed = 0
     for k in range(1, k_max + 1):
         formed += len(level) * len(images)
-        if formed > product_limit:
-            raise ResourceLimitError("atom products", product_limit, formed)
+        if formed > PRODUCT_LIMIT:
+            raise ResourceLimitError("atom products", PRODUCT_LIMIT, formed)
         last = k == k_max  # the last level needs only the keys
         nxt: dict[int, list[int] | None] = {}
         for b in level.values():
@@ -354,45 +354,24 @@ def _atom_images(atoms: AtomSet, field_bits: int) -> list[tuple[int, ...]]:
     return out
 
 
-def union_k(group: FiniteAbelianGroup, k: int, atoms: AtomSet | None = None, **kw) -> UnionOfLengths:
-    return unions_range(group, k, atoms, **kw)[k]
+def union_k(group: FiniteAbelianGroup, k: int, atoms: AtomSet | None = None) -> UnionOfLengths:
+    return unions_range(group, k, atoms)[k]
 
 
-def rho_k(group: FiniteAbelianGroup, k: int, atoms: AtomSet | None = None, **kw) -> int:
-    return union_k(group, k, atoms, **kw).rho
+def rho_k(group: FiniteAbelianGroup, k: int, atoms: AtomSet | None = None) -> int:
+    return union_k(group, k, atoms).rho
 
 
-def lambda_k(group: FiniteAbelianGroup, k: int, atoms: AtomSet | None = None, **kw) -> int:
-    return union_k(group, k, atoms, **kw).lam
+def lambda_k(group: FiniteAbelianGroup, k: int, atoms: AtomSet | None = None) -> int:
+    return union_k(group, k, atoms).lam
 
 
-def elasticity(
-    group: FiniteAbelianGroup,
-    atoms: AtomSet | None = None,
-    cross_check: bool = False,
-) -> Fraction:
+def elasticity(group: FiniteAbelianGroup) -> Fraction:
     """rho(G) = D(G)/2 for |G| >= 3; half-factorial groups have elasticity 1.
-
-    With cross_check the closed form is validated by brute force: the
-    witness (-U)U for a longest atom U must attain the value, and no
-    length set of a bounded scan may exceed it.  A given atom set must be A(G).
-    """
-    atoms = atoms_over(group, None, atoms)
+    The witness (-U)U of a longest atom U attains it."""
     if group.order <= 2:
         return Fraction(1)
-    dav, longest = davenport(group, atoms)
-    value = Fraction(dav, 2)
-    if cross_check:
-        witness = mul(longest, negate(longest))
-        attained = length_set(witness, atoms)
-        if Fraction(attained.max, attained.min) != value:
-            raise VerificationError(
-                f"elasticity witness {witness} gives {attained}, not {value}"
-            )
-        for ls, b in system(group, None, min(2 * dav, 10), atoms).entries:
-            if ls.min and Fraction(ls.max, ls.min) > value:
-                raise VerificationError(f"{b} exceeds the closed-form elasticity")
-    return value
+    return Fraction(davenport(group)[0], 2)
 
 
 # -- distance sets ----------------------------------------------------------------
@@ -552,21 +531,16 @@ class TwoDavenportReport:
     pairs_scanned: int
 
 
-def has_two_D_lengthset(
-    group: FiniteAbelianGroup,
-    atoms: AtomSet | None = None,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
-) -> TwoDavenportReport:
+def has_two_D_lengthset(group: FiniteAbelianGroup) -> TwoDavenportReport:
     """Scan products of two atoms for L = {2, D(G)} exactly.
 
     The scan is complete: min {2, D} = 2 forces any witness to be a product
     of two atoms.  Pairs are tried longest first so positive cases exit
-    early; exhausting the scan certifies a negative answer.  A given atom
-    set must be A(G).
+    early; exhausting the scan certifies a negative answer.
     """
-    atoms = atoms_over(group, None, atoms)
+    atoms = enumerate_atoms(group)
     dav, _ = davenport(group, atoms)
-    engine = engine_for(atoms, memo_limit)
+    engine = engine_for(atoms)
     target = LengthSet.of([2, dav]).to_mask()
     vectors = atoms.vectors()
     engine.widen(2 * max(map(max, vectors)))
@@ -626,10 +600,7 @@ class IntervalSupportReport:
 
 
 def interval_support_check(
-    group: FiniteAbelianGroup,
-    samples: int = 100,
-    seed: int = 0,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
+    group: FiniteAbelianGroup, samples: int = 100, seed: int = 0
 ) -> IntervalSupportReport:
     """Sample zero-sum sequences whose support together with 0 is a subgroup
     and check every L(A) is an interval.  A failure would expose an
@@ -653,7 +624,7 @@ def interval_support_check(
         if s:
             exps[s] = exps.get(s, 0) + 1
         a = Sequence.of_indices(group, exps)
-        ls = length_set(a, atoms, memo_limit)
+        ls = length_set(a, atoms)
         if not ls.is_interval():
             failures.append((a, ls))
     return IntervalSupportReport(group, samples, seed, tuple(failures))

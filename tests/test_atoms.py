@@ -286,9 +286,17 @@ def test_antichain_violations_reports_divisible_atoms(c3):
 
 @pytest.mark.parametrize("mods, primes", [([3], 2), ([2, 2], 3)])
 def test_antichain_violations_reads_a_krull_instance(mods, primes):
-    # the letters are prime names, not elements of G: no sequence is built
-    # unless a pair divides
     assert antichain_violations(instance_atoms(make_instance(make_group(mods), None, primes))) == []
+
+
+def test_antichain_violations_reports_a_krull_pair_as_prime_words(c3):
+    # the letters are prime names, not elements of G, so a pair comes back
+    # as words of F(P); building sequences from them raised
+    # "element p0.0 not in group C3"
+    krull = instance_atoms(make_instance(c3, None, 2))
+    square = tuple(2 * (p == "p0.0") for p in krull.letters)
+    bad = AtomSet(c3, krull.letters, krull.vectors() + (square,))
+    assert [(str(u), str(v)) for u, v in antichain_violations(bad)] == [("[p0.0:1]", "[p0.0:2]")]
 
 
 @pytest.mark.parametrize("mods", [[3], [4], [2, 2], [5], [6], [2, 4], [3, 3], [2, 2, 2], [2, 6], [4, 4]])

@@ -6,6 +6,7 @@ longer goes through FactorizationEngine.lengths_mask would read as zero
 queries, so a traced `lengths` pass pins its counters, and a traced
 `sweeps` pass pins the counters of the whole-monoid scans."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -57,3 +58,23 @@ def test_traced_sweeps_pass_walks_each_system_once(tmp_path):
     assert layers["lengths.memo_entries"] == 11059
     assert layers["structure_fit.fits"] == 16
     assert layers["atoms.nodes"] == 641
+
+
+def test_reach_rows_read_names_that_exist(monkeypatch):
+    # perfbench/reach.py runs under no workload; three tiny rows pin what it
+    # reads: AtomSet.nodes_visited, len(system(...)) and UnionOfLengths.rho
+    spec = importlib.util.spec_from_file_location("reach", WORKER.parent / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run_row prepends src/
+    monkeypatch.setattr(reach, "ROWS", {
+        "atoms C3": ("atoms", {"group": [3]}, 10),
+        "system C3 b4": ("invariants.system", {"group": [3], "bound": 4}, 10),
+        "unions C3 k3": ("invariants.unions", {"group": [3], "k_max": 3}, 10),
+    })
+    rows = {name: reach.run_row(name) for name in reach.ROWS}
+    assert all(row["error"] is None for row in rows.values()), rows
+    assert rows["atoms C3"]["counters"]["atoms"] == 4
+    assert rows["atoms C3"]["counters"]["nodes"] > 0
+    assert rows["system C3 b4"]["counters"]["entries"] > 0
+    assert rows["unions C3 k3"]["counters"]["rho"] == {1: 1, 2: 3, 3: 4}

@@ -61,6 +61,14 @@ def test_resource_counters_reported(capsys):
     assert report["resources"]["memo_entries"] > 0
 
 
+def test_transfer_check_reports_its_walks(capsys):
+    # the H-atom walk and the A(G0) walk, and both engines' memos
+    code, report = run_json(capsys, "transfer-check", "--group", "3", "--samples", "10")
+    assert code == 0
+    assert report["resources"]["atom_lattice_nodes"] > 0
+    assert report["resources"]["memo_entries"] > 0
+
+
 def test_system_csv(capsys):
     code, out = run(capsys, "system", "--group", "3", "--bound", "6", "--format", "csv")
     assert code == 0
@@ -76,6 +84,16 @@ def test_unions_subcommand(capsys):
     assert rows[2]["rho_k"] == 4
     assert rows[6]["rho_k"] == 12
     assert all(row["interval"] for row in rows.values())
+
+
+def test_unions_checks_k_before_it_walks(capsys, monkeypatch):
+    def walk(*args):
+        raise AssertionError("A(G) walked for a k range that is refused")
+
+    monkeypatch.setattr(cli_mod, "_get_atoms", walk)
+    code, report = run_json(capsys, "unions", "--group", "3", "--k", "0")
+    assert code == 2
+    assert report["error"]["type"] == "invalid-argument"
 
 
 def test_delta_subcommand(capsys):
@@ -274,12 +292,16 @@ def test_prop65_out_of_scope_is_noted_pass(capsys):
     assert "out of scope" in report["verdicts"][0]["witness"]
 
 
-def test_csv_rejected_for_non_tabular(capsys):
-    code, report = run_json(
-        capsys, "davenport", "--group", "3", "--format", "csv"
-    )
+def test_csv_rejected_for_non_tabular(capsys, monkeypatch):
+    def compute(*args):
+        raise AssertionError("davenport ran for a refused format")
+
+    monkeypatch.setattr(cli_mod, "davenport", compute)
+    code, report = run_json(capsys, "davenport", "--group", "3", "--format", "csv")
     assert code == 2
     assert report["error"]["type"] == "invalid-argument"
+    assert report["config"] == {}
+    assert "results" not in report
 
 
 def test_stable_flag_byte_identical(capsys):
@@ -448,6 +470,26 @@ BASE_ARGV = {
                      "thm6.3.1", "lemma4.2")},
     "verify all": ["verify", "all"],
 }
+
+
+TABULAR = {"system", "unions"}  # the commands that offer csv
+FORMAT_CASES = [(command, fmt) for command in BASE_ARGV for fmt in ("json", "csv", "text")]
+
+
+@pytest.mark.parametrize("command, fmt", FORMAT_CASES,
+                         ids=[f"{command} {fmt}" for command, fmt in FORMAT_CASES])
+def test_each_format_answers_and_csv_elsewhere_is_a_usage_error(capsys, command, fmt):
+    code, out = run(capsys, *BASE_ARGV[command], "--format", fmt)
+    if fmt != "csv" or command in TABULAR:
+        assert code in (0, 1)
+        return
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"]["type"] == "invalid-argument"
+    assert report["config"] == {}
+    assert "results" not in report
+
+
 OPTION_VALUE = {
     "--cache-dir": ["cache"], "--node-limit": ["100"], "--memo-limit": ["100"],
     "--max-order": ["64"], "--seed": ["1"], "--group": ["3"], "--bound": ["3"],

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from zslen import invariants
 from zslen.atoms import AtomSet, build_atoms, davenport, enumerate_atoms
-from zslen.errors import InvalidArgumentError, ResourceLimitError, VerificationError
+from zslen.errors import InvalidArgumentError, ResourceLimitError
 from zslen.group import elements, make_group, order_of
 from zslen.invariants import (
     all_subgroups,
@@ -174,33 +174,61 @@ def test_elasticity_examples(c3, c22):
     assert elasticity(make_group([2, 4])) == Fraction(5, 2)
 
 
-def test_elasticity_cross_check(c3, c4):
-    assert elasticity(c3, cross_check=True) == Fraction(3, 2)
-    assert elasticity(c4, cross_check=True) == Fraction(2)
+def test_elasticity_cross_check():
+    # the closed form D(G)/2 against a bounded scan: no L(B) exceeds it
+    for mods in ([3], [4], [2, 2], [5]):
+        group = make_group(mods)
+        dav, _ = davenport(group)
+        rho = elasticity(group)
+        for ls in system(group, None, min(2 * dav, 10)).length_sets():
+            assert not ls.min or Fraction(ls.max, ls.min) <= rho, (group, ls)
 
 
-def test_elasticity_cross_check_failure(c3, monkeypatch):
-    dav, longest = davenport(c3)
-    monkeypatch.setattr(invariants, "davenport", lambda group, atoms=None: (dav + 1, longest))
-    with pytest.raises(VerificationError):
-        elasticity(c3, cross_check=True)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: elasticity(g, None),
+        lambda g: elasticity(g, cross_check=True),
+        lambda g: has_two_D_lengthset(g, None),
+        lambda g: has_two_D_lengthset(g, memo_limit=10),
+        lambda g: interval_support_check(g, 1, 0, 10),
+        lambda g: davenport(g, None, 10),
+        lambda g: invariants.atoms_over(g, None, None, 10),
+        lambda g: unions_range(g, 2, product_limit=10),
+        lambda g: union_k(g, 2, memo_limit=10),
+        lambda g: rho_k(g, 2, memo_limit=10),
+        lambda g: lambda_k(g, 2, memo_limit=10),
+    ],
+    ids=[
+        "elasticity-atoms", "elasticity-cross_check", "two_D-atoms", "two_D-memo_limit",
+        "interval_support-memo_limit", "davenport-node_limit", "atoms_over-node_limit",
+        "unions_range-product_limit", "union_k-kw", "rho_k-kw", "lambda_k-kw",
+    ],
+)
+def test_removed_parameters_are_type_errors(call, c3):
+    with pytest.raises(TypeError):
+        call(c3)
 
 
-def test_union_resource_limit(c33):
-    with pytest.raises(ResourceLimitError):
-        unions_range(c33, 8, product_limit=10)
+def test_union_resource_limit(c33, monkeypatch):
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 10)
+    with pytest.raises(ResourceLimitError) as info:
+        unions_range(c33, 8)
+    assert info.value.limit == 10
 
 
-def test_union_limit_charges_products_formed():
+def test_union_limit_charges_products_formed(monkeypatch):
     # Over {1, 2} in C10 (6 atoms) k = 7 forms 672 products, fewer than the
     # C(12, 7) = 792 atom multisets that an up-front estimate would count.
     group = make_group([10])
     atoms = enumerate_atoms(group, [group.element([1]), group.element([2])])
     assert len(atoms) == 6
-    unions = unions_range(group, 7, atoms, product_limit=672)
-    assert unions == unions_range(group, 7, atoms)
+    expected = unions_range(group, 7, atoms)
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 672)
+    assert unions_range(group, 7, atoms) == expected
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 671)
     with pytest.raises(ResourceLimitError) as info:
-        unions_range(group, 7, atoms, product_limit=671)
+        unions_range(group, 7, atoms)
     assert info.value.reached == 672
 
 
@@ -294,15 +322,17 @@ def test_unions_over_a_krull_instance_equal_those_of_its_block_monoid(c3):
     assert unions_range(c3, 5, atoms) == unions_range(c3, 5)
 
 
-def test_union_limit_charges_products_formed_per_orbit(c5):
+def test_union_limit_charges_products_formed_per_orbit(c5, monkeypatch):
     # one product per orbit of C5's 4 automorphisms, over the 14 atoms other
     # than the prime [0:1]: k <= 6 forms 16,296 products.  The unmerged walk
     # over all 15 atoms formed 102,390, the orbit walk over all 15 26,595.
     atoms = enumerate_atoms(c5)
-    unions = unions_range(c5, 6, atoms, product_limit=16296)
-    assert unions == unions_range(c5, 6, atoms)
+    expected = unions_range(c5, 6, atoms)
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 16296)
+    assert unions_range(c5, 6, atoms) == expected
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 16295)
     with pytest.raises(ResourceLimitError) as info:
-        unions_range(c5, 6, atoms, product_limit=16295)
+        unions_range(c5, 6, atoms)
     assert info.value.reached == 16296
 
 
@@ -493,10 +523,9 @@ def test_scan_rejects_atoms_over_another_alphabet(scan, bound, truth):
     assert truth(scan(c6, alphabet, bound, atoms=enumerate_atoms(c6, alphabet)))
 
 
-@pytest.mark.parametrize("invariant", [davenport, elasticity, has_two_D_lengthset])
+@pytest.mark.parametrize("invariant", [davenport])  # the one invariant of G given A(G)
 def test_invariants_of_g_reject_atoms_over_a_subset(invariant):
-    # A({0,2,4}) read as A(C6) gave D = 3 and rho = 3/2; the true values
-    # are 6 and 3
+    # A({0,2,4}) read as A(C6) gave D = 3; the true value is 6
     c6 = make_group([6])
     e = elements(c6)
     with pytest.raises(InvalidArgumentError, match="does not match"):
@@ -734,4 +763,4 @@ def test_elasticity_witness_attained(mods):
     from zslen.sequence import mul, negate
 
     b = mul(witness, negate(witness))
-    assert elasticity_of(length_set(b, atoms)) == elasticity(group, atoms)
+    assert elasticity_of(length_set(b, atoms)) == elasticity(group)
