@@ -279,6 +279,7 @@ def cmd_fit(args):
 def cmd_verify_structure(args):
     group = args.group
     report = verify_structure_theorem(group, args.bound)
+    _TOUCHED_ATOMS.append(enumerate_atoms(group))  # the cached A(G) it walked
     results = {
         "group": list(group.invariant_factors),
         "bound": args.bound,

@@ -528,36 +528,35 @@ class TwoDavenportReport:
     davenport: int
     found: bool
     witness: Sequence | None
-    pairs_scanned: int
+    atoms_scanned: int
 
 
 def has_two_D_lengthset(group: FiniteAbelianGroup) -> TwoDavenportReport:
-    """Scan products of two atoms for L = {2, D(G)} exactly.
-
-    The scan is complete: min {2, D} = 2 forces any witness to be a product
-    of two atoms.  Pairs are tried longest first so positive cases exit
-    early; exhausting the scan certifies a negative answer.
-    """
+    """Decide exactly whether {2, D(G)} is a length set of B(G): only
+    U(-U), for an atom U with |U| = D(G), can be a witness (the proof of
+    Prop. 6.5).  A witness is a product UV of two atoms with D(G) in L(UV),
+    as min {2, D(G)} = 2.  If U or V is the atom 0, L(UV) = 1 + L(V) = {2},
+    a witness only if D(G) = 2 (G = C2), and then so is every product.
+    Otherwise all D(G) factors have length >= 2 and |UV| <= 2D(G), so
+    |U| = |V| = D(G) and UV is D(G) pairs g(-g).  An atom of length >= 3
+    holds no pair g(-g) and at most one copy of an element of order 2, so
+    -U divides V, and V = -U.  One query per longest atom, in the set's
+    order, thus finds the first witness a scan of all pairs finds, or
+    certifies there is none."""
     atoms = enumerate_atoms(group)
     dav, _ = davenport(group, atoms)
     engine = engine_for(atoms)
     target = LengthSet.of([2, dav]).to_mask()
-    vectors = atoms.vectors()
-    engine.widen(2 * max(map(max, vectors)))
-    ordered = [engine.pack(v) for v in sorted(vectors, key=lambda v: -sum(v))]
-    seen: set[int] = set()
-    scanned = 0
-    for i, u in enumerate(ordered):
-        for v in ordered[i:]:
-            prod = u + v
-            if prod in seen:
-                continue
-            seen.add(prod)
-            scanned += 1
-            if engine.lengths_mask(prod) == target:
-                witness = Sequence.from_dense(group, atoms.letters, engine.unpack(prod))
-                return TwoDavenportReport(group, dav, True, witness, scanned)
-    return TwoDavenportReport(group, dav, False, None, scanned)
+    longest = [v for v in atoms.vectors() if sum(v) == dav]
+    engine.widen(2 * max(map(max, longest)))
+    tab = atoms.tables
+    opposite = [atoms.positions[tab.neg[tab.index[g]]] for g in atoms.letters]
+    for scanned, u in enumerate(longest, 1):
+        prod = engine.pack(u) + engine.pack(tuple(u[j] for j in opposite))
+        if engine.lengths_mask(prod) == target:
+            witness = Sequence.from_dense(group, atoms.letters, engine.unpack(prod))
+            return TwoDavenportReport(group, dav, True, witness, scanned)
+    return TwoDavenportReport(group, dav, False, None, len(longest))
 
 
 # -- interval criterion sampling (subgroup support) --------------------------------

@@ -161,7 +161,7 @@ def verify_prop_6_5(group: FiniteAbelianGroup) -> list[Verdict]:
     expected = _is_cyclic(group) or _is_elementary_2(group)
     witness = (
         f"D={report.davenport}, found={report.found}, expected={expected}, "
-        f"witness={report.witness}, pairs={report.pairs_scanned}"
+        f"witness={report.witness}, atoms={report.atoms_scanned}"
     )
     return [Verdict(f"prop6.5 {{2,D}} membership for {group}",
                     report.found == expected, witness)]

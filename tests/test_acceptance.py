@@ -165,13 +165,13 @@ def test_criterion_06_min_equals_gcd():
 
 def test_criterion_07_two_davenport_membership():
     with criterion(7, "{2, D(G)} occurs for C5, C6, C7, C2^3, C2^4 and not "
-                      "for C2+C4, C3+C3"):
+                      "for C2+C4, C3+C3, C2+C8, C4+C4, C2+C2+C4"):
         for mods in ([5], [6], [7], [2, 2, 2], [2, 2, 2, 2]):
             group = make_group(mods)
             report = has_two_D_lengthset(group)
             assert report.davenport >= 4 and report.found, str(group)
             assert _is_cyclic(group) or _is_elementary_2(group)
-        for mods in ([2, 4], [3, 3]):
+        for mods in ([2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 4]):
             group = make_group(mods)
             report = has_two_D_lengthset(group)
             assert report.davenport >= 4 and not report.found, str(group)

@@ -69,6 +69,14 @@ def test_transfer_check_reports_its_walks(capsys):
     assert report["resources"]["memo_entries"] > 0
 
 
+def test_verify_structure_reports_its_walks(capsys):
+    # the cached A(G) that system walks for the fits, and its engine's memo
+    code, report = run_json(capsys, "verify-structure", "--group", "3", "--bound", "6")
+    assert code == 0
+    assert report["resources"]["atom_lattice_nodes"] > 0
+    assert report["resources"]["memo_entries"] > 0
+
+
 def test_system_csv(capsys):
     code, out = run(capsys, "system", "--group", "3", "--bound", "6", "--format", "csv")
     assert code == 0

@@ -683,6 +683,38 @@ def test_half_factorial_is_exact_on_every_subset(mods):
 # -- {2, D(G)} criterion ---------------------------------------------------------------
 
 
+def two_D_pair_scan(group):
+    """The pair scan has_two_D_lengthset replaced: every product of two atoms
+    of A(G), longest first, until one has L = {2, D(G)}; (found, witness)."""
+    atoms = enumerate_atoms(group)
+    dav, _ = davenport(group, atoms)
+    engine = engine_for(atoms)
+    target = L(2, dav).to_mask()
+    vectors = atoms.vectors()
+    engine.widen(2 * max(map(max, vectors)))
+    ordered = [engine.pack(v) for v in sorted(vectors, key=lambda v: -sum(v))]
+    for i, u in enumerate(ordered):
+        for v in ordered[i:]:
+            if engine.lengths_mask(u + v) == target:
+                return True, Sequence.from_dense(group, atoms.letters, engine.unpack(u + v))
+    return False, None
+
+
+TWO_D_GROUPS = [(n,) for n in range(1, 13)] + [(2, 2), (2, 4), (3, 3), (2, 6), (2, 2, 2), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("mods", TWO_D_GROUPS, ids=lambda m: "+".join(f"C{n}" for n in m))
+def test_two_D_matches_the_pair_scan(mods):
+    group = make_group(mods)
+    report = has_two_D_lengthset(group)
+    assert (report.found, report.witness) == two_D_pair_scan(group)
+    if report.found:  # U(-U) for an atom U of length D(G)
+        w, atoms = report.witness, enumerate_atoms(group)
+        assert length_set(w, atoms) == L(2, report.davenport)
+        longest = [u for u in atoms.atoms if u.length == report.davenport]
+        assert any(w == u * Sequence.make(group, {-g: c for g, c in u.exponents.items()}) for u in longest)
+
+
 def test_two_D_c5(c5):
     report = has_two_D_lengthset(c5)
     assert report.found
@@ -693,7 +725,7 @@ def test_two_D_c24_negative(c24):
     report = has_two_D_lengthset(c24)
     assert not report.found
     assert report.witness is None
-    assert report.pairs_scanned > 0
+    assert report.atoms_scanned == 8
 
 
 # -- interval support sampling ------------------------------------------------------------
