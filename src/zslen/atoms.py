@@ -33,7 +33,6 @@ atoms_over is where every invariant of B(G0) resolves its atom set.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -290,18 +289,6 @@ def davenport(group: FiniteAbelianGroup, atoms: AtomSet | None = None) -> tuple[
 def davenport_star(group: FiniteAbelianGroup) -> int:
     """D*(G) = 1 + sum over invariant factors of (n_i - 1); trivial group -> 1."""
     return 1 + sum(n - 1 for n in group.invariant_factors)
-
-
-def davenport_star_witness(group: FiniteAbelianGroup) -> Sequence:
-    """The classical extremal atom (e1+...+er) * prod e_i^(n_i - 1)."""
-    if group.rank == 0:
-        raise InvalidArgumentError("trivial group has no nonzero atoms")
-    exps = Counter({
-        group.element(1 if j == i else 0 for j in range(group.rank)): n - 1
-        for i, n in enumerate(group.invariant_factors)
-    })
-    exps[group.element([1] * group.rank)] += 1  # e1 itself when G is cyclic
-    return Sequence.make(group, exps)
 
 
 def antichain_violations(atoms: AtomSet) -> list[tuple]:

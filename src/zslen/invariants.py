@@ -580,12 +580,6 @@ def _subgroup_indices(group: FiniteAbelianGroup) -> list[tuple[int, ...]]:
     return sorted((tuple(sorted(s)) for s in subgroups), key=lambda s: (len(s), s))
 
 
-def all_subgroups(group: FiniteAbelianGroup) -> list[tuple[GroupElement, ...]]:
-    """All subgroups, by size and then canonical element order."""
-    els = elements(group)
-    return [tuple(els[i] for i in s) for s in _subgroup_indices(group)]
-
-
 @dataclass(frozen=True)
 class IntervalSupportReport:
     group: FiniteAbelianGroup

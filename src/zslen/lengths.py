@@ -12,12 +12,14 @@ it and covers it, so the atoms are bucketed by their own lowest nonzero
 letter, and the bucket of B's pivot holds every candidate and no atom
 that needs a letter below it.  Each bucket has one set of below_rows: bit
 j of the AND over letters of rows[i][B[i]] marks bucket atom j dividing
-B, and a letter whose count in B reaches the bucket's largest
-entry for it constrains nothing, so it is skipped.  The recursion runs on
-an explicit stack of (vector, divisor bits still to visit, bucket, partial
-mask) frames, so its depth does not depend on the length of B.  Bits are
-visited low to high, which is bucket order: the children, and the memo
-entries stored, are those of the plain recursion.
+B, and a letter whose count in B reaches the bucket's largest entry for
+it constrains nothing, so it is skipped.  A child B/A that keeps B's
+pivot divides B, so its divisor bits are B's ANDed with the rows of only
+the letters A uses; the full AND runs only when the pivot moves.  The
+recursion runs on an explicit stack of frames, so its depth does not
+depend on the length of B.  Bits are visited low to high, which is bucket
+order: the children, and the memo entries stored, are those of the plain
+recursion.
 
 The memo is keyed by one packed int per vector: letter i sits in an
 unsigned field of a fixed number of bytes, starting at 8 bits, which holds
@@ -42,6 +44,11 @@ nothing.
 
 engine_for keeps one engine per memo limit on the AtomSet itself, so the
 memo lives as long as the atom set and there is no module-level table.
+length_set checks the group, then packs B's key from its items and reads
+the memo: a positive mask makes B a product of atoms, hence zero-sum.
+Only without one does it run the zero-sum fold, engine_for and the miss
+path.  Each query passes once through lengths_mask, and the engine hands
+out one LengthSet per distinct mask.
 """
 
 from __future__ import annotations
@@ -188,6 +195,7 @@ class FactorizationEngine:
             self._by_pivot[next(i for i, x in enumerate(v) if x)].append(v)
         self._index = [_divisor_rows(bucket, width) for bucket in self._by_pivot]
         self._memo: dict[int, int] = {0: 1}
+        self._length_sets: dict[int, LengthSet] = {}
         self._field_bytes = 0
         self._set_field(_bytes_for(max((x for v in vectors for x in v), default=0)))
 
@@ -196,8 +204,10 @@ class FactorizationEngine:
         return len(self._memo)
 
     def _set_field(self, nbytes: int) -> None:
-        """Use fields of nbytes bytes: re-pack the atoms, the letter offsets
-        and every memo key, keeping the memo's insertion order."""
+        """Use fields of nbytes bytes: re-pack the atoms, the letter offsets,
+        the pivot masks and every memo key, keeping the memo's insertion
+        order.  A bucket is (all bits, letter rows, packed atoms, each atom's
+        letter rows, mask of the fields up to the pivot)."""
         old = self._field_bytes
         if old:
             self._memo = {
@@ -210,8 +220,11 @@ class FactorizationEngine:
         self._key_bits = bits * self.width
         self._divisors = [
             (all_bits, [(i * bits, row, cap) for i, row, cap in rows],
-             [_pack(a, nbytes) for a in bucket])
-            for (all_bits, rows), bucket in zip(self._index, self._by_pivot)
+             [_pack(a, nbytes) for a in bucket],
+             [[(i * bits, row, cap) for i, row, cap in own] for own in atom_rows],
+             (1 << (pivot + 1) * bits) - 1)
+            for pivot, ((all_bits, rows, atom_rows), bucket)
+            in enumerate(zip(self._index, self._by_pivot))
         ]
 
     def widen(self, top: int) -> int:
@@ -247,11 +260,8 @@ class FactorizationEngine:
             raise InvalidArgumentError(
                 f"vector of width {len(vec)} for an engine of width {self.width}"
             )
-        nbytes = self._field_bytes
         try:
-            if nbytes == 1:
-                return int.from_bytes(bytes(vec), "little")
-            return _pack(vec, nbytes)
+            return _pack(vec, self._field_bytes)
         except (TypeError, ValueError, OverflowError):
             pass
         if any(not isinstance(x, int) or x < 0 for x in vec):
@@ -259,18 +269,38 @@ class FactorizationEngine:
         self._set_field(_bytes_for(max(vec)))
         return _pack(vec, self._field_bytes)
 
-    def _dividing(self, vec: int) -> tuple[int, list[int]]:
+    def _dividing(self, vec: int) -> tuple[int, tuple]:
         """Bits of the pivot bucket atoms dividing a nonzero packed vec, and
-        the bucket's packed atoms.  The pivot is the lowest nonzero field."""
-        bits, rows, bucket = self._divisors[((vec & -vec).bit_length() - 1) // self._field_bits]
-        fmask = self._field_mask
-        for off, row, cap in rows:
+        the bucket.  The pivot is the lowest nonzero field."""
+        bucket = self._divisors[((vec & -vec).bit_length() - 1) // self._field_bits]
+        bits, fmask = bucket[0], self._field_mask
+        for off, row, cap in bucket[1]:
             v = vec >> off & fmask
             if v < cap:
                 bits &= row[v]
                 if not bits:
                     break
         return bits, bucket
+
+    def product_key(self, pairs, positions) -> int | None:
+        """The key of the vector with m at position positions[i] for each
+        pair (i, m) if the memo holds a positive mask for it (a sum of atoms);
+        else None, as when a letter is not in positions or m overflows."""
+        bits, fmask = self._field_bits, self._field_mask
+        key = 0
+        try:
+            for i, m in pairs:
+                if m > fmask:
+                    return None
+                key |= m << positions[i] * bits
+        except KeyError:
+            return None
+        return key if self._memo.get(key) else None
+
+    def set_of(self, mask: int) -> LengthSet:
+        """The LengthSet of a positive mask; one object per distinct mask."""
+        sets = self._length_sets
+        return sets.get(mask) or sets.setdefault(mask, LengthSet.from_mask(mask))
 
     def lengths_mask(self, vec: tuple[int, ...] | int) -> int:
         """Bitmask of L(vec); 0 when no factorization exists.
@@ -297,40 +327,54 @@ class FactorizationEngine:
         limit = self.memo_limit
         if len(memo) >= limit:
             raise ResourceLimitError("memo table", limit)
-        dividing = self._dividing
-        stack: list[tuple[int, int, list[int], int]] = []
-        bits, bucket = dividing(vec)
-        mask = 0
+        dividing, fmask = self._dividing, self._field_mask
+        stack: list[tuple] = []
+        divisors, bucket = dividing(vec)
+        _, _, packed, atom_rows, pivot = bucket
+        bits, mask = divisors, 0
         while True:
             while bits:
                 low = bits & -bits
                 bits ^= low
+                j = low.bit_length() - 1
                 # the atom divides vec, so no field borrows
-                child = vec - bucket[low.bit_length() - 1]
+                child = vec - packed[j]
                 child_mask = memo.get(child)
                 if child_mask is None:
                     if len(memo) + len(stack) + 1 >= limit:
                         raise ResourceLimitError("memo table", limit)
-                    stack.append((vec, bits, bucket, mask))
-                    vec = child
-                    bits, bucket = dividing(vec)
-                    mask = 0
+                    stack.append((vec, bits, divisors, bucket, mask))
+                    vec, mask = child, 0
+                    if child & pivot:
+                        # same pivot: only the letters of atom j went down
+                        for off, row, cap in atom_rows[j]:
+                            v = child >> off & fmask
+                            if v < cap:
+                                divisors &= row[v]
+                    else:
+                        divisors, bucket = dividing(child)
+                        _, _, packed, atom_rows, pivot = bucket
+                    bits = divisors
                 else:
                     mask |= child_mask << 1
             memo[vec] = mask
             if not stack:
                 return mask
             child_mask = mask
-            vec, bits, bucket, mask = stack.pop()
+            vec, bits, divisors, bucket, mask = stack.pop()
+            _, _, packed, atom_rows, pivot = bucket
             mask |= child_mask << 1
 
 
 def _divisor_rows(bucket: list[tuple[int, ...]], width: int):
-    """All bits of a bucket, and (letter, below row, cap) for the letters
-    some bucket atom uses; a count at or above the cap passes every atom."""
-    caps = [max((a[i] for a in bucket), default=0) for i in range(width)]
-    rows = [(i, row, caps[i]) for i, row in enumerate(below_rows(bucket, caps)) if caps[i]]
-    return (1 << len(bucket)) - 1, rows
+    """All bits of a bucket; (letter, below row, cap) for the letters some
+    bucket atom uses, where a count at or above the cap passes every atom;
+    and for each atom the entries of the letters it uses."""
+    caps = [max(col) for col in zip(*bucket)] or [0] * width
+    by_letter = [(i, row, caps[i]) for i, row in enumerate(below_rows(bucket, caps))]
+    rows = [entry for entry in by_letter if entry[2]]
+    atom_rows = [[by_letter[i] for i, x in enumerate(a) if x] for a in bucket]
+    return (1 << len(bucket)) - 1, rows, atom_rows
 
 
 def _bytes_for(top: int) -> int:
@@ -340,8 +384,10 @@ def _bytes_for(top: int) -> int:
 
 def _pack(vec, nbytes: int) -> int:
     """Letter i of vec in the unsigned field of nbytes bytes at byte i*nbytes;
-    raises OverflowError for an entry that does not fit and TypeError for a
-    non-integer entry."""
+    raises ValueError or OverflowError for an entry that does not fit and
+    TypeError for a non-integer entry."""
+    if nbytes == 1:
+        return int.from_bytes(bytes(vec), "little")
     return int.from_bytes(b"".join(int.to_bytes(x, nbytes, "little") for x in vec), "little")
 
 
@@ -373,11 +419,17 @@ def _query(b: Sequence, atoms: AtomSet) -> tuple[int, ...]:
 
 def length_set(b: Sequence, atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> LengthSet:
     """Exact L(B) for a zero-sum sequence B over the atom set's letters."""
+    if b.group.invariant_factors == atoms.group.invariant_factors:
+        engine = atoms.engines.get(memo_limit)
+        key = engine and engine.product_key(b.items, atoms.positions)
+        if key is not None:  # B is a product of atoms, so zero-sum
+            return engine.set_of(engine.lengths_mask(key))
     vec = _query(b, atoms)  # before engine_for: a refused query builds no engine
-    mask = engine_for(atoms, memo_limit).lengths_mask(vec)
+    engine = engine_for(atoms, memo_limit)
+    mask = engine.lengths_mask(vec)
     if mask == 0:
         raise InvalidArgumentError(f"{b} has no factorization over the given atoms")
-    return LengthSet.from_mask(mask)
+    return engine.set_of(mask)
 
 
 def exhaustive_length_set(b: Sequence, atoms: AtomSet) -> LengthSet:

@@ -23,7 +23,7 @@ from .atoms import DEFAULT_NODE_LIMIT, AtomSet, build_atoms, enumerate_atoms
 from .errors import InvalidArgumentError
 from .group import FiniteAbelianGroup, GroupElement, tables
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, engine_for, length_set
-from .sequence import Sequence, canonical_subset, divides, is_zero_sum, sigma
+from .sequence import Sequence, canonical_subset, is_zero_sum
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,6 @@ def class_image(instance: KrullInstance, word: PrimeWord) -> Sequence:
             raise InvalidArgumentError(f"prime {p!r} is not in the instance")
         exps[i] = exps.get(i, 0) + m
     return Sequence.of_indices(instance.group, exps)
-
-
-def class_sum(instance: KrullInstance, word: PrimeWord) -> GroupElement:
-    return sigma(class_image(instance, word))
 
 
 def in_monoid(instance: KrullInstance, word: PrimeWord) -> bool:
@@ -251,22 +247,3 @@ def check_atom_correspondence(
     return AtomCorrespondenceReport(
         instance, len(h_atoms), len(b_atoms), mismatch, unlifted
     )
-
-
-def split_word(
-    instance: KrullInstance, word: PrimeWord, part: Sequence
-) -> tuple[PrimeWord, PrimeWord]:
-    """Lift a zero-sum divisor of beta(word): greedily assign, class by
-    class, enough primes of the word to cover the divisor's multiplicities.
-    Returns (b, c) with word = b*c and beta(b) = part."""
-    if not divides(part, beta(instance, word)):
-        raise InvalidArgumentError("part does not divide the class image")
-    need = dict(part.items)
-    b_exps: dict[str, int] = {}
-    c_exps: dict[str, int] = {}
-    for p, m in word.items:
-        i = instance.class_by_prime[p]
-        b_exps[p] = take = min(m, need.get(i, 0))  # make drops the zeros
-        c_exps[p] = m - take
-        need[i] = need.get(i, 0) - take
-    return PrimeWord.make(b_exps), PrimeWord.make(c_exps)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from zslen.atoms import (
     antichain_violations,
     davenport,
     davenport_star,
-    davenport_star_witness,
     divisible_pairs,
     enumerate_atoms,
     is_atom,
@@ -125,6 +125,16 @@ def test_davenport_star_examples():
     assert davenport_star(make_group([2, 2, 2])) == 4
     assert davenport_star(make_group([3, 3])) == 5
     assert davenport_star(make_group([1])) == 1
+
+
+def davenport_star_witness(group):
+    """The classical extremal atom (e1+...+er) * prod e_i^(n_i - 1)."""
+    exps = Counter({
+        group.element(1 if j == i else 0 for j in range(group.rank)): n - 1
+        for i, n in enumerate(group.invariant_factors)
+    })
+    exps[group.element([1] * group.rank)] += 1  # e1 itself when G is cyclic
+    return Sequence.make(group, exps)
 
 
 @pytest.mark.parametrize("mods", [[3], [2, 2], [2, 4], [3, 3], [2, 2, 2]])

@@ -15,7 +15,6 @@ from zslen.atoms import AtomSet, build_atoms, davenport, enumerate_atoms
 from zslen.errors import InvalidArgumentError, ResourceLimitError
 from zslen.group import elements, make_group, order_of
 from zslen.invariants import (
-    all_subgroups,
     closed_form_system,
     compare_with_closed_form,
     delta_of_group,
@@ -732,12 +731,12 @@ def test_two_D_c24_negative(c24):
 
 
 def test_all_subgroups_c4(c4):
-    subs = all_subgroups(c4)
+    subs = invariants._subgroup_indices(c4)
     assert [len(s) for s in subs] == [1, 2, 4]
 
 
 def test_all_subgroups_c222(c222):
-    subs = all_subgroups(c222)
+    subs = invariants._subgroup_indices(c222)
     assert [len(s) for s in subs].count(2) == 7
     assert [len(s) for s in subs].count(4) == 7
     assert len(subs) == 16

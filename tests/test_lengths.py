@@ -1,8 +1,13 @@
 import dataclasses
+import functools
+import hashlib
+import importlib.util
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +16,7 @@ from hypothesis import strategies as st
 from zslen import lengths
 from zslen.atoms import enumerate_atoms
 from zslen.errors import InvalidArgumentError, ResourceLimitError
-from zslen.group import elements, make_group
+from zslen.group import FiniteAbelianGroup, elements, make_group
 from zslen.invariants import system
 from zslen.lengths import (
     FactorizationEngine,
@@ -26,6 +31,9 @@ from zslen.lengths import (
     sumset,
 )
 from zslen.sequence import Sequence, enumerate_zero_sum, mul, parse_sequence
+from zslen.transfer import beta, instance_atoms, make_instance, random_word
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def L(*values):
@@ -259,6 +267,67 @@ def test_system_memo_size_pinned(c33):
     assert lengths.engine_for(atoms).memo_size == 2710
 
 
+def test_cold_walk_pinned():
+    # a fresh engine per group answers the seed-1 cold batches of the
+    # benchmark's lengths workload; the memo's size and its (key, mask)
+    # entries in insertion order are those of the plain recursion
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    walks = {}
+    for op in workloads.operations("lengths", 1):
+        if op["id"].startswith("cold"):
+            engine = FactorizationEngine(enumerate_atoms(make_group(op["group"])).vectors())
+            for query in op["queries"]:
+                engine.lengths_mask(tuple(query))
+            entries = ",".join(f"{key}:{mask}" for key, mask in engine._memo.items())
+            walks[op["id"]] = engine.memo_size, hashlib.sha256(entries.encode()).hexdigest()
+    assert walks == {
+        "cold 3,3": (14876, "58e9a6a1e572fb5cf3c2b5ab14d89251b2aab4aa19f1159c5c8ebfb04f900b91"),
+        "cold 2,4": (21716, "d419a2bdeaf4e1fca9ec643e6ae2ef219d64e8ca41fc653285ad149133a6b13c"),
+        "cold 2,6": (1477, "0186284737a42ce13f504b90dd5bcf59825477ae325fac601cc99c13fc093182"),
+    }
+
+
+@functools.cache
+def krull_case(mods, primes_per_class):
+    """A Krull instance, its H-atoms and the atoms of B(G0)."""
+    inst = make_instance(make_group(list(mods)), None, primes_per_class)
+    return inst, instance_atoms(inst), enumerate_atoms(inst.group)
+
+
+def test_instance_case_sizes():
+    # the largest alphabet the differential test below draws from
+    _, h_atoms, _ = krull_case((2, 4), 2)
+    assert (len(h_atoms), len(h_atoms.letters)) == (379, 16)
+
+
+@given(
+    st.sampled_from([((3,), 1), ((3,), 3), ((4,), 2), ((2, 2), 2), ((2, 4), 2)]),
+    st.lists(st.integers(0, 2**32), min_size=2, max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_engine_on_repeated_classes_matches_exhaustive_oracle(case, seeds):
+    # letters with repeated classes (several primes per class); L_H(a) is
+    # L(beta(a)) over B(G0), which the oracle walks.  Between the halves of
+    # the queries a power of one letter's single-letter atom with an entry
+    # above 255 widens the field while the memo already holds entries.
+    inst, h_atoms, b_atoms = krull_case(*case)
+    engine = FactorizationEngine(h_atoms.vectors())
+    words = [random_word(inst, random.Random(seed), 8) for seed in seeds]
+    half = len(words) // 2
+    for word in words[:half]:
+        mask = engine.lengths_mask(word.dense_at(h_atoms.positions))
+        assert LengthSet.from_mask(mask) == exhaustive_length_set(beta(inst, word), b_atoms)
+    unit = next(a for a in h_atoms.vectors() if sum(1 for x in a if x) == 1)
+    k = 256 // max(unit) + 1
+    assert engine.lengths_mask(tuple(k * x for x in unit)) == 1 << k
+    assert engine.widen(0) == 16
+    for word in words:
+        mask = engine.lengths_mask(word.dense_at(h_atoms.positions))
+        assert LengthSet.from_mask(mask) == exhaustive_length_set(beta(inst, word), b_atoms)
+
+
 def test_depth_does_not_depend_on_length(c3):
     atoms = enumerate_atoms(c3)
     assert length_set(parse_sequence(c3, "[1:3000]"), atoms) == L(1000)
@@ -398,16 +467,22 @@ def test_key_query_matches_tuple_query(c33, top):
 def test_warm_length_set_builds_no_elements_or_length_sets(c33, monkeypatch):
     # a warm query folds element indices: it builds no element, length set
     # or sequence, and hashes no element
+    # or group; it compares no group either
     from zslen.group import GroupElement
 
     atoms = enumerate_atoms(c33)
     b = parse_sequence(c33, "[(0,1):1,(0,2):1,(1,0):3,(1,1):1,(2,2):1]")
     expected = length_set(b, atoms)
-    built = {"elements": 0, "length_sets": 0, "sequences": 0, "element_hashes": 0}
+    built = {
+        "elements": 0, "length_sets": 0, "sequences": 0, "element_hashes": 0,
+        "group_hashes": 0, "group_eqs": 0,
+    }
     element_init = GroupElement.__post_init__
     lengthset_init = LengthSet.__post_init__
     sequence_init = Sequence.__post_init__
     element_hash = GroupElement.__hash__
+    group_hash = FiniteAbelianGroup.__hash__
+    group_eq = FiniteAbelianGroup.__eq__
 
     def count_element(self):
         built["elements"] += 1
@@ -425,14 +500,59 @@ def test_warm_length_set_builds_no_elements_or_length_sets(c33, monkeypatch):
         built["element_hashes"] += 1
         return element_hash(self)
 
+    def count_group_hash(self):
+        built["group_hashes"] += 1
+        return group_hash(self)
+
+    def count_group_eq(self, other):
+        built["group_eqs"] += 1
+        return group_eq(self, other)
+
     monkeypatch.setattr(GroupElement, "__post_init__", count_element)
     monkeypatch.setattr(LengthSet, "__post_init__", count_length_set)
     monkeypatch.setattr(Sequence, "__post_init__", count_sequence)
     monkeypatch.setattr(GroupElement, "__hash__", count_hash)
-    assert length_set(b, atoms) == expected
-    assert built == {"elements": 0, "length_sets": 0, "sequences": 0, "element_hashes": 0}
+    monkeypatch.setattr(FiniteAbelianGroup, "__hash__", count_group_hash)
+    monkeypatch.setattr(FiniteAbelianGroup, "__eq__", count_group_eq)
+    for _ in range(3):
+        assert length_set(b, atoms) is expected
+    assert set(built.values()) == {0}
+    # the counters do see a hash and a comparison
     assert hash(c33.zero()) == element_hash(c33.zero())
-    assert built["element_hashes"] == 1  # the counter does see a hash
+    assert hash(c33) == group_hash(c33)
+    assert c33 == make_group([3, 3])
+    assert (built["element_hashes"], built["group_hashes"], built["group_eqs"]) == (1, 1, 1)
+
+
+def test_warm_calls_with_one_mask_share_one_length_set(c3):
+    atoms = dataclasses.replace(enumerate_atoms(c3))  # no engine yet
+    first = length_set(parse_sequence(c3, "[1:3]"), atoms)
+    assert length_set(parse_sequence(c3, "[2:3]"), atoms) is first
+    assert length_set(parse_sequence(c3, "[1:3]"), atoms) is first
+    assert length_set(parse_sequence(c3, "[1:3,2:3]"), atoms) == L(2, 3)
+
+
+def test_warm_path_packs_no_count_the_field_cannot_hold(c2):
+    # 512 copies of 0 in an 8-bit field would carry into the next field and
+    # read as the key of the atom [1:2], which the memo holds
+    atoms = dataclasses.replace(enumerate_atoms(c2))
+    assert length_set(parse_sequence(c2, "[1:2]"), atoms) == L(1)
+    assert length_set(parse_sequence(c2, "[0:512]"), atoms) == L(512)
+    assert length_set(parse_sequence(c2, "[1:2]"), atoms) == L(1)
+
+
+def test_stored_mask_0_still_leaves_the_zero_sum_check(c3):
+    # the warm path answers only from a positive mask: a vector whose
+    # mask 0 an engine query stored is still refused as not zero-sum
+    atoms = dataclasses.replace(enumerate_atoms(c3))
+    b = parse_sequence(c3, "[1:1]")
+    engine = lengths.engine_for(atoms)
+    assert engine.lengths_mask(b.dense(atoms.letters)) == 0
+    size = engine.memo_size
+    for _ in range(2):
+        with pytest.raises(InvalidArgumentError, match=r"^sequence \[1:1\] is not zero-sum$"):
+            length_set(b, atoms)
+    assert engine.memo_size == size
 
 
 @pytest.mark.parametrize("mods", [[6], [2, 2]])
