@@ -354,16 +354,16 @@ def _atom_images(atoms: AtomSet, field_bits: int) -> list[tuple[int, ...]]:
     return out
 
 
-def union_k(group: FiniteAbelianGroup, k: int, atoms: AtomSet | None = None) -> UnionOfLengths:
-    return unions_range(group, k, atoms)[k]
+def union_k(group: FiniteAbelianGroup, k: int) -> UnionOfLengths:
+    return unions_range(group, k)[k]
 
 
-def rho_k(group: FiniteAbelianGroup, k: int, atoms: AtomSet | None = None) -> int:
-    return union_k(group, k, atoms).rho
+def rho_k(group: FiniteAbelianGroup, k: int) -> int:
+    return union_k(group, k).rho
 
 
-def lambda_k(group: FiniteAbelianGroup, k: int, atoms: AtomSet | None = None) -> int:
-    return union_k(group, k, atoms).lam
+def lambda_k(group: FiniteAbelianGroup, k: int) -> int:
+    return union_k(group, k).lam
 
 
 def elasticity(group: FiniteAbelianGroup) -> Fraction:

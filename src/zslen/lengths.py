@@ -135,15 +135,9 @@ def mask_gaps(mask: int) -> set[int]:
     successive set bits."""
     if mask <= 0:
         raise InvalidArgumentError("empty bitmask")
-    gaps = set()
-    low = mask & -mask
-    mask ^= low
-    while mask:
-        nxt = mask & -mask
-        gaps.add(nxt.bit_length() - low.bit_length())
-        mask ^= nxt
-        low = nxt
-    return gaps
+    # a run of r zeros between two set bits is a gap of r + 1; one pass over
+    # the binary text is linear in the width, where popping bits is not
+    return {len(run) + 1 for run in bin(mask).rstrip("0").split("1")[1:-1]}
 
 
 def elasticity_of(lengths: LengthSet):

@@ -292,7 +292,7 @@ def encode_dense(codes: list[str], vec) -> str:
     return "[" + ",".join(f"{c}:{m}" for c, m in zip(codes, vec) if m) + "]"
 
 
-def split_top_level(text: str, sep: str = ",") -> list[str]:
+def split_top_level(text: str) -> list[str]:
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":
@@ -301,7 +301,7 @@ def split_top_level(text: str, sep: str = ",") -> list[str]:
             depth -= 1
             if depth < 0:
                 raise InvalidArgumentError(f"unbalanced parentheses in {text!r}")
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:

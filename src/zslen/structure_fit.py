@@ -19,8 +19,6 @@ from .group import FiniteAbelianGroup
 from .invariants import UnionOfLengths, elasticity, system, unions_range
 from .lengths import LengthSet
 
-# a difference with more nonzero residues gets only its full residue pattern
-MAX_RESIDUES = 8
 # |U_k|/k has settled once every later ratio is this close to its limit
 DENSITY_TOLERANCE = Fraction(1, 10)
 
@@ -96,40 +94,26 @@ def fit_aamp(lengths: LengthSet, d: int, period: Iterable[int]) -> AAMPFit | Non
 
 
 def best_aamp(lengths: LengthSet, candidate_d: Iterable[int]) -> AAMPFit:
-    """Search all candidate differences and the residue-driven periods.
+    """The fit of least (bound M, difference d) over the candidate
+    differences, each with the period D = {0, d} | R, where R is the set of
+    all nonzero residues of (L - min L) mod d.
 
-    Periods are D = {0} | R | {d} with R a subset of the nonzero residues
-    of (L - min L) mod d: residues outside the set can never lower M.
-    When a difference has more than MAX_RESIDUES distinct nonzero residues
-    only the full residue pattern is tried for it.
+    This is the result of trying every D = {0, d} | R' with R' a subset of
+    R: a fit with shift y needs every residue of L - y mod d in D mod d,
+    and L - y has as many residues mod d as L - min L, namely |R| + 1
+    (0 included), so a proper subset R' fits no shift, while the full R
+    fits at y = min L (the window [0, 0] is covered).  One fit_aamp call
+    per difference therefore returns what the subset search returned.
     """
     cands = sorted(set(candidate_d))
     if not cands or any(d < 1 for d in cands):
         raise InvalidArgumentError(f"candidate differences must be positive: {cands}")
-    best_key = None
-    best_fit: AAMPFit | None = None
     base = lengths.min
-    for d in cands:
-        nonzero = sorted({(x - base) % d for x in lengths.values} - {0})
-        if len(nonzero) <= MAX_RESIDUES:
-            subsets = [
-                [r for j, r in enumerate(nonzero) if mask >> j & 1]
-                for mask in range(1 << len(nonzero))
-            ]
-        else:
-            subsets = [nonzero]
-        for rsub in subsets:
-            dset = tuple(sorted({0, d, *rsub}))
-            fit = fit_aamp(lengths, d, dset)
-            if fit is None:
-                continue
-            key = (fit.bound, d, len(dset))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_fit = fit
-    if best_fit is None:  # unreachable: the full residue pattern always fits
-        raise InvalidArgumentError("no candidate difference admits a fit")
-    return best_fit
+    fits = (
+        fit_aamp(lengths, d, {0, d, *((x - base) % d for x in lengths.values)})
+        for d in cands
+    )
+    return min(fits, key=lambda fit: (fit.bound, fit.difference))
 
 
 # -- whole-system verification -------------------------------------------------
@@ -220,8 +204,7 @@ def verify_unions_structure(group: FiniteAbelianGroup, k_max: int) -> UnionsStru
     d = 1
     aap_bounds = []
     for k in sorted(unions):
-        fit = fit_aamp(LengthSet.of(unions[k].values), d, (0, d))
-        aap_bounds.append(fit.bound if fit is not None else -1)
+        aap_bounds.append(fit_aamp(LengthSet.of(unions[k].values), d, (0, d)).bound)
     rho = elasticity(group)
     target = (rho - 1 / rho) / d
     rows = tuple(

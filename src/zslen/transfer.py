@@ -148,12 +148,21 @@ def direct_length_set(
     node_limit: int = DEFAULT_NODE_LIMIT,
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> LengthSet:
-    """L_H(word) computed inside H, with no use of beta."""
+    """L_H(word) computed inside H, with no use of beta.
+
+    As in length_set, a word whose key the memo holds with a positive mask
+    is a product of atoms, hence in H, and is read from the memo; only
+    other words pay the class-sum check and the query."""
+    atoms = instance.atom_sets.get(node_limit)  # a refused word walks no atoms
+    engine = atoms.engines.get(memo_limit) if atoms is not None else None
+    key = engine and engine.product_key(word.items, atoms.positions)
+    if key is not None:
+        return engine.set_of(engine.lengths_mask(key))
     if not in_monoid(instance, word):
         raise InvalidArgumentError(f"word {word} is not in the Krull monoid")
     atoms = instance_atoms(instance, node_limit)
-    mask = engine_for(atoms, memo_limit).lengths_mask(word.dense_at(atoms.positions))
-    return LengthSet.from_mask(mask)
+    engine = engine_for(atoms, memo_limit)
+    return engine.set_of(engine.lengths_mask(word.dense_at(atoms.positions)))
 
 
 def random_word(instance: KrullInstance, rng: random.Random, max_length: int) -> PrimeWord:

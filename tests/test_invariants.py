@@ -197,11 +197,15 @@ def test_elasticity_cross_check():
         lambda g: union_k(g, 2, memo_limit=10),
         lambda g: rho_k(g, 2, memo_limit=10),
         lambda g: lambda_k(g, 2, memo_limit=10),
+        lambda g: union_k(g, 2, None),
+        lambda g: rho_k(g, 2, atoms=None),
+        lambda g: lambda_k(g, 2, atoms=None),
     ],
     ids=[
         "elasticity-atoms", "elasticity-cross_check", "two_D-atoms", "two_D-memo_limit",
         "interval_support-memo_limit", "davenport-node_limit", "atoms_over-node_limit",
         "unions_range-product_limit", "union_k-kw", "rho_k-kw", "lambda_k-kw",
+        "union_k-atoms", "rho_k-atoms", "lambda_k-atoms",
     ],
 )
 def test_removed_parameters_are_type_errors(call, c3):

@@ -65,6 +65,33 @@ def test_mask_gaps_matches_delta_of(values):
     assert mask_gaps(ls.to_mask()) == set(delta_of(ls))
 
 
+def pop_loop_gaps(mask):
+    """The bit-popping gap scan mask_gaps used before it read the binary text."""
+    gaps = set()
+    low = mask & -mask
+    mask ^= low
+    while mask:
+        nxt = mask & -mask
+        gaps.add(nxt.bit_length() - low.bit_length())
+        mask ^= nxt
+        low = nxt
+    return gaps
+
+
+@given(
+    st.one_of(
+        st.integers(1, 2**64),
+        st.integers(1, 2**5000),  # dense wide masks
+        st.sets(st.integers(0, 100_000), min_size=1, max_size=30).map(
+            lambda bits: sum(1 << b for b in bits)  # sparse wide masks
+        ),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_mask_gaps_matches_pop_loop_oracle(mask):
+    assert mask_gaps(mask) == pop_loop_gaps(mask)
+
+
 def test_mask_gaps_rejects_empty_mask():
     with pytest.raises(InvalidArgumentError):
         mask_gaps(0)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zslen import invariants
+from zslen import invariants, structure_fit
 from zslen.errors import InvalidArgumentError
 from zslen.group import make_group
 from zslen.invariants import closed_form_system, delta_of_group
@@ -103,6 +105,71 @@ def test_best_aamp_examples():
 
 
 finite_sets = st.sets(st.integers(min_value=0, max_value=24), min_size=1, max_size=8)
+
+
+def subset_search(lengths, candidate_d):
+    """The search best_aamp replaced: every period {0, d} | R' for R' a
+    subset of the nonzero residues of (L - min L) mod d, least
+    (bound, d, |D|) first."""
+    best_key = best_fit = None
+    for d in sorted(set(candidate_d)):
+        nonzero = sorted({(x - lengths.min) % d for x in lengths.values} - {0})
+        for mask in range(1 << len(nonzero)):
+            rsub = [r for j, r in enumerate(nonzero) if mask >> j & 1]
+            fit = fit_aamp(lengths, d, {0, d, *rsub})
+            if fit is None:
+                continue
+            key = (fit.bound, d, len(fit.period))
+            if best_key is None or key < best_key:
+                best_key, best_fit = key, fit
+    return best_fit
+
+
+@given(
+    st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=10),
+    st.sets(st.integers(min_value=1, max_value=8), min_size=1, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_best_aamp_equals_subset_search(values, cands):
+    ls = LengthSet.of(values)
+    assert best_aamp(ls, cands) == subset_search(ls, cands)
+
+
+@given(
+    st.sets(st.integers(min_value=0, max_value=40), min_size=1, max_size=10),
+    st.integers(min_value=2, max_value=9),
+)
+@settings(max_examples=150, deadline=None)
+def test_no_proper_subset_of_the_residues_fits(values, d):
+    # L - y has as many residues mod d as L - min L, so a period missing
+    # one of them fits no shift y
+    ls = LengthSet.of(values)
+    nonzero = sorted({(x - ls.min) % d for x in values} - {0})
+    for size in range(len(nonzero)):
+        for rsub in itertools.combinations(nonzero, size):
+            assert fit_aamp(ls, d, {0, d, *rsub}) is None
+    assert fit_aamp(ls, d, {0, d, *nonzero}) is not None
+
+
+def test_one_fit_per_candidate_difference(monkeypatch):
+    # 40 lengths that meet every residue mod d <= 9: the subset search
+    # tried 2^(d-1) periods per d, 511 in all
+    ls = LengthSet.of(random.Random(1).sample(range(200), 40))
+    cands = range(1, 10)
+    assert all(len({x % d for x in ls.values}) == d for d in cands)
+    calls = []
+    original = structure_fit.fit_aamp
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(structure_fit, "fit_aamp", counted)
+    fit = best_aamp(ls, cands)
+    assert len(calls) == 9
+    assert [d for _, d, _ in calls] == list(cands)
+    assert fit == subset_search(ls, cands)
+    assert fit.reconstruct() == ls
 
 
 @given(finite_sets, st.integers(min_value=1, max_value=6))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from zslen import transfer
 from zslen.atoms import enumerate_atoms, is_atom
 from zslen.errors import InvalidArgumentError
 from zslen.group import make_group, zero
@@ -80,6 +81,26 @@ def test_direct_vs_exhaustive_small(c3):
     for _ in range(60):
         a = random_word(inst, rng, 8)
         assert direct_length_set(inst, a) == length_set(beta(inst, a), b_atoms)
+
+
+def test_warm_direct_length_set_reads_the_memo(c4, monkeypatch):
+    # a word the memo already holds is a product of atoms, so in H: the
+    # warm call builds no class image and hands out the same LengthSet
+    inst = make_instance(c4, None, 2)
+    rng = random.Random(7)
+    words = [random_word(inst, rng, 8) for _ in range(20)]
+    cold = [direct_length_set(inst, a) for a in words]
+    images = []
+    original = transfer.class_image
+
+    def counted(*args):
+        images.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(transfer, "class_image", counted)
+    warm = [direct_length_set(inst, a) for a in words]
+    assert images == []
+    assert all(w is c for w, c in zip(warm, cold))
 
 
 @pytest.mark.parametrize("mods", [[3], [4], [2, 2]])
