@@ -15,7 +15,7 @@ from .atoms import AtomSet, atoms_over, build_atoms, davenport, enumerate_atoms,
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, automorphisms, elements, tables
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, delta_of, engine_for, length_set
-from .sequence import Sequence, index_sum, zero_sum_keys
+from .sequence import Sequence, index_sum
 
 # ceiling on the atom products one unions_range call forms
 PRODUCT_LIMIT = 10**8
@@ -72,34 +72,46 @@ def system(
     """Exact { L(B) : B in B(G0), |B| <= bound }: the one bounded scan of
     B(G0), read by the distance sets and the structure fits.
 
-    The engine's field is widened to hold the bound before the walk, so the
-    walk's packed keys go to the engine as they are; only the first key of
-    each distinct length set is unpacked, into its witness.
+    The engine's forward pass (FactorizationEngine.product_levels) builds
+    the products of atoms level by level in |B|, each with its length
+    mask, and stores them in the memo.  Each distinct mask keeps its first
+    key in (length, lex) order: per level, the lex-least key of each mask
+    not seen at a shorter length.  Only those keys are unpacked, into the
+    witnesses.
 
     When 0 is in G0 it is letter 0 and the one prime of B(G0)
     (AtomSet.prime_letters), so B(G0) = F({0}) x B(G0 - {0}) and
-    L(0^c B) = c + L(B).  The walk then covers the zero-free sequences
-    only, shifted into the full key layout by one field.  Each length mask
-    m keeps its first zero-free key B_m, and gives the sets m << c for
-    c <= bound - |B_m|, witnessed by 0^c B_m.  A set keeps the witness of
-    least (length, c): letter 0 comes first in the (length, lex) order of
-    the full walk, so that is the key the full walk would have met first."""
+    L(0^c B) = c + L(B).  The pass then uses the atoms without 0 only
+    (it avoids the prime letters), so it forms the zero-free sequences.  Each length mask m keeps its first
+    zero-free key B_m, and gives the sets m << c for c <= bound - |B_m|,
+    witnessed by 0^c B_m.  A set keeps the witness of least (length, c):
+    letter 0 comes first in the (length, lex) order over all of G0, so
+    that is the key met first there."""
     if bound < 0:
         raise InvalidArgumentError(f"bound must be nonnegative: {bound}")
     atoms = atoms_over(group, subset, atoms)
     alphabet = atoms.letters
     engine = engine_for(atoms, memo_limit)
-    lengths_mask = engine.lengths_mask
-    bits = engine.widen(bound)
     lead = int(0 in atoms.prime_letters)  # the zero element is letter 0
+    if engine.widen(bound) == 8:
+        # one byte per letter: lex order, letter 0 first, is the numeric
+        # order of the byte-reversed key
+        width = engine.width
+
+        def lex(key: int) -> int:
+            return int.from_bytes(key.to_bytes(width, "little"), "big")
+    else:
+        lex = engine.unpack
     first: dict[int, int] = {}  # length mask -> first key
-    keep, shift = first.setdefault, lead * bits
-
-    def visit(key: int) -> None:
-        key <<= shift
-        keep(lengths_mask(key), key)
-
-    zero_sum_keys(group, alphabet[lead:], bound, bits, visit)
+    for level in engine.product_levels(bound, atoms.prime_letters):
+        fresh: dict[int, tuple] = {}  # new mask -> (lex order, key)
+        for key, mask in level.items():
+            if mask not in first:
+                order = lex(key)
+                seen = fresh.get(mask)
+                if seen is None or order < seen[0]:
+                    fresh[mask] = (order, key)
+        first.update((mask, key) for mask, (_, key) in fresh.items())
     if lead:
         shifted = []
         for mask, key in first.items():

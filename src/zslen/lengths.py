@@ -32,14 +32,16 @@ insertion order, so any nonnegative entry is answered exactly.  A query of
 the wrong width or with a negative or non-integer entry raises
 InvalidArgumentError and stores nothing.
 
-The whole-monoid scans query with packed keys, not tuples.  A scan first
+The whole-monoid scans work on packed keys, not tuples.  A scan first
 calls widen(top) with the largest entry it will form, which re-keys the
 memo at most once and returns the field width in bits.  It then builds
-its keys at that width (the zero-sum walk yields them; sums of atoms
-packed with pack() are keys too) and unpacks only the witnesses it
-reports.  Fixing the width first is what keeps those keys valid: neither
-a key query nor pack() widens the field.  A key that is negative or has
-a bit beyond the width's fields raises InvalidArgumentError and stores
+its keys at that width and unpacks only the witnesses it reports.
+`system` asks no query at all: product_levels extends the products of
+atoms forward, level by level in length, and stores each level's masks
+in the memo.  The U_k walk queries sums of atoms packed with pack().
+Fixing the width first is what keeps those keys valid: neither a key
+query nor pack() widens the field.  A key that is negative or has a bit
+beyond the width's fields raises InvalidArgumentError and stores
 nothing.
 
 engine_for keeps one engine per memo limit on the AtomSet itself, so the
@@ -295,6 +297,66 @@ class FactorizationEngine:
         """The LengthSet of a positive mask; one object per distinct mask."""
         sets = self._length_sets
         return sets.get(mask) or sets.setdefault(mask, LengthSet.from_mask(mask))
+
+    def product_levels(self, top: int, avoid: tuple[int, ...]):
+        """Yield, for n = 0..top, the dict key -> length mask of the
+        products of length n of the atoms that use no letter in avoid,
+        each level once it is final and stored in the memo.
+
+        The pass runs forward from level 0 = {0: 1}: each product B of a
+        final level n gives B + A the mask of B shifted by one, for every
+        atom A with |A| <= top - n whose pivot (lowest nonzero letter) is
+        at or below B's; for B = 0 every atom qualifies.  That is one edge
+        of the pivot recursion of lengths_mask per pair: pivot(B + A) =
+        pivot(A) exactly when pivot(A) <= pivot(B), and A divides B + A.
+        Conversely, for an atom A of the pivot bucket of C dividing C,
+        B = C - A is zero below pivot(C) = pivot(A), so the pass forms the
+        edge (C, A) from B, once.  A level is final once every shorter level
+        has been extended, so its masks are those of the recursion, found
+        with no divisor test.  Every atom dividing a product uses no letter
+        in avoid, as the product does not, so none is left out and the
+        masks are exact.  The keys are packed at the width widen(top) sets,
+        so no query may widen the field while the levels are read.
+
+        A level that adds entries is refused with ResourceLimitError, before
+        it is stored, if the memo would then pass memo_limit.  As with
+        lengths_mask, a pass is refused exactly when it would store more
+        entries than the limit leaves room for.
+        """
+        bits = self.widen(top)
+        width, memo, limit = self.width, self._memo, self.memo_limit
+        # grow[p]: (length, packed atoms) of the atoms whose pivot is at or
+        # below p, by length ascending
+        by_length = [[[] for _ in range(top + 1)] for _ in range(width)]
+        for p, (bucket, (_, _, packed, _, _)) in enumerate(zip(self._by_pivot, self._divisors)):
+            for vec, key in zip(bucket, packed):
+                size = sum(vec)
+                if size <= top and not any(vec[i] for i in avoid):
+                    for q in range(p, width):
+                        by_length[q][size].append(key)
+        grow = [[(size, keys) for size, keys in enumerate(row) if keys] for row in by_length]
+        pending: list[dict[int, int]] = [{} for _ in range(top + 1)]
+        pending[0][0] = 1
+        for n in range(top + 1):
+            level, pending[n] = pending[n], {}
+            if len(memo) + len(level) > limit:
+                new = sum(key not in memo for key in level)
+                if new and len(memo) + new > limit:
+                    raise ResourceLimitError("memo table", limit)
+            memo.update(level)
+            room = top - n
+            for key, mask in level.items():
+                mask <<= 1
+                pivot = ((key & -key).bit_length() - 1) // bits if key else width - 1
+                for size, keys in grow[pivot]:
+                    if size > room:
+                        break
+                    nxt = pending[n + size]
+                    get = nxt.get
+                    for a in keys:
+                        c = key + a
+                        nxt[c] = get(c, 0) | mask
+            yield level
 
     def lengths_mask(self, vec: tuple[int, ...] | int) -> int:
         """Bitmask of L(vec); 0 when no factorization exists.

@@ -10,8 +10,6 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
 from zslen.atoms import davenport, davenport_star, enumerate_atoms
 from zslen.group import make_group
 from zslen.invariants import (
@@ -102,9 +100,8 @@ def test_criterion_03_systems_match_closed_forms_fast():
         )
 
 
-@pytest.mark.slow
 def test_criterion_03_system_c33():
-    with criterion(3, "system(C3+C3, bound 10) matches its closed form (slow case)"):
+    with criterion(3, "system(C3+C3, bound 10) matches its closed form"):
         _check_system_against_closed_form([3, 3], 10)
 
 

@@ -417,7 +417,7 @@ def test_delta_star_reads_neither_the_scan_nor_the_engine(c4, monkeypatch):
         raise AssertionError("delta_star must not scan sequences or factor them")
 
     monkeypatch.setattr(invariants, "system", refuse)
-    monkeypatch.setattr(invariants, "zero_sum_keys", refuse)
+    monkeypatch.setattr(FactorizationEngine, "product_levels", refuse)
     monkeypatch.setattr(invariants, "engine_for", refuse)
     monkeypatch.setattr(invariants, "length_set", refuse)
     assert delta_star(c4).values == (1, 2)
@@ -638,7 +638,7 @@ def test_half_factorial_reads_neither_the_scan_nor_the_walk(c4, monkeypatch):
         raise AssertionError("is_half_factorial must not scan sequences")
 
     monkeypatch.setattr(invariants, "system", refuse)
-    monkeypatch.setattr(invariants, "zero_sum_keys", refuse)
+    monkeypatch.setattr(FactorizationEngine, "product_levels", refuse)
     assert is_half_factorial(c4).witness_lengths == L(2, 4)
     assert is_half_factorial(c4, [c4.element([2])]).kind == "yes-exact"
 

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zslen import invariants, structure_fit
+from zslen import structure_fit
 from zslen.errors import InvalidArgumentError
 from zslen.group import make_group
 from zslen.invariants import closed_form_system, delta_of_group
-from zslen.lengths import LengthSet
+from zslen.lengths import FactorizationEngine, LengthSet
 from zslen.structure_fit import (
     best_aamp,
     fit_aamp,
@@ -236,13 +236,13 @@ def test_density_rows_c3(c3):
 def test_structure_fit_walks_its_system_once(monkeypatch):
     # the difference candidates come from the fitted system, not a second walk
     walks = []
-    original = invariants.zero_sum_keys
+    original = FactorizationEngine.product_levels
 
-    def counted(*args):
+    def counted(engine, *args):
         walks.append(args)
-        return original(*args)
+        return original(engine, *args)
 
-    monkeypatch.setattr(invariants, "zero_sum_keys", counted)
+    monkeypatch.setattr(FactorizationEngine, "product_levels", counted)
     report = verify_structure_theorem(make_group([3, 3]), 9)
     assert report.ok and report.candidates == (1,)
     assert len(walks) == 1
