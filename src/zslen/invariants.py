@@ -86,12 +86,24 @@ def system(
     zero-free key B_m, and gives the sets m << c for c <= bound - |B_m|,
     witnessed by 0^c B_m.  A set keeps the witness of least (length, c):
     letter 0 comes first in the (length, lex) order over all of G0, so
-    that is the key met first there."""
+    that is the key met first there.
+
+    The engine keeps the system of the largest bound run on it
+    (FactorizationEngine.system_table), and a bound b' up to that one is
+    read from it: the entries whose witness has length <= b', with no
+    product formed and nothing stored, so a read is never refused.  That
+    is exact: a witness is the first product with its length set in
+    (length, lex) order, or with 0 the least (length, c) candidate, and
+    the products of length <= b' are a prefix of that order."""
     if bound < 0:
         raise InvalidArgumentError(f"bound must be nonnegative: {bound}")
     atoms = atoms_over(group, subset, atoms)
     alphabet = atoms.letters
     engine = engine_for(atoms, memo_limit)
+    table = engine.system_table
+    if table is not None and bound <= table.bound:
+        entries = tuple(entry for entry in table.entries if entry[1].length <= bound)
+        return SystemOfLengthSets(group, alphabet, bound, entries)
     lead = int(0 in atoms.prime_letters)  # the zero element is letter 0
     if engine.widen(bound) == 8:
         # one byte per letter: lex order, letter 0 first, is the numeric
@@ -127,7 +139,8 @@ def system(
         ),
         key=lambda entry: entry[0].values,
     )
-    return SystemOfLengthSets(group, alphabet, bound, tuple(entries))
+    engine.system_table = SystemOfLengthSets(group, alphabet, bound, tuple(entries))
+    return engine.system_table
 
 
 # -- closed-form systems for the five small groups ------------------------------

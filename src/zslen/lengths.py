@@ -38,11 +38,13 @@ memo at most once and returns the field width in bits.  It then builds
 its keys at that width and unpacks only the witnesses it reports.
 `system` asks no query at all: product_levels extends the products of
 atoms forward, level by level in length, and stores each level's masks
-in the memo.  The U_k walk queries sums of atoms packed with pack().
-Fixing the width first is what keeps those keys valid: neither a key
-query nor pack() widens the field.  A key that is negative or has a bit
-beyond the width's fields raises InvalidArgumentError and stores
-nothing.
+in the memo.  The engine keeps the system of the largest bound run on it
+(system_table), and `system` reads every smaller bound from that table
+with no second pass and nothing stored.  The U_k walk queries sums of
+atoms packed with pack().  Fixing the width first is what keeps those
+keys valid: neither a key query nor pack() widens the field.  A key that
+is negative or has a bit beyond the width's fields raises
+InvalidArgumentError and stores nothing.
 
 engine_for keeps one engine per memo limit on the AtomSet itself, so the
 memo lives as long as the atom set and there is no module-level table.
@@ -192,6 +194,8 @@ class FactorizationEngine:
         self._index = [_divisor_rows(bucket, width) for bucket in self._by_pivot]
         self._memo: dict[int, int] = {0: 1}
         self._length_sets: dict[int, LengthSet] = {}
+        # the system of the largest bound run on this engine (invariants.system)
+        self.system_table = None
         self._field_bytes = 0
         self._set_field(_bytes_for(max((x for v in vectors for x in v), default=0)))
 

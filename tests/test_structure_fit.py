@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zslen.atoms as atoms_module
 from zslen import structure_fit
 from zslen.errors import InvalidArgumentError
 from zslen.group import make_group
-from zslen.invariants import closed_form_system, delta_of_group
+from zslen.invariants import closed_form_system, delta_of_group, system
 from zslen.lengths import FactorizationEngine, LengthSet
 from zslen.structure_fit import (
     best_aamp,
@@ -233,16 +235,44 @@ def test_density_rows_c3(c3):
     assert all(abs(rows[2 * k] - target) <= Fraction(1, 10) for k in (4, 5))
 
 
-def test_structure_fit_walks_its_system_once(monkeypatch):
-    # the difference candidates come from the fitted system, not a second walk
-    walks = []
+@pytest.fixture
+def walks(monkeypatch):
+    """The forward passes (FactorizationEngine.product_levels calls) made
+    on a fresh atom cache: the module's cached sets hold engines that
+    earlier tests ran to other bounds."""
+    cached = atoms_module._enumerate_atoms_cached
+    monkeypatch.setattr(atoms_module, "_enumerate_atoms_cached",
+                        functools.lru_cache(maxsize=None)(cached.__wrapped__))
+    calls = []
     original = FactorizationEngine.product_levels
 
     def counted(engine, *args):
-        walks.append(args)
+        calls.append(args)
         return original(engine, *args)
 
     monkeypatch.setattr(FactorizationEngine, "product_levels", counted)
-    report = verify_structure_theorem(make_group([3, 3]), 9)
+    return calls
+
+
+def test_structure_fit_walks_its_system_once(walks):
+    # the difference candidates come from the fitted system, not a second walk
+    c33 = make_group([3, 3])
+    report = verify_structure_theorem(c33, 9)
     assert report.ok and report.candidates == (1,)
+    assert len(walks) == 1
+    # every bound up to 9 is read from the engine's table
+    delta_of_group(c33, None, 9)
+    for bound in range(10):
+        system(c33, None, bound)
+    assert len(walks) == 1
+    system(c33, None, 10)
+    assert len(walks) == 2
+
+
+def test_sweeps_scans_walk_once(walks):
+    # the order of the benchmark's `sweeps` ops on C3+C3
+    c33 = make_group([3, 3])
+    system(c33, None, 10)
+    delta_of_group(c33, None, 10)
+    verify_structure_theorem(c33, 9)
     assert len(walks) == 1

@@ -8,7 +8,9 @@ of each length mask, then the shifts past the prime 0.  Entries,
 witnesses and the engine's final memo (its key -> mask pairs) must agree
 on a fresh engine, on one warmed by length_set queries and on one that a
 larger-bound `system` filled; so must the memo limit at which a run is
-refused.
+refused.  A bound up to the largest one run on an engine is read from
+the engine's table: that read must give the answer of a fresh atom set
+and leave the memo as it was.
 """
 
 import dataclasses
@@ -108,10 +110,16 @@ def warm(atoms, warm_up, bound, scan):
                 word = word * words[j % len(words)]
             length_set(word, atoms)
         if wide:
-            u = next(w for w in words if len(w.items) == 1)
-            length_set(u ** (256 // u.items[0][1] + 1), atoms)
+            widen_field(atoms)
     elif kind == "larger":
         scan(bound + warm_up[1], atoms)
+
+
+def widen_field(atoms):
+    """Query a power of a one-letter atom with an entry of at least 256,
+    which widens the engine's field to two bytes."""
+    u = next(w for w in atoms.atoms if len(w.items) == 1)
+    length_set(u ** (256 // u.items[0][1] + 1), atoms)
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,6 +136,51 @@ def test_system_matches_the_walk(case, warm_up):
     warm(oracle, warm_up, bound, lambda b, atoms: walk_system(group, b, atoms))
     assert list(system(group, subset, bound, ours).entries) == walk_system(group, bound, oracle)
     assert memo_of(ours) == memo_of(oracle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases(), st.integers(0, 10), st.booleans(), st.integers(1, 2))
+@example((make_group([3, 3]), None, 10), 9, False, 1)  # G0 holds 0: the shifted sets
+@example((make_group([2, 4]), tuple(elements(make_group([2, 4]))[1:]), 10), 6, True, 2)  # no 0
+@example((make_group([5]), None, 6), 6, True, 1)  # the same bound
+def test_system_reads_smaller_bounds_from_its_table(case, smaller, wide, extra):
+    # a bound at most the largest run is read from the engine's table: the
+    # fresh answer, and the memo is left as it was, also after a query
+    # widened its field; a larger bound runs the pass again
+    group, subset, bound = case
+    smaller = min(smaller, bound)
+    ours = fresh_atoms(group, subset)
+    system(group, subset, bound, ours)
+    if wide:
+        widen_field(ours)
+    memo = list(memo_of(ours).items())
+    assert system(group, subset, smaller, ours) == system(group, subset, smaller, fresh_atoms(group, subset))
+    assert list(memo_of(ours).items()) == memo
+    larger = bound + extra
+    assert system(group, subset, larger, ours) == system(group, subset, larger, fresh_atoms(group, subset))
+
+
+def test_tables_do_not_leak_between_engines():
+    # C4's atoms without [1:4], built by hand, keep a table of their own:
+    # to bound 10 they miss the sets {2,4}, {3,5} and {4,6} that need
+    # [1:4][3:4], which A(C4) has
+    group = make_group([4])
+    full = fresh_atoms(group, None)
+    partial = dataclasses.replace(full, atom_vectors=tuple(v for v in full.atom_vectors if v != (0, 4, 0, 0)))
+
+    def fresh(atoms, bound):
+        return system(group, None, bound, dataclasses.replace(atoms))
+
+    system(group, None, 12, full)
+    assert system(group, None, 10, partial) == fresh(partial, 10)
+    assert len(fresh(partial, 10)) == 17 and len(fresh(full, 10)) == 20
+    read = system(group, None, 6, partial)
+    assert read == fresh(partial, 6) and len(read) == 8
+    assert system(group, None, 10, full) == fresh(full, 10)
+    assert system(group, None, 6, full) == fresh(full, 6)
+    # an engine of another memo limit has no table yet, so it runs the pass
+    with pytest.raises(ResourceLimitError):
+        system(group, None, 6, full, 5)
 
 
 @pytest.mark.parametrize("mods,bound,needed", [
@@ -163,6 +216,11 @@ def test_memo_limit_refuses_where_the_walk_does(case):
     needed = engine_for(oracle).memo_size
     ours = fresh_atoms(group, subset)
     assert len(system(group, subset, bound, ours, needed)) == len(walk_system(group, bound, oracle))
+    # the engine is at its limit; a read of its table stores nothing
+    assert engine_for(ours, needed).memo_size == needed
+    for smaller in {bound // 2, bound}:
+        read = system(group, subset, smaller, ours, needed)
+        assert read == system(group, subset, smaller, fresh_atoms(group, subset))
     if needed > 1:  # the empty product is in every memo from the start
         refused = fresh_atoms(group, subset)
         with pytest.raises(ResourceLimitError):
