@@ -17,9 +17,8 @@ the fixed prefix l < i is carried down the recursion, so a test costs
 two big-int operations however many letters and atoms there are, and a
 new atom is ORed only into the rows below its own entries.
 below_rows builds the direct form (one AND per letter), which checks that
-an atom list is an antichain (antichain_violations, and the cache
-validation) and finds the atoms dividing an element in the factorization
-engine.
+an atom list is an antichain (divisible_pairs, for the cache validation)
+and finds the atoms dividing an element in the factorization engine.
 
 An AtomSet holds the walk's vectors over letters with classes, and owns
 the engines built over it.  Letters are labels: the elements of G0 for
@@ -167,13 +166,10 @@ class AtomSet:
         return len(self.atom_vectors)
 
     @cached_property
-    def atoms(self) -> tuple:
-        """The atoms as words, built on first use: Sequences over G0, or
-        a Krull instance's PrimeWords when the letters are prime names."""
-        if all(isinstance(g, GroupElement) for g in self.letters):
-            return tuple(Sequence.from_dense(self.group, self.letters, v) for v in self.atom_vectors)
-        from .transfer import PrimeWord  # transfer imports this module
-        return tuple(PrimeWord.from_dense(self.letters, v) for v in self.atom_vectors)
+    def atoms(self) -> tuple[Sequence, ...]:
+        """The atoms as Sequences over G0, built on first use; an atom set
+        over a Krull instance's primes has none, and raises."""
+        return tuple(Sequence.from_dense(self.group, self.letters, v) for v in self.atom_vectors)
 
     @cached_property
     def prime_letters(self) -> tuple[int, ...]:
@@ -239,7 +235,8 @@ def atoms_over(group: FiniteAbelianGroup, subset=None, atoms: AtomSet | None = N
     """A(G0) for the invariants of B(G0), G0 = subset (default: all of G):
     the given atom set when it is over the canonical G0, else the cached
     enumeration.  An atom set over any other alphabet would give silent
-    wrong answers, so it raises."""
+    wrong answers, so it raises.  A given atom set must be A(G0): only its
+    letters are checked, as only a walk proves a list of atoms complete."""
     if atoms is None:
         return enumerate_atoms(group, subset)
     if atoms.letters != canonical_subset(group, subset):  # elements compare their groups too
@@ -290,8 +287,3 @@ def davenport_star(group: FiniteAbelianGroup) -> int:
     """D*(G) = 1 + sum over invariant factors of (n_i - 1); trivial group -> 1."""
     return 1 + sum(n - 1 for n in group.invariant_factors)
 
-
-def antichain_violations(atoms: AtomSet) -> list[tuple]:
-    """Pairs (u, v) of atoms at distinct positions with u | v, as words
-    (AtomSet.atoms); empty for a valid atom set."""
-    return [(atoms.atoms[j], atoms.atoms[l]) for j, l in divisible_pairs(atoms.vectors())]

@@ -15,7 +15,7 @@ from .atoms import AtomSet, atoms_over, build_atoms, davenport, enumerate_atoms,
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, automorphisms, elements, tables
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, delta_of, engine_for, length_set
-from .sequence import Sequence, index_sum
+from .sequence import Sequence, index_sum, negate
 
 # ceiling on the atom products one unions_range call forms
 PRODUCT_LIMIT = 10**8
@@ -70,7 +70,9 @@ def system(
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> SystemOfLengthSets:
     """Exact { L(B) : B in B(G0), |B| <= bound }: the one bounded scan of
-    B(G0), read by the distance sets and the structure fits.
+    B(G0), read by the distance sets and the structure fits.  A given
+    atom set must be A(G0): with an atom missing, the pass returns the
+    system of the submonoid the given atoms generate.
 
     The engine's forward pass (FactorizationEngine.product_levels) builds
     the products of atoms level by level in |B|, each with its length
@@ -570,16 +572,12 @@ def has_two_D_lengthset(group: FiniteAbelianGroup) -> TwoDavenportReport:
     certifies there is none."""
     atoms = enumerate_atoms(group)
     dav, _ = davenport(group, atoms)
-    engine = engine_for(atoms)
-    target = LengthSet.of([2, dav]).to_mask()
+    target = LengthSet.of([2, dav])
     longest = [v for v in atoms.vectors() if sum(v) == dav]
-    engine.widen(2 * max(map(max, longest)))
-    tab = atoms.tables
-    opposite = [atoms.positions[tab.neg[tab.index[g]]] for g in atoms.letters]
-    for scanned, u in enumerate(longest, 1):
-        prod = engine.pack(u) + engine.pack(tuple(u[j] for j in opposite))
-        if engine.lengths_mask(prod) == target:
-            witness = Sequence.from_dense(group, atoms.letters, engine.unpack(prod))
+    for scanned, v in enumerate(longest, 1):
+        u = Sequence.from_dense(group, atoms.letters, v)
+        witness = u * negate(u)
+        if length_set(witness, atoms) == target:
             return TwoDavenportReport(group, dav, True, witness, scanned)
     return TwoDavenportReport(group, dav, False, None, len(longest))
 

@@ -41,9 +41,9 @@ atoms forward, level by level in length, and stores each level's masks
 in the memo.  The engine keeps the system of the largest bound run on it
 (system_table), and `system` reads every smaller bound from that table
 with no second pass and nothing stored.  The U_k walk queries sums of
-atoms packed with pack().  Fixing the width first is what keeps those
-keys valid: neither a key query nor pack() widens the field.  A key that
-is negative or has a bit beyond the width's fields raises
+atom keys that it shifts into the fields itself.  Fixing the width first
+is what keeps those keys valid: a key query never widens the field.  A
+key that is negative or has a bit beyond the width's fields raises
 InvalidArgumentError and stores nothing.
 
 engine_for keeps one engine per memo limit on the AtomSet itself, so the
@@ -236,18 +236,6 @@ class FactorizationEngine:
         if nbytes > self._field_bytes:
             self._set_field(nbytes)
         return self._field_bits
-
-    def pack(self, vec: tuple[int, ...]) -> int:
-        """The key of vec at the current field width.  Unlike a tuple query
-        it never widens the field, so keys packed earlier stay valid; an
-        entry the field cannot hold raises InvalidArgumentError."""
-        if len(vec) != self.width or any(
-            not isinstance(x, int) or not 0 <= x <= self._field_mask for x in vec
-        ):
-            raise InvalidArgumentError(
-                f"{vec} is not {self.width} fields of {self._field_bits} bits"
-            )
-        return _pack(vec, self._field_bytes)
 
     def unpack(self, key: int) -> tuple[int, ...]:
         """The vector of a packed key at the current field width."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import InvalidArgumentError
 from .group import FiniteAbelianGroup, GroupElement, elements, tables
@@ -186,34 +186,29 @@ def canonical_subset(group: FiniteAbelianGroup, subset: Iterable[GroupElement] |
     return tuple(els[i] for i in sorted(set(_indices(group, subset))))
 
 
-def zero_sum_keys(
+def enumerate_zero_sum(
     group: FiniteAbelianGroup,
-    alphabet: tuple[GroupElement, ...],
+    subset: Iterable[GroupElement] | None,
     max_length: int,
-    field_bits: int,
-    emit: Callable[[int], object],
-) -> None:
-    """Call emit with the packed exponent vector over `alphabet` of each
-    zero-sum sequence with length <= max_length: the count of letter i sits
-    in the unsigned field of field_bits bits at bit i * field_bits, the key
-    layout of FactorizationEngine.  The fields must hold max_length.
+) -> list[Sequence]:
+    """All zero-sum sequences over the subset with length <= max_length.
 
-    Order: length ascending, then lexicographic on the vector.  Each length
-    is walked depth-first over the letters with multiplicities ascending,
+    Order: length ascending, then lexicographic on the dense exponent
+    vector over the subset's canonical element order.  Each length is
+    walked depth-first over the letters with multiplicities ascending,
     pruned by an exact-length reach table: exact[i][r] is a bitmask over
     element indices of the sums of exactly r terms from letters i onward.
-    A branch is entered only when its partial sum can still return to zero,
-    so every leaf is a result.  The last letter's count is forced, so the
-    walk stops one letter early and emits its leaves there, as it does a
-    branch with no terms left to place.
+    A branch is entered only when its partial sum can still return to
+    zero, so every leaf is a result.  The last letter's count is forced,
+    so the walk stops one letter early and builds its leaves there, as it
+    does a branch with no terms left to place.  A leaf's items are the
+    stack of (element index, count) pairs fixed on the way down.
     """
+    letters = _indices(group, canonical_subset(group, subset))
     if max_length < 0:
         raise InvalidArgumentError(f"max_length must be nonnegative: {max_length}")
-    if max_length >> field_bits:
-        raise InvalidArgumentError(f"{field_bits}-bit fields cannot hold {max_length}")
     tab = tables(group)
     add, neg = tab.add, tab.neg
-    letters = _indices(group, alphabet)
     m = len(letters)
     exact = [[0] * (max_length + 1) for _ in range(m + 1)]
     exact[m][0] = 1  # the empty sum is the zero element, index 0
@@ -228,54 +223,36 @@ def zero_sum_keys(
                 moved |= 1 << add[low.bit_length() - 1][w]
                 sums ^= low
             row[r] = rest[r] | moved
-    last = (m - 1) * field_bits
+    out: list[Sequence] = []
+    items: list[tuple[int, int]] = []
 
-    def rec(i: int, r: int, s: int, key: int) -> None:
-        # invariant: 0 <= i <= m - 2, r > 0 and neg[s] is in exact[i][r]
-        w, rest, step = letters[i], exact[i + 1], 1 << i * field_bits
-        x = s
-        if i == m - 2:
-            for k in range(r + 1):
-                if k:
-                    x = add[x][w]
-                if rest[r - k] >> neg[x] & 1:
-                    emit(key + k * step + (r - k << last))
-            return
+    def rec(i: int, r: int, x: int) -> None:
+        # invariant: 0 <= i <= m - 2, r > 0 and neg[x] is in exact[i][r]
+        w, rest = letters[i], exact[i + 1]
         for k in range(r + 1):
             if k:
                 x = add[x][w]
+                items.append((w, k))
             if rest[r - k] >> neg[x] & 1:
                 if k == r:
-                    emit(key + k * step)
+                    out.append(Sequence(group, tuple(items)))
+                elif i == m - 2:
+                    out.append(Sequence(group, (*items, (letters[-1], r - k))))
                 else:
-                    rec(i + 1, r - k, x, key + k * step)
+                    rec(i + 1, r - k, x)
+            if k:
+                items.pop()
 
     for length in range(max_length + 1):
         if not exact[0][length] & 1:
             continue
-        if m < 2 or not length:
-            emit(length)  # the empty key, or length copies of the one letter
+        if not length:
+            out.append(Sequence(group, ()))
+        elif m == 1:
+            out.append(Sequence(group, ((letters[0], length),)))
         else:
-            rec(0, length, 0, 0)
-
-
-def enumerate_zero_sum(
-    group: FiniteAbelianGroup,
-    subset: Iterable[GroupElement] | None,
-    max_length: int,
-) -> list[Sequence]:
-    """All zero-sum sequences over the subset with length <= max_length.
-
-    Deterministic order: length ascending, then lexicographic on the dense
-    exponent vector over the subset's canonical element order.
-    """
-    alphabet = canonical_subset(group, subset)
-    bits = max(1, max_length.bit_length())
-    fmask = (1 << bits) - 1
-    fields = list(zip(_indices(group, alphabet), range(0, len(alphabet) * bits, bits)))
-    keys: list[int] = []
-    zero_sum_keys(group, alphabet, max_length, bits, keys.append)
-    return [Sequence.of_indices(group, {i: key >> off & fmask for i, off in fields}) for key in keys]
+            rec(0, length, 0)
+    return out
 
 
 # -- text encoding ------------------------------------------------------------

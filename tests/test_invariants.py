@@ -694,8 +694,10 @@ def two_D_pair_scan(group):
     engine = engine_for(atoms)
     target = L(2, dav).to_mask()
     vectors = atoms.vectors()
-    engine.widen(2 * max(map(max, vectors)))
-    ordered = [engine.pack(v) for v in sorted(vectors, key=lambda v: -sum(v))]
+    bits = engine.widen(2 * max(map(max, vectors)))
+    ordered = [
+        sum(x << i * bits for i, x in enumerate(v)) for v in sorted(vectors, key=lambda v: -sum(v))
+    ]
     for i, u in enumerate(ordered):
         for v in ordered[i:]:
             if engine.lengths_mask(u + v) == target:

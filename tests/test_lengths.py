@@ -454,15 +454,6 @@ def test_widen_fixes_the_field_once(c3):
         engine.widen(-1)
 
 
-def test_pack_never_widens(c3):
-    engine = FactorizationEngine(enumerate_atoms(c3).vectors())
-    assert engine.pack((1, 2, 255)) == 1 | 2 << 8 | 255 << 16
-    for vec in [(0, 256, 0), (0, -1, 0), (0, 1.5, 0), (1, 2)]:
-        with pytest.raises(InvalidArgumentError):
-            engine.pack(vec)
-    assert engine.widen(0) == 8
-
-
 @pytest.mark.parametrize("top", [0, 300])
 def test_engine_rejects_malformed_keys(c3, top):
     engine = FactorizationEngine(enumerate_atoms(c3).vectors())
@@ -484,8 +475,7 @@ def test_key_query_matches_tuple_query(c33, top):
     by_tuple = FactorizationEngine(atoms.vectors())
     bits = by_key.widen(top)
     for vec in (b.dense(atoms.letters) for b in enumerate_zero_sum(c33, atoms.letters, 7)):
-        key = by_key.pack(vec)
-        assert key == sum(x << i * bits for i, x in enumerate(vec))
+        key = sum(x << i * bits for i, x in enumerate(vec))
         assert by_key.unpack(key) == vec
         assert by_key.lengths_mask(key) == by_tuple.lengths_mask(vec)
     assert by_key.memo_size == by_tuple.memo_size

@@ -20,7 +20,7 @@ from zslen.atoms import AtomSet, enumerate_atoms
 from zslen.group import GroupElement, automorphisms, elements, make_group, tables
 from zslen.invariants import MAX_ATOM_IMAGES, system, unions_range
 from zslen.lengths import FactorizationEngine, LengthSet
-from zslen.sequence import Sequence, zero_sum_keys
+from zslen.sequence import Sequence, enumerate_zero_sum
 from zslen.transfer import instance_atoms, make_instance
 
 GROUPS = [(1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (2, 4), (3, 3)]
@@ -34,10 +34,10 @@ def full_system(group, atoms, bound):
     first key of each length mask in (length, lex) order, on a fresh engine."""
     alphabet = atoms.letters
     engine = FactorizationEngine(atoms.vectors())
-    keys = []
-    zero_sum_keys(group, alphabet, bound, engine.widen(bound), keys.append)
+    bits = engine.widen(bound)
     first = {}
-    for key in keys:
+    for b in enumerate_zero_sum(group, alphabet, bound):
+        key = sum(x << i * bits for i, x in enumerate(b.dense(alphabet)))
         first.setdefault(engine.lengths_mask(key), key)
     return sorted(
         (

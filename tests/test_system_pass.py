@@ -2,15 +2,15 @@
 
 `system` builds the products of atoms level by level in |B| with
 FactorizationEngine.product_levels.  The oracle below is the scan it
-replaced, copied as it was: the zero-sum walk of G0 without 0
-(sequence.zero_sum_keys), one lengths_mask query per key, the first key
-of each length mask, then the shifts past the prime 0.  Entries,
-witnesses and the engine's final memo (its key -> mask pairs) must agree
-on a fresh engine, on one warmed by length_set queries and on one that a
-larger-bound `system` filled; so must the memo limit at which a run is
-refused.  A bound up to the largest one run on an engine is read from
-the engine's table: that read must give the answer of a fresh atom set
-and leave the memo as it was.
+replaced: the zero-sum walk of G0 without 0 (sequence.enumerate_zero_sum,
+each sequence packed into an engine key), one lengths_mask query per key,
+the first key of each length mask, then the shifts past the prime 0.
+Entries, witnesses and the engine's final memo (its key -> mask pairs)
+must agree on a fresh engine, on one warmed by length_set queries and on
+one that a larger-bound `system` filled; so must the memo limit at which
+a run is refused.  A bound up to the largest one run on an engine is
+read from the engine's table: that read must give the answer of a fresh
+atom set and leave the memo as it was.
 """
 
 import dataclasses
@@ -24,27 +24,23 @@ from zslen.errors import ResourceLimitError
 from zslen.group import elements, make_group
 from zslen.invariants import system
 from zslen.lengths import DEFAULT_MEMO_LIMIT, LengthSet, engine_for, length_set
-from zslen.sequence import Sequence, zero_sum_keys
+from zslen.sequence import Sequence, enumerate_zero_sum
 
 GROUPS = [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 4), (3, 3), (2, 2, 2)]
 
 
 def walk_system(group, bound, atoms, memo_limit=DEFAULT_MEMO_LIMIT):
-    """The entries of system(G0, bound) by the zero-sum walk and one
-    lengths_mask query per key, on the atom set's engine."""
+    """The entries of system(G0, bound) by the zero-sum walk of G0, without
+    0 when 0 is prime, and one lengths_mask query per sequence, packed at
+    the engine's field width, on the atom set's engine."""
     alphabet = atoms.letters
     engine = engine_for(atoms, memo_limit)
-    lengths_mask = engine.lengths_mask
     bits = engine.widen(bound)
     lead = int(0 in atoms.prime_letters)
     first = {}
-    keep, shift = first.setdefault, lead * bits
-
-    def visit(key):
-        key <<= shift
-        keep(lengths_mask(key), key)
-
-    zero_sum_keys(group, alphabet[lead:], bound, bits, visit)
+    for b in enumerate_zero_sum(group, alphabet[lead:], bound):
+        key = sum(x << i * bits for i, x in enumerate(b.dense(alphabet)))
+        first.setdefault(engine.lengths_mask(key), key)
     if lead:
         shifted = []
         for mask, key in first.items():
