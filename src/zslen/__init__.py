@@ -79,7 +79,6 @@ from .numerical import (
 )
 from .transfer import (
     KrullInstance,
-    PrimeWord,
     beta,
     check_atom_correspondence,
     check_transfer,

@@ -183,9 +183,9 @@ class AtomSet:
 
     @cached_property
     def positions(self) -> dict:
-        """Position of each letter in the letter order, keyed as the items
-        of the words over it: by element index for B(G0), by prime name
-        for a Krull instance (a name is no element, so it keys itself)."""
+        """Position of each letter in the letter order, keyed by element
+        index for B(G0); a Krull instance's prime names key themselves, so
+        the element indices of a Sequence miss them."""
         return {self.tables.index.get(g, g): i for i, g in enumerate(self.letters)}
 
     @cached_property

@@ -349,7 +349,7 @@ def cmd_transfer_check(args):
         "seed": report.seed,
         "max_word_length": report.max_word_length,
         "failures": [
-            {"word": str(w), "direct": list(d.values), "transferred": list(t.values)}
+            {"word": encode_dense(instance.primes, w), "direct": list(d.values), "transferred": list(t.values)}
             for w, d, t in report.failures
         ],
         "h_atoms": corr.h_atom_count,

@@ -611,8 +611,8 @@ class IntervalSupportReport:
     failures: tuple[tuple[Sequence, LengthSet], ...]
 
     @property
-    def ok(self) -> bool:
-        return not self.failures
+    def ok(self) -> bool | None:
+        return not self.failures if self.samples else None  # None: undecided
 
 
 def interval_support_check(
@@ -621,6 +621,8 @@ def interval_support_check(
     """Sample zero-sum sequences whose support together with 0 is a subgroup
     and check every L(A) is an interval.  A failure would expose an
     implementation bug, not a gap in the underlying theory."""
+    if samples < 0:
+        raise InvalidArgumentError(f"sample count must be nonnegative: {samples}")
     rng = random.Random(seed)
     # element indices: the zero element 0 leads each subgroup
     subgroups = [s for s in _subgroup_indices(group) if len(s) >= 2] or [(0,)]

@@ -105,20 +105,15 @@ class Sequence:
         return self.dense_at(_positions(self.group, order))
 
     def dense_at(self, pos: Mapping) -> tuple[int, ...]:
-        """dense for an order given as its letter -> position map, keyed
-        by element index (by prime name for a transfer.PrimeWord)."""
+        """dense for an order given as its element index -> position map."""
         vec = [0] * len(pos)
         try:
             for i, m in self.items:
                 vec[pos[i]] = m
         except KeyError as exc:
-            letter = self.letter(exc.args[0])
+            letter = elements(self.group)[exc.args[0]]
             raise InvalidArgumentError(f"support element {letter} outside alphabet") from None
         return tuple(vec)
-
-    def letter(self, i: int) -> GroupElement:
-        """The element that item index i stands for."""
-        return elements(self.group)[i]
 
     def __mul__(self, other: "Sequence") -> "Sequence":
         return mul(self, other)
@@ -264,8 +259,9 @@ def encode_sequence(s: Sequence) -> str:
 
 
 def encode_dense(codes: list[str], vec) -> str:
-    """encode_sequence of the sequence with exponent vec[i] at the letter
-    whose encoding is codes[i], for letters in canonical element order."""
+    """The text "[code:m,...]" of the vector vec over letters encoded as
+    codes, zeros dropped: encode_sequence for letters in canonical element
+    order, a word of F(P) for a Krull instance's primes."""
     return "[" + ",".join(f"{c}:{m}" for c, m in zip(codes, vec) if m) + "]"
 
 

@@ -2,10 +2,14 @@
 the class-replacement map beta: H -> B(G0), and randomized checks that beta
 preserves sets of lengths.
 
+A word of F(P) is a tuple of ints, its exponent vector over
+instance.primes, as an H-atom is.  Membership folds the class indices
+(class_by_prime) over it; only class_image and beta build a Sequence.
 The direct engine never consults beta: H is the monoid of class-sum-zero
 words over the primes, as B(G0) is over G0, so its atoms come from the
 builder of A(G0) (atoms.build_atoms, with the prime names as letters and
-the class map as their classes) and its lengths from the same engine_for.
+the class map as their classes) and its lengths from the same engine_for,
+which takes a word as it is.
 A KrullInstance owns its atom set per node limit, and with it the engines
 and their memos: they die with the instance and never enter the
 enumerate_atoms cache.
@@ -14,16 +18,14 @@ enumerate_atoms cache.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 from .atoms import DEFAULT_NODE_LIMIT, AtomSet, build_atoms, enumerate_atoms
 from .errors import InvalidArgumentError
 from .group import FiniteAbelianGroup, GroupElement, tables
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, engine_for, length_set
-from .sequence import Sequence, canonical_subset, is_zero_sum
+from .sequence import Sequence, canonical_subset, encode_dense, index_sum, is_zero_sum
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,11 @@ class KrullInstance:
             raise InvalidArgumentError("class map must be surjective onto G0")
 
     @cached_property
-    def class_by_prime(self) -> dict[str, int]:
-        """The element index (into elements(group)) of each prime's class."""
+    def class_by_prime(self) -> tuple[int, ...]:
+        """The element index (into elements(group)) of each prime's class,
+        in prime order."""
         index = tables(self.group).index
-        return {p: index[g] for p, g in zip(self.primes, self.classes)}
+        return tuple(index[g] for g in self.classes)
 
 
 def make_instance(
@@ -67,65 +70,32 @@ def make_instance(
     return KrullInstance(group, g0, tuple(p for p, _ in pairs), tuple(g for _, g in pairs))
 
 
-@dataclass(frozen=True)
-class PrimeWord:
-    """An element of F(P), stored as sorted (prime, multiplicity) pairs."""
-
-    items: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        if any(m <= 0 for _, m in self.items):
-            raise InvalidArgumentError("multiplicities must be positive")
-        if tuple(sorted(self.items)) != self.items:
-            raise InvalidArgumentError("items not sorted")
-        if len({p for p, _ in self.items}) != len(self.items):
-            raise InvalidArgumentError("duplicate prime")
-
-    @classmethod
-    def make(cls, exponents: Mapping[str, int]) -> "PrimeWord":
-        return cls(tuple(sorted((p, m) for p, m in exponents.items() if m != 0)))
-
-    @property
-    def length(self) -> int:
-        return sum(m for _, m in self.items)
-
-    # both hold (letter, multiplicity) items: one fold for words and sequences
-    dense_at = Sequence.dense_at
-
-    def letter(self, p: str) -> str:
-        return p
-
-    @classmethod
-    def from_dense(cls, primes: tuple[str, ...], vec) -> "PrimeWord":
-        return cls.make({p: m for p, m in zip(primes, vec) if m})
-
-    def __mul__(self, other: "PrimeWord") -> "PrimeWord":
-        return PrimeWord.make(Counter(dict(self.items)) + Counter(dict(other.items)))
-
-    def __str__(self):
-        return "[" + ",".join(f"{p}:{m}" for p, m in self.items) + "]"
+def _check(instance: KrullInstance, word: tuple[int, ...]) -> None:
+    """Raise unless the word is one nonnegative int per prime."""
+    if len(word) != len(instance.primes) or any(type(m) is not int or m < 0 for m in word):
+        raise InvalidArgumentError(
+            f"word {word!r} is not {len(instance.primes)} nonnegative ints, one per prime")
 
 
-def class_image(instance: KrullInstance, word: PrimeWord) -> Sequence:
+def class_image(instance: KrullInstance, word: tuple[int, ...]) -> Sequence:
     """Replace every prime of a word of F(P) by its class."""
+    _check(instance, word)
     exps: dict[int, int] = {}
-    for p, m in word.items:
-        i = instance.class_by_prime.get(p)
-        if i is None:
-            raise InvalidArgumentError(f"prime {p!r} is not in the instance")
+    for i, m in zip(instance.class_by_prime, word):
         exps[i] = exps.get(i, 0) + m
     return Sequence.of_indices(instance.group, exps)
 
 
-def in_monoid(instance: KrullInstance, word: PrimeWord) -> bool:
-    return is_zero_sum(class_image(instance, word))
+def in_monoid(instance: KrullInstance, word: tuple[int, ...]) -> bool:
+    _check(instance, word)
+    return not index_sum(tables(instance.group), zip(instance.class_by_prime, word))
 
 
-def beta(instance: KrullInstance, word: PrimeWord) -> Sequence:
+def beta(instance: KrullInstance, word: tuple[int, ...]) -> Sequence:
     """Replace every prime by its class; defined exactly on H."""
     image = class_image(instance, word)
     if not is_zero_sum(image):
-        raise InvalidArgumentError(f"word {word} is not in the Krull monoid")
+        raise InvalidArgumentError(f"word {encode_dense(instance.primes, word)} is not in the Krull monoid")
     return image
 
 
@@ -144,49 +114,39 @@ def instance_atoms(
 
 def direct_length_set(
     instance: KrullInstance,
-    word: PrimeWord,
+    word: tuple[int, ...],
     node_limit: int = DEFAULT_NODE_LIMIT,
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> LengthSet:
-    """L_H(word) computed inside H, with no use of beta.
-
-    As in length_set, a word whose key the memo holds with a positive mask
-    is a product of atoms, hence in H, and is read from the memo; only
-    other words pay the class-sum check and the query."""
-    atoms = instance.atom_sets.get(node_limit)  # a refused word walks no atoms
-    engine = atoms.engines.get(memo_limit) if atoms is not None else None
-    key = engine and engine.product_key(word.items, atoms.positions)
-    if key is not None:
-        return engine.set_of(engine.lengths_mask(key))
-    if not in_monoid(instance, word):
-        raise InvalidArgumentError(f"word {word} is not in the Krull monoid")
-    atoms = instance_atoms(instance, node_limit)
-    engine = engine_for(atoms, memo_limit)
-    return engine.set_of(engine.lengths_mask(word.dense_at(atoms.positions)))
+    """L_H(word) computed inside H, with no use of beta."""
+    if not in_monoid(instance, word):  # before instance_atoms: a refused word walks nothing
+        raise InvalidArgumentError(f"word {encode_dense(instance.primes, word)} is not in the Krull monoid")
+    engine = engine_for(instance_atoms(instance, node_limit), memo_limit)
+    return engine.set_of(engine.lengths_mask(word))
 
 
-def random_word(instance: KrullInstance, rng: random.Random, max_length: int) -> PrimeWord:
+def random_word(instance: KrullInstance, rng: random.Random, max_length: int) -> tuple[int, ...]:
     """A random element of H of length at most max_length: draw primes
     uniformly, then append one prime fixing the class sum.  When no class
     can fix the sum (possible for proper subsets G0) the draw is retried;
     the empty word is the final fallback."""
-    by_prime, tab = instance.class_by_prime, tables(instance.group)
+    classes, tab = instance.class_by_prime, tables(instance.group)
+    primes = range(len(classes))
     for _ in range(64):
         target = rng.randint(0, max(0, max_length - 1))
-        exps: dict[str, int] = {}
+        word = [0] * len(classes)
         total = 0  # the index of the class sum; 0 is the zero element
         for _ in range(target):
-            p = rng.choice(instance.primes)
-            exps[p] = exps.get(p, 0) + 1
-            total = tab.add[total][by_prime[p]]
+            p = rng.choice(primes)
+            word[p] += 1
+            total = tab.add[total][classes[p]]
         if total == 0:
-            return PrimeWord.make(exps)
-        fixers = [p for p in instance.primes if by_prime[p] == tab.neg[total]]
+            return tuple(word)
+        fixers = [p for p in primes if classes[p] == tab.neg[total]]
         if fixers:
-            p = rng.choice(fixers)
-            exps[p] = exps.get(p, 0) + 1
-            return PrimeWord.make(exps)
-    return PrimeWord.make({})
+            word[rng.choice(fixers)] += 1
+            return tuple(word)
+    return (0,) * len(classes)
 
 
 @dataclass(frozen=True)
@@ -195,15 +155,15 @@ class TransferCheckReport:
     samples: int
     seed: int
     max_word_length: int
-    failures: tuple[tuple[PrimeWord, LengthSet, LengthSet], ...]
+    failures: tuple[tuple[tuple[int, ...], LengthSet, LengthSet], ...]
 
     @property
     def passes(self) -> int:
         return self.samples - len(self.failures)
 
     @property
-    def ok(self) -> bool:
-        return not self.failures
+    def ok(self) -> bool | None:
+        return not self.failures if self.samples else None  # None: undecided
 
 
 def check_transfer(
@@ -216,6 +176,9 @@ def check_transfer(
 ) -> TransferCheckReport:
     """Sample words of H and compare the direct length set against the length
     set of the class image; any mismatch is an implementation bug."""
+    if sample_count < 0 or max_word_length < 0:
+        raise InvalidArgumentError(
+            f"sample count and word length must be nonnegative: {sample_count}, {max_word_length}")
     rng = random.Random(seed)
     b_atoms = enumerate_atoms(instance.group, instance.subset, node_limit)
     failures = []
@@ -246,13 +209,25 @@ class AtomCorrespondenceReport:
 def check_atom_correspondence(
     instance: KrullInstance, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> AtomCorrespondenceReport:
-    """Cross-enumerate: beta maps atoms of H exactly onto A(G0)."""
+    """Cross-enumerate: beta maps atoms of H exactly onto A(G0).  The
+    images are summed onto A(G0)'s letters as vectors; only a reported
+    mismatch becomes a Sequence."""
     h_atoms = instance_atoms(instance, node_limit)
     b_atoms = enumerate_atoms(instance.group, instance.subset, node_limit)
-    b_set = set(b_atoms.atoms)
-    images = {beta(instance, PrimeWord.from_dense(instance.primes, v)) for v in h_atoms.vectors()}
-    mismatch = tuple(sorted((s for s in images - b_set), key=str))
-    unlifted = tuple(sorted((s for s in b_set - images), key=str))
+    b_set = set(b_atoms.vectors())
+    at = [b_atoms.positions[c] for c in instance.class_by_prime]  # each prime's letter in A(G0)
+    images = set()
+    for v in h_atoms.vectors():
+        image = [0] * len(b_atoms.letters)
+        for i, m in zip(at, v):
+            image[i] += m
+        images.add(tuple(image))
+
+    def sequences(vectors):
+        seqs = (Sequence.from_dense(instance.group, b_atoms.letters, v) for v in vectors)
+        return tuple(sorted(seqs, key=str))
+
+    mismatch, unlifted = sequences(images - b_set), sequences(b_set - images)
     return AtomCorrespondenceReport(
         instance, len(h_atoms), len(b_atoms), mismatch, unlifted
     )

@@ -274,6 +274,21 @@ def test_negative_option_is_invalid_argument(capsys, argv):
     assert report["error"]["type"] == "invalid-argument"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "lemma4.2", "--group", "3"], "lemma4.2 length preservation, C3, 2 primes/class"),
+    (["verify", "thm6.3.1", "--group", "4"], "thm6.3.1 subgroup-support intervals, C4"),
+    (["transfer-check", "--group", "3"], "lemma4.2 length preservation, C3"),
+])
+def test_zero_samples_leave_the_sampled_verdict_undecided(capsys, argv, name):
+    # a sampled check that drew nothing decides nothing; the atom
+    # correspondence is no sample and still passes
+    code, report = run_json(capsys, *argv, "--samples", "0")
+    assert code == 0
+    verdicts = {v["name"]: v["pass"] for v in report["verdicts"]}
+    assert verdicts.pop(name) is None
+    assert all(verdicts.values())
+
+
 def test_exit_code_resource_limit(capsys):
     code, report = run_json(
         capsys, "atoms", "--group", "3,3", "--node-limit", "5"

@@ -763,6 +763,13 @@ def test_interval_support_check_sampling(c4):
     assert report.samples == 100
 
 
+def test_interval_support_check_counts(c3):
+    # no sample decides nothing; a negative count is refused
+    assert interval_support_check(c3, 0).ok is None
+    with pytest.raises(InvalidArgumentError, match="nonnegative"):
+        interval_support_check(c3, -3)
+
+
 # -- cross-cutting invariants -------------------------------------------------------------
 
 

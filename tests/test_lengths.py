@@ -344,14 +344,14 @@ def test_engine_on_repeated_classes_matches_exhaustive_oracle(case, seeds):
     words = [random_word(inst, random.Random(seed), 8) for seed in seeds]
     half = len(words) // 2
     for word in words[:half]:
-        mask = engine.lengths_mask(word.dense_at(h_atoms.positions))
+        mask = engine.lengths_mask(word)
         assert LengthSet.from_mask(mask) == exhaustive_length_set(beta(inst, word), b_atoms)
     unit = next(a for a in h_atoms.vectors() if sum(1 for x in a if x) == 1)
     k = 256 // max(unit) + 1
     assert engine.lengths_mask(tuple(k * x for x in unit)) == 1 << k
     assert engine.widen(0) == 16
     for word in words:
-        mask = engine.lengths_mask(word.dense_at(h_atoms.positions))
+        mask = engine.lengths_mask(word)
         assert LengthSet.from_mask(mask) == exhaustive_length_set(beta(inst, word), b_atoms)
 
 

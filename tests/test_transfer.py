@@ -1,15 +1,15 @@
+import hashlib
 import random
 
 import pytest
 
 from zslen import transfer
-from zslen.atoms import enumerate_atoms, is_atom
+from zslen.atoms import DEFAULT_NODE_LIMIT, AtomSet, enumerate_atoms, is_atom
 from zslen.errors import InvalidArgumentError
 from zslen.group import make_group, zero
 from zslen.lengths import LengthSet, length_set
 from zslen.sequence import parse_sequence, sigma
 from zslen.transfer import (
-    PrimeWord,
     beta,
     class_image,
     check_atom_correspondence,
@@ -22,27 +22,40 @@ from zslen.transfer import (
 )
 
 
-def h_atom_words(inst):
-    """The atoms of H as words of F(P)."""
-    return [PrimeWord.from_dense(inst.primes, v) for v in instance_atoms(inst).vectors()]
+def word_product(a, b):
+    """The product of two words of F(P): the sum of their vectors."""
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def test_beta_basics(c3):
     inst = make_instance(c3, [c3.element([1]), c3.element([2])], 1)
-    p, q = inst.primes
-    a = PrimeWord.make({p: 1, q: 1})
-    image = beta(inst, a)
+    image = beta(inst, (1, 1))
     assert image == parse_sequence(c3, "[1:1,2:1]")
-    assert beta(inst, PrimeWord.make({})) == parse_sequence(c3, "[]")
-    with pytest.raises(InvalidArgumentError):
-        beta(inst, PrimeWord.make({p: 1}))
+    assert beta(inst, (0, 0)) == parse_sequence(c3, "[]")
+    with pytest.raises(InvalidArgumentError, match=r"word \[p0\.0:1\] is not in the Krull monoid"):
+        beta(inst, (1, 0))
 
 
-@pytest.mark.parametrize("fn", [beta, in_monoid, class_image, direct_length_set])
+WORD_FUNCTIONS = [beta, in_monoid, class_image, direct_length_set]
+
+
+@pytest.mark.parametrize("fn", WORD_FUNCTIONS)
 def test_prime_outside_instance_is_invalid_argument(c3, fn):
+    # an exponent past the instance's primes makes the vector too wide
     inst = make_instance(c3, None, 1)
-    with pytest.raises(InvalidArgumentError, match="not in the instance"):
-        fn(inst, PrimeWord.make({inst.primes[0]: 3, "q": 1}))
+    with pytest.raises(InvalidArgumentError, match="one per prime"):
+        fn(inst, (3, 0, 0, 1))
+    assert not inst.atom_sets
+
+
+@pytest.mark.parametrize("fn", WORD_FUNCTIONS)
+@pytest.mark.parametrize("word", [(3, 0), (3, -1, 1), (3, 0, 0.0), (3, True, 1)])
+def test_malformed_word_is_invalid_argument(c3, fn, word):
+    # too short, negative, float and bool entries
+    inst = make_instance(c3, None, 1)
+    with pytest.raises(InvalidArgumentError, match="one per prime"):
+        fn(inst, word)
+    assert not inst.atom_sets
 
 
 def test_beta_images_are_zero_sum(c4):
@@ -61,16 +74,14 @@ def test_beta_is_homomorphism(c3):
         a, b = random_word(inst, rng, 6), random_word(inst, rng, 6)
         from zslen.sequence import mul
 
-        assert beta(inst, a * b) == mul(beta(inst, a), beta(inst, b))
+        assert beta(inst, word_product(a, b)) == mul(beta(inst, a), beta(inst, b))
 
 
 def test_direct_lengths_one_prime_per_class(c3):
     # (pq)^3 with classes g, -g behaves like L(V^3) = {2,3}
     inst = make_instance(c3, [c3.element([1]), c3.element([2])], 1)
-    p, q = inst.primes
-    a = PrimeWord.make({p: 3, q: 3})
-    assert direct_length_set(inst, a) == LengthSet.of([2, 3])
-    for atom in h_atom_words(inst):
+    assert direct_length_set(inst, (3, 3)) == LengthSet.of([2, 3])
+    for atom in instance_atoms(inst).vectors():
         assert direct_length_set(inst, atom) == LengthSet.of([1])
 
 
@@ -84,12 +95,15 @@ def test_direct_vs_exhaustive_small(c3):
 
 
 def test_warm_direct_length_set_reads_the_memo(c4, monkeypatch):
-    # a word the memo already holds is a product of atoms, so in H: the
-    # warm call builds no class image and hands out the same LengthSet
+    # the warm call folds the class sum, builds no class image, stores no
+    # memo entry and hands out the same LengthSet
     inst = make_instance(c4, None, 2)
     rng = random.Random(7)
     words = [random_word(inst, rng, 8) for _ in range(20)]
     cold = [direct_length_set(inst, a) for a in words]
+    (atoms,) = inst.atom_sets.values()
+    (engine,) = atoms.engines.values()
+    size = engine.memo_size
     images = []
     original = transfer.class_image
 
@@ -100,7 +114,33 @@ def test_warm_direct_length_set_reads_the_memo(c4, monkeypatch):
     monkeypatch.setattr(transfer, "class_image", counted)
     warm = [direct_length_set(inst, a) for a in words]
     assert images == []
+    assert engine.memo_size == size
     assert all(w is c for w, c in zip(warm, cold))
+
+
+def test_sampled_words_are_pinned():
+    # seeds 0-4 x 100 words on C3, C2+C4 and C2+C2 (2 primes per class,
+    # length <= 10), each as sorted (prime name, multiplicity) pairs: the
+    # digest pins the sampler's draws, and with them every seeded
+    # check_transfer report
+    words = []
+    for mods in ([3], [2, 4], [2, 2]):
+        inst = make_instance(make_group(mods), None, 2)
+        for seed in range(5):
+            rng = random.Random(seed)
+            drawn = [random_word(inst, rng, 10) for _ in range(100)]
+            words.append([tuple(sorted((p, m) for p, m in zip(inst.primes, w) if m))
+                          for w in drawn])
+    digest = hashlib.sha256(repr(words).encode()).hexdigest()
+    assert digest == "266377a0fc013e45abf5a2a6cb6e10b9e65fa6e32257142e6211ff8bdc84175a"
+
+
+@pytest.mark.parametrize("counts", [(-5, 10), (10, -1)])
+def test_negative_counts_are_invalid_argument(c3, counts):
+    inst = make_instance(c3, None, 2)
+    with pytest.raises(InvalidArgumentError, match="nonnegative"):
+        check_transfer(inst, *counts)
+    assert not inst.atom_sets
 
 
 @pytest.mark.parametrize("mods", [[3], [4], [2, 2]])
@@ -119,9 +159,38 @@ def test_atom_correspondence(mods):
     report = check_atom_correspondence(inst)
     assert report.ok
     # beta images of H-atoms are exactly the atoms of B(G0)
-    images = {beta(inst, w) for w in h_atom_words(inst)}
+    images = {beta(inst, w) for w in instance_atoms(inst).vectors()}
     assert images == set(enumerate_atoms(group).atoms)
     assert all(is_atom(s) for s in images)
+
+
+def corrupted_correspondence(group, vectors):
+    """check_atom_correspondence on an instance with one prime per class,
+    so that H is B(G0), whose H-atoms are replaced by the given vectors."""
+    inst = make_instance(group, None, 1)
+    inst.atom_sets[DEFAULT_NODE_LIMIT] = AtomSet(group, inst.primes, tuple(vectors))
+    return check_atom_correspondence(inst)
+
+
+def test_atom_correspondence_reports_a_dropped_atom(c4):
+    atoms = instance_atoms(make_instance(c4, None, 1)).vectors()
+    dropped = parse_sequence(c4, "[1:2,2:1]")
+    report = corrupted_correspondence(c4, [a for a in atoms if a != (0, 2, 1, 0)])
+    assert not report.ok
+    assert report.image_mismatch == ()
+    assert report.unlifted == (dropped,)
+    assert report.h_atom_count == report.b_atom_count - 1
+
+
+def test_atom_correspondence_reports_a_product_of_atoms(c4):
+    atoms = instance_atoms(make_instance(c4, None, 1)).vectors()
+    products = [word_product((0, 1, 0, 1), (0, 0, 2, 0)), word_product((0, 4, 0, 0), (1, 0, 0, 0))]
+    report = corrupted_correspondence(c4, [*atoms, *products])
+    assert not report.ok
+    # Sequences, in the order of their text
+    assert report.image_mismatch == (parse_sequence(c4, "[0:1,1:4]"),
+                                     parse_sequence(c4, "[1:1,2:2,3:1]"))
+    assert report.unlifted == ()
 
 
 def zero_sum_divisors(image):
@@ -144,13 +213,11 @@ def split_word(inst, word, part):
     class, enough primes of the word to cover the divisor's multiplicities.
     Returns (b, c) with word = b*c and beta(b) = part."""
     need = dict(part.items)
-    b_exps, c_exps = {}, {}
-    for p, m in word.items:
-        i = inst.class_by_prime[p]
-        b_exps[p] = take = min(m, need.get(i, 0))  # make drops the zeros
-        c_exps[p] = m - take
-        need[i] = need.get(i, 0) - take
-    return PrimeWord.make(b_exps), PrimeWord.make(c_exps)
+    b = []
+    for i, m in zip(inst.class_by_prime, word):
+        b.append(min(m, need.get(i, 0)))
+        need[i] = need.get(i, 0) - b[-1]
+    return tuple(b), tuple(m - x for m, x in zip(word, b))
 
 
 def test_lifting_splits(c4):
@@ -162,7 +229,7 @@ def test_lifting_splits(c4):
         image = beta(inst, a)
         part = rng.choice(zero_sum_divisors(image))
         b, c = split_word(inst, a, part)
-        assert b * c == a
+        assert word_product(b, c) == a
         assert beta(inst, b) == part
         assert in_monoid(inst, b) and in_monoid(inst, c)
 
