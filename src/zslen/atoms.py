@@ -6,7 +6,11 @@ prunes make this tractable: a subtree is discarded as soon as the partial
 vector dominates an already-found atom, and as soon as the running sum can
 no longer return to zero within the per-letter multiplicity caps.  The cap
 v(letter) <= ord(class(letter)) is safe: any vector exceeding it is
-divisible by the proper zero-sum power letter^ord.
+divisible by the proper zero-sum power letter^ord.  The letters are taken
+by descending level in a chain of subgroups of prime index (tables.level),
+so past the letters above level j the rest lie in H_j and the second
+prune cuts every prefix whose sum is outside H_j; in element order a few
+last letters generate most of G and it seldom cuts.
 
 The dominance test is in complement form over big-int bitsets whose bit
 j marks found atom j: above[i][k] holds the atoms with entry i greater
@@ -15,7 +19,7 @@ node at depth i with partial vector v lies above an atom iff some bit of
 within[i] is in no above[l][v[l]], l <= i.  The OR of those rows over
 the fixed prefix l < i is carried down the recursion, so a test costs
 two big-int operations however many letters and atoms there are, and a
-new atom is ORed only into the rows below its own entries.
+new atom is ORed only into the rows below its own nonzero entries.
 below_rows builds the direct form (one AND per letter), which checks that
 an atom list is an antichain (divisible_pairs, for the cache validation)
 and finds the atoms dividing an element in the factorization engine.
@@ -83,38 +87,46 @@ def minimal_nonzero_vectors(
     """Dickson-minimal nonzero vectors v with sum_i v[i]*class_i = 0.
 
     letter_classes gives the element index (into elements(group)) of each
-    alphabet letter.  Returns the minimal vectors sorted by (total, vector)
-    together with the number of lattice nodes visited.
+    alphabet letter.  Returns the minimal vectors over the letter order,
+    sorted by (total, vector), together with the number of lattice nodes
+    visited.
     """
     tab = tables(group)
-    add, neg_t, order_t = tab.add, tab.neg, tab.order
+    add, neg_t, level = tab.add, tab.neg, tab.level
     m = len(letter_classes)
-    caps = [order_t[c] for c in letter_classes]
+    # depth -> letter: by descending chain level, ties in letter order, so
+    # the zero element comes last
+    walk = sorted(range(m), key=lambda i: -level[letter_classes[i]])
+    classes = [letter_classes[p] for p in walk]
+    caps = [tab.order[c] for c in classes]
 
-    # reach[i] = sums achievable by letters i.. within their caps
+    # reach[i] = sums achievable by the letters at depth i.. within their caps;
+    # past the letters of level above j it lies in H_j
     reach: list[set[int]] = [set() for _ in range(m + 1)]
     reach[m] = {0}
     for i in range(m - 1, -1, -1):
-        span = set(tab.mult[letter_classes[i]])  # the multiples of letter i
+        span = set(tab.mult[classes[i]])  # the multiples of the letter at depth i
         reach[i] = {add[s][mu] for s in reach[i + 1] for mu in span}
 
     found: list[tuple[int, ...]] = []
     # Bit j of a mask stands for found[j].  above[i][k]: the atoms with entry
     # i greater than k (row caps[i] stays 0).  within[i]: the atoms whose last
-    # letter, the depth where the walk found them, is at most i.
+    # letter, the depth where the walk found them, is at most i.  Both are
+    # indexed by depth; vec, and so each atom, is over the letter order.
     above = [[0] * (c + 1) for c in caps]
     within = [0] * m
     vec = [0] * m
+    path: list[int] = []  # the depths whose entry is nonzero on the current path
     nodes = 0
 
     def rec(i: int, s: int, excl: int):
-        # excl = OR of above[l][vec[l]] over l < i: the atoms that the fixed
-        # prefix does not reach.  It stays exact for the whole subtree, as
-        # every atom found below shares the prefix.
+        # excl = OR of above[l][vec[walk[l]]] over depths l < i: the atoms the
+        # fixed prefix does not reach.  It stays exact for the whole
+        # subtree, as every atom found below shares the prefix.
         nonlocal nodes
         if i == m:
             return
-        w, row = letter_classes[i], above[i]
+        w, row, p = classes[i], above[i], walk[i]
         if neg_t[s] in reach[i + 1]:
             rec(i + 1, s, excl | row[0])
         # a node (i, k) lies above an atom iff a bit of candidates is not in
@@ -122,26 +134,29 @@ def minimal_nonzero_vectors(
         # within[i], and with it candidates, stays put during the loop
         candidates = within[i] & ~excl
         x = s
+        path.append(i)
         for k in range(1, caps[i] + 1):
             nodes += 1
             if nodes > node_limit:
                 raise ResourceLimitError("lattice node", node_limit)
             x = add[x][w]
-            vec[i] = k
+            vec[p] = k
             if candidates & ~row[k]:
                 break  # dominated: so are larger k and every extension
             if x == 0:
                 bit = 1 << len(found)
                 found.append(tuple(vec))
-                for l in range(i + 1):
-                    for r in range(vec[l]):
-                        above[l][r] |= bit
+                for l in path:
+                    rows = above[l]
+                    for r in range(vec[walk[l]]):
+                        rows[r] |= bit
                 for l in range(i, m):
                     within[l] |= bit
                 break  # larger k and any extension dominate this atom
             if neg_t[x] in reach[i + 1]:
                 rec(i + 1, x, excl | row[k])
-        vec[i] = 0
+        path.pop()
+        vec[p] = 0
 
     if 0 in reach[0]:
         rec(0, 0, 0)

@@ -36,9 +36,12 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteAbelianGroup:
-    """C_{n1} + ... + C_{nr}; the empty factor tuple is the trivial group."""
+    """C_{n1} + ... + C_{nr}; the empty factor tuple is the trivial group.
+
+    Equality compares the factor tuples and the hash is stored at
+    construction: every tables(group) lookup pays one of each."""
 
     invariant_factors: tuple[int, ...]
 
@@ -48,6 +51,20 @@ class FiniteAbelianGroup:
             raise InvalidArgumentError(f"invariant factors must exceed 1: {facs}")
         if any(facs[i + 1] % facs[i] != 0 for i in range(len(facs) - 1)):
             raise InvalidArgumentError(f"divisibility chain violated: {facs}")
+        object.__setattr__(self, "_hash", hash(facs))
+
+    def __eq__(self, other):
+        if other.__class__ is FiniteAbelianGroup:
+            return self.invariant_factors == other.invariant_factors
+        return NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is FiniteAbelianGroup:
+            return self.invariant_factors != other.invariant_factors
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -165,24 +182,51 @@ def elements(group: FiniteAbelianGroup) -> tuple[GroupElement, ...]:
 
 
 class _Tables:
-    """Index-based arithmetic tables for the enumeration engines."""
+    """Index-based arithmetic tables for the enumeration engines.
 
-    __slots__ = ("index", "add", "neg", "order", "exp", "mult")
+    Element i of elements(group) has the mixed-radix digits of i as its
+    coordinates (the last factor varies fastest), so the tables are built
+    one factor at a time by integer arithmetic on indices, with no
+    GroupElement arithmetic.  level[i] places element i in a chain of
+    subgroups {0} = H_0 < H_1 < ... < H_t = G of prime indices: it is the
+    least j with element i in H_j.  H_(j+1) = H_j + <g>, g the first element
+    outside H_j whose order modulo H_j is least; that order is the least
+    prime p dividing [G : H_j], as G/H_j has an element of order p."""
+
+    __slots__ = ("index", "add", "neg", "order", "exp", "mult", "level")
 
     def __init__(self, group: FiniteAbelianGroup):
-        els = elements(group)
-        self.index = {g: i for i, g in enumerate(els)}
-        self.add = add_t = tuple(
-            tuple(self.index[add(a, b)] for b in els) for a in els
-        )
-        self.neg = tuple(self.index[neg(a)] for a in els)
-        self.order = tuple(order_of(a) for a in els)
+        self.index = {g: i for i, g in enumerate(elements(group))}
+        add_t, neg_t, order_t = [(0,)], [0], [1]
+        for n in group.invariant_factors:
+            cyclic = [[(c + d) % n for d in range(n)] for c in range(n)]
+            add_t = [
+                tuple([b * n + e for b in row for e in crow]) for row in add_t for crow in cyclic
+            ]
+            neg_t = [b * n + (-c) % n for b in neg_t for c in range(n)]
+            order_t = [math.lcm(o, n // math.gcd(c, n)) for o in order_t for c in range(n)]
+        self.add, self.neg, self.order = tuple(add_t), tuple(neg_t), tuple(order_t)
         # mult[i][k] = k * element i for k < exp(G): m copies sum to mult[i][m % exp]
-        self.exp = max(group.invariant_factors, default=1)
+        self.exp = exp = max(group.invariant_factors, default=1)
         self.mult = tuple(
-            tuple(accumulate(repeat(i, self.exp - 1), lambda x, y: add_t[x][y], initial=0))
-            for i in range(len(els))
+            tuple(accumulate(repeat(i, exp - 1), lambda x, y: add_t[x][y], initial=0))
+            for i in range(len(add_t))
         )
+        size = len(add_t)
+        level = [0] + [-1] * (size - 1)  # -1: not yet in the chain
+        span, j = [0], 0  # span: the elements of H_j
+        for p, e in _prime_powers(size):
+            for _ in range(e):
+                g = next(
+                    x for x in range(size) if level[x] < 0 and level[self.mult[x][p % exp]] >= 0
+                )
+                j += 1
+                step = self.mult[g]
+                new = [add_t[h][step[k]] for k in range(1, p) for h in span]
+                for x in new:
+                    level[x] = j
+                span += new
+        self.level = tuple(level)
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zslen.atoms import (
@@ -220,12 +220,51 @@ def walk_instances(draw):
     return group, tuple(classes)
 
 
+# Alphabets whose chain order differs from their letter order: in C4, C6,
+# C2+C4 and C3+C3 the zero element comes last and the letters of the
+# largest level first.  Each alphabet is a tuple of element indices.
+CHAIN_ORDERED_WALKS = [
+    ([4], (0, 1, 2, 3)),
+    ([6], (0, 1, 2, 3, 4, 5)),
+    ([2, 4], tuple(range(8))),
+    ([3, 3], tuple(range(9))),
+    # repeated classes, as in a Krull instance with several primes per class
+    ([6], (3, 0, 1, 3, 0, 2, 5)),
+    ([2, 4], (2, 0, 5, 2, 4, 0, 7)),
+    ([3, 3], (3, 1, 0, 3, 4, 8, 1)),
+    # G0 generating a proper subgroup: {0, 2, 4} < C6, {0, (0,2), (1,0),
+    # (1,2)} < C2+C4 and C3 + 0 < C3+C3
+    ([6], (0, 4, 2)),
+    ([2, 4], (6, 2, 0, 4)),
+    ([3, 3], (0, 3, 6)),
+]
+
+
+def with_examples(cases):
+    """Add each (moduli, alphabet) case as an explicit Hypothesis example."""
+    def decorate(test):
+        for mods, classes in cases:
+            test = example((make_group(mods), classes))(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=80, deadline=None)
 @given(walk_instances())
+@with_examples(CHAIN_ORDERED_WALKS)
 def test_walk_matches_brute_force(instance):
     group, classes = instance
     found, _ = minimal_nonzero_vectors(group, classes)
+    # over the caller's letter order, sorted by (total, vector)
+    assert found == sorted(found, key=lambda v: (sum(v), v))
     assert found == brute_minimal_vectors(group, classes)
+
+
+@pytest.mark.parametrize("mods,classes", CHAIN_ORDERED_WALKS)
+def test_chain_order_differs_from_letter_order(mods, classes):
+    level = tables(make_group(mods)).level
+    levels = [level[c] for c in classes]
+    assert levels != sorted(levels, reverse=True)
 
 
 def _digest(atoms):
@@ -233,17 +272,20 @@ def _digest(atoms):
     return hashlib.sha256(json.dumps(vecs).encode()).hexdigest()
 
 
-# Sorted-vector digests, counts and visited nodes of the linear-scan walk;
-# every faster dominance test must keep the same walk, not only the same
-# atoms.  C2^4, C2+C2+C4 and C2+C6 are the benchmark's atoms workload.
+# Sorted-vector digests, counts and visited nodes of the chain-ordered
+# walk, which takes the letters by descending level in the subgroup chain
+# of tables(group).level; every faster dominance test must keep the same
+# walk, not only the same atoms.  The digests and counts are those of the
+# walk in element order, which visited more nodes.  C2^4, C2+C2+C4 and
+# C2+C6 are the benchmark's atoms workload.
 PINNED_WALKS = [
-    ([4, 4], 1107, 12720, "f88eb288e05bd03069c4d1c76f23d73020edcd1067caf203fb1d39ae16d44fae"),
-    ([3, 6], 2642, 34985, "08e3951644d33843187aaa5c277935e7ef2e108da9792697971ac735a0059faa"),
-    ([2, 2, 2, 2], 324, 2161, "ef043006022761e142d19491b18f8c6be7e1a5a80bee91b0a1483d51158c5978"),
-    ([2, 2, 4], 698, 4874, "bdb181071ccdc885b4efc2b64aa0034d90024aa7cad1a3f81dbeb210f909cd21"),
-    ([2, 6], 253, 1967, "c9b2b9e7b57e63291d50a1d8d4df9cffdc6553ebdfd3979400fe293c0aa10e4b"),
+    ([4, 4], 1107, 4974, "f88eb288e05bd03069c4d1c76f23d73020edcd1067caf203fb1d39ae16d44fae"),
+    ([3, 6], 2642, 16415, "08e3951644d33843187aaa5c277935e7ef2e108da9792697971ac735a0059faa"),
+    ([2, 2, 2, 2], 324, 1627, "ef043006022761e142d19491b18f8c6be7e1a5a80bee91b0a1483d51158c5978"),
+    ([2, 2, 4], 698, 3107, "bdb181071ccdc885b4efc2b64aa0034d90024aa7cad1a3f81dbeb210f909cd21"),
+    ([2, 6], 253, 1277, "c9b2b9e7b57e63291d50a1d8d4df9cffdc6553ebdfd3979400fe293c0aa10e4b"),
     pytest.param(
-        [2, 2, 2, 2, 2], 20368, 237637,
+        [2, 2, 2, 2, 2], 20368, 157447,
         "167e42cfbbbc803e1f8b5a17926a2c2863cf564dbfbab084d74872eeb945c8a0",
         marks=pytest.mark.slow,
     ),

@@ -43,7 +43,9 @@ def test_traced_lengths_pass_counts_every_query(tmp_path):
     # atoms of the three groups
     assert layers["transfer.h_atoms"] == 379
     assert layers["atoms.count"] == 740
-    assert layers["atoms.nodes"] == 4305
+    # 4,305 nodes when the atom walk took the letters in element order, not
+    # by descending level in the subgroup chain
+    assert layers["atoms.nodes"] == 2693
 
 
 def test_traced_sweeps_pass_walks_each_system_once(tmp_path):
@@ -63,7 +65,7 @@ def test_traced_sweeps_pass_walks_each_system_once(tmp_path):
     assert layers["lengths.queries"] == 2657
     assert layers["lengths.memo_entries"] == 2219
     assert layers["structure_fit.fits"] == 16
-    assert layers["atoms.nodes"] == 641
+    assert layers["atoms.nodes"] == 451  # 641 in element order
 
 
 def test_sweeps_ops_fill_the_memos_they_did(monkeypatch):

@@ -1,11 +1,22 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zslen.errors import InvalidArgumentError, ResourceLimitError
-from zslen.group import add, automorphisms, elements, make_group, neg, order_of, tables, zero
+from zslen.group import (
+    FiniteAbelianGroup,
+    add,
+    automorphisms,
+    elements,
+    make_group,
+    neg,
+    order_of,
+    tables,
+    zero,
+)
 
 moduli_lists = st.lists(
     st.integers(min_value=1, max_value=12), min_size=1, max_size=4
@@ -117,6 +128,75 @@ def test_same_coords_in_different_groups_are_unequal():
     # the hash reads coords only, so such elements share a hash but not a key
     table = {c4.element([1]): "C4", c6.element([1]): "C6"}
     assert table[c4.element([1])] == "C4" and table[c6.element([1])] == "C6"
+
+
+def _factor_chains(limit, least=2):
+    """Every divisibility chain n1 | n2 | ... with n1 >= least and product
+    at most limit, the empty chain first."""
+    yield ()
+    for n in range(least, limit + 1):
+        for rest in _factor_chains(limit // n, n):
+            if not rest or rest[0] % n == 0:
+                yield (n,) + rest
+
+
+# every group of order <= 64, C1 and C2 included
+SMALL_GROUPS = [FiniteAbelianGroup(f) for f in _factor_chains(64)]
+
+
+def test_small_groups_are_every_group_of_order_at_most_64():
+    # the number of abelian groups of order n is the product of the
+    # partition counts of its prime exponents: 1 + 1 + 1 + 2 (order 4) ...
+    assert len(SMALL_GROUPS) == len(set(SMALL_GROUPS))
+    assert sum(g.order == 64 for g in SMALL_GROUPS) == 11
+    assert sum(g.order == 36 for g in SMALL_GROUPS) == 4
+    assert max(g.order for g in SMALL_GROUPS) == 64
+    assert FiniteAbelianGroup(()) in SMALL_GROUPS and make_group([2]) in SMALL_GROUPS
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=str)
+def test_tables_match_element_arithmetic(group):
+    # the integer tables against GroupElement arithmetic, the oracle
+    tab, els = tables(group), elements(group)
+    index = tab.index
+    for i, a in enumerate(els):
+        assert tab.add[i] == tuple(index[add(a, b)] for b in els)
+        assert tab.neg[i] == index[neg(a)]
+        assert tab.order[i] == order_of(a)
+        multiple = zero(group)
+        for k in range(tab.exp):
+            assert tab.mult[i][k] == index[multiple]
+            multiple = add(multiple, a)
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=str)
+def test_levels_form_a_chain_of_prime_index(group):
+    tab = tables(group)
+    level, add_t = tab.level, tab.add
+    assert [x for x in range(group.order) if level[x] == 0] == [0]
+    top, sizes = max(level), []
+    for j in range(top + 1):
+        members = [x for x in range(group.order) if level[x] <= j]
+        assert all(level[add_t[x][y]] <= j for x in members for y in members)
+        sizes.append(len(members))
+    assert sizes[-1] == group.order
+    for small, large in zip(sizes, sizes[1:]):
+        index = large // small
+        assert large == small * index and index > 1
+        assert all(index % d for d in range(2, index))  # prime
+
+
+@pytest.mark.parametrize("mods", [[], [2], [3, 3], [2, 4], [2, 2, 6]])
+def test_group_equality_and_hash_survive_pickle(mods):
+    group = make_group(mods)
+    copy = pickle.loads(pickle.dumps(group))
+    assert copy is not group and copy == group and not copy != group
+    assert hash(copy) == hash(group) == hash(make_group(mods))
+    assert {group: 1}[copy] == 1
+    assert tables(copy) is tables(group)
+    other = make_group([5])
+    assert copy != other and not copy == other
+    assert group != group.invariant_factors  # no tuple stands in for a group
 
 
 AUTOMORPHISM_COUNTS = [
