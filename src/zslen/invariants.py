@@ -306,9 +306,32 @@ def unions_range(
     since sB * A = s(B * s^-1 A).  s permutes the key's fields, which never
     carry, so s(BA) = sB + sA: a level holds, for each orbit, the keys of
     one product's images, and a product's images are the sums of its
-    factors' images.  Each level forms len(previous level) products per
-    atom that is not prime; their running total is charged against
-    PRODUCT_LIMIT before the level is formed.
+    factors' images.  s keeps sizes, so the level stores the orbit's size
+    |B| next to the images.  A pair (product, atom) whose identity key the
+    level has already formed is the same product again, so its images
+    and maximum are formed at most once per identity key; the keys that
+    are their orbit's largest image are the level's own keys, so only
+    the others are kept in a set, which the identity alone leaves empty.
+
+    The walk skips the products that cannot add a length.  A prime letter
+    is used by its prime atom only, so the atoms that divide a product B
+    of atoms that are not prime are themselves not prime.  With m and M
+    the least and largest size of those atoms, each factorization of B
+    into l atoms has l*m <= |B| <= l*M, so L(B) lies in the span
+    [ceil(|B|/M), floor(|B|/m)].  Level k starts the union at its base
+    1 + U_(k-1) (none without prime letters) and ORs in the length set of
+    each product it queries; when the union already holds the whole span
+    of |B|, L(B) adds nothing to U_k, and B is not queried.  The union
+    only grows within a level, so a size once covered stays covered; the
+    table of covered sizes is rebuilt when the union changes.  Products
+    are queried as the level is formed, so the union fills early.  Below
+    k_max every product is still formed, as the next level is built from
+    it; at k_max a pair whose size is covered is dropped before its images
+    are formed.
+
+    Each level forms len(previous level) products per atom that is not
+    prime; their running total is charged against PRODUCT_LIMIT before
+    the level is formed, the cut at k_max notwithstanding.
     """
     if k_max < 1:
         raise InvalidArgumentError(f"k must be positive: {k_max}")
@@ -316,11 +339,16 @@ def unions_range(
         atoms = enumerate_atoms(group)
     engine = engine_for(atoms, memo_limit)
     images = _atom_images(atoms, engine.widen(k_max * max(map(max, atoms.vectors()))))
+    factors = [(sum(engine.unpack(a[0])), a) for a in images]  # (size, images)
+    least = min((size for size, _ in factors), default=1)
+    most = max((size for size, _ in factors), default=1)
+    # spans[s]: the mask of [ceil(s/most), floor(s/least)], holding L(B) for |B| = s
+    spans = [(2 << s // least) - (1 << -(-s // most)) for s in range(k_max * most + 1)]
     lengths_mask = engine.lengths_mask
     has_primes = bool(atoms.prime_letters)
     out: dict[int, UnionOfLengths] = {}
-    # largest image -> images of one product; none when every atom is prime
-    level = {0: (0,) * len(images[0])} if images else {}
+    # (size, images) of one product per orbit; none when every atom is prime
+    level = [(0, (0,) * len(images[0]))] if images else []
     union_mask = 1  # U_0 = {0}
     formed = 0
     for k in range(1, k_max + 1):
@@ -328,16 +356,31 @@ def unions_range(
         if formed > PRODUCT_LIMIT:
             raise ResourceLimitError("atom products", PRODUCT_LIMIT, formed)
         last = k == k_max  # the last level needs only the keys
-        nxt: dict[int, list[int] | None] = {}
-        for b in level.values():
-            for a in images:
-                top = max(map(add, b, a))
-                if top not in nxt:
-                    nxt[top] = None if last else [*map(add, b, a)]
-        level = nxt
         union_mask = union_mask << 1 if has_primes else 0
-        for key in level:
-            union_mask |= lengths_mask(key)
+        covered = [union_mask & span == span for span in spans]
+        # the identity keys formed at this level: those that are their
+        # orbit's largest image are the keys of nxt, the rest are in seen
+        seen: set[int] = set()
+        nxt: dict[int, tuple | None] = {}  # largest image -> (size, images)
+        for size_b, b in level:
+            b0 = b[0]
+            for size_a, a in factors:
+                size = size_b + size_a
+                ident = b0 + a[0]
+                if last and covered[size] or ident in nxt or ident in seen:
+                    continue
+                top = max(map(add, b, a))
+                if top != ident:
+                    seen.add(ident)
+                if top in nxt:
+                    continue
+                nxt[top] = None if last else (size, [*map(add, b, a)])
+                if not covered[size]:
+                    mask = union_mask | lengths_mask(top)
+                    if mask != union_mask:
+                        union_mask = mask
+                        covered = [mask & span == span for span in spans]
+        level = nxt.values()
         out[k] = UnionOfLengths(k, LengthSet.from_mask(union_mask).values)
     return out
 

@@ -175,10 +175,15 @@ def check_transfer(
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> TransferCheckReport:
     """Sample words of H and compare the direct length set against the length
-    set of the class image; any mismatch is an implementation bug."""
+    set of the class image; any mismatch is an implementation bug.  Below
+    a word length of 2, random_word draws only the empty word, so such a
+    check would pass having checked nothing: it is refused."""
     if sample_count < 0 or max_word_length < 0:
         raise InvalidArgumentError(
             f"sample count and word length must be nonnegative: {sample_count}, {max_word_length}")
+    if max_word_length < 2:
+        raise InvalidArgumentError(
+            f"word length must be at least 2, below it only the empty word is drawn: {max_word_length}")
     rng = random.Random(seed)
     b_atoms = enumerate_atoms(instance.group, instance.subset, node_limit)
     failures = []

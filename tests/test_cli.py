@@ -274,6 +274,13 @@ def test_negative_option_is_invalid_argument(capsys, argv):
     assert report["error"]["type"] == "invalid-argument"
 
 
+def test_transfer_check_refuses_word_lengths_that_draw_only_the_empty_word(capsys):
+    code, report = run_json(capsys, "transfer-check", "--group", "3", "--max-word-length", "1")
+    assert code == 2
+    assert report["error"]["type"] == "invalid-argument"
+    assert "at least 2" in report["error"]["reason"]
+
+
 @pytest.mark.parametrize("argv, name", [
     (["verify", "lemma4.2", "--group", "3"], "lemma4.2 length preservation, C3, 2 primes/class"),
     (["verify", "thm6.3.1", "--group", "4"], "thm6.3.1 subgroup-support intervals, C4"),

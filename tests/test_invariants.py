@@ -341,26 +341,30 @@ def test_union_limit_charges_products_formed_per_orbit(c5, monkeypatch):
 
 def test_unions_memo_is_pinned(c5):
     # a fresh engine: only the largest key of each orbit of zero-free
-    # products is queried, so the memo holds 2,219 entries after k <= 6
-    # (12,269 when every product was, 3,593 when those holding 0 were too)
+    # products whose size the union does not yet cover is queried, so the
+    # memo holds 1,702 entries after k <= 6 (2,219 when every orbit was
+    # queried, 12,269 when every product was, 3,593 when those holding 0
+    # were too)
     atoms = dataclasses.replace(enumerate_atoms(c5))
     assert not atoms.engines
     unions_range(c5, 6, atoms)
-    assert engine_for(atoms).memo_size == 2219
+    assert engine_for(atoms).memo_size == 1702
 
 
 def test_unions_with_two_byte_fields():
     # level entries of C2 reach 2 * 130 = 260, past one byte per field.  The
-    # walk forms only the powers [1:2k] of the one atom besides [0:1], so the
-    # memo holds [1:2k] for 0 <= k <= 130: 131 entries (8,646 when the
-    # products with the prime [0:1] were queried too)
+    # walk forms only the powers [1:2k] of the one atom besides [0:1], and
+    # each has the one length k that the base 1 + U_(k-1) already holds, so
+    # nothing is queried and the memo holds only the empty product: 1 entry
+    # (131 when every power [1:2k] was queried, 8,646 when the products with
+    # the prime [0:1] were queried too)
     group = make_group([2])
     atoms = dataclasses.replace(enumerate_atoms(group))  # a fresh engine
     assert not atoms.engines
     unions = unions_range(group, 130, atoms)
     assert engine_for(atoms).widen(0) == 16
     assert [u.values for u in unions.values()] == [(k,) for k in range(1, 131)]
-    assert engine_for(atoms).memo_size == 131
+    assert engine_for(atoms).memo_size == 1
 
 
 def test_system_with_two_byte_fields():

@@ -143,6 +143,19 @@ def test_negative_counts_are_invalid_argument(c3, counts):
     assert not inst.atom_sets
 
 
+@pytest.mark.parametrize("length", [0, 1])
+def test_word_lengths_below_two_are_refused_before_any_walk(c3, length):
+    # below length 2 the sampler draws only the empty word, so the check
+    # would pass without checking a nonempty word
+    inst = make_instance(c3, None, 2)
+    rng = random.Random(0)
+    assert {random_word(inst, rng, length) for _ in range(50)} == {(0,) * len(inst.primes)}
+    with pytest.raises(InvalidArgumentError, match="at least 2"):
+        check_transfer(inst, 10, length)
+    assert not inst.atom_sets
+    assert any(map(any, (random_word(inst, rng, 2) for _ in range(50))))
+
+
 @pytest.mark.parametrize("mods", [[3], [4], [2, 2]])
 def test_check_transfer_full(mods):
     group = make_group(mods)
