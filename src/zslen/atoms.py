@@ -30,8 +30,9 @@ B(G0), prime names for a Krull instance.  build_atoms, the one builder,
 caches nothing; the owner of an atom set decides how long its memos live.
 enumerate_atoms caches the sets over G0, so repeated length queries and
 the verify suites reuse one memo; a KrullInstance owns its H-atoms, which
-die with it; delta_star owns nothing and drops each subset's set.
-atoms_over is where every invariant of B(G0) resolves its atom set.
+die with it; delta_star owns nothing and drops each subset's set.  Only a
+walk proves a list of atoms complete, so the whole-monoid scans of B(G0)
+take no atom set: each resolves A(G0) by enumerate_atoms itself.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .group import FiniteAbelianGroup, GroupElement, tables
+from .group import FiniteAbelianGroup, GroupElement, elements, tables
 from .sequence import Sequence, canonical_subset, index_sum, is_zero_sum
 
 DEFAULT_NODE_LIMIT = 10**8
@@ -246,19 +247,6 @@ def _enumerate_atoms_cached(
     return build_atoms(group, alphabet, alphabet, node_limit)
 
 
-def atoms_over(group: FiniteAbelianGroup, subset=None, atoms: AtomSet | None = None) -> AtomSet:
-    """A(G0) for the invariants of B(G0), G0 = subset (default: all of G):
-    the given atom set when it is over the canonical G0, else the cached
-    enumeration.  An atom set over any other alphabet would give silent
-    wrong answers, so it raises.  A given atom set must be A(G0): only its
-    letters are checked, as only a walk proves a list of atoms complete."""
-    if atoms is None:
-        return enumerate_atoms(group, subset)
-    if atoms.letters != canonical_subset(group, subset):  # elements compare their groups too
-        raise InvalidArgumentError(f"atom set does not match the alphabet of B(G0) over {group}")
-    return atoms
-
-
 def is_atom(s: Sequence) -> bool:
     """Exact atomicity test by scanning the exponent lattice below s.
 
@@ -289,9 +277,13 @@ def is_atom(s: Sequence) -> bool:
 
 
 def davenport(group: FiniteAbelianGroup, atoms: AtomSet | None = None) -> tuple[int, Sequence]:
-    """D(G) = max atom length, with a witness atom of that length; a given
-    atom set must be A(G)."""
-    atoms = atoms_over(group, None, atoms)
+    """D(G) = max atom length, with a witness atom of that length.  A given
+    atom set must be A(G): one over another alphabet raises, but only the
+    walk proves a set complete, so one that lacks an atom is trusted."""
+    if atoms is None:
+        atoms = enumerate_atoms(group)
+    elif atoms.letters != elements(group):  # elements compare their groups too
+        raise InvalidArgumentError(f"atom set does not match the alphabet of B(G) over {group}")
     # every nonempty G0 carries at least the atom g^ord(g); max keeps the
     # first longest vector, the first longest atom in (length, vector) order
     best = max(atoms.vectors(), key=sum)

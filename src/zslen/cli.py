@@ -197,8 +197,8 @@ def cmd_lengths(args):
 def cmd_system(args):
     group = args.group
     subset = _parse_subset(group, args.subset)
-    atoms = _get_atoms(group, subset, args)
-    sys_ = system(group, subset, args.bound, atoms, args.memo_limit)
+    sys_ = system(group, subset, args.bound, node_limit=args.node_limit, memo_limit=args.memo_limit)
+    _TOUCHED_ATOMS.append(enumerate_atoms(group, subset, args.node_limit))  # the set it walked
     return {
         "group": list(group.invariant_factors),
         "subset": [list(g.coords) for g in sys_.subset],
@@ -215,8 +215,8 @@ def cmd_unions(args):
     lo, hi = _parse_k_range(args.k)
     if lo < 1 or hi < lo:
         raise InvalidArgumentError(f"bad k range {args.k!r}")
-    atoms = _get_atoms(group, tuple(elements(group)), args)
-    unions = unions_range(group, hi, atoms, memo_limit=args.memo_limit)
+    unions = unions_range(group, hi, node_limit=args.node_limit, memo_limit=args.memo_limit)
+    _TOUCHED_ATOMS.append(enumerate_atoms(group, None, args.node_limit))  # the set it walked
     return {
         "group": list(group.invariant_factors),
         "unions": [
@@ -235,8 +235,10 @@ def cmd_unions(args):
 def cmd_delta(args):
     group = args.group
     subset = _parse_subset(group, args.subset)
-    atoms = _get_atoms(group, subset, args)
-    report = delta_of_group(group, subset, args.bound, atoms, args.memo_limit)
+    report = delta_of_group(
+        group, subset, args.bound, node_limit=args.node_limit, memo_limit=args.memo_limit
+    )
+    _TOUCHED_ATOMS.append(enumerate_atoms(group, subset, args.node_limit))  # the set it walked
     return {
         "group": list(group.invariant_factors),
         "subset": [list(g.coords) for g in report.subset],
@@ -443,11 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    # what _parse_group and _get_atoms read
-    walk = "--group --max-order --node-limit --cache-dir"
-    command("atoms", cmd_atoms, f"{walk} --subset", help="enumerate minimal zero-sum sequences")
-    command("davenport", cmd_davenport, walk, help="Davenport constant and witness")
-    p = command("lengths", cmd_lengths, f"{walk} --memo-limit",
+    # what _parse_group and the atom walk read; _get_atoms also reads the cache
+    walk = "--group --max-order --node-limit"
+    cached = f"{walk} --cache-dir"
+    command("atoms", cmd_atoms, f"{cached} --subset", help="enumerate minimal zero-sum sequences")
+    command("davenport", cmd_davenport, cached, help="Davenport constant and witness")
+    p = command("lengths", cmd_lengths, f"{cached} --memo-limit",
                 help="set of lengths of one sequence")
     p.add_argument("--sequence", required=True, help='e.g. "[1:3,2:3]"')
     command("system", cmd_system, f"{walk} --memo-limit --subset --bound", csv=True,

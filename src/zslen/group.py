@@ -234,33 +234,19 @@ def tables(group: FiniteAbelianGroup) -> _Tables:
     return _Tables(group)
 
 
-def automorphisms(
-    group: FiniteAbelianGroup, fixing=None, limit: int | None = None
-) -> list[tuple[int, ...]] | None:
-    """The automorphisms of the group that map the set `fixing` of element
-    indices (into elements(group)) onto itself, all of them when it is
-    None.  Each is a permutation s of element indices, s[i] the index of
-    the image of element i; the identity comes first.  None when there
-    are more than `limit`: the search stops there, as C2^5 alone has about
-    10M.
+def automorphisms(group: FiniteAbelianGroup, *, limit: int | None = None) -> list[tuple[int, ...]] | None:
+    """The automorphisms of the group, each a permutation s of element
+    indices (into elements(group)), s[i] the index of the image of element
+    i; the identity comes first.  None when there are more than `limit`:
+    the search stops there, as C2^5 alone has about 10M.
 
     An automorphism is fixed by the images g_t of the basis e_t of the
     invariant factors, so they are chosen by backtracking: g_t needs
     n_t * g_t = 0 and no multiple j * g_t, 0 < j < n_t, in the image of
     the span of e_1..e_(t-1), which is then a subgroup of the same order.
-    A branch is dropped as soon as a newly spanned element and its image
-    differ in a signature that every automorphism fixing the set keeps:
-    membership, and how many members sum with the element into the set.
     """
     tab = tables(group)
     add, size = tab.add, group.order
-    inside = [fixing is None] * size
-    for i in fixing or ():
-        inside[i] = True
-    members = [y for y in range(size) if inside[y]]
-    # kept by every automorphism that fixes the set: whether x is in it, and
-    # how many y in it have x + y in it
-    signature = [(inside[x], sum(inside[add[x][y]] for y in members)) for x in range(size)]
     strides, stride = [], size
     for n in group.invariant_factors:
         stride //= n
@@ -278,21 +264,16 @@ def automorphisms(
             return limit is None or len(found) <= limit
         n, step, base = group.invariant_factors[t], strides[t], len(span)
         for g in range(1, size):
-            mult, ok = tab.mult[g], True
+            mult = tab.mult[g]
             if mult[n % tab.exp] or any(used[mult[j]] for j in range(1, n)):
                 continue  # n * g != 0, or some j * g, 0 < j < n, is hit
             for j in range(1, n):
                 for h in span[:base]:
                     i = h + j * step
                     y = image[i] = add[image[i - step]][g]
-                    if signature[i] != signature[y]:
-                        ok = False
-                        break
                     used[y] = True
                     span.append(i)
-                if not ok:
-                    break
-            if ok and not rec(t + 1):
+            if not rec(t + 1):
                 return False
             for i in span[base:]:
                 used[image[i]] = False

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .atoms import AtomSet, atoms_over, build_atoms, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
+from .atoms import AtomSet, build_atoms, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, automorphisms, elements, tables
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, delta_of, engine_for, length_set
@@ -66,13 +66,13 @@ def system(
     group: FiniteAbelianGroup,
     subset=None,
     bound: int = 8,
-    atoms: AtomSet | None = None,
+    *,
+    node_limit: int = DEFAULT_NODE_LIMIT,
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> SystemOfLengthSets:
     """Exact { L(B) : B in B(G0), |B| <= bound }: the one bounded scan of
-    B(G0), read by the distance sets and the structure fits.  A given
-    atom set must be A(G0): with an atom missing, the pass returns the
-    system of the submonoid the given atoms generate.
+    B(G0), read by the distance sets and the structure fits.  It runs on
+    the engine of enumerate_atoms(group, subset, node_limit).
 
     The engine's forward pass (FactorizationEngine.product_levels) builds
     the products of atoms level by level in |B|, each with its length
@@ -97,9 +97,9 @@ def system(
     is exact: a witness is the first product with its length set in
     (length, lex) order, or with 0 the least (length, c) candidate, and
     the products of length <= b' are a prefix of that order."""
-    if bound < 0:
-        raise InvalidArgumentError(f"bound must be nonnegative: {bound}")
-    atoms = atoms_over(group, subset, atoms)
+    if type(bound) is not int or bound < 0:
+        raise InvalidArgumentError(f"bound must be a nonnegative integer: {bound!r}")
+    atoms = enumerate_atoms(group, subset, node_limit)
     alphabet = atoms.letters
     engine = engine_for(atoms, memo_limit)
     table = engine.system_table
@@ -280,10 +280,12 @@ class UnionOfLengths:
 def unions_range(
     group: FiniteAbelianGroup,
     k_max: int,
-    atoms: AtomSet | None = None,
+    *,
+    node_limit: int = DEFAULT_NODE_LIMIT,
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> dict[int, UnionOfLengths]:
-    """U_k for all k in [1, k_max].
+    """U_k(G) for all k in [1, k_max], on the engine of
+    enumerate_atoms(group, None, node_limit).
 
     U_k is the union of L(B) over products B of exactly k atoms, which is
     complete because any B with k in L(B) is such a product.  Products are
@@ -291,52 +293,48 @@ def unions_range(
     largest atom entry, so a product of packed atoms is the sum of their
     keys.
 
-    The prime letters (AtomSet.prime_letters: the zero element, or the
-    class-0 primes of a Krull instance) are factored out: a product of c
-    prime atoms and k - c others has the lengths c + L(rest), so
-    U_k = union over c of (c + U'_(k-c)) = U'_k | (1 + U_(k-1)), where
-    U'_j is the union over products of j atoms that are not prime and
-    U_0 = U'_0 = {0}.  The level walk runs over those atoms only.
+    The zero element, letter 0, is the one prime of B(G), and its atom
+    [0:1] is factored out: a product of c copies of it and k - c other
+    atoms has the lengths c + L(rest), so U_k = union over c of
+    (c + U'_(k-c)) = U'_k | (1 + U_(k-1)), where U'_j is the union over
+    products of j atoms other than [0:1] and U_0 = U'_0 = {0}.  The level
+    walk runs over those atoms only.
 
-    An automorphism s of G that maps the letters onto themselves maps
-    atoms to atoms and keeps lengths, L(sB) = L(B), so a level keeps one
-    product per orbit of those automorphisms (see _atom_images): the
-    orbit's largest key, the only one the engine is asked about.  Level
-    k+1 is (level k) x atoms, reduced the same way; it meets every orbit,
-    since sB * A = s(B * s^-1 A).  s permutes the key's fields, which never
-    carry, so s(BA) = sB + sA: a level holds, for each orbit, the keys of
-    one product's images, and a product's images are the sums of its
-    factors' images.  s keeps sizes, so the level stores the orbit's size
-    |B| next to the images.  A pair (product, atom) whose identity key the
-    level has already formed is the same product again, so its images
-    and maximum are formed at most once per identity key; the keys that
-    are their orbit's largest image are the level's own keys, so only
-    the others are kept in a set, which the identity alone leaves empty.
+    An automorphism s of G maps atoms to atoms and keeps lengths, L(sB) =
+    L(B), so a level keeps one product per orbit of the automorphisms (see
+    _atom_images): the orbit's largest key, the only one the engine is asked
+    about.  Level k+1 is (level k) x atoms, reduced the same way; it meets
+    every orbit, since sB * A = s(B * s^-1 A).  s permutes the key's fields,
+    which never carry, so s(BA) = sB + sA: a level holds, for each orbit,
+    the keys of one product's images, and a product's images are the sums of
+    its factors' images.  s keeps sizes, so the level stores the orbit's
+    size |B| next to the images.  A pair (product, atom) whose identity key
+    the level has already formed is the same product again, so its images
+    and maximum are formed at most once per identity key; the keys that are
+    their orbit's largest image are the level's own keys, so only the others
+    are kept in a set, which the identity alone leaves empty.
 
-    The walk skips the products that cannot add a length.  A prime letter
-    is used by its prime atom only, so the atoms that divide a product B
-    of atoms that are not prime are themselves not prime.  With m and M
-    the least and largest size of those atoms, each factorization of B
-    into l atoms has l*m <= |B| <= l*M, so L(B) lies in the span
-    [ceil(|B|/M), floor(|B|/m)].  Level k starts the union at its base
-    1 + U_(k-1) (none without prime letters) and ORs in the length set of
-    each product it queries; when the union already holds the whole span
-    of |B|, L(B) adds nothing to U_k, and B is not queried.  The union
-    only grows within a level, so a size once covered stays covered; the
-    table of covered sizes is rebuilt when the union changes.  Products
-    are queried as the level is formed, so the union fills early.  Below
-    k_max every product is still formed, as the next level is built from
-    it; at k_max a pair whose size is covered is dropped before its images
-    are formed.
+    The walk skips the products that cannot add a length.  No atom but [0:1]
+    holds 0, so the atoms that divide a product B of atoms other than [0:1]
+    are themselves not [0:1].  With m and M the least and largest size of
+    those atoms, each factorization of B into l atoms has l*m <= |B| <= l*M,
+    so L(B) lies in the span [ceil(|B|/M), floor(|B|/m)].  Level k starts
+    the union at its base 1 + U_(k-1) and ORs in the length set of each
+    product it queries; when the union already holds the whole span of |B|,
+    L(B) adds nothing to U_k, and B is not queried.  The union only grows
+    within a level, so a size once covered stays covered; the table of
+    covered sizes is rebuilt when the union changes.  Products are queried
+    as the level is formed, so the union fills early.  Below k_max every
+    product is still formed, as the next level is built from it; at k_max a
+    pair whose size is covered is dropped before its images are formed.
 
-    Each level forms len(previous level) products per atom that is not
-    prime; their running total is charged against PRODUCT_LIMIT before
+    Each level forms len(previous level) products per atom other than
+    [0:1]; their running total is charged against PRODUCT_LIMIT before
     the level is formed, the cut at k_max notwithstanding.
     """
-    if k_max < 1:
-        raise InvalidArgumentError(f"k must be positive: {k_max}")
-    if atoms is None:
-        atoms = enumerate_atoms(group)
+    if type(k_max) is not int or k_max < 1:
+        raise InvalidArgumentError(f"k_max must be a positive integer: {k_max!r}")
+    atoms = enumerate_atoms(group, None, node_limit)
     engine = engine_for(atoms, memo_limit)
     images = _atom_images(atoms, engine.widen(k_max * max(map(max, atoms.vectors()))))
     factors = [(sum(engine.unpack(a[0])), a) for a in images]  # (size, images)
@@ -345,9 +343,8 @@ def unions_range(
     # spans[s]: the mask of [ceil(s/most), floor(s/least)], holding L(B) for |B| = s
     spans = [(2 << s // least) - (1 << -(-s // most)) for s in range(k_max * most + 1)]
     lengths_mask = engine.lengths_mask
-    has_primes = bool(atoms.prime_letters)
     out: dict[int, UnionOfLengths] = {}
-    # (size, images) of one product per orbit; none when every atom is prime
+    # (size, images) of one product per orbit; none when [0:1] is the one atom
     level = [(0, (0,) * len(images[0]))] if images else []
     union_mask = 1  # U_0 = {0}
     formed = 0
@@ -356,7 +353,7 @@ def unions_range(
         if formed > PRODUCT_LIMIT:
             raise ResourceLimitError("atom products", PRODUCT_LIMIT, formed)
         last = k == k_max  # the last level needs only the keys
-        union_mask = union_mask << 1 if has_primes else 0
+        union_mask <<= 1
         covered = [union_mask & span == span for span in spans]
         # the identity keys formed at this level: those that are their
         # orbit's largest image are the keys of nxt, the rest are in seen
@@ -387,40 +384,26 @@ def unions_range(
 
 def _atom_images(atoms: AtomSet, field_bits: int) -> list[tuple[int, ...]]:
     """The keys, at field_bits bits per letter, of the images of each atom
-    that is not prime (AtomSet.prime_letters) under the automorphisms of G
-    that map the letters onto themselves (group.automorphisms), one per
-    distinct permutation of the letters, in one order for all atoms with
-    the identity first.
+    of A(G) other than [0:1] under the automorphisms of G
+    (group.automorphisms), in one order for all atoms with the identity
+    first.  The letters of A(G) are the elements in index order, so an
+    automorphism s moves letter i to letter s[i].
 
-    Only the identity and negation (when it maps the letters onto
-    themselves) are used when there are too many automorphisms: more than
-    MAX_ATOM_IMAGES in the images, or in the automorphisms' tables of
-    |G| entries each.  Only the identity is used when the images are not
-    all atoms, as for an atom set built by hand that is not A(G0), and
-    for a Krull instance, whose letters are primes, not elements of G."""
-    vectors = [a for a in atoms.vectors() if not any(a[p] for p in atoms.prime_letters)]
-    position = atoms.positions  # keyed by element index, or by a Krull instance's prime names
-    if all(type(c) is int for c in position):
-        tab = atoms.tables
-        classes = list(position)
-        limit = MAX_ATOM_IMAGES // max(len(vectors), atoms.group.order)
-        auts = automorphisms(atoms.group, classes, limit)
-        if auts is None:
-            auts = [range(atoms.group.order)]
-            if all(tab.neg[c] in position for c in classes):
-                auts.append(tab.neg)
-        # letter i of an atom is letter moves[s][i] of its image under s
-        moves = list(dict.fromkeys(tuple(position[s[c]] for c in classes) for s in auts))
-    else:
-        moves = [range(len(position))]
+    Only the identity and negation are used when there are too many
+    automorphisms: more than MAX_ATOM_IMAGES in the images, or in the
+    automorphisms' tables of |G| entries each."""
+    vectors = [a for a in atoms.vectors() if not a[0]]
+    order = atoms.group.order
+    auts = automorphisms(atoms.group, limit=MAX_ATOM_IMAGES // max(len(vectors), order))
+    if auts is None:
+        auts = [range(order), atoms.tables.neg]
+    # negation is the identity on an elementary 2-group
+    moves = dict.fromkeys(map(tuple, auts))
     offsets = [[j * field_bits for j in move] for move in moves]
     out = []
     for a in vectors:
         support = [(x, i) for i, x in enumerate(a) if x]
         out.append(tuple(sum(x << off[i] for x, i in support) for off in offsets))
-    keys = {images[0] for images in out}
-    if any(key not in keys for images in out for key in images):
-        return [images[:1] for images in out]
     return out
 
 
@@ -462,7 +445,8 @@ def delta_of_group(
     group: FiniteAbelianGroup,
     subset=None,
     bound: int = 8,
-    atoms: AtomSet | None = None,
+    *,
+    node_limit: int = DEFAULT_NODE_LIMIT,
     memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> DeltaReport:
     """Union of Delta(L) over the entries of system(G0, bound); a lower
@@ -474,8 +458,8 @@ def delta_of_group(
     (length, lex) order, so the shortest sequence with its length set: an
     entry is seen within the margin iff its witness is that short.
     """
-    atoms = atoms_over(group, subset, atoms)
-    sys = system(group, subset, bound, atoms, memo_limit)
+    sys = system(group, subset, bound, node_limit=node_limit, memo_limit=memo_limit)
+    atoms = enumerate_atoms(group, subset, node_limit)
     distances = sys.distances()
     exact = _non_unit_atom(atoms) is None  # half-factorial: Delta(G0) is empty
     if not exact and sys.subset == elements(group):
@@ -581,7 +565,7 @@ def is_half_factorial(group: FiniteAbelianGroup, subset=None) -> HalfFactorialVe
     the cross-number criterion (_non_unit_atom).  For the first atom U with
     k(U) != 1 and N the lcm of the orders of its support, the witness U^N
     is N atoms U and also N*k(U) != N atoms g^ord(g), so two lengths."""
-    atoms = atoms_over(group, subset)
+    atoms = enumerate_atoms(group, subset)
     vec = _non_unit_atom(atoms)
     if vec is None:
         return HalfFactorialVerdict("yes-exact")

@@ -59,7 +59,7 @@ def make_numerical(raw_gens) -> NumericalMonoid:
     gens = sorted(set(raw_gens))
     if not gens:
         raise InvalidArgumentError("at least one generator required")
-    if any(not isinstance(g, int) or g <= 0 for g in gens):
+    if any(not isinstance(g, int) or isinstance(g, bool) or g <= 0 for g in gens):
         raise InvalidArgumentError(f"generators must be positive integers: {raw_gens}")
     if math.gcd(*gens) != 1:
         raise InvalidArgumentError(f"gcd of generators must be 1: {gens}")

@@ -43,9 +43,12 @@ class AAMPFit:
 
 
 def _validate_period(d: int, period: Iterable[int]) -> tuple[int, ...]:
-    dset = tuple(sorted(set(period)))
-    if d < 1:
-        raise InvalidArgumentError(f"difference must be positive: {d}")
+    if type(d) is not int or d < 1:
+        raise InvalidArgumentError(f"difference must be a positive integer: {d!r}")
+    dset = tuple(set(period))
+    if any(type(x) is not int for x in dset):
+        raise InvalidArgumentError(f"period entries must be integers: {dset}")
+    dset = tuple(sorted(dset))
     if 0 not in dset or d not in dset:
         raise InvalidArgumentError(f"period must contain 0 and {d}: {dset}")
     if any(x < 0 or x > d for x in dset):
@@ -105,9 +108,10 @@ def best_aamp(lengths: LengthSet, candidate_d: Iterable[int]) -> AAMPFit:
     fits at y = min L (the window [0, 0] is covered).  One fit_aamp call
     per difference therefore returns what the subset search returned.
     """
-    cands = sorted(set(candidate_d))
-    if not cands or any(d < 1 for d in cands):
-        raise InvalidArgumentError(f"candidate differences must be positive: {cands}")
+    cands = set(candidate_d)
+    if not cands or any(type(d) is not int or d < 1 for d in cands):
+        raise InvalidArgumentError(f"candidate differences must be positive integers: {cands}")
+    cands = sorted(cands)
     base = lengths.min
     fits = (
         fit_aamp(lengths, d, {0, d, *((x - base) % d for x in lengths.values)})

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .atoms import davenport, enumerate_atoms
+from .atoms import davenport
 from .errors import InvalidArgumentError
 from .group import FiniteAbelianGroup, make_group
 from .invariants import (
@@ -80,9 +80,8 @@ def verify_prop_6_1(group: FiniteAbelianGroup, k_max: int, bound: int) -> list[V
     """Interval shape of U_k, the rho_k closed forms, the lambda/rho chain,
     and the distance-set bounds."""
     out = []
-    atoms = enumerate_atoms(group)
-    dav, _ = davenport(group, atoms)
-    unions = unions_range(group, k_max, atoms)
+    dav, _ = davenport(group)
+    unions = unions_range(group, k_max)
     ok = all(u.is_interval() for u in unions.values())
     out.append(Verdict(
         f"prop6.1 U_k intervals, k<={k_max}, {group}", ok,

@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from zslen import atoms as atoms_module
 from zslen.group import make_group
 
 
@@ -41,3 +44,18 @@ def c33():
 @pytest.fixture(scope="session")
 def c24():
     return make_group([2, 4])
+
+
+@pytest.fixture
+def fresh_atom_cache(monkeypatch):
+    """Swap the cache of enumerate_atoms for an empty one, so that the
+    scans walk A(G0) afresh and run on new engines: the module's cached
+    sets hold engines that earlier tests ran.  Calling the returned
+    function empties it again, as a Hypothesis example needs."""
+    walk = atoms_module._enumerate_atoms_cached.__wrapped__
+
+    def renew():
+        monkeypatch.setattr(atoms_module, "_enumerate_atoms_cached", functools.lru_cache(maxsize=None)(walk))
+
+    renew()
+    return renew

@@ -110,9 +110,8 @@ def test_criterion_04_unions():
                       "lambda/rho chain for k+l <= 8"):
         for mods in ([3], [4], [2, 2], [5]):
             group = make_group(mods)
-            atoms = enumerate_atoms(group)
-            d, _ = davenport(group, atoms)
-            unions = unions_range(group, 8, atoms)
+            d, _ = davenport(group)
+            unions = unions_range(group, 8)
             for k in (1, 2, 3):
                 assert unions[2 * k].rho == k * d, (str(group), k)
             assert all(u.is_interval() for u in unions.values()), str(group)
@@ -136,9 +135,8 @@ def test_criterion_05_distance_sets():
             assert delta_of_group(make_group(mods), None, 10).distances == ()
         for mods in TESTED_GROUPS:
             group = make_group(mods)
-            atoms = enumerate_atoms(group)
-            d, _ = davenport(group, atoms)
-            for ls in system(group, None, 9, atoms).length_sets():
+            d, _ = davenport(group)
+            for ls in system(group, None, 9).length_sets():
                 gaps = delta_of(ls)
                 assert not gaps or max(gaps) <= d - 2, (str(group), str(ls))
 

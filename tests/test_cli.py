@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zslen.cli as cli_mod
+from zslen import atoms as atoms_module
 from zslen.cli import main
 from zslen.errors import InvalidArgumentError
 from zslen.group import make_group
@@ -52,6 +53,25 @@ def test_atoms_with_cache(capsys, tmp_path):
         capsys, "atoms", "--group", "3", "--cache-dir", str(tmp_path)
     )
     assert report2["results"]["atoms"] == report["results"]["atoms"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("davenport", []), ("lengths", ["--sequence", "[1:3,2:3]"]),
+])
+def test_davenport_and_lengths_write_the_cache(capsys, tmp_path, command, extra):
+    code, _ = run_json(capsys, command, "--group", "3", "--cache-dir", str(tmp_path), *extra)
+    assert code == 0
+    assert list(tmp_path.glob("atoms_*.json"))
+
+
+@pytest.mark.parametrize("argv", [["unions", "--k", "1..4"], ["delta", "--bound", "8"]])
+def test_scans_report_the_set_they_walked(capsys, fresh_atom_cache, argv):
+    # the scans resolve A(G) themselves, as system does (next test); the
+    # report still counts its walk and its engine's memo
+    code, report = run_json(capsys, argv[0], "--group", "3", *argv[1:])
+    assert code == 0
+    assert report["resources"]["atom_lattice_nodes"] > 0
+    assert report["resources"]["memo_entries"] > 0
 
 
 def test_resource_counters_reported(capsys):
@@ -98,7 +118,7 @@ def test_unions_checks_k_before_it_walks(capsys, monkeypatch):
     def walk(*args):
         raise AssertionError("A(G) walked for a k range that is refused")
 
-    monkeypatch.setattr(cli_mod, "_get_atoms", walk)
+    monkeypatch.setattr(atoms_module, "_enumerate_atoms_cached", walk)
     code, report = run_json(capsys, "unions", "--group", "3", "--k", "0")
     assert code == 2
     assert report["error"]["type"] == "invalid-argument"
@@ -436,12 +456,11 @@ OPTION_TABLE = {
     "davenport": {"format", "stable", "group", "max_order", "node_limit", "cache_dir"},
     "lengths": {"format", "stable", "group", "max_order", "node_limit", "cache_dir",
                 "memo_limit", "sequence"},
-    "system": {"format", "stable", "group", "max_order", "node_limit", "cache_dir",
-               "memo_limit", "subset", "bound"},
-    "unions": {"format", "stable", "group", "max_order", "node_limit", "cache_dir",
-               "memo_limit", "k"},
-    "delta": {"format", "stable", "group", "max_order", "node_limit", "cache_dir",
-              "memo_limit", "subset", "bound"},
+    "system": {"format", "stable", "group", "max_order", "node_limit", "memo_limit",
+               "subset", "bound"},
+    "unions": {"format", "stable", "group", "max_order", "node_limit", "memo_limit", "k"},
+    "delta": {"format", "stable", "group", "max_order", "node_limit", "memo_limit",
+              "subset", "bound"},
     "delta-star": {"format", "stable", "group", "max_order", "node_limit"},
     "fit": {"format", "stable", "set", "d", "candidates", "period"},
     "verify-structure": {"format", "stable", "group", "max_order", "bound", "report"},
@@ -530,6 +549,8 @@ SUITE_CHOICES = ("--group", "--max-order", "--bound", "--k-max", "--samples",
 REMOVED = [
     *[(cmd, opt) for cmd in ("atoms", "davenport") for opt in ("--memo-limit", "--seed")],
     *[(cmd, "--seed") for cmd in ("lengths", "system", "unions", "delta")],
+    # the whole-monoid scans walk A(G0) themselves and read no atom cache
+    *[(cmd, "--cache-dir") for cmd in ("system", "unions", "delta")],
     *[("delta-star", opt) for opt in ("--cache-dir", "--seed", "--bound", "--memo-limit")],
     *[(cmd, opt) for cmd in ("fit", "numerical")
       for opt in ("--cache-dir", "--node-limit", "--memo-limit", "--max-order", "--seed")],
@@ -552,8 +573,8 @@ REMOVED = [
 
 
 def test_removed_option_count():
-    # 30 command-level options and 43 suite options that nothing read
-    assert len(REMOVED) == len(set(REMOVED)) == 73
+    # 33 command-level options and 43 suite options that nothing read
+    assert len(REMOVED) == len(set(REMOVED)) == 76
 
 
 @pytest.mark.parametrize("command, option", REMOVED)

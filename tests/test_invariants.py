@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import json
@@ -10,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zslen import atoms as atoms_module
 from zslen import invariants
-from zslen.atoms import AtomSet, build_atoms, davenport, enumerate_atoms
+from zslen.atoms import build_atoms, davenport, enumerate_atoms
 from zslen.errors import InvalidArgumentError, ResourceLimitError
 from zslen.group import elements, make_group, order_of
 from zslen.invariants import (
@@ -38,7 +38,6 @@ from zslen.sequence import (
     is_zero_sum,
     parse_sequence,
 )
-from zslen.transfer import instance_atoms, make_instance
 
 
 def L(*values):
@@ -154,9 +153,8 @@ def test_union_2_c3_brute(c3):
 @pytest.mark.parametrize("mods", [[3], [4], [2, 2], [5]])
 def test_rho_2k_equals_k_davenport(mods):
     group = make_group(mods)
-    atoms = enumerate_atoms(group)
-    d, _ = davenport(group, atoms)
-    unions = unions_range(group, 6, atoms)
+    d, _ = davenport(group)
+    unions = unions_range(group, 6)
     for k in (1, 2, 3):
         assert unions[2 * k].rho == k * d
     assert all(u.is_interval() for u in unions.values())
@@ -192,7 +190,6 @@ def test_elasticity_cross_check():
         lambda g: has_two_D_lengthset(g, memo_limit=10),
         lambda g: interval_support_check(g, 1, 0, 10),
         lambda g: davenport(g, None, 10),
-        lambda g: invariants.atoms_over(g, None, None, 10),
         lambda g: unions_range(g, 2, product_limit=10),
         lambda g: union_k(g, 2, memo_limit=10),
         lambda g: rho_k(g, 2, memo_limit=10),
@@ -200,16 +197,58 @@ def test_elasticity_cross_check():
         lambda g: union_k(g, 2, None),
         lambda g: rho_k(g, 2, atoms=None),
         lambda g: lambda_k(g, 2, atoms=None),
+        # the whole-monoid scans walk A(G0) themselves: a given atom set, by
+        # keyword or in the old position, and a positional ceiling fail at
+        # the call instead of reaching the walk as a node limit
+        lambda g: system(g, None, 4, atoms=enumerate_atoms(g)),
+        lambda g: system(g, None, 4, enumerate_atoms(g)),
+        lambda g: system(g, None, 4, 10**8),
+        lambda g: delta_of_group(g, None, 4, atoms=enumerate_atoms(g)),
+        lambda g: delta_of_group(g, None, 4, enumerate_atoms(g)),
+        lambda g: delta_of_group(g, None, 4, 10**8),
+        lambda g: unions_range(g, 2, atoms=enumerate_atoms(g)),
+        lambda g: unions_range(g, 2, enumerate_atoms(g)),
+        lambda g: unions_range(g, 2, 10**8),
     ],
     ids=[
         "elasticity-atoms", "elasticity-cross_check", "two_D-atoms", "two_D-memo_limit",
-        "interval_support-memo_limit", "davenport-node_limit", "atoms_over-node_limit",
+        "interval_support-memo_limit", "davenport-node_limit",
         "unions_range-product_limit", "union_k-kw", "rho_k-kw", "lambda_k-kw",
         "union_k-atoms", "rho_k-atoms", "lambda_k-atoms",
+        "system-atoms", "system-positional_atoms", "system-positional_limit",
+        "delta_of_group-atoms", "delta_of_group-positional_atoms",
+        "delta_of_group-positional_limit",
+        "unions_range-atoms", "unions_range-positional_atoms", "unions_range-positional_limit",
     ],
 )
 def test_removed_parameters_are_type_errors(call, c3):
     with pytest.raises(TypeError):
+        call(c3)
+
+
+def test_atoms_over_is_gone():
+    # the scans resolve A(G0) by enumerate_atoms; davenport checks its alphabet
+    assert not hasattr(atoms_module, "atoms_over")
+    assert not hasattr(invariants, "atoms_over")
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: system(g, None, 2.5),
+    lambda g: system(g, None, True),
+    lambda g: system(g, None, None),
+    lambda g: system(g, None, -1),
+    lambda g: delta_of_group(g, None, 2.0),
+    lambda g: unions_range(g, 2.0),
+    lambda g: unions_range(g, True),
+    lambda g: unions_range(g, 0),
+], ids=["system-float", "system-bool", "system-none", "system-negative", "delta-float",
+        "unions-float", "unions-bool", "unions-zero"])
+def test_scans_refuse_a_bound_that_is_not_an_int_before_walking(call, c3, monkeypatch):
+    def walk(*args):
+        raise AssertionError("walked A(G) for a bound that is refused")
+
+    monkeypatch.setattr(atoms_module, "_enumerate_atoms_cached", walk)
+    with pytest.raises(InvalidArgumentError, match=r"^(bound|k_max) must be a"):
         call(c3)
 
 
@@ -220,28 +259,27 @@ def test_union_resource_limit(c33, monkeypatch):
     assert info.value.limit == 10
 
 
-def test_union_limit_charges_products_formed(monkeypatch):
-    # Over {1, 2} in C10 (6 atoms) k = 7 forms 672 products, fewer than the
-    # C(12, 7) = 792 atom multisets that an up-front estimate would count.
-    group = make_group([10])
-    atoms = enumerate_atoms(group, [group.element([1]), group.element([2])])
-    assert len(atoms) == 6
-    expected = unions_range(group, 7, atoms)
-    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 672)
-    assert unions_range(group, 7, atoms) == expected
-    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 671)
+def test_union_limit_charges_products_formed(c4, monkeypatch):
+    # A(C4) has 6 atoms besides the prime [0:1]; one product per orbit of
+    # the identity and negation at each level, times those 6 atoms, makes
+    # 1,812 products for k <= 7
+    assert len(enumerate_atoms(c4)) == 7
+    expected = unions_range(c4, 7)
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 1812)
+    assert unions_range(c4, 7) == expected
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 1811)
     with pytest.raises(ResourceLimitError) as info:
-        unions_range(group, 7, atoms)
-    assert info.value.reached == 672
+        unions_range(c4, 7)
+    assert info.value.reached == 1812
 
 
 @functools.lru_cache(maxsize=None)
-def reference_unions(mods: tuple[int, ...], k_max: int, subset=None) -> dict[int, tuple[int, ...]]:
+def reference_unions(mods: tuple[int, ...], k_max: int) -> dict[int, tuple[int, ...]]:
     """The level walk unions_range ran before it packed keys and kept one
     product per automorphism orbit: each level a set of exponent tuples,
-    each tuple queried on a fresh engine.  subset: coordinates of G0."""
+    each tuple queried on a fresh engine."""
     group = make_group(list(mods))
-    atoms = enumerate_atoms(group, subset and [group.element(c) for c in subset])
+    atoms = enumerate_atoms(group)
     engine = FactorizationEngine(atoms.vectors())
     level = {(0,) * len(atoms.letters)}
     out = {}
@@ -275,83 +313,45 @@ def test_unions_range_matches_tuple_level_walk(case, k):
     assert {k: u.values for k, u in unions.items()} == {k: reference[k] for k in range(1, k_max + 1)}
 
 
-@pytest.mark.parametrize("mods, subset, images", [
-    ((5,), ((1,), (4,)), 2),  # negation swaps 1 and 4
-    ((3, 3), ((0, 1), (0, 2), (1, 0), (2, 0)), 8),
-    # 12 automorphisms fix it, acting on it as the identity or negation
-    ((3, 3), ((1, 0), (2, 0)), 2),
+@pytest.mark.parametrize("mods, images", [
+    pytest.param((3, 3), 2, marks=pytest.mark.slow),  # 69 atoms, 48 automorphisms
+    ((2, 2, 2), 1),  # 16 atoms, 168 automorphisms; negation is the identity
 ])
-def test_unions_over_a_subset_merge_orbits_of_its_stabiliser(mods, subset, images):
+def test_unions_past_the_image_ceiling_use_identity_and_negation(monkeypatch, fresh_atom_cache, mods, images):
+    # a ceiling of one automorphism per atom
     group = make_group(list(mods))
-    atoms = enumerate_atoms(group, [group.element(c) for c in subset])
-    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {images}
-    unions = unions_range(group, 5, atoms)
-    assert {k: u.values for k, u in unions.items()} == reference_unions(mods, 5, subset)
-
-
-@pytest.mark.parametrize("subset, images", [
-    pytest.param(None, 2, marks=pytest.mark.slow),  # 69 atoms, 48 automorphisms
-    (((0, 1), (1, 0), (1, 1)), 1),  # 2 automorphisms; negation is not one
-])
-def test_unions_past_the_image_ceiling_use_identity_and_negation(monkeypatch, subset, images):
-    # C3+C3 with a ceiling of one automorphism per atom
-    c33 = make_group([3, 3])
-    atoms = dataclasses.replace(enumerate_atoms(c33, subset and [c33.element(c) for c in subset]))
+    atoms = enumerate_atoms(group)
     monkeypatch.setattr(invariants, "MAX_ATOM_IMAGES", len(atoms))
     assert {len(a) for a in invariants._atom_images(atoms, 8)} == {images}
-    unions = unions_range(c33, 4, atoms)
-    assert {k: u.values for k, u in unions.items()} == reference_unions((3, 3), 4, subset)
-
-
-def test_unions_over_atoms_not_closed_under_automorphisms_keep_every_product(c3):
-    # A(C3) without [1:3]: negation maps [2:3] outside it, so no orbits merge
-    # and U_k is the unmerged walk over what is given
-    full = enumerate_atoms(c3)
-    vectors = tuple(v for v in full.vectors() if v != (0, 3, 0))
-    atoms = AtomSet(c3, full.letters, vectors)
-    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {1}
-    engine = FactorizationEngine(vectors)
-    level, expected = {(0, 0, 0)}, {}
-    for k in range(1, 6):
-        level = {tuple(map(operator.add, b, a)) for b in level for a in vectors}
-        expected[k] = LengthSet.from_mask(functools.reduce(operator.or_, map(engine.lengths_mask, level))).values
-    assert {k: u.values for k, u in unions_range(c3, 5, atoms).items()} == expected
-
-
-def test_unions_over_a_krull_instance_equal_those_of_its_block_monoid(c3):
-    # prime letters get the identity only; the transfer map keeps every U_k
-    atoms = instance_atoms(make_instance(c3, None, 2))
-    assert {len(a) for a in invariants._atom_images(atoms, 8)} == {1}
-    assert unions_range(c3, 5, atoms) == unions_range(c3, 5)
+    unions = unions_range(group, 4)
+    assert {k: u.values for k, u in unions.items()} == reference_unions(mods, 4)
 
 
 def test_union_limit_charges_products_formed_per_orbit(c5, monkeypatch):
     # one product per orbit of C5's 4 automorphisms, over the 14 atoms other
     # than the prime [0:1]: k <= 6 forms 16,296 products.  The unmerged walk
     # over all 15 atoms formed 102,390, the orbit walk over all 15 26,595.
-    atoms = enumerate_atoms(c5)
-    expected = unions_range(c5, 6, atoms)
+    expected = unions_range(c5, 6)
     monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 16296)
-    assert unions_range(c5, 6, atoms) == expected
+    assert unions_range(c5, 6) == expected
     monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 16295)
     with pytest.raises(ResourceLimitError) as info:
-        unions_range(c5, 6, atoms)
+        unions_range(c5, 6)
     assert info.value.reached == 16296
 
 
-def test_unions_memo_is_pinned(c5):
+def test_unions_memo_is_pinned(c5, fresh_atom_cache):
     # a fresh engine: only the largest key of each orbit of zero-free
     # products whose size the union does not yet cover is queried, so the
     # memo holds 1,702 entries after k <= 6 (2,219 when every orbit was
     # queried, 12,269 when every product was, 3,593 when those holding 0
     # were too)
-    atoms = dataclasses.replace(enumerate_atoms(c5))
-    assert not atoms.engines
-    unions_range(c5, 6, atoms)
-    assert engine_for(atoms).memo_size == 1702
+    assert not enumerate_atoms(c5).engines
+    unions_range(c5, 6)
+    assert engine_for(enumerate_atoms(c5)).memo_size == 1702
 
 
-def test_unions_with_two_byte_fields():
+def test_unions_with_two_byte_fields(fresh_atom_cache):
     # level entries of C2 reach 2 * 130 = 260, past one byte per field.  The
     # walk forms only the powers [1:2k] of the one atom besides [0:1], and
     # each has the one length k that the base 1 + U_(k-1) already holds, so
@@ -359,9 +359,9 @@ def test_unions_with_two_byte_fields():
     # (131 when every power [1:2k] was queried, 8,646 when the products with
     # the prime [0:1] were queried too)
     group = make_group([2])
-    atoms = dataclasses.replace(enumerate_atoms(group))  # a fresh engine
+    atoms = enumerate_atoms(group)
     assert not atoms.engines
-    unions = unions_range(group, 130, atoms)
+    unions = unions_range(group, 130)
     assert engine_for(atoms).widen(0) == 16
     assert [u.values for u in unions.values()] == [(k,) for k in range(1, 131)]
     assert engine_for(atoms).memo_size == 1
@@ -446,17 +446,17 @@ def bounded_delta_star(group, bound):
     of min Delta(G0)."""
     seen = {}
     for subset in _zero_free_subsets(group):
-        atoms = build_atoms(group, subset, subset, 10**8)
-        distances = system(group, subset, bound, atoms).distances()
+        distances = system(group, subset, bound).distances()
         if distances:
-            seen[subset] = (atoms, math.gcd(*distances))
+            seen[subset] = (enumerate_atoms(group, subset), math.gcd(*distances))
     return seen
 
 
 @pytest.mark.parametrize("moduli, bound", [
     ([5], 8), ([6], 8), ([2, 4], 8), ([2, 2, 2], 8), ([3, 3], 7),
 ])
-def test_min_distance_divides_the_bounded_scans_gcd(moduli, bound):
+def test_min_distance_divides_the_bounded_scans_gcd(moduli, bound, fresh_atom_cache):
+    # the subsets' atom sets die with the swapped cache
     seen = bounded_delta_star(make_group(moduli), bound)
     assert seen
     for subset, (atoms, gcd) in seen.items():
@@ -511,23 +511,6 @@ def test_delta_star_exact_values(moduli, values):
     assert report.subsets_scanned == 2 ** group.order - 1
     # max Delta*(G) = max{exp(G) - 2, r(G) - 1} (Geroldinger and Zhong, 2016)
     assert max(values) == max(group.invariant_factors[-1] - 2, group.rank - 1)
-
-
-@pytest.mark.parametrize("scan, bound, truth", [
-    (system, 6, lambda sys_: LengthSet.of([3]) in sys_ and LengthSet.of([2, 3]) not in sys_),
-    (delta_of_group, 12, lambda report: report.distances == (4,)),
-])
-def test_scan_rejects_atoms_over_another_alphabet(scan, bound, truth):
-    # A({0,2,4}) read as vectors over {0,1,5} gave L([1:3,5:3]) = {2,3} and
-    # Delta = (1,); the true values are {3} and (4,)
-    c6 = make_group([6])
-    e = elements(c6)
-    alphabet = [e[0], e[1], e[5]]
-    with pytest.raises(InvalidArgumentError, match="does not match"):
-        scan(c6, alphabet, bound, atoms=enumerate_atoms(c6, [e[0], e[2], e[4]]))
-    with pytest.raises(InvalidArgumentError, match="does not match"):
-        scan(make_group([2, 2]), None, bound, atoms=enumerate_atoms(c6))
-    assert truth(scan(c6, alphabet, bound, atoms=enumerate_atoms(c6, alphabet)))
 
 
 @pytest.mark.parametrize("invariant", [davenport])  # the one invariant of G given A(G)

@@ -284,13 +284,13 @@ def test_engine_on_arbitrary_vectors_matches_brute_force(case):
         ), (atoms, vec)
 
 
-def test_system_memo_size_pinned(c33):
+def test_system_memo_size_pinned(c33, fresh_atom_cache):
     # a fresh engine: memo_size after system(C3+C3, 9) is the number of
     # distinct vectors the recursion visits; 5,420 when the walk queried the
     # keys holding the prime 0 too, now 2,710 as only zero-free keys are
-    atoms = dataclasses.replace(enumerate_atoms(c33))
+    atoms = enumerate_atoms(c33)
     assert not atoms.engines
-    system(c33, None, 9, atoms)
+    system(c33, None, 9)
     assert lengths.engine_for(atoms).memo_size == 2710
 
 

@@ -59,6 +59,14 @@ def test_gcd_validation():
         make_numerical([0, 3])
 
 
+@pytest.mark.parametrize("gens", [[True, 3], [True], [2, 3.0]])
+def test_generators_must_be_ints_not_bools(gens):
+    # make_numerical([True, 3]) returned the monoid <True>, as make_group
+    # refuses a bool modulus
+    with pytest.raises(InvalidArgumentError, match="positive integers"):
+        make_numerical(gens)
+
+
 def test_contains():
     h = make_numerical([2, 3])
     assert not contains(h, 1)

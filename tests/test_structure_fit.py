@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import random
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import zslen.atoms as atoms_module
 from zslen import structure_fit
 from zslen.errors import InvalidArgumentError
 from zslen.group import make_group
@@ -65,6 +63,22 @@ def test_invalid_period():
         fit_aamp(L(1, 2), 2, (0, 1))  # missing d
     with pytest.raises(InvalidArgumentError):
         fit_aamp(L(1, 2), 2, (0, 2, 5))  # outside [0, d]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: best_aamp(L(1, 2), [1.5]),
+    lambda: best_aamp(L(1, 2), [True]),
+    lambda: fit_aamp(L(1, 2), 1.5, (0, 1.5)),
+    lambda: fit_aamp(L(1, 2), True, (0, True)),
+    lambda: fit_aamp(L(1, 2), 2, (0, 1.0, 2)),
+    lambda: fit_aamp(L(1, 2), 2, (0, 2, "1")),
+], ids=["best-float", "best-bool", "fit-float-d", "fit-bool-d", "fit-float-period",
+        "fit-str-period"])
+def test_non_int_difference_or_period_is_invalid(call):
+    # best_aamp(L(1, 2), [1.5]) returned a fit with difference 1.5 and
+    # length 0.0
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        call()
 
 
 def test_degenerate_singleton():
@@ -236,13 +250,10 @@ def test_density_rows_c3(c3):
 
 
 @pytest.fixture
-def walks(monkeypatch):
+def walks(monkeypatch, fresh_atom_cache):
     """The forward passes (FactorizationEngine.product_levels calls) made
     on a fresh atom cache: the module's cached sets hold engines that
     earlier tests ran to other bounds."""
-    cached = atoms_module._enumerate_atoms_cached
-    monkeypatch.setattr(atoms_module, "_enumerate_atoms_cached",
-                        functools.lru_cache(maxsize=None)(cached.__wrapped__))
     calls = []
     original = FactorizationEngine.product_levels
 

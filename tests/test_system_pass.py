@@ -11,12 +11,16 @@ one that a larger-bound `system` filled; so must the memo limit at which
 a run is refused.  A bound up to the largest one run on an engine is
 read from the engine's table: that read must give the answer of a fresh
 atom set and leave the memo as it was.
+
+`system` runs on the engine of the cached A(G0), so each example first
+empties the atom cache (the fresh_atom_cache fixture); the oracle runs on
+a copy of A(G0) with no engine of its own yet.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from zslen.atoms import enumerate_atoms
@@ -59,8 +63,18 @@ def walk_system(group, bound, atoms, memo_limit=DEFAULT_MEMO_LIMIT):
 
 
 def fresh_atoms(group, subset):
-    """A(G0) with no engine of its own yet."""
+    """A copy of A(G0) with no engine of its own yet, for the oracle."""
     return dataclasses.replace(enumerate_atoms(group, subset))
+
+
+def fresh_system(renew, group, subset, bound, **limits):
+    """system(G0, bound) on a fresh atom cache: a new A(G0) and engine."""
+    renew()
+    return system(group, subset, bound, **limits)
+
+
+# the examples empty the atom cache themselves
+FIXTURE_OK = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def memo_of(atoms, memo_limit=DEFAULT_MEMO_LIMIT):
@@ -94,8 +108,8 @@ def warm_ups(draw):
 
 
 def warm(atoms, warm_up, bound, scan):
-    """Apply a warm-up to the atom set's engine; scan is the system run
-    that the larger-bound warm-up uses."""
+    """Apply a warm-up to the atom set's engine; scan(bound, atoms) is the
+    system run on that set that the larger-bound warm-up uses."""
     kind = warm_up[0]
     if kind == "queried":
         _, products, wide = warm_up
@@ -118,65 +132,44 @@ def widen_field(atoms):
     length_set(u ** (256 // u.items[0][1] + 1), atoms)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, **FIXTURE_OK)
 @given(cases(), warm_ups())
 @example((make_group([3, 3]), None, 10), ("fresh",))
 @example((make_group([2, 4]), None, 10), ("queried", [[0, 5], [3, 3, 7]], True))
 @example((make_group([2, 2, 2]), None, 10), ("larger", 2))
 @example((make_group([3]), (make_group([3]).zero(),), 4), ("queried", [[0]], True))  # G0 = {0}
 @example((make_group([8]), None, 0), ("fresh",))
-def test_system_matches_the_walk(case, warm_up):
+def test_system_matches_the_walk(fresh_atom_cache, case, warm_up):
     group, subset, bound = case
-    ours, oracle = fresh_atoms(group, subset), fresh_atoms(group, subset)
-    warm(ours, warm_up, bound, lambda b, atoms: system(group, subset, b, atoms))
+    fresh_atom_cache()
+    ours, oracle = enumerate_atoms(group, subset), fresh_atoms(group, subset)
+    warm(ours, warm_up, bound, lambda b, atoms: system(group, subset, b))
     warm(oracle, warm_up, bound, lambda b, atoms: walk_system(group, b, atoms))
-    assert list(system(group, subset, bound, ours).entries) == walk_system(group, bound, oracle)
+    assert list(system(group, subset, bound).entries) == walk_system(group, bound, oracle)
     assert memo_of(ours) == memo_of(oracle)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, **FIXTURE_OK)
 @given(cases(), st.integers(0, 10), st.booleans(), st.integers(1, 2))
 @example((make_group([3, 3]), None, 10), 9, False, 1)  # G0 holds 0: the shifted sets
 @example((make_group([2, 4]), tuple(elements(make_group([2, 4]))[1:]), 10), 6, True, 2)  # no 0
 @example((make_group([5]), None, 6), 6, True, 1)  # the same bound
-def test_system_reads_smaller_bounds_from_its_table(case, smaller, wide, extra):
+def test_system_reads_smaller_bounds_from_its_table(fresh_atom_cache, case, smaller, wide, extra):
     # a bound at most the largest run is read from the engine's table: the
     # fresh answer, and the memo is left as it was, also after a query
     # widened its field; a larger bound runs the pass again
     group, subset, bound = case
-    smaller = min(smaller, bound)
-    ours = fresh_atoms(group, subset)
-    system(group, subset, bound, ours)
+    smaller, larger = min(smaller, bound), bound + extra
+    expected = [fresh_system(fresh_atom_cache, group, subset, b) for b in (smaller, larger)]
+    fresh_atom_cache()
+    ours = enumerate_atoms(group, subset)
+    system(group, subset, bound)
     if wide:
         widen_field(ours)
     memo = list(memo_of(ours).items())
-    assert system(group, subset, smaller, ours) == system(group, subset, smaller, fresh_atoms(group, subset))
+    assert system(group, subset, smaller) == expected[0]
     assert list(memo_of(ours).items()) == memo
-    larger = bound + extra
-    assert system(group, subset, larger, ours) == system(group, subset, larger, fresh_atoms(group, subset))
-
-
-def test_tables_do_not_leak_between_engines():
-    # C4's atoms without [1:4], built by hand, keep a table of their own:
-    # to bound 10 they miss the sets {2,4}, {3,5} and {4,6} that need
-    # [1:4][3:4], which A(C4) has
-    group = make_group([4])
-    full = fresh_atoms(group, None)
-    partial = dataclasses.replace(full, atom_vectors=tuple(v for v in full.atom_vectors if v != (0, 4, 0, 0)))
-
-    def fresh(atoms, bound):
-        return system(group, None, bound, dataclasses.replace(atoms))
-
-    system(group, None, 12, full)
-    assert system(group, None, 10, partial) == fresh(partial, 10)
-    assert len(fresh(partial, 10)) == 17 and len(fresh(full, 10)) == 20
-    read = system(group, None, 6, partial)
-    assert read == fresh(partial, 6) and len(read) == 8
-    assert system(group, None, 10, full) == fresh(full, 10)
-    assert system(group, None, 6, full) == fresh(full, 6)
-    # an engine of another memo limit has no table yet, so it runs the pass
-    with pytest.raises(ResourceLimitError):
-        system(group, None, 6, full, 5)
+    assert system(group, subset, larger) == expected[1]
 
 
 @pytest.mark.parametrize("mods,bound,needed", [
@@ -184,41 +177,43 @@ def test_tables_do_not_leak_between_engines():
     ([2, 4], 7, 429),
     ([5], 8, 99),
 ])
-def test_memo_limit_thresholds(mods, bound, needed):
+def test_memo_limit_thresholds(fresh_atom_cache, mods, bound, needed):
     # on a fresh engine a run succeeds exactly when its final memo fits:
     # at limit = the walk's final memo size it passes, one below it refuses
     group = make_group(mods)
     oracle = fresh_atoms(group, None)
     walk_system(group, bound, oracle)
     assert engine_for(oracle).memo_size == needed
-    ours = fresh_atoms(group, None)
-    system(group, None, bound, ours, needed)
-    assert memo_of(ours, needed) == memo_of(oracle)
-    walk = lambda g, s, b, atoms, limit: walk_system(g, b, atoms, limit)  # noqa: E731
-    for run in (system, walk):
+    fresh_system(fresh_atom_cache, group, None, bound, memo_limit=needed)
+    assert memo_of(enumerate_atoms(group), needed) == memo_of(oracle)
+    ours = lambda b, limit: fresh_system(fresh_atom_cache, group, None, b, memo_limit=limit)  # noqa: E731
+    walk = lambda b, limit: walk_system(group, b, fresh_atoms(group, None), limit)  # noqa: E731
+    for run in (ours, walk):
         with pytest.raises(ResourceLimitError):
-            run(group, None, bound, fresh_atoms(group, None), needed - 1)
+            run(bound, needed - 1)
         # a run that stores nothing is not refused, even past the limit:
         # the empty product is in the memo from the start
-        assert len(run(group, None, 1, fresh_atoms(group, None), 0)) == 2  # {0}, {1}
+        assert len(run(1, 0)) == 2  # {0}, {1}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, **FIXTURE_OK)
 @given(cases())
-def test_memo_limit_refuses_where_the_walk_does(case):
+def test_memo_limit_refuses_where_the_walk_does(fresh_atom_cache, case):
     group, subset, bound = case
     oracle = fresh_atoms(group, subset)
     walk_system(group, bound, oracle)
     needed = engine_for(oracle).memo_size
-    ours = fresh_atoms(group, subset)
-    assert len(system(group, subset, bound, ours, needed)) == len(walk_system(group, bound, oracle))
+    smaller = sorted({bound // 2, bound})
+    expected = [fresh_system(fresh_atom_cache, group, subset, b) for b in smaller]
+    fresh_atom_cache()
+    ours = enumerate_atoms(group, subset)
+    limited = system(group, subset, bound, memo_limit=needed)
+    assert len(limited) == len(walk_system(group, bound, oracle))
     # the engine is at its limit; a read of its table stores nothing
     assert engine_for(ours, needed).memo_size == needed
-    for smaller in {bound // 2, bound}:
-        read = system(group, subset, smaller, ours, needed)
-        assert read == system(group, subset, smaller, fresh_atoms(group, subset))
+    for b, fresh in zip(smaller, expected):
+        assert system(group, subset, b, memo_limit=needed) == fresh
     if needed > 1:  # the empty product is in every memo from the start
-        refused = fresh_atoms(group, subset)
         with pytest.raises(ResourceLimitError):
-            system(group, subset, bound, refused, needed - 1)
-        assert engine_for(refused, needed - 1).memo_size <= needed - 1
+            fresh_system(fresh_atom_cache, group, subset, bound, memo_limit=needed - 1)
+        assert engine_for(enumerate_atoms(group, subset), needed - 1).memo_size <= needed - 1
