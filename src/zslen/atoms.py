@@ -25,20 +25,21 @@ an atom list is an antichain (divisible_pairs, for the cache validation)
 and finds the atoms dividing an element in the factorization engine.
 
 An AtomSet holds the walk's vectors over letters with classes, and owns
-the engines built over it.  Letters are labels: the elements of G0 for
+the one engine built over it.  Letters are labels: the elements of G0 for
 B(G0), prime names for a Krull instance.  build_atoms, the one builder,
-caches nothing; the owner of an atom set decides how long its memos live.
-enumerate_atoms caches the sets over G0, so repeated length queries and
-the verify suites reuse one memo; a KrullInstance owns its H-atoms, which
-die with it; delta_star owns nothing and drops each subset's set.  Only a
-walk proves a list of atoms complete, so the whole-monoid scans of B(G0)
-take no atom set: each resolves A(G0) by enumerate_atoms itself.
+caches nothing; the owner of an atom set decides how long its memo lives.
+enumerate_atoms keeps one set per (group, G0), so repeated length queries
+and the verify suites reuse one memo; a KrullInstance owns its H-atoms,
+which die with it; delta_star owns nothing and drops each subset's set.
+Only a walk proves a list of atoms complete, so the whole-monoid scans of
+B(G0) take no atom set: each resolves A(G0) by enumerate_atoms itself.
+No cache is keyed by a ceiling (held_to_node_limit, lengths.engine_for).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, elements, tables
@@ -169,14 +170,14 @@ def minimal_nonzero_vectors(
 class AtomSet:
     """The atoms of a monoid of class-sum-zero words (B(G0), or the H of a
     Krull instance), held as dense exponent vectors over the letter order.
-    `engines` maps a memo limit to this set's FactorizationEngine
-    (lengths.engine_for)."""
+    `engine` is this set's one FactorizationEngine, built by
+    lengths.engine_for on first use; every memo limit shares its memo."""
 
     group: FiniteAbelianGroup
     letters: tuple  # labels: elements of G0, or prime names
     atom_vectors: tuple[tuple[int, ...], ...]
     nodes_visited: int = field(default=0, compare=False)
-    engines: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    engine: object = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self):
         return len(self.atom_vectors)
@@ -224,6 +225,27 @@ def build_atoms(
     return AtomSet(group, letters, tuple(vectors), nodes)
 
 
+def check_limit(name: str, limit) -> None:
+    """Refuse a ceiling that is not an int (a bool included) before it
+    meets a cache; a value below 1 refuses the work itself."""
+    if type(limit) is not int:
+        raise InvalidArgumentError(f"{name} must be an integer: {limit!r}")
+
+
+def held_to_node_limit(atoms: AtomSet | None, node_limit: int) -> AtomSet | None:
+    """A cached atom set (None: none yet) held to the caller's node limit:
+    it raises where a fresh walk under node_limit would, as that walk
+    raises iff it visits more than node_limit nodes."""
+    check_limit("node limit", node_limit)
+    if atoms is not None and atoms.nodes_visited > node_limit:
+        raise ResourceLimitError("lattice node", node_limit)
+    return atoms
+
+
+# A(G0) per (group, G0); atom sets are immutable, so sharing them is safe
+_ATOM_SETS: dict[tuple[FiniteAbelianGroup, tuple[GroupElement, ...]], AtomSet] = {}
+
+
 def enumerate_atoms(
     group: FiniteAbelianGroup,
     subset=None,
@@ -231,20 +253,16 @@ def enumerate_atoms(
 ) -> AtomSet:
     """Enumerate A(G0) for G0 a subset of the group (default: all of it).
 
-    Results are cached per (group, subset, node limit), and so are their
-    engine memos; atom sets are immutable, so sharing them is safe.
+    One set is cached per (group, subset), and with it its engine's memo;
+    a walk that node_limit refuses caches nothing.
     """
     alphabet = canonical_subset(group, subset)
     if not alphabet:
         raise InvalidArgumentError("subset must be nonempty")
-    return _enumerate_atoms_cached(group, alphabet, node_limit)
-
-
-@lru_cache(maxsize=None)
-def _enumerate_atoms_cached(
-    group: FiniteAbelianGroup, alphabet: tuple[GroupElement, ...], node_limit: int
-) -> AtomSet:
-    return build_atoms(group, alphabet, alphabet, node_limit)
+    atoms = held_to_node_limit(_ATOM_SETS.get((group, alphabet)), node_limit)
+    if atoms is None:
+        atoms = _ATOM_SETS[group, alphabet] = build_atoms(group, alphabet, alphabet, node_limit)
+    return atoms
 
 
 def is_atom(s: Sequence) -> bool:

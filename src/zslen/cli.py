@@ -143,7 +143,7 @@ def _get_atoms(group: FiniteAbelianGroup, subset, args) -> AtomSet:
 def _resource_counters() -> dict:
     return {
         "atom_lattice_nodes": sum(a.nodes_visited for a in _TOUCHED_ATOMS),
-        "memo_entries": sum(e.memo_size for a in _TOUCHED_ATOMS for e in a.engines.values()),
+        "memo_entries": sum(a.engine.memo_size for a in _TOUCHED_ATOMS if a.engine),
     }
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .atoms import AtomSet, build_atoms, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
+from .atoms import AtomSet, build_atoms, check_limit, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, automorphisms, elements, tables
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, delta_of, engine_for, length_set
@@ -229,12 +229,15 @@ def compare_with_closed_form(
     be a member of the family.  Completeness is only demanded of family
     sets guaranteed a witness within the bound: a set L has a witness of
     length at most D(G)*min L, and a D(G) margin is kept to stay clear of
-    the truncation frontier.  A given system must be over all of G.
+    the truncation frontier.  A given system must be over all of G and to
+    the same bound.
     """
     if sys is None:
         sys = system(group, None, bound)
     elif sys.subset != elements(group):
         raise InvalidArgumentError(f"system does not match B({group})")
+    elif sys.bound != bound:
+        raise InvalidArgumentError(f"system to bound {sys.bound} does not match bound {bound}")
     dav, _ = davenport(group)
     computed = set(sys.length_sets())
     family = closed_form_system(group, max(bound, max((ls.max for ls in computed), default=0)))
@@ -519,6 +522,7 @@ def delta_star(group: FiniteAbelianGroup, *, node_limit: int = DEFAULT_NODE_LIMI
     DEFAULT_SUBSET_SCAN_MAX_ORDER.  Each subset's atom set, built uncached,
     is dropped after use.
     """
+    check_limit("node limit", node_limit)
     els = elements(group)
     if len(els) > DEFAULT_SUBSET_SCAN_MAX_ORDER:
         raise ResourceLimitError("subset scan group order", DEFAULT_SUBSET_SCAN_MAX_ORDER, len(els))

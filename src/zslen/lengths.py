@@ -46,13 +46,15 @@ is what keeps those keys valid: a key query never widens the field.  A
 key that is negative or has a bit beyond the width's fields raises
 InvalidArgumentError and stores nothing.
 
-engine_for keeps one engine per memo limit on the AtomSet itself, so the
-memo lives as long as the atom set and there is no module-level table.
-length_set checks the group, then packs B's key from its items and reads
-the memo: a positive mask makes B a product of atoms, hence zero-sum.
-Only without one does it run the zero-sum fold, engine_for and the miss
-path.  Each query passes once through lengths_mask, and the engine hands
-out one LengthSet per distinct mask.
+engine_for keeps the one engine of an AtomSet on the set itself, so the
+memo lives as long as the atom set and there is no module-level table;
+each call holds it to the caller's memo_limit, and a memo hit or a
+system_table read is answered under any limit.  length_set checks the
+group, then packs B's key from its items and reads the memo: a positive
+mask makes B a product of atoms, hence zero-sum.  Only without one does
+it run the zero-sum fold, engine_for and the miss path.  Each query
+passes once through lengths_mask, and the engine hands out one LengthSet
+per distinct mask.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .atoms import AtomSet, below_rows
+from .atoms import AtomSet, below_rows, check_limit
 from .errors import InvalidArgumentError, ResourceLimitError
 from .sequence import Sequence, index_sum
 
@@ -447,11 +449,12 @@ def _unpack(key: int, width: int, nbytes: int) -> tuple[int, ...]:
 
 
 def engine_for(atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> FactorizationEngine:
-    """The atom set's engine for this memo limit; memo tables persist across calls."""
-    engine = atoms.engines.get(memo_limit)
-    if engine is None:
-        engine = atoms.engines[memo_limit] = FactorizationEngine(atoms.vectors(), memo_limit)
-    return engine
+    """The atom set's one engine, held to memo_limit until the next call."""
+    check_limit("memo limit", memo_limit)
+    if atoms.engine is None:  # the set is frozen; its engine slot is set once
+        object.__setattr__(atoms, "engine", FactorizationEngine(atoms.vectors(), memo_limit))
+    atoms.engine.memo_limit = memo_limit
+    return atoms.engine
 
 
 def _query(b: Sequence, atoms: AtomSet) -> tuple[int, ...]:
@@ -467,8 +470,9 @@ def _query(b: Sequence, atoms: AtomSet) -> tuple[int, ...]:
 
 def length_set(b: Sequence, atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> LengthSet:
     """Exact L(B) for a zero-sum sequence B over the atom set's letters."""
-    if b.group.invariant_factors == atoms.group.invariant_factors:
-        engine = atoms.engines.get(memo_limit)
+    # a limit that is not an int falls through, for engine_for to refuse
+    if type(memo_limit) is int and b.group.invariant_factors == atoms.group.invariant_factors:
+        engine = atoms.engine
         key = engine and engine.product_key(b.items, atoms.positions)
         if key is not None:  # B is a product of atoms, so zero-sum
             return engine.set_of(engine.lengths_mask(key))

@@ -10,9 +10,9 @@ words over the primes, as B(G0) is over G0, so its atoms come from the
 builder of A(G0) (atoms.build_atoms, with the prime names as letters and
 the class map as their classes) and its lengths from the same engine_for,
 which takes a word as it is.
-A KrullInstance owns its atom set per node limit, and with it the engines
-and their memos: they die with the instance and never enter the
-enumerate_atoms cache.
+A KrullInstance owns its one atom set, and with it the set's engine and
+memo: they die with the instance and never enter the enumerate_atoms
+cache.  A node limit is held against the set as enumerate_atoms holds it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .atoms import DEFAULT_NODE_LIMIT, AtomSet, build_atoms, enumerate_atoms
+from .atoms import DEFAULT_NODE_LIMIT, AtomSet, build_atoms, enumerate_atoms, held_to_node_limit
 from .errors import InvalidArgumentError
 from .group import FiniteAbelianGroup, GroupElement, tables
 from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, engine_for, length_set
@@ -36,8 +36,8 @@ class KrullInstance:
     subset: tuple[GroupElement, ...]  # G0, in canonical order
     primes: tuple[str, ...]
     classes: tuple[GroupElement, ...]  # class of each prime, aligned with primes
-    # the atom set of H per node limit (instance_atoms), with its engines
-    atom_sets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the atom set of H (instance_atoms), with its engine
+    atom_set: AtomSet | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.primes) != len(self.classes):
@@ -103,12 +103,11 @@ def instance_atoms(
     instance: KrullInstance, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> AtomSet:
     """Atoms of H, the Dickson-minimal nonzero class-sum-zero prime vectors,
-    as the instance's atom set over its primes; walked once per node limit."""
-    atoms = instance.atom_sets.get(node_limit)
+    as the instance's atom set over its primes; walked once per instance."""
+    atoms = held_to_node_limit(instance.atom_set, node_limit)
     if atoms is None:
-        atoms = instance.atom_sets[node_limit] = build_atoms(
-            instance.group, instance.primes, instance.classes, node_limit
-        )
+        atoms = build_atoms(instance.group, instance.primes, instance.classes, node_limit)
+        object.__setattr__(instance, "atom_set", atoms)  # the instance is frozen
     return atoms
 
 

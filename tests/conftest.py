@@ -1,5 +1,3 @@
-import functools
-
 import pytest
 
 from zslen import atoms as atoms_module
@@ -48,14 +46,13 @@ def c24():
 
 @pytest.fixture
 def fresh_atom_cache(monkeypatch):
-    """Swap the cache of enumerate_atoms for an empty one, so that the
+    """Swap the registry of enumerate_atoms for an empty one, so that the
     scans walk A(G0) afresh and run on new engines: the module's cached
     sets hold engines that earlier tests ran.  Calling the returned
     function empties it again, as a Hypothesis example needs."""
-    walk = atoms_module._enumerate_atoms_cached.__wrapped__
 
     def renew():
-        monkeypatch.setattr(atoms_module, "_enumerate_atoms_cached", functools.lru_cache(maxsize=None)(walk))
+        monkeypatch.setattr(atoms_module, "_ATOM_SETS", {})
 
     renew()
     return renew

@@ -75,24 +75,20 @@ def test_sweeps_ops_fill_the_memos_they_did(monkeypatch):
     # forward pass of `system` stores exactly the entries the per-key
     # queries stored, C3+C3 4,862 + C2+C4 3,978, and the U_k walk of C5
     # stores 1,702 (2,219 when it queried every orbit)
-    import functools
-
     import zslen.atoms
     from zslen import (
         delta_of_group, enumerate_atoms, make_group, system, unions_range,
         verify_structure_theorem,
     )
 
-    cached = zslen.atoms._enumerate_atoms_cached
-    monkeypatch.setattr(zslen.atoms, "_enumerate_atoms_cached",
-                        functools.lru_cache(maxsize=None)(cached.__wrapped__))
+    monkeypatch.setattr(zslen.atoms, "_ATOM_SETS", {})
     c33, c24, c5 = make_group([3, 3]), make_group([2, 4]), make_group([5])
     system(c33, None, 10)
     system(c24, None, 11)
     delta_of_group(c33, None, 10)
     unions_range(c5, 6)
     verify_structure_theorem(c33, 9)
-    memos = [sum(e.memo_size for e in enumerate_atoms(g).engines.values()) for g in (c33, c24, c5)]
+    memos = [enumerate_atoms(g).engine.memo_size for g in (c33, c24, c5)]
     assert memos == [4862, 3978, 1702]
 
 

@@ -115,7 +115,7 @@ def test_loaded_set_owns_fresh_engines(tmp_path, c3):
     cache_store(tmp_path, atoms)
     loaded = cache_load(tmp_path, c3, atoms.letters)
     assert loaded == atoms and loaded.vectors() == atoms.vectors()
-    assert loaded.engines == {}
+    assert loaded.engine is None
     assert engine_for(loaded) is engine_for(loaded) is not engine_for(atoms)
 
 

@@ -114,11 +114,11 @@ def test_unions_subcommand(capsys):
     assert all(row["interval"] for row in rows.values())
 
 
-def test_unions_checks_k_before_it_walks(capsys, monkeypatch):
+def test_unions_checks_k_before_it_walks(capsys, monkeypatch, fresh_atom_cache):
     def walk(*args):
         raise AssertionError("A(G) walked for a k range that is refused")
 
-    monkeypatch.setattr(atoms_module, "_enumerate_atoms_cached", walk)
+    monkeypatch.setattr(atoms_module, "minimal_nonzero_vectors", walk)
     code, report = run_json(capsys, "unions", "--group", "3", "--k", "0")
     assert code == 2
     assert report["error"]["type"] == "invalid-argument"
@@ -667,7 +667,11 @@ CEILINGS = [
 
 @pytest.mark.parametrize("argv, ceiling", CEILINGS,
                          ids=[f"{argv[0]} {ceiling}" for argv, ceiling in CEILINGS])
-def test_kept_ceiling_bounds_the_work(capsys, argv, ceiling):
+def test_kept_ceiling_bounds_the_work(capsys, request, argv, ceiling):
+    if ceiling == "--memo-limit":
+        # on a fresh registry, as a one-command process runs: a warm memo
+        # answers its hits under any memo limit
+        request.getfixturevalue("fresh_atom_cache")
     code, report = run_json(capsys, *argv, ceiling, "1")
     assert code == 3
     assert report["error"]["type"] == "resource-limit"

@@ -243,11 +243,12 @@ def test_atoms_over_is_gone():
     lambda g: unions_range(g, 0),
 ], ids=["system-float", "system-bool", "system-none", "system-negative", "delta-float",
         "unions-float", "unions-bool", "unions-zero"])
-def test_scans_refuse_a_bound_that_is_not_an_int_before_walking(call, c3, monkeypatch):
+def test_scans_refuse_a_bound_that_is_not_an_int_before_walking(call, c3, monkeypatch,
+                                                               fresh_atom_cache):
     def walk(*args):
         raise AssertionError("walked A(G) for a bound that is refused")
 
-    monkeypatch.setattr(atoms_module, "_enumerate_atoms_cached", walk)
+    monkeypatch.setattr(atoms_module, "minimal_nonzero_vectors", walk)
     with pytest.raises(InvalidArgumentError, match=r"^(bound|k_max) must be a"):
         call(c3)
 
@@ -346,7 +347,7 @@ def test_unions_memo_is_pinned(c5, fresh_atom_cache):
     # memo holds 1,702 entries after k <= 6 (2,219 when every orbit was
     # queried, 12,269 when every product was, 3,593 when those holding 0
     # were too)
-    assert not enumerate_atoms(c5).engines
+    assert enumerate_atoms(c5).engine is None
     unions_range(c5, 6)
     assert engine_for(enumerate_atoms(c5)).memo_size == 1702
 
@@ -360,7 +361,7 @@ def test_unions_with_two_byte_fields(fresh_atom_cache):
     # the prime [0:1] were queried too)
     group = make_group([2])
     atoms = enumerate_atoms(group)
-    assert not atoms.engines
+    assert atoms.engine is None
     unions = unions_range(group, 130)
     assert engine_for(atoms).widen(0) == 16
     assert [u.values for u in unions.values()] == [(k,) for k in range(1, 131)]
@@ -409,11 +410,9 @@ def test_delta_star_subset_of_delta(c4):
 
 
 def test_delta_star_keeps_no_atom_sets(c4):
-    from zslen.atoms import _enumerate_atoms_cached
-
-    before = _enumerate_atoms_cached.cache_info().currsize
+    before = len(atoms_module._ATOM_SETS)
     delta_star(c4)
-    assert _enumerate_atoms_cached.cache_info().currsize == before
+    assert len(atoms_module._ATOM_SETS) == before
 
 
 def test_delta_star_reads_neither_the_scan_nor_the_engine(c4, monkeypatch):
@@ -526,6 +525,13 @@ def test_closed_form_comparison_rejects_a_subset_system(c3):
     e = elements(c3)
     with pytest.raises(InvalidArgumentError, match="does not match"):
         compare_with_closed_form(c3, 6, system(c3, [e[1], e[2]], 6))
+
+
+def test_closed_form_comparison_rejects_a_system_of_another_bound(c3):
+    # a system to bound 6 lacks {3,4}, which the comparison at 12 demands
+    with pytest.raises(InvalidArgumentError, match="does not match bound 12"):
+        compare_with_closed_form(c3, 12, system(c3, None, 6))
+    assert compare_with_closed_form(c3, 12, system(c3, None, 12)).ok
 
 
 def zero_sum_vectors(group, alphabet, bound):

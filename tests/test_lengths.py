@@ -289,7 +289,7 @@ def test_system_memo_size_pinned(c33, fresh_atom_cache):
     # distinct vectors the recursion visits; 5,420 when the walk queried the
     # keys holding the prime 0 too, now 2,710 as only zero-free keys are
     atoms = enumerate_atoms(c33)
-    assert not atoms.engines
+    assert atoms.engine is None
     system(c33, None, 9)
     assert lengths.engine_for(atoms).memo_size == 2710
 

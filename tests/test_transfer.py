@@ -4,7 +4,7 @@ import random
 import pytest
 
 from zslen import transfer
-from zslen.atoms import DEFAULT_NODE_LIMIT, AtomSet, enumerate_atoms, is_atom
+from zslen.atoms import AtomSet, enumerate_atoms, is_atom
 from zslen.errors import InvalidArgumentError
 from zslen.group import make_group, zero
 from zslen.lengths import LengthSet, length_set
@@ -45,7 +45,7 @@ def test_prime_outside_instance_is_invalid_argument(c3, fn):
     inst = make_instance(c3, None, 1)
     with pytest.raises(InvalidArgumentError, match="one per prime"):
         fn(inst, (3, 0, 0, 1))
-    assert not inst.atom_sets
+    assert inst.atom_set is None
 
 
 @pytest.mark.parametrize("fn", WORD_FUNCTIONS)
@@ -55,7 +55,7 @@ def test_malformed_word_is_invalid_argument(c3, fn, word):
     inst = make_instance(c3, None, 1)
     with pytest.raises(InvalidArgumentError, match="one per prime"):
         fn(inst, word)
-    assert not inst.atom_sets
+    assert inst.atom_set is None
 
 
 def test_beta_images_are_zero_sum(c4):
@@ -101,8 +101,7 @@ def test_warm_direct_length_set_reads_the_memo(c4, monkeypatch):
     rng = random.Random(7)
     words = [random_word(inst, rng, 8) for _ in range(20)]
     cold = [direct_length_set(inst, a) for a in words]
-    (atoms,) = inst.atom_sets.values()
-    (engine,) = atoms.engines.values()
+    engine = inst.atom_set.engine
     size = engine.memo_size
     images = []
     original = transfer.class_image
@@ -140,7 +139,7 @@ def test_negative_counts_are_invalid_argument(c3, counts):
     inst = make_instance(c3, None, 2)
     with pytest.raises(InvalidArgumentError, match="nonnegative"):
         check_transfer(inst, *counts)
-    assert not inst.atom_sets
+    assert inst.atom_set is None
 
 
 @pytest.mark.parametrize("length", [0, 1])
@@ -152,7 +151,7 @@ def test_word_lengths_below_two_are_refused_before_any_walk(c3, length):
     assert {random_word(inst, rng, length) for _ in range(50)} == {(0,) * len(inst.primes)}
     with pytest.raises(InvalidArgumentError, match="at least 2"):
         check_transfer(inst, 10, length)
-    assert not inst.atom_sets
+    assert inst.atom_set is None
     assert any(map(any, (random_word(inst, rng, 2) for _ in range(50))))
 
 
@@ -181,7 +180,7 @@ def corrupted_correspondence(group, vectors):
     """check_atom_correspondence on an instance with one prime per class,
     so that H is B(G0), whose H-atoms are replaced by the given vectors."""
     inst = make_instance(group, None, 1)
-    inst.atom_sets[DEFAULT_NODE_LIMIT] = AtomSet(group, inst.primes, tuple(vectors))
+    object.__setattr__(inst, "atom_set", AtomSet(group, inst.primes, tuple(vectors)))
     return check_atom_correspondence(inst)
 
 
@@ -270,8 +269,8 @@ def test_checked_instance_is_not_kept_alive(c4):
     inst = make_instance(c4, None, 2)
     assert check_transfer(inst, 10, 8, 0).ok
     # the instance holds its atom set, and the atom set its engine
-    (atoms,) = inst.atom_sets.values()
-    assert atoms.engines
+    atoms = inst.atom_set
+    assert atoms.engine is not None
     refs = [weakref.ref(inst), weakref.ref(atoms)]
     del inst, atoms
     gc.collect()
@@ -295,9 +294,9 @@ def test_instance_walks_its_atoms_once(c22, monkeypatch):
     assert check_atom_correspondence(inst).ok
     assert len(walks) == 1
     assert len(walks[0][1]) == len(inst.primes)  # the walk over H, not B(G0)
-    # an equal instance owns its own atom set, engines and memos
+    # an equal instance owns its own atom set, engine and memo
     other = make_instance(c22, None, 2)
-    assert other == inst and not other.atom_sets
+    assert other == inst and other.atom_set is None
     assert instance_atoms(other) == instance_atoms(inst)
     assert instance_atoms(other) is not instance_atoms(inst)
     assert len(walks) == 2
@@ -309,4 +308,4 @@ def test_sequence_query_against_instance_atoms_is_invalid_argument(c3):
     atoms = instance_atoms(inst)
     with pytest.raises(InvalidArgumentError, match="outside alphabet"):
         length_set(parse_sequence(c3, "[1:3]"), atoms)
-    assert not atoms.engines
+    assert atoms.engine is None
