@@ -46,6 +46,7 @@ from .group import FiniteAbelianGroup, GroupElement, elements, tables
 from .sequence import Sequence, canonical_subset, index_sum, is_zero_sum
 
 DEFAULT_NODE_LIMIT = 10**8
+DEFAULT_MEMO_LIMIT = 10**7  # memo entries of a factorization engine (lengths.engine_for)
 
 
 def below_rows(vectors, caps) -> list[list[int]]:

@@ -14,44 +14,23 @@ import argparse
 import dataclasses
 import io
 import json
-import logging
 import os
 import sys
 import time
-import traceback
-from fractions import Fraction
 
+# the parser and the atom commands need only these modules; the other
+# handlers import their own, so a process loads only what its command runs
 from . import __version__
 from .atoms import (
+    DEFAULT_MEMO_LIMIT,
     DEFAULT_NODE_LIMIT,
     AtomSet,
     davenport,
     davenport_star,
     enumerate_atoms,
 )
-from .cache import cache_load, cache_store
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import DEFAULT_MAX_ORDER, FiniteAbelianGroup, elements, make_group
-from .invariants import (
-    delta_of_group,
-    delta_star,
-    system,
-    unions_range,
-)
-from .lengths import (
-    DEFAULT_MEMO_LIMIT,
-    LengthSet,
-    delta_of,
-    elasticity_of,
-    length_set,
-)
-from .numerical import (
-    contains,
-    make_numerical,
-    num_elasticity,
-    num_length_set,
-    num_min_delta,
-)
 from .sequence import (
     canonical_subset,
     encode_dense,
@@ -60,9 +39,7 @@ from .sequence import (
     parse_sequence,
     split_top_level,
 )
-from .structure_fit import best_aamp, fit_aamp, verify_structure_theorem
-from .transfer import check_atom_correspondence, check_transfer, instance_atoms, make_instance
-from .verify import SUITES, run_suite
+from .suites import SUITES
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -71,8 +48,6 @@ EXIT_RESOURCE_LIMIT = 3
 EXIT_INTERNAL_ERROR = 4
 
 REPORT_SCHEMA = "zslen-report/1"
-
-log = logging.getLogger(__name__)
 
 
 def _parse_group(text: str, max_order: int | None) -> FiniteAbelianGroup:
@@ -113,11 +88,8 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 
 
 def _fraction_str(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    if x == float("inf"):
-        return "inf"
-    return str(x)
+    # str of a Fraction is "p/q", or "p" when q is 1
+    return "inf" if x == float("inf") else str(x)
 
 
 # atom sets fetched while handling the current command, for resource counters
@@ -126,16 +98,21 @@ _TOUCHED_ATOMS: list[AtomSet] = []
 
 def _get_atoms(group: FiniteAbelianGroup, subset, args) -> AtomSet:
     cache_dir = args.cache_dir
-    atoms = None
-    if cache_dir:
-        atoms = cache_load(cache_dir, group, subset)
-    if atoms is None:
+    if not cache_dir:
         atoms = enumerate_atoms(group, subset, node_limit=args.node_limit)
-        if cache_dir:
+    else:
+        import logging
+
+        from .cache import cache_load, cache_store
+
+        atoms = cache_load(cache_dir, group, subset)
+        if atoms is None:
+            atoms = enumerate_atoms(group, subset, node_limit=args.node_limit)
             try:
                 cache_store(cache_dir, atoms)
             except OSError as exc:  # the cache is advisory, as a failed load is
-                log.warning("cannot store atom cache in %s (%s); continuing", cache_dir, exc)
+                logging.getLogger(__name__).warning(
+                    "cannot store atom cache in %s (%s); continuing", cache_dir, exc)
     _TOUCHED_ATOMS.append(atoms)
     return atoms
 
@@ -181,6 +158,8 @@ def cmd_davenport(args):
 
 
 def cmd_lengths(args):
+    from .lengths import delta_of, elasticity_of, length_set
+
     group = args.group
     seq = parse_sequence(group, args.sequence)
     atoms = _get_atoms(group, tuple(elements(group)), args)
@@ -195,6 +174,8 @@ def cmd_lengths(args):
 
 
 def cmd_system(args):
+    from .invariants import system
+
     group = args.group
     subset = _parse_subset(group, args.subset)
     sys_ = system(group, subset, args.bound, node_limit=args.node_limit, memo_limit=args.memo_limit)
@@ -211,6 +192,8 @@ def cmd_system(args):
 
 
 def cmd_unions(args):
+    from .invariants import unions_range
+
     group = args.group
     lo, hi = _parse_k_range(args.k)
     if lo < 1 or hi < lo:
@@ -233,6 +216,8 @@ def cmd_unions(args):
 
 
 def cmd_delta(args):
+    from .invariants import delta_of_group
+
     group = args.group
     subset = _parse_subset(group, args.subset)
     report = delta_of_group(
@@ -249,6 +234,8 @@ def cmd_delta(args):
 
 
 def cmd_delta_star(args):
+    from .invariants import delta_star
+
     report = delta_star(args.group, node_limit=args.node_limit)
     return {
         "group": list(args.group.invariant_factors),
@@ -264,6 +251,9 @@ def _fit_payload(fit):
 
 
 def cmd_fit(args):
+    from .lengths import LengthSet
+    from .structure_fit import best_aamp, fit_aamp
+
     values = _parse_ints(args.set)
     if not values:
         raise InvalidArgumentError("empty length set")
@@ -279,6 +269,8 @@ def cmd_fit(args):
 
 
 def cmd_verify_structure(args):
+    from .structure_fit import verify_structure_theorem
+
     group = args.group
     report = verify_structure_theorem(group, args.bound)
     _TOUCHED_ATOMS.append(enumerate_atoms(group))  # the cached A(G) it walked
@@ -313,6 +305,9 @@ def cmd_verify_structure(args):
 
 
 def cmd_numerical(args):
+    from .lengths import delta_of, elasticity_of
+    from .numerical import contains, make_numerical, num_elasticity, num_length_set, num_min_delta
+
     monoid = make_numerical(_parse_ints(args.gens))
     results = {
         "generators": list(monoid.generators),
@@ -333,6 +328,8 @@ def cmd_numerical(args):
 
 
 def cmd_transfer_check(args):
+    from .transfer import check_atom_correspondence, check_transfer, instance_atoms, make_instance
+
     group = args.group
     subset = _parse_subset(group, args.subset)
     instance = make_instance(group, subset, args.primes_per_class)
@@ -373,6 +370,8 @@ def cmd_transfer_check(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suite
+
     options = {dest: getattr(args, dest) for dest in SUITES[args.suite].options}
     verdicts = run_suite(args.suite, args.group, **options)
     results = {
@@ -597,6 +596,8 @@ def main(argv=None) -> int:
         return _error_report(report, EXIT_RESOURCE_LIMIT, "resource-limit", str(exc),
                              bound=exc.bound_name, limit=exc.limit)
     except Exception as exc:
+        import traceback
+
         # a bug, not bad input: keep only the fields that are known to
         # serialize, since the failure may lie in the results themselves
         frame = traceback.extract_tb(exc.__traceback__)[-1]

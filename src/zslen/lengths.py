@@ -64,11 +64,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .atoms import AtomSet, below_rows, check_limit
+from .atoms import DEFAULT_MEMO_LIMIT, AtomSet, below_rows, check_limit
 from .errors import InvalidArgumentError, ResourceLimitError
 from .sequence import Sequence, index_sum
-
-DEFAULT_MEMO_LIMIT = 10**7
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,15 @@
 Each suite returns a list of verdicts (name, pass flag, witness text); the
 CLI turns any failed verdict into exit code 1.  The flag is None when a
 bounded scan was too small to decide the claim: undecided, not failed.  Witnesses always carry the
-concrete inputs so a failure can be replayed by hand.  `SUITES` holds each
-suite's function and the options it reads with their defaults; the CLI
-builds each suite's options from it.
+concrete inputs so a failure can be replayed by hand.  `suites.SUITES`
+names each suite's function here and the options it reads with their
+defaults; the CLI builds each suite's options from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 from .atoms import davenport
 from .errors import InvalidArgumentError
@@ -27,6 +26,7 @@ from .invariants import (
 )
 from .numerical import accumulated_delta, make_numerical
 from .structure_fit import verify_structure_theorem, verify_unions_structure
+from .suites import SUITES
 from .transfer import check_atom_correspondence, check_transfer, make_instance
 
 @dataclass(frozen=True)
@@ -254,28 +254,6 @@ def _run_all(small: bool, seed: int) -> list[Verdict]:
     return out
 
 
-class Suite(NamedTuple):
-    """A named suite: its function, the options it reads with their
-    defaults, and whether it runs on one given group."""
-
-    run: Callable[..., list[Verdict]]
-    options: dict[str, int | bool]
-    on_group: bool = True
-
-
-SUITES = {
-    "prop2.3": Suite(verify_prop_2_3, {"bound": 10}),
-    "prop6.1": Suite(verify_prop_6_1, {"k_max": 6, "bound": 10}),
-    "prop6.2": Suite(verify_prop_6_2, {"bound": 10}),
-    "prop6.5": Suite(verify_prop_6_5, {}),
-    "thm2.6": Suite(verify_thm_2_6, {"k_max": 10}),
-    "thm5.3": Suite(verify_thm_5_3, {"bound": 10}),
-    "thm6.3.1": Suite(verify_thm_6_3_1, {"samples": 200, "seed": 0}),
-    "lemma4.2": Suite(verify_lemma_4_2, {"primes_per_class": 2, "samples": 100, "seed": 0}),
-    "all": Suite(_run_all, {"small": False, "seed": 0}, on_group=False),
-}
-
-
 def run_suite(name: str, group: FiniteAbelianGroup | None = None, **options) -> list[Verdict]:
     """Run a named suite; `all` runs the bundled acceptance set.  An option
     left out takes the suite's default, a given one (0 included) is used as
@@ -290,4 +268,5 @@ def run_suite(name: str, group: FiniteAbelianGroup | None = None, **options) -> 
         need = "requires" if suite.on_group else "takes no"
         raise InvalidArgumentError(f"suite {name!r} {need} group")
     options = {**suite.options, **options}
-    return suite.run(group, **options) if suite.on_group else suite.run(**options)
+    run = globals()[suite.run]
+    return run(group, **options) if suite.on_group else run(**options)

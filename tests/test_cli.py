@@ -326,10 +326,12 @@ def test_exit_code_resource_limit(capsys):
 
 
 def test_exit_code_verification_failure(capsys, monkeypatch):
+    import zslen.verify
     from zslen.verify import Verdict
 
+    # cmd_verify imports run_suite when it runs, so it reads the patched one
     monkeypatch.setattr(
-        cli_mod, "run_suite", lambda *a, **k: [Verdict("forced", False, "x")]
+        zslen.verify, "run_suite", lambda *a, **k: [Verdict("forced", False, "x")]
     )
     code, report = run_json(capsys, "verify", "prop2.3", "--group", "3")
     assert code == 1
@@ -684,7 +686,9 @@ def test_verify_config_echoes_the_options_the_suite_read(capsys, monkeypatch):
         calls.append((args, options))
         return []
 
-    monkeypatch.setattr(cli_mod, "run_suite", record)
+    import zslen.verify
+
+    monkeypatch.setattr(zslen.verify, "run_suite", record)
     code, report = run_json(capsys, "verify", "all", "--stable")
     assert code == 0
     assert report["config"] == {"seed": 0, "small": False, "suite": "all"}
