@@ -1,9 +1,7 @@
 """The table of verification suites, apart from their code.
 
-`SUITES` names each suite's function in zslen.verify, the options it reads
-with their defaults, and whether it runs on one given group.
-`verify.run_suite` runs a suite from it, and the command line builds each
-suite's options from it without importing the suites' code.
+`verify.run_suite` runs a suite from `SUITES`, and the command line builds
+each suite's options from it without importing the suites' code.
 """
 
 from __future__ import annotations
