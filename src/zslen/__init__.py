@@ -16,7 +16,7 @@ _EXPORTS = {
               "order_of", "zero"),
     "sequence": ("Sequence", "divides", "enumerate_zero_sum", "is_zero_sum", "mul", "negate",
                  "parse_sequence", "quotient", "sigma"),
-    "atoms": ("AtomSet", "davenport", "davenport_star", "enumerate_atoms", "is_atom"),
+    "atoms": ("AtomSet", "davenport", "davenport_star", "enumerate_atoms", "is_atom", "limits"),
     "lengths": ("LengthSet", "delta_of", "dilate", "elasticity_of", "exhaustive_length_set",
                 "length_set", "shift", "sumset"),
     "invariants": ("SystemOfLengthSets", "UnionOfLengths", "closed_form_system",

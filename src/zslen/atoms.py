@@ -33,11 +33,19 @@ and the verify suites reuse one memo; a KrullInstance owns its H-atoms,
 which die with it; delta_star owns nothing and drops each subset's set.
 Only a walk proves a list of atoms complete, so the whole-monoid scans of
 B(G0) take no atom set: each resolves A(G0) by enumerate_atoms itself.
-No cache is keyed by a ceiling (held_to_node_limit, lengths.engine_for).
+
+The two ceilings are set once, by `with limits(...)`, and read only where
+work is charged: the node cap once per walk, by minimal_nonzero_vectors,
+and the memo cap by the factorization engine on a memo miss.  They bound
+one walk and one engine's held entries, not a command's total.  No cache
+is keyed by a ceiling: held_to_node_cap holds a cached set to the node
+cap in force, as a fresh walk under it would raise.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,6 +55,28 @@ from .sequence import Sequence, canonical_subset, index_sum, is_zero_sum
 
 DEFAULT_NODE_LIMIT = 10**8
 DEFAULT_MEMO_LIMIT = 10**7  # memo entries of a factorization engine (lengths.engine_for)
+# (lattice nodes of one atom walk, memo entries of one engine), set by limits
+CAPS: ContextVar[tuple[int, int]] = ContextVar(
+    "zslen_caps", default=(DEFAULT_NODE_LIMIT, DEFAULT_MEMO_LIMIT))
+
+
+@contextmanager
+def limits(*, node_limit: int | None = None, memo_limit: int | None = None):
+    """Set the node cap of each atom walk and the memo cap of each
+    factorization engine for the calls in the block; a cap left out keeps
+    its current value, and each is restored on exit.  A cap that is not an
+    int (a bool included) is refused on entry; a cap below 1 refuses any
+    work it charges."""
+    node, memo = CAPS.get()
+    for name, value in (("node limit", node_limit), ("memo limit", memo_limit)):
+        if value is not None and type(value) is not int:
+            raise InvalidArgumentError(f"{name} must be an integer: {value!r}")
+    token = CAPS.set((node if node_limit is None else node_limit,
+                      memo if memo_limit is None else memo_limit))
+    try:
+        yield
+    finally:
+        CAPS.reset(token)
 
 
 def below_rows(vectors, caps) -> list[list[int]]:
@@ -83,17 +113,17 @@ def divisible_pairs(vectors) -> list[tuple[int, int]]:
 
 
 def minimal_nonzero_vectors(
-    group: FiniteAbelianGroup,
-    letter_classes: tuple[int, ...],
-    node_limit: int = DEFAULT_NODE_LIMIT,
+    group: FiniteAbelianGroup, letter_classes: tuple[int, ...]
 ) -> tuple[list[tuple[int, ...]], int]:
     """Dickson-minimal nonzero vectors v with sum_i v[i]*class_i = 0.
 
     letter_classes gives the element index (into elements(group)) of each
     alphabet letter.  Returns the minimal vectors over the letter order,
     sorted by (total, vector), together with the number of lattice nodes
-    visited.
+    visited.  The walk raises ResourceLimitError at the first node past
+    the node cap (limits).
     """
+    node_limit = CAPS.get()[0]
     tab = tables(group)
     add, neg_t, level = tab.add, tab.neg, tab.level
     m = len(letter_classes)
@@ -172,7 +202,8 @@ class AtomSet:
     """The atoms of a monoid of class-sum-zero words (B(G0), or the H of a
     Krull instance), held as dense exponent vectors over the letter order.
     `engine` is this set's one FactorizationEngine, built by
-    lengths.engine_for on first use; every memo limit shares its memo."""
+    lengths.engine_for on first use; calls under any memo cap share its
+    memo."""
 
     group: FiniteAbelianGroup
     letters: tuple  # labels: elements of G0, or prime names
@@ -216,28 +247,19 @@ class AtomSet:
         return self.atom_vectors
 
 
-def build_atoms(
-    group: FiniteAbelianGroup, letters: tuple, classes: tuple, node_limit: int
-) -> AtomSet:
+def build_atoms(group: FiniteAbelianGroup, letters: tuple, classes: tuple) -> AtomSet:
     """The atom set over letters whose classes (elements of the group) are
     given in letter order.  Walks afresh on every call."""
     index = tables(group).index
-    vectors, nodes = minimal_nonzero_vectors(group, tuple(index[g] for g in classes), node_limit)
+    vectors, nodes = minimal_nonzero_vectors(group, tuple(index[g] for g in classes))
     return AtomSet(group, letters, tuple(vectors), nodes)
 
 
-def check_limit(name: str, limit) -> None:
-    """Refuse a ceiling that is not an int (a bool included) before it
-    meets a cache; a value below 1 refuses the work itself."""
-    if type(limit) is not int:
-        raise InvalidArgumentError(f"{name} must be an integer: {limit!r}")
-
-
-def held_to_node_limit(atoms: AtomSet | None, node_limit: int) -> AtomSet | None:
-    """A cached atom set (None: none yet) held to the caller's node limit:
-    it raises where a fresh walk under node_limit would, as that walk
-    raises iff it visits more than node_limit nodes."""
-    check_limit("node limit", node_limit)
+def held_to_node_cap(atoms: AtomSet | None) -> AtomSet | None:
+    """A cached atom set (None: none yet) held to the node cap: it raises
+    where a fresh walk would, as a walk raises iff it visits more nodes
+    than the cap."""
+    node_limit = CAPS.get()[0]
     if atoms is not None and atoms.nodes_visited > node_limit:
         raise ResourceLimitError("lattice node", node_limit)
     return atoms
@@ -247,22 +269,18 @@ def held_to_node_limit(atoms: AtomSet | None, node_limit: int) -> AtomSet | None
 _ATOM_SETS: dict[tuple[FiniteAbelianGroup, tuple[GroupElement, ...]], AtomSet] = {}
 
 
-def enumerate_atoms(
-    group: FiniteAbelianGroup,
-    subset=None,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> AtomSet:
+def enumerate_atoms(group: FiniteAbelianGroup, subset=None) -> AtomSet:
     """Enumerate A(G0) for G0 a subset of the group (default: all of it).
 
     One set is cached per (group, subset), and with it its engine's memo;
-    a walk that node_limit refuses caches nothing.
+    a walk that the node cap refuses caches nothing.
     """
     alphabet = canonical_subset(group, subset)
     if not alphabet:
         raise InvalidArgumentError("subset must be nonempty")
-    atoms = held_to_node_limit(_ATOM_SETS.get((group, alphabet)), node_limit)
+    atoms = held_to_node_cap(_ATOM_SETS.get((group, alphabet)))
     if atoms is None:
-        atoms = _ATOM_SETS[group, alphabet] = build_atoms(group, alphabet, alphabet, node_limit)
+        atoms = _ATOM_SETS[group, alphabet] = build_atoms(group, alphabet, alphabet)
     return atoms
 
 

@@ -9,6 +9,10 @@ atom: over C2+C2, a file listing (0,1)^2(1,0)^2 in place of (0,1)^2 and
 (1,0)^2 is an antichain of zero-sum vectors, loads as 4 atoms, and gives
 D = 4.  Only the walk proves a list complete, so the cache directory
 must be trusted not to hold such a file.
+
+A file also records the node count of the walk that found its atoms, and
+a loaded set is held to the node cap as a cached set in memory is
+(atoms.held_to_node_cap): a load raises where the walk would.
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ import os
 import tempfile
 from pathlib import Path
 
-from .atoms import AtomSet, divisible_pairs
+from .atoms import AtomSet, divisible_pairs, held_to_node_cap
 from .group import FiniteAbelianGroup, GroupElement, elements, tables
 from .sequence import canonical_subset, index_sum
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: the walk's node count
 
 
 def cache_key(group: FiniteAbelianGroup, subset) -> str:
@@ -54,6 +58,7 @@ def cache_store(cache_dir: str | os.PathLike, atoms: AtomSet) -> Path:
         "invariant_factors": list(atoms.group.invariant_factors),
         "subset": [list(g.coords) for g in atoms.letters],
         "atoms": [list(v) for v in atoms.vectors()],
+        "nodes_visited": atoms.nodes_visited,
     }
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -70,7 +75,8 @@ def cache_store(cache_dir: str | os.PathLike, atoms: AtomSet) -> Path:
 def cache_load(
     cache_dir: str | os.PathLike, group: FiniteAbelianGroup, subset
 ) -> AtomSet | None:
-    """Load a cached atom set, or None if missing or invalid."""
+    """Load a cached atom set, or None if missing or invalid; a set whose
+    walk took more nodes than the node cap raises ResourceLimitError."""
     subset = canonical_subset(group, subset)
     path = cache_path(cache_dir, group, subset)
     if not path.exists():
@@ -85,6 +91,7 @@ def cache_load(
         factors = tuple(doc.get("invariant_factors", []))
         stored_subset = [tuple(c) for c in doc.get("subset", [])]
         vectors = tuple(tuple(vec) for vec in doc.get("atoms", []))
+        nodes = doc.get("nodes_visited")
     except (AttributeError, TypeError) as exc:
         log.warning("malformed atom cache %s (%s); recomputing", path, exc)
         return None
@@ -98,10 +105,15 @@ def cache_load(
     if stored_subset != [g.coords for g in subset]:
         log.warning("atom cache %s is for a different subset; recomputing", path)
         return None
+    if type(nodes) is not int or nodes < 0:
+        log.warning("atom cache %s failed validation; recomputing", path)
+        return None
+    # before the antichain check, which can cost as much as the walk
+    atoms = held_to_node_cap(AtomSet(group, subset, vectors, nodes))
     if not _valid_atom_list(group, subset, vectors):
         log.warning("atom cache %s failed validation; recomputing", path)
         return None
-    return AtomSet(group, subset, vectors)
+    return atoms
 
 
 def _valid_atom_list(

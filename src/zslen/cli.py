@@ -28,6 +28,7 @@ from .atoms import (
     davenport,
     davenport_star,
     enumerate_atoms,
+    limits,
 )
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import DEFAULT_MAX_ORDER, FiniteAbelianGroup, elements, make_group
@@ -99,7 +100,7 @@ _TOUCHED_ATOMS: list[AtomSet] = []
 def _get_atoms(group: FiniteAbelianGroup, subset, args) -> AtomSet:
     cache_dir = args.cache_dir
     if not cache_dir:
-        atoms = enumerate_atoms(group, subset, node_limit=args.node_limit)
+        atoms = enumerate_atoms(group, subset)
     else:
         import logging
 
@@ -107,7 +108,7 @@ def _get_atoms(group: FiniteAbelianGroup, subset, args) -> AtomSet:
 
         atoms = cache_load(cache_dir, group, subset)
         if atoms is None:
-            atoms = enumerate_atoms(group, subset, node_limit=args.node_limit)
+            atoms = enumerate_atoms(group, subset)
             try:
                 cache_store(cache_dir, atoms)
             except OSError as exc:  # the cache is advisory, as a failed load is
@@ -163,7 +164,7 @@ def cmd_lengths(args):
     group = args.group
     seq = parse_sequence(group, args.sequence)
     atoms = _get_atoms(group, tuple(elements(group)), args)
-    ls = length_set(seq, atoms, args.memo_limit)
+    ls = length_set(seq, atoms)
     return {
         "group": list(group.invariant_factors),
         "sequence": encode_sequence(seq),
@@ -178,8 +179,8 @@ def cmd_system(args):
 
     group = args.group
     subset = _parse_subset(group, args.subset)
-    sys_ = system(group, subset, args.bound, node_limit=args.node_limit, memo_limit=args.memo_limit)
-    _TOUCHED_ATOMS.append(enumerate_atoms(group, subset, args.node_limit))  # the set it walked
+    sys_ = system(group, subset, args.bound)
+    _TOUCHED_ATOMS.append(enumerate_atoms(group, subset))  # the set it walked
     return {
         "group": list(group.invariant_factors),
         "subset": [list(g.coords) for g in sys_.subset],
@@ -198,8 +199,8 @@ def cmd_unions(args):
     lo, hi = _parse_k_range(args.k)
     if lo < 1 or hi < lo:
         raise InvalidArgumentError(f"bad k range {args.k!r}")
-    unions = unions_range(group, hi, node_limit=args.node_limit, memo_limit=args.memo_limit)
-    _TOUCHED_ATOMS.append(enumerate_atoms(group, None, args.node_limit))  # the set it walked
+    unions = unions_range(group, hi)
+    _TOUCHED_ATOMS.append(enumerate_atoms(group))  # the set it walked
     return {
         "group": list(group.invariant_factors),
         "unions": [
@@ -220,10 +221,8 @@ def cmd_delta(args):
 
     group = args.group
     subset = _parse_subset(group, args.subset)
-    report = delta_of_group(
-        group, subset, args.bound, node_limit=args.node_limit, memo_limit=args.memo_limit
-    )
-    _TOUCHED_ATOMS.append(enumerate_atoms(group, subset, args.node_limit))  # the set it walked
+    report = delta_of_group(group, subset, args.bound)
+    _TOUCHED_ATOMS.append(enumerate_atoms(group, subset))  # the set it walked
     return {
         "group": list(group.invariant_factors),
         "subset": [list(g.coords) for g in report.subset],
@@ -236,7 +235,7 @@ def cmd_delta(args):
 def cmd_delta_star(args):
     from .invariants import delta_star
 
-    report = delta_star(args.group, node_limit=args.node_limit)
+    report = delta_star(args.group)
     return {
         "group": list(args.group.invariant_factors),
         "delta_star": list(report.values),
@@ -333,13 +332,9 @@ def cmd_transfer_check(args):
     group = args.group
     subset = _parse_subset(group, args.subset)
     instance = make_instance(group, subset, args.primes_per_class)
-    report = check_transfer(
-        instance, args.samples, args.max_word_length, args.seed,
-        args.node_limit, args.memo_limit,
-    )
-    corr = check_atom_correspondence(instance, args.node_limit)
-    _TOUCHED_ATOMS.extend((instance_atoms(instance, args.node_limit),
-                           enumerate_atoms(group, subset, args.node_limit)))
+    report = check_transfer(instance, args.samples, args.max_word_length, args.seed)
+    corr = check_atom_correspondence(instance)
+    _TOUCHED_ATOMS.extend((instance_atoms(instance), enumerate_atoms(group, subset)))
     results = {
         "group": list(group.invariant_factors),
         "primes_per_class": args.primes_per_class,
@@ -578,7 +573,11 @@ def main(argv=None) -> int:
         # that the config echoes
         parsed = argparse.Namespace(**vars(args))
         parsed.group = _parse_group(args.group, args.max_order) if "group" in args else None
-        results, verdicts = args.handler(parsed)
+        # a command's ceilings hold for its handler's calls; one that the
+        # command does not take keeps the cap in force
+        with limits(node_limit=getattr(args, "node_limit", None),
+                    memo_limit=getattr(args, "memo_limit", None)):
+            results, verdicts = args.handler(parsed)
         report["results"] = results
         report["verdicts"] = verdicts
         report["resources"] = _resource_counters()

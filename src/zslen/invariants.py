@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .atoms import AtomSet, build_atoms, check_limit, davenport, enumerate_atoms, DEFAULT_NODE_LIMIT
+from .atoms import AtomSet, build_atoms, davenport, enumerate_atoms
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, automorphisms, elements, tables
-from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, delta_of, engine_for, length_set
+from .lengths import LengthSet, delta_of, engine_for, length_set
 from .sequence import Sequence, index_sum, negate
 
 # ceiling on the atom products one unions_range call forms
@@ -62,17 +62,10 @@ class SystemOfLengthSets:
         return tuple(sorted(set().union(*(delta_of(ls) for ls, _ in self.entries))))
 
 
-def system(
-    group: FiniteAbelianGroup,
-    subset=None,
-    bound: int = 8,
-    *,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
-) -> SystemOfLengthSets:
+def system(group: FiniteAbelianGroup, subset=None, bound: int = 8) -> SystemOfLengthSets:
     """Exact { L(B) : B in B(G0), |B| <= bound }: the one bounded scan of
     B(G0), read by the distance sets and the structure fits.  It runs on
-    the engine of enumerate_atoms(group, subset, node_limit).
+    the engine of enumerate_atoms(group, subset).
 
     The engine's forward pass (FactorizationEngine.product_levels) builds
     the products of atoms level by level in |B|, each with its length
@@ -93,15 +86,15 @@ def system(
     The engine keeps the system of the largest bound run on it
     (FactorizationEngine.system_table), and a bound b' up to that one is
     read from it: the entries whose witness has length <= b', with no
-    product formed and nothing stored, so a read is never refused.  That
+    product formed and nothing stored, so no memo cap refuses a read.  That
     is exact: a witness is the first product with its length set in
     (length, lex) order, or with 0 the least (length, c) candidate, and
     the products of length <= b' are a prefix of that order."""
     if type(bound) is not int or bound < 0:
         raise InvalidArgumentError(f"bound must be a nonnegative integer: {bound!r}")
-    atoms = enumerate_atoms(group, subset, node_limit)
+    atoms = enumerate_atoms(group, subset)
     alphabet = atoms.letters
-    engine = engine_for(atoms, memo_limit)
+    engine = engine_for(atoms)
     table = engine.system_table
     if table is not None and bound <= table.bound:
         entries = tuple(entry for entry in table.entries if entry[1].length <= bound)
@@ -280,15 +273,9 @@ class UnionOfLengths:
         return self.rho - self.lam + 1 == len(self.values)
 
 
-def unions_range(
-    group: FiniteAbelianGroup,
-    k_max: int,
-    *,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
-) -> dict[int, UnionOfLengths]:
+def unions_range(group: FiniteAbelianGroup, k_max: int) -> dict[int, UnionOfLengths]:
     """U_k(G) for all k in [1, k_max], on the engine of
-    enumerate_atoms(group, None, node_limit).
+    enumerate_atoms(group).
 
     U_k is the union of L(B) over products B of exactly k atoms, which is
     complete because any B with k in L(B) is such a product.  Products are
@@ -337,8 +324,8 @@ def unions_range(
     """
     if type(k_max) is not int or k_max < 1:
         raise InvalidArgumentError(f"k_max must be a positive integer: {k_max!r}")
-    atoms = enumerate_atoms(group, None, node_limit)
-    engine = engine_for(atoms, memo_limit)
+    atoms = enumerate_atoms(group)
+    engine = engine_for(atoms)
     images = _atom_images(atoms, engine.widen(k_max * max(map(max, atoms.vectors()))))
     factors = [(sum(engine.unpack(a[0])), a) for a in images]  # (size, images)
     least = min((size for size, _ in factors), default=1)
@@ -444,14 +431,7 @@ class DeltaReport:
     exact: bool  # B(G0) half-factorial, or interval from 1 stable across a D(G)-wide window
 
 
-def delta_of_group(
-    group: FiniteAbelianGroup,
-    subset=None,
-    bound: int = 8,
-    *,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
-) -> DeltaReport:
+def delta_of_group(group: FiniteAbelianGroup, subset=None, bound: int = 8) -> DeltaReport:
     """Union of Delta(L) over the entries of system(G0, bound); a lower
     approximation of the distance set, exact if B(G0) is half-factorial
     (_non_unit_atom) or under the stability heuristic (G0 = G only).
@@ -461,8 +441,8 @@ def delta_of_group(
     (length, lex) order, so the shortest sequence with its length set: an
     entry is seen within the margin iff its witness is that short.
     """
-    sys = system(group, subset, bound, node_limit=node_limit, memo_limit=memo_limit)
-    atoms = enumerate_atoms(group, subset, node_limit)
+    sys = system(group, subset, bound)
+    atoms = enumerate_atoms(group, subset)
     distances = sys.distances()
     exact = _non_unit_atom(atoms) is None  # half-factorial: Delta(G0) is empty
     if not exact and sys.subset == elements(group):
@@ -512,7 +492,7 @@ class DeltaStarReport:
     subsets_scanned: int
 
 
-def delta_star(group: FiniteAbelianGroup, *, node_limit: int = DEFAULT_NODE_LIMIT) -> DeltaStarReport:
+def delta_star(group: FiniteAbelianGroup) -> DeltaStarReport:
     """Delta*(G): the nonzero min_distance of the atoms of each zero-free
     subset G0, sorted.  A subset with 0 has the Delta of the same subset
     without it, as 0 is a prime of B(G0), so every nonempty subset is
@@ -520,9 +500,9 @@ def delta_star(group: FiniteAbelianGroup, *, node_limit: int = DEFAULT_NODE_LIMI
 
     The scan is 2^|G|, so the group order is capped at
     DEFAULT_SUBSET_SCAN_MAX_ORDER.  Each subset's atom set, built uncached,
-    is dropped after use.
+    is dropped after use.  The node cap bounds each subset's walk, not
+    the scan's total.
     """
-    check_limit("node limit", node_limit)
     els = elements(group)
     if len(els) > DEFAULT_SUBSET_SCAN_MAX_ORDER:
         raise ResourceLimitError("subset scan group order", DEFAULT_SUBSET_SCAN_MAX_ORDER, len(els))
@@ -530,7 +510,7 @@ def delta_star(group: FiniteAbelianGroup, *, node_limit: int = DEFAULT_NODE_LIMI
     values: set[int] = set()
     for mask in range(1, 1 << len(nonzero)):
         subset = tuple(g for i, g in enumerate(nonzero) if mask >> i & 1)
-        values.add(min_distance(build_atoms(group, subset, subset, node_limit).vectors()))
+        values.add(min_distance(build_atoms(group, subset, subset).vectors()))
     values.discard(0)  # half-factorial: Delta(G0) is empty
     return DeltaStarReport(group, tuple(sorted(values)), (1 << len(els)) - 1)
 

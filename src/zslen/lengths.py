@@ -47,9 +47,10 @@ key that is negative or has a bit beyond the width's fields raises
 InvalidArgumentError and stores nothing.
 
 engine_for keeps the one engine of an AtomSet on the set itself, so the
-memo lives as long as the atom set and there is no module-level table;
-each call holds it to the caller's memo_limit, and a memo hit or a
-system_table read is answered under any limit.  length_set checks the
+memo lives as long as the atom set and there is no module-level table.
+The engine holds no ceiling: a miss in lengths_mask, and each pass of
+product_levels, reads the memo cap in force (atoms.limits), so a memo hit
+or a system_table read is answered under any cap.  length_set checks the
 group, then packs B's key from its items and reads the memo: a positive
 mask makes B a product of atoms, hence zero-sum.  Only without one does
 it run the zero-sum fold, engine_for and the miss path.  Each query
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .atoms import DEFAULT_MEMO_LIMIT, AtomSet, below_rows, check_limit
+from .atoms import CAPS, AtomSet, below_rows
 from .errors import InvalidArgumentError, ResourceLimitError
 from .sequence import Sequence, index_sum
 
@@ -174,7 +175,7 @@ class FactorizationEngine:
     so whole-system scans reuse subproblems.
     """
 
-    def __init__(self, atom_vectors: Iterable[tuple[int, ...]], memo_limit: int = DEFAULT_MEMO_LIMIT):
+    def __init__(self, atom_vectors: Iterable[tuple[int, ...]]):
         vectors = [tuple(v) for v in atom_vectors]
         if not vectors:
             raise InvalidArgumentError("engine needs at least one atom")
@@ -186,7 +187,6 @@ class FactorizationEngine:
         if not all(map(any, vectors)):
             raise InvalidArgumentError("atom vectors must be nonzero")
         self.width = width
-        self.memo_limit = memo_limit
         # each atom in the bucket of its lowest nonzero letter
         self._by_pivot = [[] for _ in range(width)]
         for v in vectors:
@@ -311,12 +311,13 @@ class FactorizationEngine:
         so no query may widen the field while the levels are read.
 
         A level that adds entries is refused with ResourceLimitError, before
-        it is stored, if the memo would then pass memo_limit.  As with
+        it is stored, if the memo would then pass the memo cap, read once
+        per pass (atoms.limits).  As with
         lengths_mask, a pass is refused exactly when it would store more
         entries than the limit leaves room for.
         """
         bits = self.widen(top)
-        width, memo, limit = self.width, self._memo, self.memo_limit
+        width, memo, limit = self.width, self._memo, CAPS.get()[1]
         # grow[p]: (length, packed atoms) of the atoms whose pivot is at or
         # below p, by length ascending
         by_length = [[[] for _ in range(top + 1)] for _ in range(width)]
@@ -355,11 +356,12 @@ class FactorizationEngine:
 
         vec is either a tuple of the engine's width with nonnegative
         integer entries, or a key packed at the current field width.
+        A miss reads the memo cap (atoms.limits); a hit reads nothing.
         Every frame on the stack is a vector not yet in the memo that will
         be stored there, so a new frame is refused once the memo and the
-        stack together would pass memo_limit: the limit then bounds the
-        stack too, and fires for exactly the queries that would overflow
-        the memo.
+        stack together would pass the cap: the cap then bounds the stack
+        too, and fires for exactly the queries that would overflow the
+        memo.
         """
         if type(vec) is int:  # cheaper than isinstance on the tuple path
             if vec < 0 or vec >> self._key_bits:
@@ -372,7 +374,7 @@ class FactorizationEngine:
         cached = memo.get(vec)
         if cached is not None:
             return cached
-        limit = self.memo_limit
+        limit = CAPS.get()[1]
         if len(memo) >= limit:
             raise ResourceLimitError("memo table", limit)
         dividing, fmask = self._dividing, self._field_mask
@@ -446,12 +448,10 @@ def _unpack(key: int, width: int, nbytes: int) -> tuple[int, ...]:
     )
 
 
-def engine_for(atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> FactorizationEngine:
-    """The atom set's one engine, held to memo_limit until the next call."""
-    check_limit("memo limit", memo_limit)
+def engine_for(atoms: AtomSet) -> FactorizationEngine:
+    """The atom set's one engine, built on first use."""
     if atoms.engine is None:  # the set is frozen; its engine slot is set once
-        object.__setattr__(atoms, "engine", FactorizationEngine(atoms.vectors(), memo_limit))
-    atoms.engine.memo_limit = memo_limit
+        object.__setattr__(atoms, "engine", FactorizationEngine(atoms.vectors()))
     return atoms.engine
 
 
@@ -466,16 +466,15 @@ def _query(b: Sequence, atoms: AtomSet) -> tuple[int, ...]:
     return b.dense_at(atoms.positions)
 
 
-def length_set(b: Sequence, atoms: AtomSet, memo_limit: int = DEFAULT_MEMO_LIMIT) -> LengthSet:
+def length_set(b: Sequence, atoms: AtomSet) -> LengthSet:
     """Exact L(B) for a zero-sum sequence B over the atom set's letters."""
-    # a limit that is not an int falls through, for engine_for to refuse
-    if type(memo_limit) is int and b.group.invariant_factors == atoms.group.invariant_factors:
+    if b.group.invariant_factors == atoms.group.invariant_factors:
         engine = atoms.engine
         key = engine and engine.product_key(b.items, atoms.positions)
         if key is not None:  # B is a product of atoms, so zero-sum
             return engine.set_of(engine.lengths_mask(key))
     vec = _query(b, atoms)  # before engine_for: a refused query builds no engine
-    engine = engine_for(atoms, memo_limit)
+    engine = engine_for(atoms)
     mask = engine.lengths_mask(vec)
     if mask == 0:
         raise InvalidArgumentError(f"{b} has no factorization over the given atoms")

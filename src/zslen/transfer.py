@@ -12,7 +12,8 @@ the class map as their classes) and its lengths from the same engine_for,
 which takes a word as it is.
 A KrullInstance owns its one atom set, and with it the set's engine and
 memo: they die with the instance and never enter the enumerate_atoms
-cache.  A node limit is held against the set as enumerate_atoms holds it.
+cache.  The set is held to the node cap as enumerate_atoms holds its own
+(atoms.held_to_node_cap).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .atoms import DEFAULT_NODE_LIMIT, AtomSet, build_atoms, enumerate_atoms, held_to_node_limit
+from .atoms import AtomSet, build_atoms, enumerate_atoms, held_to_node_cap
 from .errors import InvalidArgumentError
 from .group import FiniteAbelianGroup, GroupElement, tables
-from .lengths import DEFAULT_MEMO_LIMIT, LengthSet, engine_for, length_set
+from .lengths import LengthSet, engine_for, length_set
 from .sequence import Sequence, canonical_subset, encode_dense, index_sum, is_zero_sum
 
 
@@ -99,28 +100,21 @@ def beta(instance: KrullInstance, word: tuple[int, ...]) -> Sequence:
     return image
 
 
-def instance_atoms(
-    instance: KrullInstance, node_limit: int = DEFAULT_NODE_LIMIT
-) -> AtomSet:
+def instance_atoms(instance: KrullInstance) -> AtomSet:
     """Atoms of H, the Dickson-minimal nonzero class-sum-zero prime vectors,
     as the instance's atom set over its primes; walked once per instance."""
-    atoms = held_to_node_limit(instance.atom_set, node_limit)
+    atoms = held_to_node_cap(instance.atom_set)
     if atoms is None:
-        atoms = build_atoms(instance.group, instance.primes, instance.classes, node_limit)
+        atoms = build_atoms(instance.group, instance.primes, instance.classes)
         object.__setattr__(instance, "atom_set", atoms)  # the instance is frozen
     return atoms
 
 
-def direct_length_set(
-    instance: KrullInstance,
-    word: tuple[int, ...],
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
-) -> LengthSet:
+def direct_length_set(instance: KrullInstance, word: tuple[int, ...]) -> LengthSet:
     """L_H(word) computed inside H, with no use of beta."""
     if not in_monoid(instance, word):  # before instance_atoms: a refused word walks nothing
         raise InvalidArgumentError(f"word {encode_dense(instance.primes, word)} is not in the Krull monoid")
-    engine = engine_for(instance_atoms(instance, node_limit), memo_limit)
+    engine = engine_for(instance_atoms(instance))
     return engine.set_of(engine.lengths_mask(word))
 
 
@@ -170,8 +164,6 @@ def check_transfer(
     sample_count: int = 100,
     max_word_length: int = 10,
     seed: int = 0,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
 ) -> TransferCheckReport:
     """Sample words of H and compare the direct length set against the length
     set of the class image; any mismatch is an implementation bug.  Below
@@ -184,12 +176,12 @@ def check_transfer(
         raise InvalidArgumentError(
             f"word length must be at least 2, below it only the empty word is drawn: {max_word_length}")
     rng = random.Random(seed)
-    b_atoms = enumerate_atoms(instance.group, instance.subset, node_limit)
+    b_atoms = enumerate_atoms(instance.group, instance.subset)
     failures = []
     for _ in range(sample_count):
         a = random_word(instance, rng, max_word_length)
-        direct = direct_length_set(instance, a, node_limit, memo_limit)
-        transferred = length_set(beta(instance, a), b_atoms, memo_limit)
+        direct = direct_length_set(instance, a)
+        transferred = length_set(beta(instance, a), b_atoms)
         if direct != transferred:
             failures.append((a, direct, transferred))
     return TransferCheckReport(
@@ -210,14 +202,12 @@ class AtomCorrespondenceReport:
         return not self.image_mismatch and not self.unlifted
 
 
-def check_atom_correspondence(
-    instance: KrullInstance, node_limit: int = DEFAULT_NODE_LIMIT
-) -> AtomCorrespondenceReport:
+def check_atom_correspondence(instance: KrullInstance) -> AtomCorrespondenceReport:
     """Cross-enumerate: beta maps atoms of H exactly onto A(G0).  The
     images are summed onto A(G0)'s letters as vectors; only a reported
     mismatch becomes a Sequence."""
-    h_atoms = instance_atoms(instance, node_limit)
-    b_atoms = enumerate_atoms(instance.group, instance.subset, node_limit)
+    h_atoms = instance_atoms(instance)
+    b_atoms = enumerate_atoms(instance.group, instance.subset)
     b_set = set(b_atoms.vectors())
     at = [b_atoms.positions[c] for c in instance.class_by_prime]  # each prime's letter in A(G0)
     images = set()

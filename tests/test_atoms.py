@@ -15,6 +15,7 @@ from zslen.atoms import (
     divisible_pairs,
     enumerate_atoms,
     is_atom,
+    limits,
     minimal_nonzero_vectors,
 )
 from zslen.errors import ResourceLimitError
@@ -171,8 +172,8 @@ def test_cyclic_and_elementary_families():
 
 def test_node_limit():
     group = make_group([3, 3])
-    with pytest.raises(ResourceLimitError) as exc:
-        enumerate_atoms(group, None, node_limit=10)
+    with limits(node_limit=10), pytest.raises(ResourceLimitError) as exc:
+        enumerate_atoms(group)
     assert exc.value.bound_name == "lattice node"
 
 
@@ -301,8 +302,8 @@ def test_pinned_walks(mods, count, nodes, digest):
 def test_node_limit_bounds_real_work():
     # with a linear dominance scan this took minutes: node cost grew with |found|
     started = time.perf_counter()
-    with pytest.raises(ResourceLimitError):
-        enumerate_atoms(make_group([2] * 5), node_limit=100_000)
+    with limits(node_limit=100_000), pytest.raises(ResourceLimitError):
+        enumerate_atoms(make_group([2] * 5))
     assert time.perf_counter() - started < 30
 
 
@@ -315,9 +316,10 @@ def test_node_limit_is_charged_exactly(mods, classes):
     if classes is None:
         classes = tuple(range(len(elements(group))))
     found, nodes = minimal_nonzero_vectors(group, classes)
-    assert minimal_nonzero_vectors(group, classes, node_limit=nodes) == (found, nodes)
-    with pytest.raises(ResourceLimitError) as exc:
-        minimal_nonzero_vectors(group, classes, node_limit=nodes - 1)
+    with limits(node_limit=nodes):
+        assert minimal_nonzero_vectors(group, classes) == (found, nodes)
+    with limits(node_limit=nodes - 1), pytest.raises(ResourceLimitError) as exc:
+        minimal_nonzero_vectors(group, classes)
     assert (exc.value.bound_name, exc.value.limit) == ("lattice node", nodes - 1)
 
 

@@ -3,8 +3,10 @@ import logging
 
 import pytest
 
-from zslen.atoms import enumerate_atoms
+from zslen import cache as cache_module
+from zslen.atoms import enumerate_atoms, limits
 from zslen.cache import cache_load, cache_path, cache_store
+from zslen.errors import ResourceLimitError
 from zslen.group import elements
 from zslen.lengths import engine_for
 
@@ -17,6 +19,35 @@ def test_round_trip(tmp_path, c3):
     assert loaded is not None
     assert loaded.atoms == atoms.atoms
     assert loaded.letters == atoms.letters
+    assert loaded.nodes_visited == atoms.nodes_visited > 0
+
+
+def test_a_loaded_set_is_held_to_the_node_cap(tmp_path, c33, monkeypatch):
+    # the file records its walk's node count, so a load raises where the
+    # walk would, and before it checks the vectors
+    atoms = enumerate_atoms(c33)
+    nodes = atoms.nodes_visited
+    cache_store(tmp_path, atoms)
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_module, "_valid_atom_list", None)
+        with limits(node_limit=nodes - 1), pytest.raises(ResourceLimitError) as info:
+            cache_load(tmp_path, c33, atoms.letters)
+    assert (info.value.bound_name, info.value.limit) == ("lattice node", nodes - 1)
+    with limits(node_limit=nodes):
+        assert cache_load(tmp_path, c33, atoms.letters) == atoms
+
+
+@pytest.mark.parametrize("nodes", [None, -1, True, 1.5, "7"],
+                         ids=["missing", "negative", "bool", "float", "str"])
+def test_a_bad_node_count_recomputes(tmp_path, c3, caplog, nodes):
+    atoms = enumerate_atoms(c3)
+    path = cache_store(tmp_path, atoms)
+    doc = json.loads(path.read_text())
+    doc["nodes_visited"] = nodes
+    path.write_text(json.dumps(doc))
+    with caplog.at_level(logging.WARNING):
+        assert cache_load(tmp_path, c3, atoms.letters) is None
+    assert "validation" in caplog.text
 
 
 def test_missing_returns_none(tmp_path, c4):

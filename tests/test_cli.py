@@ -276,6 +276,24 @@ def test_malformed_cache_file_is_recomputed(capsys, tmp_path, edit):
     assert again["results"] == first["results"]
 
 
+def test_node_limit_holds_for_atoms_from_the_cache(capsys, tmp_path):
+    # the cache file records the walk's node count: a warm run is refused
+    # where a cold one is, and reports the nodes of the walk it read
+    argv = ["atoms", "--group", "2,2,4", "--cache-dir", str(tmp_path)]
+    code, cold = run_json(capsys, *argv)
+    assert code == 0
+    nodes = cold["resources"]["atom_lattice_nodes"]
+    code, warm = run_json(capsys, *argv)
+    assert code == 0
+    assert warm["results"]["count"] == 698
+    assert warm["resources"]["atom_lattice_nodes"] == nodes > 10
+    code, refused = run_json(capsys, *argv, "--node-limit", "10")
+    assert code == 3
+    assert refused["error"]["bound"] == "lattice node"
+    code, _ = run_json(capsys, *argv, "--node-limit", str(nodes))
+    assert code == 0
+
+
 def test_exit_code_invalid_arguments(capsys):
     code, report = run_json(capsys, "davenport", "--group", "0")
     assert code == 2

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from zslen import atoms as atoms_module
 from zslen import invariants
-from zslen.atoms import build_atoms, davenport, enumerate_atoms
+from zslen.atoms import build_atoms, davenport, enumerate_atoms, minimal_nonzero_vectors
 from zslen.errors import InvalidArgumentError, ResourceLimitError
 from zslen.group import elements, make_group, order_of
 from zslen.invariants import (
@@ -37,6 +37,13 @@ from zslen.sequence import (
     enumerate_zero_sum,
     is_zero_sum,
     parse_sequence,
+)
+from zslen.transfer import (
+    check_atom_correspondence,
+    check_transfer,
+    direct_length_set,
+    instance_atoms,
+    make_instance,
 )
 
 
@@ -181,6 +188,57 @@ def test_elasticity_cross_check():
             assert not ls.min or Fraction(ls.max, ls.min) <= rho, (group, ls)
 
 
+def _word(g):
+    """An instance with one prime per class of g, and the word of all its primes."""
+    inst = make_instance(g, None, 1)
+    return inst, (1,) * len(inst.primes)
+
+
+CEILING_CALLS = {
+    "minimal_nonzero_vectors-positional": lambda g: minimal_nonzero_vectors(g, (0, 1), 10),
+    "minimal_nonzero_vectors-node_limit": lambda g: minimal_nonzero_vectors(g, (0, 1), node_limit=10),
+    "build_atoms-positional": lambda g: build_atoms(g, elements(g), elements(g), 10),
+    "build_atoms-node_limit": lambda g: build_atoms(g, elements(g), elements(g), node_limit=10),
+    "enumerate_atoms-positional": lambda g: enumerate_atoms(g, None, 10),
+    "enumerate_atoms-node_limit": lambda g: enumerate_atoms(g, node_limit=10),
+    "FactorizationEngine-positional": lambda g: FactorizationEngine([(1,)], 10),
+    "FactorizationEngine-memo_limit": lambda g: FactorizationEngine([(1,)], memo_limit=10),
+    "engine_for-positional": lambda g: engine_for(enumerate_atoms(g), 10),
+    "engine_for-memo_limit": lambda g: engine_for(enumerate_atoms(g), memo_limit=10),
+    "length_set-positional":
+        lambda g: length_set(parse_sequence(g, "[1:3]"), enumerate_atoms(g), 10),
+    "length_set-memo_limit":
+        lambda g: length_set(parse_sequence(g, "[1:3]"), enumerate_atoms(g), memo_limit=10),
+    "system-node_limit": lambda g: system(g, None, 4, node_limit=10),
+    "system-memo_limit": lambda g: system(g, None, 4, memo_limit=10),
+    "system-positional_limits": lambda g: system(g, None, 4, 10**8, 10**7),
+    "unions_range-node_limit": lambda g: unions_range(g, 2, node_limit=10),
+    "unions_range-memo_limit": lambda g: unions_range(g, 2, memo_limit=10),
+    "delta_of_group-node_limit": lambda g: delta_of_group(g, None, 4, node_limit=10),
+    "delta_of_group-memo_limit": lambda g: delta_of_group(g, None, 4, memo_limit=10),
+    "delta_star-positional": lambda g: delta_star(g, 10),
+    "delta_star-node_limit": lambda g: delta_star(g, node_limit=10),
+    "instance_atoms-positional": lambda g: instance_atoms(make_instance(g, None, 1), 10),
+    "instance_atoms-node_limit": lambda g: instance_atoms(make_instance(g, None, 1), node_limit=10),
+    "direct_length_set-positional": lambda g: direct_length_set(*_word(g), 10),
+    "direct_length_set-positional_both": lambda g: direct_length_set(*_word(g), 10, 10),
+    "direct_length_set-node_limit": lambda g: direct_length_set(*_word(g), node_limit=10),
+    "direct_length_set-memo_limit": lambda g: direct_length_set(*_word(g), memo_limit=10),
+    "check_transfer-positional":
+        lambda g: check_transfer(make_instance(g, None, 1), 1, 10, 0, 10**8),
+    "check_transfer-positional_both":
+        lambda g: check_transfer(make_instance(g, None, 1), 1, 10, 0, 10**8, 10**7),
+    "check_transfer-node_limit":
+        lambda g: check_transfer(make_instance(g, None, 1), 1, node_limit=10),
+    "check_transfer-memo_limit":
+        lambda g: check_transfer(make_instance(g, None, 1), 1, memo_limit=10),
+    "check_atom_correspondence-positional":
+        lambda g: check_atom_correspondence(make_instance(g, None, 1), 10),
+    "check_atom_correspondence-node_limit":
+        lambda g: check_atom_correspondence(make_instance(g, None, 1), node_limit=10),
+}
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -209,6 +267,9 @@ def test_elasticity_cross_check():
         lambda g: unions_range(g, 2, atoms=enumerate_atoms(g)),
         lambda g: unions_range(g, 2, enumerate_atoms(g)),
         lambda g: unions_range(g, 2, 10**8),
+        # the ceilings are set by atoms.limits: a ceiling passed to a call,
+        # by keyword or in its old position, fails at the call
+        *CEILING_CALLS.values(),
     ],
     ids=[
         "elasticity-atoms", "elasticity-cross_check", "two_D-atoms", "two_D-memo_limit",
@@ -219,6 +280,7 @@ def test_elasticity_cross_check():
         "delta_of_group-atoms", "delta_of_group-positional_atoms",
         "delta_of_group-positional_limit",
         "unions_range-atoms", "unions_range-positional_atoms", "unions_range-positional_limit",
+        *CEILING_CALLS,
     ],
 )
 def test_removed_parameters_are_type_errors(call, c3):
@@ -471,7 +533,7 @@ def test_min_distance_is_zero_iff_every_cross_number_is_one(moduli):
     # sum v_g / ord(g) = 1 (Geroldinger and Halter-Koch, 2006)
     group = make_group(moduli)
     for subset in _zero_free_subsets(group):
-        atoms = build_atoms(group, subset, subset, 10**8)
+        atoms = build_atoms(group, subset, subset)
         orders = [order_of(g) for g in subset]
         cross_one = all(
             sum(Fraction(v, n) for v, n in zip(vec, orders)) == 1 for vec in atoms.vectors()

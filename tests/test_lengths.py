@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zslen import lengths
-from zslen.atoms import enumerate_atoms
+from zslen.atoms import enumerate_atoms, limits
 from zslen.errors import InvalidArgumentError, ResourceLimitError
 from zslen.group import FiniteAbelianGroup, elements, make_group
 from zslen.invariants import system
@@ -171,9 +171,9 @@ def test_rejects_support_outside_subset(c3):
 
 def test_memo_limit(c33):
     atoms = enumerate_atoms(c33)
-    engine = FactorizationEngine(atoms.vectors(), memo_limit=4)
+    engine = FactorizationEngine(atoms.vectors())
     big = parse_sequence(c33, "[(1,0):3,(2,0):3,(0,1):3,(0,2):3]")
-    with pytest.raises(ResourceLimitError):
+    with limits(memo_limit=4), pytest.raises(ResourceLimitError):
         engine.lengths_mask(big.dense(atoms.letters))
 
 
@@ -364,13 +364,14 @@ def test_memo_limit_fires_exactly_at_overflow(c3):
     # [0:30] stores 30 vectors besides the zero vector
     atoms = enumerate_atoms(c3)
     vec = parse_sequence(c3, "[0:30]").dense(atoms.letters)
-    assert FactorizationEngine(atoms.vectors(), memo_limit=31).lengths_mask(vec) == 1 << 30
-    engine = FactorizationEngine(atoms.vectors(), memo_limit=30)
-    with pytest.raises(ResourceLimitError):
+    with limits(memo_limit=31):
+        assert FactorizationEngine(atoms.vectors()).lengths_mask(vec) == 1 << 30
+    engine = FactorizationEngine(atoms.vectors())
+    with limits(memo_limit=30), pytest.raises(ResourceLimitError):
         engine.lengths_mask(vec)
     # the pending frames count against the limit, so the stack stays small
-    deep = FactorizationEngine(atoms.vectors(), memo_limit=100)
-    with pytest.raises(ResourceLimitError):
+    deep = FactorizationEngine(atoms.vectors())
+    with limits(memo_limit=100), pytest.raises(ResourceLimitError):
         deep.lengths_mask(parse_sequence(c3, "[1:30000]").dense(atoms.letters))
     assert deep.memo_size <= 100
 

@@ -56,7 +56,7 @@ def test_readme_library_example_runs_as_commented():
             checked.append(comment)
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
-    assert checked == ["{2,3}", "(3, 4, 5, 6)", "0"]
+    assert checked == ["{2,3}", "(3, 4, 5, 6)", "0", "lattice node limit of 10 exceeded"]
     assert "# 69 atoms" in block and len(namespace["atoms"]) == 69
     assert "# 5, with a length-5 witness atom" in block
     assert namespace["d"] == 5 and namespace["witness"].length == 5

@@ -7,10 +7,10 @@ each sequence packed into an engine key), one lengths_mask query per key,
 the first key of each length mask, then the shifts past the prime 0.
 Entries, witnesses and the engine's final memo (its key -> mask pairs)
 must agree on a fresh engine, on one warmed by length_set queries and on
-one that a larger-bound `system` filled; so must the memo limit at which
-a run is refused.  A bound up to the largest one run on an engine is
-read from the engine's table: that read must give the answer of a fresh
-atom set and leave the memo as it was.
+one that a larger-bound `system` filled; so must the memo limit (set by
+atoms.limits) at which a run is refused.  A bound up to the largest one
+run on an engine is read from the engine's table: that read must give
+the answer of a fresh atom set and leave the memo as it was.
 
 `system` runs on the engine of the cached A(G0), so each example first
 empties the atom cache (the fresh_atom_cache fixture); the oracle runs on
@@ -23,11 +23,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from zslen.atoms import enumerate_atoms
+from zslen.atoms import DEFAULT_MEMO_LIMIT, enumerate_atoms, limits
 from zslen.errors import ResourceLimitError
 from zslen.group import elements, make_group
 from zslen.invariants import system
-from zslen.lengths import DEFAULT_MEMO_LIMIT, LengthSet, engine_for, length_set
+from zslen.lengths import LengthSet, engine_for, length_set
 from zslen.sequence import Sequence, enumerate_zero_sum
 
 GROUPS = [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 4), (3, 3), (2, 2, 2)]
@@ -36,15 +36,16 @@ GROUPS = [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 4), (3, 3), (2, 
 def walk_system(group, bound, atoms, memo_limit=DEFAULT_MEMO_LIMIT):
     """The entries of system(G0, bound) by the zero-sum walk of G0, without
     0 when 0 is prime, and one lengths_mask query per sequence, packed at
-    the engine's field width, on the atom set's engine."""
+    the engine's field width, on the atom set's engine, under memo_limit."""
     alphabet = atoms.letters
-    engine = engine_for(atoms, memo_limit)
+    engine = engine_for(atoms)
     bits = engine.widen(bound)
     lead = int(0 in atoms.prime_letters)
     first = {}
-    for b in enumerate_zero_sum(group, alphabet[lead:], bound):
-        key = sum(x << i * bits for i, x in enumerate(b.dense(alphabet)))
-        first.setdefault(engine.lengths_mask(key), key)
+    with limits(memo_limit=memo_limit):
+        for b in enumerate_zero_sum(group, alphabet[lead:], bound):
+            key = sum(x << i * bits for i, x in enumerate(b.dense(alphabet)))
+            first.setdefault(engine.lengths_mask(key), key)
     if lead:
         shifted = []
         for mask, key in first.items():
@@ -67,18 +68,20 @@ def fresh_atoms(group, subset):
     return dataclasses.replace(enumerate_atoms(group, subset))
 
 
-def fresh_system(renew, group, subset, bound, **limits):
-    """system(G0, bound) on a fresh atom cache: a new A(G0) and engine."""
+def fresh_system(renew, group, subset, bound, memo_limit=DEFAULT_MEMO_LIMIT):
+    """system(G0, bound) on a fresh atom cache, a new A(G0) and engine,
+    under memo_limit."""
     renew()
-    return system(group, subset, bound, **limits)
+    with limits(memo_limit=memo_limit):
+        return system(group, subset, bound)
 
 
 # the examples empty the atom cache themselves
 FIXTURE_OK = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def memo_of(atoms, memo_limit=DEFAULT_MEMO_LIMIT):
-    return dict(engine_for(atoms, memo_limit)._memo)
+def memo_of(atoms):
+    return dict(engine_for(atoms)._memo)
 
 
 @st.composite
@@ -185,7 +188,7 @@ def test_memo_limit_thresholds(fresh_atom_cache, mods, bound, needed):
     walk_system(group, bound, oracle)
     assert engine_for(oracle).memo_size == needed
     fresh_system(fresh_atom_cache, group, None, bound, memo_limit=needed)
-    assert memo_of(enumerate_atoms(group), needed) == memo_of(oracle)
+    assert memo_of(enumerate_atoms(group)) == memo_of(oracle)
     ours = lambda b, limit: fresh_system(fresh_atom_cache, group, None, b, memo_limit=limit)  # noqa: E731
     walk = lambda b, limit: walk_system(group, b, fresh_atoms(group, None), limit)  # noqa: E731
     for run in (ours, walk):
@@ -207,13 +210,14 @@ def test_memo_limit_refuses_where_the_walk_does(fresh_atom_cache, case):
     expected = [fresh_system(fresh_atom_cache, group, subset, b) for b in smaller]
     fresh_atom_cache()
     ours = enumerate_atoms(group, subset)
-    limited = system(group, subset, bound, memo_limit=needed)
-    assert len(limited) == len(walk_system(group, bound, oracle))
-    # the engine is at its limit; a read of its table stores nothing
-    assert engine_for(ours, needed).memo_size == needed
-    for b, fresh in zip(smaller, expected):
-        assert system(group, subset, b, memo_limit=needed) == fresh
+    with limits(memo_limit=needed):
+        limited = system(group, subset, bound)
+        assert len(limited) == len(walk_system(group, bound, oracle))
+        # the engine is at its limit; a read of its table stores nothing
+        assert engine_for(ours).memo_size == needed
+        for b, fresh in zip(smaller, expected):
+            assert system(group, subset, b) == fresh
     if needed > 1:  # the empty product is in every memo from the start
         with pytest.raises(ResourceLimitError):
             fresh_system(fresh_atom_cache, group, subset, bound, memo_limit=needed - 1)
-        assert engine_for(enumerate_atoms(group, subset), needed - 1).memo_size <= needed - 1
+        assert engine_for(enumerate_atoms(group, subset)).memo_size <= needed - 1
