@@ -88,11 +88,6 @@ def _parse_k_range(text: str) -> tuple[int, int]:
         raise InvalidArgumentError(f"cannot parse k range {text!r}") from None
 
 
-def _fraction_str(x) -> str:
-    # str of a Fraction is "p/q", or "p" when q is 1
-    return "inf" if x == float("inf") else str(x)
-
-
 # atom sets fetched while handling the current command, for resource counters
 _TOUCHED_ATOMS: list[AtomSet] = []
 
@@ -170,7 +165,7 @@ def cmd_lengths(args):
         "sequence": encode_sequence(seq),
         "lengths": list(ls.values),
         "delta": list(delta_of(ls)),
-        "elasticity": _fraction_str(elasticity_of(ls)),
+        "elasticity": str(elasticity_of(ls)),
     }, []
 
 
@@ -311,7 +306,7 @@ def cmd_numerical(args):
     results = {
         "generators": list(monoid.generators),
         "frobenius_bound": monoid.frobenius_bound,
-        "elasticity": _fraction_str(num_elasticity(monoid)),
+        "elasticity": str(num_elasticity(monoid)),
         "min_delta": num_min_delta(monoid),
     }
     if args.n is not None:
@@ -322,7 +317,7 @@ def cmd_numerical(args):
             ls = num_length_set(monoid, args.n)
             results["lengths"] = list(ls.values)
             results["delta"] = list(delta_of(ls))
-            results["elasticity_of_n"] = _fraction_str(elasticity_of(ls))
+            results["elasticity_of_n"] = str(elasticity_of(ls))
     return results, []
 
 

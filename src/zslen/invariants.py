@@ -6,7 +6,6 @@ forms used as oracles.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -15,7 +14,7 @@ from .atoms import AtomSet, build_atoms, davenport, enumerate_atoms
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, automorphisms, elements, tables
 from .lengths import LengthSet, delta_of, engine_for, length_set
-from .sequence import Sequence, index_sum, negate
+from .sequence import Sequence, negate
 
 # ceiling on the atom products one unions_range call forms
 PRODUCT_LIMIT = 10**8
@@ -593,67 +592,58 @@ def has_two_D_lengthset(group: FiniteAbelianGroup) -> TwoDavenportReport:
     return TwoDavenportReport(group, dav, False, None, len(longest))
 
 
-# -- interval criterion sampling (subgroup support) --------------------------------
-
-
-def _subgroup_indices(group: FiniteAbelianGroup) -> list[tuple[int, ...]]:
-    """All subgroups as sorted element indices, by size and then indices.
-    They are found by adding one cyclic subgroup at a time to {0}: for a
-    subgroup H, H + <g> is again one."""
-    tab = tables(group)
-    subgroups = {frozenset([0])}
-    frontier = list(subgroups)
-    while frontier:
-        sub = frontier.pop()
-        for g in range(group.order):
-            if g not in sub:
-                bigger = frozenset(tab.add[h][tab.mult[g][k]] for h in sub for k in range(tab.order[g]))
-                if bigger not in subgroups:
-                    subgroups.add(bigger)
-                    frontier.append(bigger)
-    return sorted((tuple(sorted(s)) for s in subgroups), key=lambda s: (len(s), s))
+# -- Thm 6.3.1: subgroup supports give intervals ---------------------------------
 
 
 @dataclass(frozen=True)
 class IntervalSupportReport:
+    """interval_support_check output: the number of zero-sum sequences
+    checked, and each zero-free product whose length set is not an interval,
+    with that set."""
+
     group: FiniteAbelianGroup
-    samples: int
-    seed: int
+    bound: int
+    checked: int
     failures: tuple[tuple[Sequence, LengthSet], ...]
 
     @property
-    def ok(self) -> bool | None:
-        return not self.failures if self.samples else None  # None: undecided
+    def ok(self) -> bool:
+        return not self.failures
 
 
-def interval_support_check(
-    group: FiniteAbelianGroup, samples: int = 100, seed: int = 0
-) -> IntervalSupportReport:
-    """Sample zero-sum sequences whose support together with 0 is a subgroup
-    and check every L(A) is an interval.  A failure would expose an
-    implementation bug, not a gap in the underlying theory."""
-    if samples < 0:
-        raise InvalidArgumentError(f"sample count must be nonnegative: {samples}")
-    rng = random.Random(seed)
-    # element indices: the zero element 0 leads each subgroup
-    subgroups = [s for s in _subgroup_indices(group) if len(s) >= 2] or [(0,)]
-    tab = tables(group)
+def interval_support_check(group: FiniteAbelianGroup, bound: int = 10) -> IntervalSupportReport:
+    """Check Thm 6.3.1 on every A in B(G) with |A| <= bound: L(A) is an
+    interval when supp(A) | {0} is a subgroup.  It reads the forward pass of
+    system (FactorizationEngine.product_levels) over A(G), which yields
+    every zero-free product B of length n with its length mask.  B stands
+    for the bound - n + 1 sequences A = 0^c B with |A| <= bound, as L(A) =
+    c + L(B) and supp(A) | {0} = supp(B) | {0}.  A finite set that holds 0
+    and is closed under + is a subgroup; that test is made once per
+    support.  L(B) is an interval when its mask, shifted down to bit 0, is
+    2^k - 1.  A failure would expose an implementation bug, not a gap in
+    the theorem."""
+    if type(bound) is not int or bound < 0:
+        raise InvalidArgumentError(f"bound must be a nonnegative integer: {bound!r}")
     atoms = enumerate_atoms(group)
+    engine = engine_for(atoms)
+    add = tables(group).add
+    closed: dict[int, bool] = {}  # support bitmask over element indices -> closed under +
+    checked = 0
     failures: list[tuple[Sequence, LengthSet]] = []
-    for _ in range(samples):
-        sub = rng.choice(subgroups)
-        exps = {i: rng.randint(1, 3) for i in sub[1:]}
-        if rng.random() < 0.5:
-            exps[0] = rng.randint(1, 2)
-        for _ in range(rng.randint(0, 8)):  # up to 8 extra letters
-            i = rng.choice(sub)
-            if i:
-                exps[i] = exps.get(i, 0) + 1
-        s = tab.neg[index_sum(tab, exps.items())]
-        if s:
-            exps[s] = exps.get(s, 0) + 1
-        a = Sequence.of_indices(group, exps)
-        ls = length_set(a, atoms)
-        if not ls.is_interval():
-            failures.append((a, ls))
-    return IntervalSupportReport(group, samples, seed, tuple(failures))
+    for n, level in enumerate(engine.product_levels(bound, atoms.prime_letters)):
+        for key, mask in level.items():
+            vec = engine.unpack(key)
+            # letter i is element i, and 0 is letter 0
+            support = 1 | sum(1 << i for i, x in enumerate(vec) if x)
+            ok = closed.get(support)
+            if ok is None:
+                members = [i for i in range(len(vec)) if support >> i & 1]
+                ok = closed[support] = all(
+                    support >> add[a][b] & 1 for a in members for b in members)
+            if ok:
+                checked += bound - n + 1
+                low = mask >> (mask & -mask).bit_length() - 1
+                if low & low + 1:
+                    failures.append(
+                        (Sequence.from_dense(group, atoms.letters, vec), engine.set_of(mask)))
+    return IntervalSupportReport(group, bound, checked, tuple(failures))

@@ -25,7 +25,7 @@ SUITES = {
     "prop6.5": Suite("verify_prop_6_5", {}),
     "thm2.6": Suite("verify_thm_2_6", {"k_max": 10}),
     "thm5.3": Suite("verify_thm_5_3", {"bound": 10}),
-    "thm6.3.1": Suite("verify_thm_6_3_1", {"samples": 200, "seed": 0}),
+    "thm6.3.1": Suite("verify_thm_6_3_1", {"bound": 10}),
     "lemma4.2": Suite("verify_lemma_4_2", {"primes_per_class": 2, "samples": 100, "seed": 0}),
     "all": Suite("_run_all", {"small": False, "seed": 0}, on_group=False),
 }

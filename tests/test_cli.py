@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import logging
@@ -13,6 +14,7 @@ from zslen import atoms as atoms_module
 from zslen.cli import main
 from zslen.errors import InvalidArgumentError
 from zslen.group import make_group
+from zslen.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -217,10 +219,12 @@ def test_verify_explicit_zero_k_max_is_rejected(capsys):
     assert report["error"]["type"] == "invalid-argument"
 
 
-def test_verify_explicit_zero_samples_runs_none(capsys):
-    code, report = run_json(capsys, "verify", "thm6.3.1", "--group", "2", "--samples", "0")
+def test_verify_thm631_bound_zero_checks_the_empty_sequence(capsys):
+    code, report = run_json(capsys, "verify", "thm6.3.1", "--group", "2", "--bound", "0")
     assert code == 0
-    assert report["verdicts"][0]["witness"].startswith("0 samples")
+    (verdict,) = report["verdicts"]
+    assert verdict["pass"] is True
+    assert verdict["witness"] == "|A| <= 0: 1 checked, failures 0"
 
 
 def test_verify_explicit_zero_bound_is_kept(capsys):
@@ -321,7 +325,7 @@ def test_transfer_check_refuses_word_lengths_that_draw_only_the_empty_word(capsy
 
 @pytest.mark.parametrize("argv, name", [
     (["verify", "lemma4.2", "--group", "3"], "lemma4.2 length preservation, C3, 2 primes/class"),
-    (["verify", "thm6.3.1", "--group", "4"], "thm6.3.1 subgroup-support intervals, C4"),
+    (["verify", "lemma4.2", "--group", "2"], "lemma4.2 length preservation, C2, 2 primes/class"),
     (["transfer-check", "--group", "3"], "lemma4.2 length preservation, C3"),
 ])
 def test_zero_samples_leave_the_sampled_verdict_undecided(capsys, argv, name):
@@ -494,7 +498,7 @@ OPTION_TABLE = {
     "verify prop6.5": {"format", "stable", "group", "max_order"},
     "verify thm2.6": {"format", "stable", "group", "max_order", "k_max"},
     "verify thm5.3": {"format", "stable", "group", "max_order", "bound"},
-    "verify thm6.3.1": {"format", "stable", "group", "max_order", "samples", "seed"},
+    "verify thm6.3.1": {"format", "stable", "group", "max_order", "bound"},
     "verify lemma4.2": {"format", "stable", "group", "max_order", "primes_per_class",
                         "samples", "seed"},
     "verify all": {"format", "stable", "small", "seed"},
@@ -518,6 +522,17 @@ def test_option_sets_match_the_table():
             for suite, suite_parser in _subcommands(parser).items():
                 table[f"verify {suite}"] = _option_dests(suite_parser)
     assert table == OPTION_TABLE
+
+
+def test_each_suite_function_reads_exactly_its_options():
+    # the CLI builds a suite's options from SUITES and passes them all by
+    # keyword, so an option its function does not take would exit 4
+    from zslen import verify
+
+    for name, suite in SUITES.items():
+        params = set(inspect.signature(getattr(verify, suite.run)).parameters)
+        assert ("group" in params) == suite.on_group, name
+        assert params - {"group"} == set(suite.options), name
 
 
 # a valid invocation of each command and suite, without the option under test
@@ -585,7 +600,7 @@ REMOVED = [
         ("prop6.5", {"--group", "--max-order"}),
         ("thm2.6", {"--group", "--max-order", "--k-max"}),
         ("thm5.3", {"--group", "--max-order", "--bound"}),
-        ("thm6.3.1", {"--group", "--max-order", "--samples", "--seed"}),
+        ("thm6.3.1", {"--group", "--max-order", "--bound"}),
         ("lemma4.2", {"--group", "--max-order", "--primes-per-class", "--samples", "--seed"}),
         ("all", {"--small", "--seed"}),
     ) for opt in SUITE_CHOICES if opt not in kept],
@@ -593,8 +608,8 @@ REMOVED = [
 
 
 def test_removed_option_count():
-    # 33 command-level options and 43 suite options that nothing read
-    assert len(REMOVED) == len(set(REMOVED)) == 76
+    # 33 command-level options and 44 suite options that nothing read
+    assert len(REMOVED) == len(set(REMOVED)) == 77
 
 
 @pytest.mark.parametrize("command, option", REMOVED)

@@ -13,7 +13,7 @@ from zslen import atoms as atoms_module
 from zslen import invariants
 from zslen.atoms import build_atoms, davenport, enumerate_atoms, minimal_nonzero_vectors
 from zslen.errors import InvalidArgumentError, ResourceLimitError
-from zslen.group import elements, make_group, order_of
+from zslen.group import elements, make_group, order_of, tables
 from zslen.invariants import (
     closed_form_system,
     compare_with_closed_form,
@@ -45,6 +45,8 @@ from zslen.transfer import (
     instance_atoms,
     make_instance,
 )
+
+from subgroup_sampler import subgroup_indices
 
 
 def L(*values):
@@ -247,6 +249,8 @@ CEILING_CALLS = {
         lambda g: has_two_D_lengthset(g, None),
         lambda g: has_two_D_lengthset(g, memo_limit=10),
         lambda g: interval_support_check(g, 1, 0, 10),
+        lambda g: interval_support_check(g, samples=1),
+        lambda g: interval_support_check(g, seed=0),
         lambda g: davenport(g, None, 10),
         lambda g: unions_range(g, 2, product_limit=10),
         lambda g: union_k(g, 2, memo_limit=10),
@@ -273,7 +277,8 @@ CEILING_CALLS = {
     ],
     ids=[
         "elasticity-atoms", "elasticity-cross_check", "two_D-atoms", "two_D-memo_limit",
-        "interval_support-memo_limit", "davenport-node_limit",
+        "interval_support-memo_limit", "interval_support-samples", "interval_support-seed",
+        "davenport-node_limit",
         "unions_range-product_limit", "union_k-kw", "rho_k-kw", "lambda_k-kw",
         "union_k-atoms", "rho_k-atoms", "lambda_k-atoms",
         "system-atoms", "system-positional_atoms", "system-positional_limit",
@@ -788,16 +793,16 @@ def test_two_D_c24_negative(c24):
     assert report.atoms_scanned == 8
 
 
-# -- interval support sampling ------------------------------------------------------------
+# -- Thm 6.3.1: subgroup supports give intervals ------------------------------------------
 
 
 def test_all_subgroups_c4(c4):
-    subs = invariants._subgroup_indices(c4)
+    subs = subgroup_indices(c4)
     assert [len(s) for s in subs] == [1, 2, 4]
 
 
 def test_all_subgroups_c222(c222):
-    subs = invariants._subgroup_indices(c222)
+    subs = subgroup_indices(c222)
     assert [len(s) for s in subs].count(2) == 7
     assert [len(s) for s in subs].count(4) == 7
     assert len(subs) == 16
@@ -812,17 +817,55 @@ def test_interval_support_check_c3_witness_family(c3):
         assert length_set(b, atoms).is_interval()
 
 
-def test_interval_support_check_sampling(c4):
-    report = interval_support_check(c4, samples=100, seed=7)
-    assert report.ok
-    assert report.samples == 100
+def _subgroup_support_count(group, bound):
+    """The zero-sum sequences of length <= bound whose support with 0 is a
+    subgroup, counted over the atom-free walk."""
+    subgroups = set(subgroup_indices(group))
+    index = tables(group).index
+    return sum(
+        tuple(sorted({0} | {index[g] for g in a.support})) in subgroups
+        for a in enumerate_zero_sum(group, None, bound)
+    )
+
+
+@pytest.mark.parametrize("mods, bound, checked", [
+    ([1], 5, 6), ([2], 12, 49), ([3], 10, 68), ([4], 12, 230), ([6], 10, 169),
+    ([2, 2, 2], 8, 375), ([2, 2, 2], 9, 580),
+], ids=["C1-b5", "C2-b12", "C3-b10", "C4-b12", "C6-b10", "C2^3-b8", "C2^3-b9"])
+def test_interval_support_check_reads_every_element(mods, bound, checked):
+    group = make_group(mods)
+    report = interval_support_check(group, bound)
+    assert (report.bound, report.checked, report.failures, report.ok) == (bound, checked, (), True)
+    assert _subgroup_support_count(group, bound) == checked
+
+
+def test_interval_support_check_reports_a_gap(c4, monkeypatch, fresh_atom_cache):
+    # feed the check a pass in which the empty product has lengths {0, 2}
+    # and 2^2 has {1, 3}: both are reported, each with its set
+    engine = engine_for(enumerate_atoms(c4))
+    real = engine.product_levels
+    gapped = {0: 0b101, engine._key((0, 0, 2, 0)): 0b1010}
+
+    def levels(top, avoid):
+        for level in real(top, avoid):
+            yield {key: gapped.get(key, mask) for key, mask in level.items()}
+
+    monkeypatch.setattr(engine, "product_levels", levels)
+    report = interval_support_check(c4, 4)
+    assert not report.ok
+    assert [(str(a), ls) for a, ls in report.failures] == [("[]", L(0, 2)), ("[2:2]", L(1, 3))]
+    assert report.checked == _subgroup_support_count(c4, 4)
 
 
 def test_interval_support_check_counts(c3):
-    # no sample decides nothing; a negative count is refused
-    assert interval_support_check(c3, 0).ok is None
+    # bound 0 checks the empty sequence, and so decides the claim; a
+    # negative or non-integer bound is refused
+    report = interval_support_check(c3, 0)
+    assert (report.checked, report.ok) == (1, True)
     with pytest.raises(InvalidArgumentError, match="nonnegative"):
         interval_support_check(c3, -3)
+    with pytest.raises(InvalidArgumentError, match="nonnegative"):
+        interval_support_check(c3, 2.0)
 
 
 # -- cross-cutting invariants -------------------------------------------------------------
