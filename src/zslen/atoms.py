@@ -46,11 +46,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, elements, tables
+from .record import Record, _set
 from .sequence import Sequence, canonical_subset, index_sum, is_zero_sum
 
 DEFAULT_NODE_LIMIT = 10**8
@@ -197,19 +197,23 @@ def minimal_nonzero_vectors(
     return found, nodes
 
 
-@dataclass(frozen=True)
-class AtomSet:
+class AtomSet(Record):
     """The atoms of a monoid of class-sum-zero words (B(G0), or the H of a
     Krull instance), held as dense exponent vectors over the letter order.
+    Equality compares the group, letters and vectors, not nodes_visited.
     `engine` is this set's one FactorizationEngine, built by
     lengths.engine_for on first use; calls under any memo cap share its
     memo."""
 
-    group: FiniteAbelianGroup
-    letters: tuple  # labels: elements of G0, or prime names
-    atom_vectors: tuple[tuple[int, ...], ...]
-    nodes_visited: int = field(default=0, compare=False)
-    engine: object = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("group", "letters", "atom_vectors", "nodes_visited", "engine", "__dict__",
+                 "__weakref__")
+    _args = __slots__[:4]
+    _fields = __slots__[:3]
+
+    def __init__(self, group: FiniteAbelianGroup, letters: tuple,
+                 atom_vectors: tuple[tuple[int, ...], ...], nodes_visited: int = 0):
+        super().__init__(group, letters, atom_vectors, nodes_visited)
+        _set(self, "engine", None)
 
     def __len__(self):
         return len(self.atom_vectors)

@@ -11,7 +11,6 @@ text is a readable summary.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import os
@@ -241,7 +240,11 @@ def cmd_delta_star(args):
 def _fit_payload(fit):
     if fit is None:
         return None
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(fit).items()}
+    return {
+        "shift": fit.shift, "difference": fit.difference, "period": list(fit.period),
+        "length": fit.length, "bound": fit.bound, "initial": list(fit.initial),
+        "central": list(fit.central), "end": list(fit.end), "degenerate": fit.degenerate,
+    }
 
 
 def cmd_fit(args):

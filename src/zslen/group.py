@@ -8,11 +8,11 @@ and groups can serve as cache keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product, repeat
 
 from .errors import InvalidArgumentError, ResourceLimitError
+from .record import Record, _set
 
 # All downstream enumeration is exponential in the group order; this cap
 # keeps the toolkit at desk scale.  Pass max_order=None to lift it.
@@ -36,22 +36,23 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """C_{n1} + ... + C_{nr}; the empty factor tuple is the trivial group.
 
     Equality compares the factor tuples and the hash is stored at
     construction: every tables(group) lookup pays one of each."""
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("invariant_factors", "_hash")
+    _fields = _args = ("invariant_factors",)
 
-    def __post_init__(self):
-        facs = self.invariant_factors
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        facs = invariant_factors
         if any(n <= 1 for n in facs):
             raise InvalidArgumentError(f"invariant factors must exceed 1: {facs}")
         if any(facs[i + 1] % facs[i] != 0 for i in range(len(facs) - 1)):
             raise InvalidArgumentError(f"divisibility chain violated: {facs}")
-        object.__setattr__(self, "_hash", hash(facs))
+        _set(self, "invariant_factors", facs)
+        _set(self, "_hash", hash(facs))
 
     def __eq__(self, other):
         if other.__class__ is FiniteAbelianGroup:
@@ -93,23 +94,33 @@ class FiniteAbelianGroup:
         return "+".join(f"C{n}" for n in self.invariant_factors)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """An element of its group, coordinates reduced modulo the factors."""
+class GroupElement(Record):
+    """An element of its group, coordinates reduced modulo the factors.
 
-    group: FiniteAbelianGroup
-    coords: tuple[int, ...]
+    Equality compares the coordinates, then the groups' factor tuples, and
+    the hash, of the coordinates alone, is stored at construction."""
 
-    def __post_init__(self):
-        facs = self.group.invariant_factors
-        if len(self.coords) != len(facs):
+    __slots__ = ("group", "coords", "_hash")
+    _fields = _args = ("group", "coords")
+
+    def __init__(self, group: FiniteAbelianGroup, coords: tuple[int, ...]):
+        facs = group.invariant_factors
+        if len(coords) != len(facs):
             raise InvalidArgumentError("coordinate count does not match group rank")
-        if any(not (0 <= a < n) for a, n in zip(self.coords, facs)):
-            raise InvalidArgumentError(f"coordinates not reduced: {self.coords}")
+        if any(not (0 <= a < n) for a, n in zip(coords, facs)):
+            raise InvalidArgumentError(f"coordinates not reduced: {coords}")
+        _set(self, "group", group)
+        _set(self, "coords", coords)
+        _set(self, "_hash", hash(coords))
+
+    def __eq__(self, other):
+        if other.__class__ is GroupElement:
+            return (self.coords == other.coords
+                    and self.group.invariant_factors == other.group.invariant_factors)
+        return NotImplemented
 
     def __hash__(self):
-        # equal elements have equal coords; equality still compares the group
-        return hash(self.coords)
+        return self._hash
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         return add(self, other)

@@ -6,14 +6,14 @@ forms used as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
 from .atoms import AtomSet, build_atoms, davenport, enumerate_atoms
 from .errors import InvalidArgumentError, ResourceLimitError
-from .group import FiniteAbelianGroup, GroupElement, automorphisms, elements, tables
+from .group import FiniteAbelianGroup, automorphisms, elements, tables
 from .lengths import LengthSet, delta_of, engine_for, length_set
+from .record import Record
 from .sequence import Sequence, negate
 
 # ceiling on the atom products one unions_range call forms
@@ -28,18 +28,17 @@ MAX_ATOM_IMAGES = 300_000
 # -- systems of sets of lengths ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SystemOfLengthSets:
+class SystemOfLengthSets(Record):
     """Deduplicated { L(B) : |B| <= bound } with one witness per entry.
 
     Witnesses are the first sequences found in the deterministic
     enumeration order, hence of minimal length for their length set.
     """
 
-    group: FiniteAbelianGroup
-    subset: tuple[GroupElement, ...]
-    bound: int
-    entries: tuple[tuple[LengthSet, Sequence], ...]
+    __slots__ = ("group", "subset", "bound", "entries")
+
+    def __init__(self, group, subset, bound, entries):
+        super().__init__(group, subset, bound, entries)
 
     def length_sets(self) -> tuple[LengthSet, ...]:
         return tuple(ls for ls, _ in self.entries)
@@ -197,15 +196,14 @@ def closed_form_system(group: FiniteAbelianGroup, max_element: int) -> frozenset
     return frozenset(ls for ls in out if ls.max <= max_element)
 
 
-@dataclass(frozen=True)
-class SystemComparison:
+class SystemComparison(Record):
     """Result of checking brute force against a closed-form system."""
 
-    group: FiniteAbelianGroup
-    bound: int
-    frontier: int  # closed-form sets with D(G)*min L <= frontier must appear
-    computed_not_in_family: tuple[LengthSet, ...]
-    missing_at_frontier: tuple[LengthSet, ...]
+    __slots__ = ("group", "bound", "frontier", "computed_not_in_family", "missing_at_frontier")
+
+    def __init__(self, group, bound, frontier, computed_not_in_family, missing_at_frontier):
+        # frontier: closed-form sets with D(G)*min L <= frontier must appear
+        super().__init__(group, bound, frontier, computed_not_in_family, missing_at_frontier)
 
     @property
     def ok(self) -> bool:
@@ -253,12 +251,13 @@ def compare_with_closed_form(
 # -- unions of sets of lengths ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnionOfLengths:
+class UnionOfLengths(Record):
     """U_k with its extremes rho_k = max and lambda_k = min."""
 
-    k: int
-    values: tuple[int, ...]
+    __slots__ = ("k", "values")
+
+    def __init__(self, k, values):
+        super().__init__(k, values)
 
     @property
     def rho(self) -> int:
@@ -419,15 +418,14 @@ def elasticity(group: FiniteAbelianGroup) -> Fraction:
 # -- distance sets ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(Record):
     """Observed distances of B(G0) up to a bound, with a stability flag."""
 
-    group: FiniteAbelianGroup
-    subset: tuple[GroupElement, ...]
-    bound: int
-    distances: tuple[int, ...]
-    exact: bool  # B(G0) half-factorial, or interval from 1 stable across a D(G)-wide window
+    __slots__ = ("group", "subset", "bound", "distances", "exact")
+
+    def __init__(self, group, subset, bound, distances, exact):
+        # exact: B(G0) half-factorial, or interval from 1 stable across a D(G)-wide window
+        super().__init__(group, subset, bound, distances, exact)
 
 
 def delta_of_group(group: FiniteAbelianGroup, subset=None, bound: int = 8) -> DeltaReport:
@@ -481,14 +479,14 @@ def min_distance(vectors) -> int:
     return math.gcd(*(r[-1] for r in rows))
 
 
-@dataclass(frozen=True)
-class DeltaStarReport:
+class DeltaStarReport(Record):
     """The set of minimal distances Delta*(G) = {min Delta(G0) : G0 a
     subset of G with Delta(G0) nonempty}, exact."""
 
-    group: FiniteAbelianGroup
-    values: tuple[int, ...]
-    subsets_scanned: int
+    __slots__ = ("group", "values", "subsets_scanned")
+
+    def __init__(self, group, values, subsets_scanned):
+        super().__init__(group, values, subsets_scanned)
 
 
 def delta_star(group: FiniteAbelianGroup) -> DeltaStarReport:
@@ -517,13 +515,13 @@ def delta_star(group: FiniteAbelianGroup) -> DeltaStarReport:
 # -- half-factoriality and the {2, D(G)} criterion --------------------------------
 
 
-@dataclass(frozen=True)
-class HalfFactorialVerdict:
-    """Exact; the witness of a "no-with-witness" verdict has two or more lengths."""
+class HalfFactorialVerdict(Record):
+    """Exact: kind "yes-exact", or "no-with-witness" with a witness of two or more lengths."""
 
-    kind: str  # "yes-exact" | "no-with-witness"
-    witness: Sequence | None = None
-    witness_lengths: LengthSet | None = None
+    __slots__ = ("kind", "witness", "witness_lengths")
+
+    def __init__(self, kind, witness=None, witness_lengths=None):
+        super().__init__(kind, witness, witness_lengths)
 
     @property
     def is_half_factorial(self) -> bool:
@@ -557,15 +555,13 @@ def is_half_factorial(group: FiniteAbelianGroup, subset=None) -> HalfFactorialVe
     return HalfFactorialVerdict("no-with-witness", witness, length_set(witness, atoms))
 
 
-@dataclass(frozen=True)
-class TwoDavenportReport:
+class TwoDavenportReport(Record):
     """Search result for a length set equal to {2, D(G)}."""
 
-    group: FiniteAbelianGroup
-    davenport: int
-    found: bool
-    witness: Sequence | None
-    atoms_scanned: int
+    __slots__ = ("group", "davenport", "found", "witness", "atoms_scanned")
+
+    def __init__(self, group, davenport, found, witness, atoms_scanned):
+        super().__init__(group, davenport, found, witness, atoms_scanned)
 
 
 def has_two_D_lengthset(group: FiniteAbelianGroup) -> TwoDavenportReport:
@@ -595,16 +591,15 @@ def has_two_D_lengthset(group: FiniteAbelianGroup) -> TwoDavenportReport:
 # -- Thm 6.3.1: subgroup supports give intervals ---------------------------------
 
 
-@dataclass(frozen=True)
-class IntervalSupportReport:
+class IntervalSupportReport(Record):
     """interval_support_check output: the number of zero-sum sequences
     checked, and each zero-free product whose length set is not an interval,
     with that set."""
 
-    group: FiniteAbelianGroup
-    bound: int
-    checked: int
-    failures: tuple[tuple[Sequence, LengthSet], ...]
+    __slots__ = ("group", "bound", "checked", "failures")
+
+    def __init__(self, group, bound, checked, failures):
+        super().__init__(group, bound, checked, failures)
 
     @property
     def ok(self) -> bool:

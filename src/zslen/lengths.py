@@ -61,29 +61,36 @@ per distinct mask.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .atoms import CAPS, AtomSet, below_rows
 from .errors import InvalidArgumentError, ResourceLimitError
+from .record import Record, _set
 from .sequence import Sequence, index_sum
 
 
-@dataclass(frozen=True)
-class LengthSet:
+class LengthSet(Record):
     """A finite nonempty set of nonnegative integers, stored sorted."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        vals = self.values
-        if not vals:
+    def __init__(self, values: tuple[int, ...]):
+        if not values:
             raise InvalidArgumentError("a length set is nonempty")
-        if any(not isinstance(x, int) or x < 0 for x in vals):
-            raise InvalidArgumentError(f"lengths must be nonnegative integers: {vals}")
-        if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
-            raise InvalidArgumentError(f"lengths must be strictly increasing: {vals}")
+        if any(not isinstance(x, int) or x < 0 for x in values):
+            raise InvalidArgumentError(f"lengths must be nonnegative integers: {values}")
+        if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
+            raise InvalidArgumentError(f"lengths must be strictly increasing: {values}")
+        _set(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is LengthSet:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.values,))
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "LengthSet":
@@ -92,8 +99,8 @@ class LengthSet:
     @classmethod
     def from_mask(cls, mask: int) -> "LengthSet":
         """The set of bit positions of a positive mask.  Its values are
-        sorted, distinct and nonnegative by construction, so __post_init__
-        is not run."""
+        sorted, distinct and nonnegative by construction, so __init__ is
+        not run."""
         if mask <= 0:
             raise InvalidArgumentError("empty bitmask")
         values = []
@@ -102,7 +109,7 @@ class LengthSet:
             values.append(low.bit_length() - 1)
             mask ^= low
         out = object.__new__(cls)
-        object.__setattr__(out, "values", tuple(values))
+        _set(out, "values", tuple(values))
         return out
 
     def to_mask(self) -> int:
@@ -442,6 +449,9 @@ def _pack(vec, nbytes: int) -> int:
 
 
 def _unpack(key: int, width: int, nbytes: int) -> tuple[int, ...]:
+    """Inverse of _pack for a vector of width letters."""
+    if nbytes == 1:
+        return tuple(key.to_bytes(width, "little"))
     data = key.to_bytes(width * nbytes, "little")
     return tuple(
         int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)

@@ -14,21 +14,24 @@ the last max(generators) masks are kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import InvalidArgumentError
 from .lengths import LengthSet, mask_gaps
+from .record import Record
 
 
-@dataclass(frozen=True)
-class NumericalMonoid:
-    """<n1,...,nt> with gcd 1, generators minimal and sorted ascending."""
+class NumericalMonoid(Record):
+    """<n1,...,nt> with gcd 1, generators minimal and sorted ascending.  The
+    frobenius_bound is the largest integer outside the monoid (-1 for N0);
+    apery[r], the least member congruent to r mod n1, is not compared."""
 
-    generators: tuple[int, ...]
-    frobenius_bound: int  # largest integer outside the monoid; -1 for N0
-    apery: tuple[int, ...] = field(repr=False, compare=False)  # least member per residue mod n1
+    __slots__ = ("generators", "frobenius_bound", "apery")
+    _fields = __slots__[:2]
+
+    def __init__(self, generators, frobenius_bound, apery):
+        super().__init__(generators, frobenius_bound, apery)
 
     def __str__(self):
         return "<" + ",".join(str(n) for n in self.generators) + ">"

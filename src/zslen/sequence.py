@@ -12,11 +12,11 @@ v/sigma return them, and the text encoding "[g:mult,...]" lists them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InvalidArgumentError
 from .group import FiniteAbelianGroup, GroupElement, elements, tables
+from .record import Record, _set
 
 # Multiplicities are mathematically unbounded; this guard keeps encodings
 # and k-fold powers sane.
@@ -40,19 +40,17 @@ def _positions(group: FiniteAbelianGroup, order: tuple[GroupElement, ...]) -> di
     return pos
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(Record):
     """A multiset over group elements with strictly positive multiplicities,
     held as (element index, multiplicity) pairs in index order."""
 
-    group: FiniteAbelianGroup
-    items: tuple[tuple[int, int], ...]
+    __slots__ = ("group", "items")
 
-    def __post_init__(self):
-        last, size = -1, self.group.order
-        for i, m in self.items:
+    def __init__(self, group: FiniteAbelianGroup, items: tuple[tuple[int, int], ...]):
+        last, size = -1, group.order
+        for i, m in items:
             if type(i) is not int or not 0 <= i < size:
-                raise InvalidArgumentError(f"element index {i!r} outside {self.group}")
+                raise InvalidArgumentError(f"element index {i!r} outside {group}")
             if not isinstance(m, int) or m <= 0:
                 raise InvalidArgumentError(f"multiplicity must be positive: {m!r}")
             if m >= _MAX_MULTIPLICITY:
@@ -60,6 +58,8 @@ class Sequence:
             if i <= last:
                 raise InvalidArgumentError("items not in canonical element order")
             last = i
+        _set(self, "group", group)
+        _set(self, "items", items)
 
     @classmethod
     def make(cls, group: FiniteAbelianGroup, exponents: Mapping[GroupElement, int]) -> "Sequence":

@@ -10,32 +10,32 @@ too short to put d itself into the central part still fits with the window
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvalidArgumentError
 from .group import FiniteAbelianGroup
-from .invariants import UnionOfLengths, elasticity, system, unions_range
+from .invariants import elasticity, system, unions_range
 from .lengths import LengthSet
+from .record import Record
 
 # |U_k|/k has settled once every later ratio is this close to its limit
 DENSITY_TOLERANCE = Fraction(1, 10)
 
 
-@dataclass(frozen=True)
-class AAMPFit:
-    """A valid decomposition of a concrete finite set."""
+class AAMPFit(Record):
+    """A valid decomposition of a concrete finite set: shift y, difference
+    d, period D (with 0 and d), length (the maximal l with l*d in the
+    central part; 0 when degenerate), bound M, and the initial part L',
+    central part L* and end part L'', relative to the shift."""
 
-    shift: int  # y
-    difference: int  # d
-    period: tuple[int, ...]  # D, with 0 and d included
-    length: int  # maximal l with l*d in the central part; 0 when degenerate
-    bound: int  # M
-    initial: tuple[int, ...]  # L', relative to the shift
-    central: tuple[int, ...]  # L*, relative to the shift
-    end: tuple[int, ...]  # L'', relative to the shift
-    degenerate: bool
+    __slots__ = ("shift", "difference", "period", "length", "bound", "initial", "central", "end",
+                 "degenerate")
+
+    def __init__(self, shift, difference, period, length, bound, initial, central, end,
+                 degenerate):
+        super().__init__(shift, difference, period, length, bound, initial, central, end,
+                         degenerate)
 
     def reconstruct(self) -> LengthSet:
         parts = self.initial + self.central + self.end
@@ -123,18 +123,17 @@ def best_aamp(lengths: LengthSet, candidate_d: Iterable[int]) -> AAMPFit:
 # -- whole-system verification -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureFitReport:
+class StructureFitReport(Record):
     """verify_structure_theorem output: the fits of every computed length set."""
 
-    group: FiniteAbelianGroup
-    bound: int
-    candidates: tuple[int, ...]
-    max_bound: int
-    witness: LengthSet | None
-    witness_fit: AAMPFit | None
-    histogram: tuple[tuple[tuple[int, int, int], int], ...]  # (d, |D|, M) -> count
-    round_trip_failures: tuple[LengthSet, ...] = ()
+    __slots__ = ("group", "bound", "candidates", "max_bound", "witness", "witness_fit",
+                 "histogram", "round_trip_failures")
+
+    def __init__(self, group, bound, candidates, max_bound, witness, witness_fit, histogram,
+                 round_trip_failures=()):
+        # histogram: (d, |D|, M) -> count
+        super().__init__(group, bound, candidates, max_bound, witness, witness_fit, histogram,
+                         round_trip_failures)
 
     @property
     def ok(self) -> bool:
@@ -173,21 +172,18 @@ def verify_structure_theorem(group: FiniteAbelianGroup, bound: int) -> Structure
     )
 
 
-@dataclass(frozen=True)
-class UnionsStructureReport:
+class UnionsStructureReport(Record):
     """verify_unions_structure output: AAP shape of each U_k plus the density
     trend toward (rho - 1/rho)/d."""
 
-    group: FiniteAbelianGroup
-    ks: tuple[int, ...]
-    difference: int
-    unions: tuple[UnionOfLengths, ...]
-    aap_bounds: tuple[int, ...]
-    all_intervals: bool
-    density_target: Fraction
-    density_rows: tuple[tuple[int, Fraction], ...]  # (k, |U_k|/k)
-    settles_by: int | None  # least k from which ratios stay within tolerance
-    tolerance: Fraction
+    __slots__ = ("group", "ks", "difference", "unions", "aap_bounds", "all_intervals",
+                 "density_target", "density_rows", "settles_by", "tolerance")
+
+    def __init__(self, group, ks, difference, unions, aap_bounds, all_intervals, density_target,
+                 density_rows, settles_by, tolerance):
+        # density_rows: (k, |U_k|/k); settles_by: least k from which the ratios stay settled
+        super().__init__(group, ks, difference, unions, aap_bounds, all_intervals, density_target,
+                         density_rows, settles_by, tolerance)
 
     @property
     def ok(self) -> bool:

@@ -19,36 +19,38 @@ cache.  The set is held to the node cap as enumerate_atoms holds its own
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .atoms import AtomSet, build_atoms, enumerate_atoms, held_to_node_cap
 from .errors import InvalidArgumentError
 from .group import FiniteAbelianGroup, GroupElement, tables
 from .lengths import LengthSet, engine_for, length_set
+from .record import Record, _set
 from .sequence import Sequence, canonical_subset, encode_dense, index_sum, is_zero_sum
 
 
-@dataclass(frozen=True)
-class KrullInstance:
-    """A finite prime set P with a class map onto G0; H = class-sum-zero words."""
+class KrullInstance(Record):
+    """A finite prime set P with a class map onto G0; H = class-sum-zero words.
+    `atom_set` is the atom set of H (instance_atoms), with its engine, built
+    on first use and not compared."""
 
-    group: FiniteAbelianGroup
-    subset: tuple[GroupElement, ...]  # G0, in canonical order
-    primes: tuple[str, ...]
-    classes: tuple[GroupElement, ...]  # class of each prime, aligned with primes
-    # the atom set of H (instance_atoms), with its engine
-    atom_set: AtomSet | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("group", "subset", "primes", "classes", "atom_set", "__dict__",
+                 "__weakref__")
+    _fields = _args = __slots__[:4]
 
-    def __post_init__(self):
-        if len(self.primes) != len(self.classes):
+    def __init__(self, group: FiniteAbelianGroup, subset: tuple[GroupElement, ...],
+                 primes: tuple[str, ...], classes: tuple[GroupElement, ...]):
+        # subset is G0 in canonical order; classes[i] is the class of primes[i]
+        if len(primes) != len(classes):
             raise InvalidArgumentError("one class per prime required")
-        if len(set(self.primes)) != len(self.primes):
+        if len(set(primes)) != len(primes):
             raise InvalidArgumentError("prime labels must be distinct")
-        if any(g.group != self.group for g in self.classes):
+        if any(g.group != group for g in classes):
             raise InvalidArgumentError("class from a different group")
-        if set(self.classes) != set(self.subset):
+        if set(classes) != set(subset):
             raise InvalidArgumentError("class map must be surjective onto G0")
+        super().__init__(group, subset, primes, classes)
+        _set(self, "atom_set", None)
 
     @cached_property
     def class_by_prime(self) -> tuple[int, ...]:
@@ -106,7 +108,7 @@ def instance_atoms(instance: KrullInstance) -> AtomSet:
     atoms = held_to_node_cap(instance.atom_set)
     if atoms is None:
         atoms = build_atoms(instance.group, instance.primes, instance.classes)
-        object.__setattr__(instance, "atom_set", atoms)  # the instance is frozen
+        _set(instance, "atom_set", atoms)  # the instance is frozen
     return atoms
 
 
@@ -142,13 +144,11 @@ def random_word(instance: KrullInstance, rng: random.Random, max_length: int) ->
     return (0,) * len(classes)
 
 
-@dataclass(frozen=True)
-class TransferCheckReport:
-    instance: KrullInstance
-    samples: int
-    seed: int
-    max_word_length: int
-    failures: tuple[tuple[tuple[int, ...], LengthSet, LengthSet], ...]
+class TransferCheckReport(Record):
+    __slots__ = ("instance", "samples", "seed", "max_word_length", "failures")
+
+    def __init__(self, instance, samples, seed, max_word_length, failures):
+        super().__init__(instance, samples, seed, max_word_length, failures)
 
     @property
     def passes(self) -> int:
@@ -189,13 +189,12 @@ def check_transfer(
     )
 
 
-@dataclass(frozen=True)
-class AtomCorrespondenceReport:
-    instance: KrullInstance
-    h_atom_count: int
-    b_atom_count: int
-    image_mismatch: tuple[Sequence, ...]  # beta images that are not atoms of B(G0)
-    unlifted: tuple[Sequence, ...]  # atoms of B(G0) missed by beta(atoms of H)
+class AtomCorrespondenceReport(Record):
+    __slots__ = ("instance", "h_atom_count", "b_atom_count", "image_mismatch", "unlifted")
+
+    def __init__(self, instance, h_atom_count, b_atom_count, image_mismatch, unlifted):
+        # image_mismatch: beta images outside A(G0); unlifted: atoms of A(G0) no H-atom maps to
+        super().__init__(instance, h_atom_count, b_atom_count, image_mismatch, unlifted)
 
     @property
     def ok(self) -> bool:

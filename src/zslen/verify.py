@@ -11,7 +11,6 @@ defaults; the CLI builds each suite's options from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .atoms import davenport
 from .errors import InvalidArgumentError
@@ -25,15 +24,17 @@ from .invariants import (
     unions_range,
 )
 from .numerical import accumulated_delta, make_numerical
+from .record import Record
 from .structure_fit import verify_structure_theorem, verify_unions_structure
 from .suites import SUITES
 from .transfer import check_atom_correspondence, check_transfer, make_instance
 
-@dataclass(frozen=True)
-class Verdict:
-    name: str
-    passed: bool | None  # None: undecided
-    witness: str
+
+class Verdict(Record):
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name, passed, witness):
+        super().__init__(name, passed, witness)
 
     def as_dict(self) -> dict:
         return {"name": self.name, "pass": self.passed, "witness": self.witness}

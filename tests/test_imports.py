@@ -87,6 +87,14 @@ def test_verify_all_loads_neither_the_cache_nor_hashlib():
     assert [m for m in ("zslen.cache", "hashlib") if m in added] == []
 
 
+@pytest.mark.parametrize("argv", [["atoms", "--group", "3"], ["verify", "all", "--small"]])
+def test_commands_load_neither_dataclasses_nor_inspect(argv):
+    # the records are plain classes: no process generates code for them
+    added = loaded_after(f"from zslen import cli\ncli.main({argv!r})")
+    assert "zslen.group" in added
+    assert [m for m in ("dataclasses", "inspect") if m in added] == []
+
+
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(zslen.__path__)])
 def test_every_module_imports_only_the_standard_library(name):
     added = loaded_after(f"import zslen.{name}")

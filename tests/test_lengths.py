@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import importlib.util
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zslen import lengths
-from zslen.atoms import enumerate_atoms, limits
+from zslen.atoms import AtomSet, enumerate_atoms, limits
 from zslen.errors import InvalidArgumentError, ResourceLimitError
 from zslen.group import FiniteAbelianGroup, elements, make_group
 from zslen.invariants import system
@@ -38,6 +37,12 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 def L(*values):
     return LengthSet.of(values)
+
+
+def fresh_atoms(group):
+    """A copy of A(G) with no engine of its own yet."""
+    atoms = enumerate_atoms(group)
+    return AtomSet(atoms.group, atoms.letters, atoms.atom_vectors, atoms.nodes_visited)
 
 
 # -- LengthSet basics ---------------------------------------------------------
@@ -455,6 +460,20 @@ def test_widen_fixes_the_field_once(c3):
         engine.widen(-1)
 
 
+@pytest.mark.parametrize("nbytes", [1, 2, 3])
+def test_pack_unpack_round_trip(nbytes):
+    # a field of nbytes holds 0 and 255 always, 256 from two bytes on; the
+    # largest entry fills every bit of its field
+    top = 256**nbytes - 1
+    entries = [0, 255] + [256] * (nbytes > 1)
+    for vec in ((0,), tuple(entries), tuple(reversed(entries)), (top, 0, top), (1, top, 0)):
+        key = lengths._pack(vec, nbytes)
+        assert key == sum(x << 8 * nbytes * i for i, x in enumerate(vec))
+        assert lengths._unpack(key, len(vec), nbytes) == vec
+    with pytest.raises((ValueError, OverflowError)):
+        lengths._pack((0, top + 1), nbytes)
+
+
 @pytest.mark.parametrize("top", [0, 300])
 def test_engine_rejects_malformed_keys(c3, top):
     engine = FactorizationEngine(enumerate_atoms(c3).vectors())
@@ -495,24 +514,21 @@ def test_warm_length_set_builds_no_elements_or_length_sets(c33, monkeypatch):
         "elements": 0, "length_sets": 0, "sequences": 0, "element_hashes": 0,
         "group_hashes": 0, "group_eqs": 0,
     }
-    element_init = GroupElement.__post_init__
-    lengthset_init = LengthSet.__post_init__
-    sequence_init = Sequence.__post_init__
     element_hash = GroupElement.__hash__
     group_hash = FiniteAbelianGroup.__hash__
     group_eq = FiniteAbelianGroup.__eq__
 
-    def count_element(self):
-        built["elements"] += 1
-        element_init(self)
+    def count_init(key, init):
+        def counted(self, *args):
+            built[key] += 1
+            init(self, *args)
+        return counted
 
-    def count_length_set(self):
+    from_mask = LengthSet.from_mask
+
+    def count_from_mask(cls, mask):  # the one constructor that skips __init__
         built["length_sets"] += 1
-        lengthset_init(self)
-
-    def count_sequence(self):
-        built["sequences"] += 1
-        sequence_init(self)
+        return from_mask(mask)
 
     def count_hash(self):
         built["element_hashes"] += 1
@@ -526,24 +542,29 @@ def test_warm_length_set_builds_no_elements_or_length_sets(c33, monkeypatch):
         built["group_eqs"] += 1
         return group_eq(self, other)
 
-    monkeypatch.setattr(GroupElement, "__post_init__", count_element)
-    monkeypatch.setattr(LengthSet, "__post_init__", count_length_set)
-    monkeypatch.setattr(Sequence, "__post_init__", count_sequence)
+    monkeypatch.setattr(GroupElement, "__init__", count_init("elements", GroupElement.__init__))
+    monkeypatch.setattr(LengthSet, "__init__", count_init("length_sets", LengthSet.__init__))
+    monkeypatch.setattr(LengthSet, "from_mask", classmethod(count_from_mask))
+    monkeypatch.setattr(Sequence, "__init__", count_init("sequences", Sequence.__init__))
     monkeypatch.setattr(GroupElement, "__hash__", count_hash)
     monkeypatch.setattr(FiniteAbelianGroup, "__hash__", count_group_hash)
     monkeypatch.setattr(FiniteAbelianGroup, "__eq__", count_group_eq)
     for _ in range(3):
         assert length_set(b, atoms) is expected
     assert set(built.values()) == {0}
-    # the counters do see a hash and a comparison
+    # the counters do see a hash, a comparison and each construction
     assert hash(c33.zero()) == element_hash(c33.zero())
     assert hash(c33) == group_hash(c33)
     assert c33 == make_group([3, 3])
-    assert (built["element_hashes"], built["group_hashes"], built["group_eqs"]) == (1, 1, 1)
+    LengthSet.from_mask(0b110), LengthSet((1, 2)), Sequence.empty(c33)
+    assert built == {
+        "elements": 2, "length_sets": 2, "sequences": 1, "element_hashes": 1,
+        "group_hashes": 1, "group_eqs": 1,
+    }
 
 
 def test_warm_calls_with_one_mask_share_one_length_set(c3):
-    atoms = dataclasses.replace(enumerate_atoms(c3))  # no engine yet
+    atoms = fresh_atoms(c3)
     first = length_set(parse_sequence(c3, "[1:3]"), atoms)
     assert length_set(parse_sequence(c3, "[2:3]"), atoms) is first
     assert length_set(parse_sequence(c3, "[1:3]"), atoms) is first
@@ -553,7 +574,7 @@ def test_warm_calls_with_one_mask_share_one_length_set(c3):
 def test_warm_path_packs_no_count_the_field_cannot_hold(c2):
     # 512 copies of 0 in an 8-bit field would carry into the next field and
     # read as the key of the atom [1:2], which the memo holds
-    atoms = dataclasses.replace(enumerate_atoms(c2))
+    atoms = fresh_atoms(c2)
     assert length_set(parse_sequence(c2, "[1:2]"), atoms) == L(1)
     assert length_set(parse_sequence(c2, "[0:512]"), atoms) == L(512)
     assert length_set(parse_sequence(c2, "[1:2]"), atoms) == L(1)
@@ -562,7 +583,7 @@ def test_warm_path_packs_no_count_the_field_cannot_hold(c2):
 def test_stored_mask_0_still_leaves_the_zero_sum_check(c3):
     # the warm path answers only from a positive mask: a vector whose
     # mask 0 an engine query stored is still refused as not zero-sum
-    atoms = dataclasses.replace(enumerate_atoms(c3))
+    atoms = fresh_atoms(c3)
     b = parse_sequence(c3, "[1:1]")
     engine = lengths.engine_for(atoms)
     assert engine.lengths_mask(b.dense(atoms.letters)) == 0

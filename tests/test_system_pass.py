@@ -17,13 +17,11 @@ empties the atom cache (the fresh_atom_cache fixture); the oracle runs on
 a copy of A(G0) with no engine of its own yet.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from zslen.atoms import DEFAULT_MEMO_LIMIT, enumerate_atoms, limits
+from zslen.atoms import DEFAULT_MEMO_LIMIT, AtomSet, enumerate_atoms, limits
 from zslen.errors import ResourceLimitError
 from zslen.group import elements, make_group
 from zslen.invariants import system
@@ -65,7 +63,8 @@ def walk_system(group, bound, atoms, memo_limit=DEFAULT_MEMO_LIMIT):
 
 def fresh_atoms(group, subset):
     """A copy of A(G0) with no engine of its own yet, for the oracle."""
-    return dataclasses.replace(enumerate_atoms(group, subset))
+    atoms = enumerate_atoms(group, subset)
+    return AtomSet(atoms.group, atoms.letters, atoms.atom_vectors, atoms.nodes_visited)
 
 
 def fresh_system(renew, group, subset, bound, memo_limit=DEFAULT_MEMO_LIMIT):
