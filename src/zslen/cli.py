@@ -593,16 +593,20 @@ def main(argv=None) -> int:
         return _error_report(report, EXIT_RESOURCE_LIMIT, "resource-limit", str(exc),
                              bound=exc.bound_name, limit=exc.limit)
     except Exception as exc:
-        import traceback
-
-        # a bug, not bad input: keep only the fields that are known to
-        # serialize, since the failure may lie in the results themselves
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        # a bug or exhausted memory, not bad input.  The raising frame is
+        # read off the traceback with no import, which fails when memory
+        # is short; dropping the traceback then frees its frames' locals.
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
+        exc.__traceback__ = tb = None
+        # keep only the fields that are known to serialize, since the
+        # failure may lie in the results themselves
         report = {k: report[k] for k in ("schema", "tool", "command", "config")}
-        return _error_report(
-            report, EXIT_INTERNAL_ERROR, "internal-error", f"{type(exc).__name__}: {exc}",
-            where=f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
-        )
+        return _error_report(report, EXIT_INTERNAL_ERROR, "internal-error",
+                             f"{type(exc).__name__}: {exc}", where=where)
     sys.stdout.write(output)
     if any(v["pass"] is False for v in verdicts):
         return EXIT_VERIFICATION_FAILURE

@@ -37,9 +37,6 @@ class SystemOfLengthSets(Record):
 
     __slots__ = ("group", "subset", "bound", "entries")
 
-    def __init__(self, group, subset, bound, entries):
-        super().__init__(group, subset, bound, entries)
-
     def length_sets(self) -> tuple[LengthSet, ...]:
         return tuple(ls for ls, _ in self.entries)
 
@@ -118,13 +115,16 @@ def system(group: FiniteAbelianGroup, subset=None, bound: int = 8) -> SystemOfLe
                     fresh[mask] = (order, key)
         first.update((mask, key) for mask, (_, key) in fresh.items())
     if lead:
-        shifted = []
+        by_size: list[list[tuple[int, int]]] = [[] for _ in range(bound + 1)]
         for mask, key in first.items():
-            size = sum(engine.unpack(key))
-            shifted += [(size + c, c, mask << c, key + c) for c in range(bound - size + 1)]
+            by_size[sum(engine.unpack(key))].append((mask, key))
+        # per length, c ascending: the first candidate to reach a set has
+        # the least (length, c), and only the output is held
         first = {}
-        for _, _, mask, key in sorted(shifted):
-            first.setdefault(mask, key)
+        for length in range(bound + 1):
+            for c in range(length + 1):
+                for mask, key in by_size[length - c]:
+                    first.setdefault(mask << c, key + c)
     entries = sorted(
         (
             (LengthSet.from_mask(mask), Sequence.from_dense(group, alphabet, engine.unpack(key)))
@@ -197,37 +197,26 @@ def closed_form_system(group: FiniteAbelianGroup, max_element: int) -> frozenset
 
 
 class SystemComparison(Record):
-    """Result of checking brute force against a closed-form system."""
+    """Result of checking brute force against a closed-form system.  Every
+    closed-form set L with D(G)*min L <= frontier must appear."""
 
     __slots__ = ("group", "bound", "frontier", "computed_not_in_family", "missing_at_frontier")
-
-    def __init__(self, group, bound, frontier, computed_not_in_family, missing_at_frontier):
-        # frontier: closed-form sets with D(G)*min L <= frontier must appear
-        super().__init__(group, bound, frontier, computed_not_in_family, missing_at_frontier)
 
     @property
     def ok(self) -> bool:
         return not self.computed_not_in_family and not self.missing_at_frontier
 
 
-def compare_with_closed_form(
-    group: FiniteAbelianGroup, bound: int, sys: SystemOfLengthSets | None = None
-) -> SystemComparison:
+def compare_with_closed_form(group: FiniteAbelianGroup, bound: int) -> SystemComparison:
     """Two-sided check of system(G, bound) against the closed form.
 
     Soundness needs no frontier: each computed L(B) is complete, so it must
     be a member of the family.  Completeness is only demanded of family
     sets guaranteed a witness within the bound: a set L has a witness of
     length at most D(G)*min L, and a D(G) margin is kept to stay clear of
-    the truncation frontier.  A given system must be over all of G and to
-    the same bound.
+    the truncation frontier.
     """
-    if sys is None:
-        sys = system(group, None, bound)
-    elif sys.subset != elements(group):
-        raise InvalidArgumentError(f"system does not match B({group})")
-    elif sys.bound != bound:
-        raise InvalidArgumentError(f"system to bound {sys.bound} does not match bound {bound}")
+    sys = system(group, None, bound)
     dav, _ = davenport(group)
     computed = set(sys.length_sets())
     family = closed_form_system(group, max(bound, max((ls.max for ls in computed), default=0)))
@@ -255,9 +244,6 @@ class UnionOfLengths(Record):
     """U_k with its extremes rho_k = max and lambda_k = min."""
 
     __slots__ = ("k", "values")
-
-    def __init__(self, k, values):
-        super().__init__(k, values)
 
     @property
     def rho(self) -> int:
@@ -419,13 +405,11 @@ def elasticity(group: FiniteAbelianGroup) -> Fraction:
 
 
 class DeltaReport(Record):
-    """Observed distances of B(G0) up to a bound, with a stability flag."""
+    """Observed distances of B(G0) up to a bound.  exact: B(G0) is
+    half-factorial, or the distances are an interval from 1 that is stable
+    across a D(G)-wide window."""
 
     __slots__ = ("group", "subset", "bound", "distances", "exact")
-
-    def __init__(self, group, subset, bound, distances, exact):
-        # exact: B(G0) half-factorial, or interval from 1 stable across a D(G)-wide window
-        super().__init__(group, subset, bound, distances, exact)
 
 
 def delta_of_group(group: FiniteAbelianGroup, subset=None, bound: int = 8) -> DeltaReport:
@@ -485,9 +469,6 @@ class DeltaStarReport(Record):
 
     __slots__ = ("group", "values", "subsets_scanned")
 
-    def __init__(self, group, values, subsets_scanned):
-        super().__init__(group, values, subsets_scanned)
-
 
 def delta_star(group: FiniteAbelianGroup) -> DeltaStarReport:
     """Delta*(G): the nonzero min_distance of the atoms of each zero-free
@@ -520,9 +501,6 @@ class HalfFactorialVerdict(Record):
 
     __slots__ = ("kind", "witness", "witness_lengths")
 
-    def __init__(self, kind, witness=None, witness_lengths=None):
-        super().__init__(kind, witness, witness_lengths)
-
     @property
     def is_half_factorial(self) -> bool:
         return self.kind == "yes-exact"
@@ -549,7 +527,7 @@ def is_half_factorial(group: FiniteAbelianGroup, subset=None) -> HalfFactorialVe
     atoms = enumerate_atoms(group, subset)
     vec = _non_unit_atom(atoms)
     if vec is None:
-        return HalfFactorialVerdict("yes-exact")
+        return HalfFactorialVerdict("yes-exact", None, None)
     u = Sequence.from_dense(group, atoms.letters, vec)
     witness = u ** math.lcm(*(atoms.tables.order[i] for i, _ in u.items))
     return HalfFactorialVerdict("no-with-witness", witness, length_set(witness, atoms))
@@ -559,9 +537,6 @@ class TwoDavenportReport(Record):
     """Search result for a length set equal to {2, D(G)}."""
 
     __slots__ = ("group", "davenport", "found", "witness", "atoms_scanned")
-
-    def __init__(self, group, davenport, found, witness, atoms_scanned):
-        super().__init__(group, davenport, found, witness, atoms_scanned)
 
 
 def has_two_D_lengthset(group: FiniteAbelianGroup) -> TwoDavenportReport:
@@ -597,9 +572,6 @@ class IntervalSupportReport(Record):
     with that set."""
 
     __slots__ = ("group", "bound", "checked", "failures")
-
-    def __init__(self, group, bound, checked, failures):
-        super().__init__(group, bound, checked, failures)
 
     @property
     def ok(self) -> bool:

@@ -30,9 +30,6 @@ class NumericalMonoid(Record):
     __slots__ = ("generators", "frobenius_bound", "apery")
     _fields = __slots__[:2]
 
-    def __init__(self, generators, frobenius_bound, apery):
-        super().__init__(generators, frobenius_bound, apery)
-
     def __str__(self):
         return "<" + ",".join(str(n) for n in self.generators) + ">"
 

@@ -32,11 +32,6 @@ class AAMPFit(Record):
     __slots__ = ("shift", "difference", "period", "length", "bound", "initial", "central", "end",
                  "degenerate")
 
-    def __init__(self, shift, difference, period, length, bound, initial, central, end,
-                 degenerate):
-        super().__init__(shift, difference, period, length, bound, initial, central, end,
-                         degenerate)
-
     def reconstruct(self) -> LengthSet:
         parts = self.initial + self.central + self.end
         return LengthSet.of(self.shift + x for x in parts)
@@ -124,16 +119,11 @@ def best_aamp(lengths: LengthSet, candidate_d: Iterable[int]) -> AAMPFit:
 
 
 class StructureFitReport(Record):
-    """verify_structure_theorem output: the fits of every computed length set."""
+    """verify_structure_theorem output: the fits of every computed length
+    set.  histogram: (d, |D|, M) -> count."""
 
     __slots__ = ("group", "bound", "candidates", "max_bound", "witness", "witness_fit",
                  "histogram", "round_trip_failures")
-
-    def __init__(self, group, bound, candidates, max_bound, witness, witness_fit, histogram,
-                 round_trip_failures=()):
-        # histogram: (d, |D|, M) -> count
-        super().__init__(group, bound, candidates, max_bound, witness, witness_fit, histogram,
-                         round_trip_failures)
 
     @property
     def ok(self) -> bool:
@@ -174,16 +164,11 @@ def verify_structure_theorem(group: FiniteAbelianGroup, bound: int) -> Structure
 
 class UnionsStructureReport(Record):
     """verify_unions_structure output: AAP shape of each U_k plus the density
-    trend toward (rho - 1/rho)/d."""
+    trend toward (rho - 1/rho)/d.  density_rows: (k, |U_k|/k); settles_by:
+    the least k from which the ratios stay settled."""
 
     __slots__ = ("group", "ks", "difference", "unions", "aap_bounds", "all_intervals",
                  "density_target", "density_rows", "settles_by", "tolerance")
-
-    def __init__(self, group, ks, difference, unions, aap_bounds, all_intervals, density_target,
-                 density_rows, settles_by, tolerance):
-        # density_rows: (k, |U_k|/k); settles_by: least k from which the ratios stay settled
-        super().__init__(group, ks, difference, unions, aap_bounds, all_intervals, density_target,
-                         density_rows, settles_by, tolerance)
 
     @property
     def ok(self) -> bool:

@@ -147,9 +147,6 @@ def random_word(instance: KrullInstance, rng: random.Random, max_length: int) ->
 class TransferCheckReport(Record):
     __slots__ = ("instance", "samples", "seed", "max_word_length", "failures")
 
-    def __init__(self, instance, samples, seed, max_word_length, failures):
-        super().__init__(instance, samples, seed, max_word_length, failures)
-
     @property
     def passes(self) -> int:
         return self.samples - len(self.failures)
@@ -184,17 +181,14 @@ def check_transfer(
         transferred = length_set(beta(instance, a), b_atoms)
         if direct != transferred:
             failures.append((a, direct, transferred))
-    return TransferCheckReport(
-        instance, sample_count, seed, max_word_length, tuple(failures)
-    )
+    return TransferCheckReport(instance, sample_count, seed, max_word_length, tuple(failures))
 
 
 class AtomCorrespondenceReport(Record):
-    __slots__ = ("instance", "h_atom_count", "b_atom_count", "image_mismatch", "unlifted")
+    """image_mismatch: beta images outside A(G0); unlifted: atoms of A(G0)
+    that no H-atom maps to."""
 
-    def __init__(self, instance, h_atom_count, b_atom_count, image_mismatch, unlifted):
-        # image_mismatch: beta images outside A(G0); unlifted: atoms of A(G0) no H-atom maps to
-        super().__init__(instance, h_atom_count, b_atom_count, image_mismatch, unlifted)
+    __slots__ = ("instance", "h_atom_count", "b_atom_count", "image_mismatch", "unlifted")
 
     @property
     def ok(self) -> bool:
@@ -221,6 +215,4 @@ def check_atom_correspondence(instance: KrullInstance) -> AtomCorrespondenceRepo
         return tuple(sorted(seqs, key=str))
 
     mismatch, unlifted = sequences(images - b_set), sequences(b_set - images)
-    return AtomCorrespondenceReport(
-        instance, len(h_atoms), len(b_atoms), mismatch, unlifted
-    )
+    return AtomCorrespondenceReport(instance, len(h_atoms), len(b_atoms), mismatch, unlifted)

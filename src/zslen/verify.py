@@ -33,9 +33,6 @@ from .transfer import check_atom_correspondence, check_transfer, make_instance
 class Verdict(Record):
     __slots__ = ("name", "passed", "witness")
 
-    def __init__(self, name, passed, witness):
-        super().__init__(name, passed, witness)
-
     def as_dict(self) -> dict:
         return {"name": self.name, "pass": self.passed, "witness": self.witness}
 
@@ -132,7 +129,7 @@ def verify_prop_6_2(group: FiniteAbelianGroup, bound: int) -> list[Verdict]:
     coincidence when applicable."""
     out = []
     sys = system(group, None, bound)
-    cmp = compare_with_closed_form(group, bound, sys)
+    cmp = compare_with_closed_form(group, bound)
     witness = (
         f"frontier {cmp.frontier}; "
         f"not in family: {[str(ls) for ls in cmp.computed_not_in_family]}; "

@@ -4,6 +4,8 @@ import inspect
 import io
 import json
 import logging
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from zslen import atoms as atoms_module
 from zslen.cli import main
 from zslen.errors import InvalidArgumentError
 from zslen.group import make_group
+from zslen.lengths import LengthSet
 from zslen.suites import SUITES
 
 
@@ -404,6 +407,62 @@ def test_exit_code_internal_error(capsys, monkeypatch):
     assert report["error"]["where"].startswith("test_cli.py:")
     assert report["command"] == "lengths"
     assert "results" not in report
+
+
+def test_out_of_memory_exits_4_without_an_import(capsys, monkeypatch):
+    # memory that runs out makes any import fail, so the report is built
+    # without one
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "cmd_lengths", exhaust)
+    monkeypatch.setitem(sys.modules, "traceback", None)
+    code, report = run_json(capsys, "lengths", "--group", "2", "--sequence", "[1:8]")
+    assert code == 4
+    assert report["error"]["type"] == "internal-error"
+    assert report["error"]["reason"] == "MemoryError: "
+    line = exhaust.__code__.co_firstlineno + 1
+    assert report["error"]["where"] == f"test_cli.py:{line} in exhaust"
+    assert "results" not in report
+
+
+def test_transfer_check_reports_each_failure(capsys, monkeypatch):
+    import zslen.transfer
+
+    real = zslen.transfer.direct_length_set
+
+    def shifted(instance, word):
+        # one more than the truth on every nonempty word
+        ls = real(instance, word)
+        return LengthSet.of(x + 1 for x in ls.values) if any(word) else ls
+
+    monkeypatch.setattr(zslen.transfer, "direct_length_set", shifted)
+    code, report = run_json(capsys, "transfer-check", "--group", "3", "--samples", "12",
+                            "--seed", "3")
+    results = report["results"]
+    assert code == 1
+    assert 0 < results["passes"] < results["samples"] == 12
+    assert len(results["failures"]) == 12 - results["passes"]
+    for failure in results["failures"]:
+        assert set(failure) == {"word", "direct", "transferred"}
+        assert re.fullmatch(r"\[p\d+\.\d+:\d+(,p\d+\.\d+:\d+)*\]", failure["word"])
+        assert failure["direct"] == [x + 1 for x in failure["transferred"]]
+    verdict = report["verdicts"][0]
+    assert verdict["name"].startswith("lemma4.2 length preservation")
+    assert verdict["pass"] is False
+    assert verdict["witness"] == f"{results['passes']}/12 samples, seed 3"
+
+
+@pytest.mark.parametrize("mods", [[1], [2]], ids=["C1", "C2"])
+def test_prop61_finds_delta_empty_on_half_factorial_groups(mods):
+    from zslen.verify import verify_prop_6_1
+
+    group = make_group(mods)
+    verdicts = verify_prop_6_1(group, 6, 10)
+    last = verdicts[-1]
+    assert (last.name, last.passed, last.witness) == (
+        f"prop6.1 Delta empty for {group}", True, "distances []")
+    assert all(v.passed for v in verdicts)
 
 
 def test_long_sequence_gets_an_exact_answer(capsys):

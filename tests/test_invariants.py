@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,7 @@ from zslen.transfer import (
     instance_atoms,
     make_instance,
 )
+from zslen.verify import verify_thm_6_3_1
 
 from subgroup_sampler import subgroup_indices
 
@@ -271,6 +273,9 @@ CEILING_CALLS = {
         lambda g: unions_range(g, 2, atoms=enumerate_atoms(g)),
         lambda g: unions_range(g, 2, enumerate_atoms(g)),
         lambda g: unions_range(g, 2, 10**8),
+        # the comparison resolves its own system over all of G
+        lambda g: compare_with_closed_form(g, 6, system(g, None, 6)),
+        lambda g: compare_with_closed_form(g, 6, sys=system(g, None, 6)),
         # the ceilings are set by atoms.limits: a ceiling passed to a call,
         # by keyword or in its old position, fails at the call
         *CEILING_CALLS.values(),
@@ -285,6 +290,7 @@ CEILING_CALLS = {
         "delta_of_group-atoms", "delta_of_group-positional_atoms",
         "delta_of_group-positional_limit",
         "unions_range-atoms", "unions_range-positional_atoms", "unions_range-positional_limit",
+        "compare_with_closed_form-positional_sys", "compare_with_closed_form-sys",
         *CEILING_CALLS,
     ],
 )
@@ -442,6 +448,20 @@ def test_system_with_two_byte_fields():
     assert engine_for(enumerate_atoms(group)).widen(0) == 16
 
 
+def test_system_holds_only_its_output_when_shifting_by_zero(c2, fresh_atom_cache):
+    # L(0^c B) = c + L(B): the shift of the zero-free sets of C2 by every c
+    # keeps only the sets it returns, not a candidate per (set, c)
+    tracemalloc.start()
+    try:
+        sys_ = system(c2, None, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(ls.values, str(wit)) for ls, wit in sys_.entries] == [
+        ((n,), f"[0:{n}]" if n else "[]") for n in range(401)]
+    assert peak < 2_000_000
+
+
 # -- distance sets ------------------------------------------------------------------
 
 
@@ -586,19 +606,6 @@ def test_invariants_of_g_reject_atoms_over_a_subset(invariant):
     e = elements(c6)
     with pytest.raises(InvalidArgumentError, match="does not match"):
         invariant(c6, enumerate_atoms(c6, [e[0], e[2], e[4]]))
-
-
-def test_closed_form_comparison_rejects_a_subset_system(c3):
-    e = elements(c3)
-    with pytest.raises(InvalidArgumentError, match="does not match"):
-        compare_with_closed_form(c3, 6, system(c3, [e[1], e[2]], 6))
-
-
-def test_closed_form_comparison_rejects_a_system_of_another_bound(c3):
-    # a system to bound 6 lacks {3,4}, which the comparison at 12 demands
-    with pytest.raises(InvalidArgumentError, match="does not match bound 12"):
-        compare_with_closed_form(c3, 12, system(c3, None, 6))
-    assert compare_with_closed_form(c3, 12, system(c3, None, 12)).ok
 
 
 def zero_sum_vectors(group, alphabet, bound):
@@ -855,6 +862,11 @@ def test_interval_support_check_reports_a_gap(c4, monkeypatch, fresh_atom_cache)
     assert not report.ok
     assert [(str(a), ls) for a, ls in report.failures] == [("[]", L(0, 2)), ("[2:2]", L(1, 3))]
     assert report.checked == _subgroup_support_count(c4, 4)
+    # the suite's verdict fails and names the first failure
+    (verdict,) = verify_thm_6_3_1(c4, 4)
+    assert verdict.passed is False
+    assert verdict.witness == (
+        f"|A| <= 4: {report.checked} checked, failures 2; first failure [] -> {L(0, 2)}")
 
 
 def test_interval_support_check_counts(c3):

@@ -1,17 +1,24 @@
 """The value records are frozen, compare and hash by their fields, leave
-their uncompared slots out of both, and survive a pickle round trip."""
+their uncompared slots out of both, and survive a pickle round trip.  A
+record takes its fields positionally or by keyword, and only a constructor
+that validates or sets an uncompared slot is written out."""
 
+import ast
 import pickle
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import zslen
 from zslen.atoms import AtomSet, enumerate_atoms
 from zslen.group import FiniteAbelianGroup, make_group
 from zslen.lengths import LengthSet, engine_for
 from zslen.numerical import NumericalMonoid, make_numerical
+from zslen.invariants import UnionOfLengths
 from zslen.sequence import Sequence, parse_sequence
 from zslen.transfer import instance_atoms, make_instance
+from zslen.verify import Verdict
 
 
 def fresh_atoms():
@@ -120,3 +127,58 @@ def test_constructors_take_their_fields_by_keyword():
     assert LengthSet(values=(2,)) == LengthSet.of([2])
     with pytest.raises(TypeError):
         LengthSet((1,), (2,))
+
+
+def test_report_records_take_their_fields_by_keyword():
+    verdict = Verdict("prop", True, "w")
+    assert Verdict(name="prop", passed=True, witness="w") == verdict
+    assert Verdict("prop", witness="w", passed=True) == verdict
+    union = UnionOfLengths(k=2, values=(2, 3))
+    assert (union.k, union.rho, union.lam) == (2, 3, 2)
+    assert pickle.loads(pickle.dumps(union)) == union
+
+
+@pytest.mark.parametrize("args, named", [
+    (("prop", True), {}),
+    (("prop", True, "w", None), {}),
+    ((), {"name": "prop", "passed": True}),
+    (("prop", True, "w"), {"extra": 1}),
+    (("prop", True), {"wit": "w"}),
+    (("prop", True, "w"), {"name": "again"}),
+], ids=["too-few", "too-many", "missing-keyword", "unknown-keyword", "misnamed", "twice"])
+def test_wrong_fields_are_type_errors_naming_the_class_and_fields(args, named):
+    with pytest.raises(TypeError, match=r"Verdict\(name, passed, witness\)"):
+        Verdict(*args, **named)
+
+
+def _record_inits():
+    """(class name, its __init__ or None) for each Record subclass in zslen."""
+    for path in sorted(Path(zslen.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id == "Record" for base in node.bases):
+                yield node.name, next((f for f in node.body if isinstance(f, ast.FunctionDef)
+                                       and f.name == "__init__"), None)
+
+
+def _only_passes_on(init: ast.FunctionDef) -> bool:
+    """Whether the body, past a docstring, is one super().__init__(...) call."""
+    body = init.body[1:] if ast.get_docstring(init) is not None else init.body
+    if len(body) != 1 or not isinstance(body[0], ast.Expr):
+        return False
+    call = body[0].value
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "__init__" and isinstance(call.func.value, ast.Call)
+            and isinstance(call.func.value.func, ast.Name) and call.func.value.func.id == "super")
+
+
+def test_no_record_constructor_only_passes_its_fields_on():
+    # Record.__init__ binds the fields; a subclass writes one to validate
+    # its input or to set an uncompared slot
+    inits = dict(_record_inits())
+    assert {"Verdict", "SystemOfLengthSets", "AAMPFit", "AtomSet"} <= set(inits)
+    assert {"FiniteAbelianGroup", "GroupElement", "LengthSet", "Sequence", "AtomSet",
+            "KrullInstance"} <= {name for name, init in inits.items() if init}
+    assert [name for name, init in inits.items() if init and _only_passes_on(init)] == []
+    stub = ast.parse("def __init__(self, a):\n    'doc'\n    super().__init__(a)").body[0]
+    assert _only_passes_on(stub)
