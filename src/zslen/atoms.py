@@ -29,17 +29,19 @@ the one engine built over it.  Letters are labels: the elements of G0 for
 B(G0), prime names for a Krull instance.  build_atoms, the one builder,
 caches nothing; the owner of an atom set decides how long its memo lives.
 enumerate_atoms keeps one set per (group, G0), so repeated length queries
-and the verify suites reuse one memo; a KrullInstance owns its H-atoms,
-which die with it; delta_star owns nothing and drops each subset's set.
-Only a walk proves a list of atoms complete, so the whole-monoid scans of
-B(G0) take no atom set: each resolves A(G0) by enumerate_atoms itself.
+and the verify suites reuse one memo (the CLI empties this registry before
+each command); a KrullInstance owns its H-atoms, which die with it;
+delta_star owns nothing and drops each subset's set.  Only a walk proves
+a list of atoms complete, so the whole-monoid scans of B(G0) take no atom
+set: each resolves A(G0) by enumerate_atoms itself.
 
 The two ceilings are set once, by `with limits(...)`, and read only where
-work is charged: the node cap once per walk, by minimal_nonzero_vectors,
-and the memo cap by the factorization engine on a memo miss.  They bound
-one walk and one engine's held entries, not a command's total.  No cache
-is keyed by a ceiling: held_to_node_cap holds a cached set to the node
-cap in force, as a fresh walk under it would raise.
+work is charged to the block's tally: the node cap once per walk, by
+minimal_nonzero_vectors, and the memo cap by the factorization engine on
+a memo miss.  They bound one walk and one engine's held entries; the
+tally is the block's total, and a set is charged once, by its walk.  No
+cache is keyed by a ceiling: held_to_node_cap holds a cached set to the
+node cap in force, as a fresh walk under it would raise.
 """
 
 from __future__ import annotations
@@ -58,6 +60,15 @@ DEFAULT_MEMO_LIMIT = 10**7  # memo entries of a factorization engine (lengths.en
 # (lattice nodes of one atom walk, memo entries of one engine), set by limits
 CAPS: ContextVar[tuple[int, int]] = ContextVar(
     "zslen_caps", default=(DEFAULT_NODE_LIMIT, DEFAULT_MEMO_LIMIT))
+TALLY: ContextVar[dict[str, int] | None] = ContextVar("zslen_tally", default=None)
+
+
+def charge(nodes: int = 0, memo: int = 0) -> None:
+    """Add work to the tally of the innermost limits block; outside any, drop it."""
+    tally = TALLY.get()
+    if tally is not None:
+        tally["atom_lattice_nodes"] += nodes
+        tally["memo_entries"] += memo
 
 
 @contextmanager
@@ -66,17 +77,22 @@ def limits(*, node_limit: int | None = None, memo_limit: int | None = None):
     factorization engine for the calls in the block; a cap left out keeps
     its current value, and each is restored on exit.  A cap that is not an
     int (a bool included) is refused on entry; a cap below 1 refuses any
-    work it charges."""
+    work it charges.  Yields the tally of the work its calls charge, which
+    its exit adds to the enclosing block's."""
     node, memo = CAPS.get()
     for name, value in (("node limit", node_limit), ("memo limit", memo_limit)):
         if value is not None and type(value) is not int:
             raise InvalidArgumentError(f"{name} must be an integer: {value!r}")
     token = CAPS.set((node if node_limit is None else node_limit,
                       memo if memo_limit is None else memo_limit))
+    tally = {"atom_lattice_nodes": 0, "memo_entries": 0}
+    tally_token = TALLY.set(tally)
     try:
-        yield
+        yield tally
     finally:
+        TALLY.reset(tally_token)
         CAPS.reset(token)
+        charge(tally["atom_lattice_nodes"], tally["memo_entries"])
 
 
 def below_rows(vectors, caps) -> list[list[int]]:
@@ -193,6 +209,7 @@ def minimal_nonzero_vectors(
 
     if 0 in reach[0]:
         rec(0, 0, 0)
+    charge(nodes)
     found.sort(key=lambda v: (sum(v), v))
     return found, nodes
 

@@ -10,9 +10,9 @@ atom: over C2+C2, a file listing (0,1)^2(1,0)^2 in place of (0,1)^2 and
 D = 4.  Only the walk proves a list complete, so the cache directory
 must be trusted not to hold such a file.
 
-A file also records the node count of the walk that found its atoms, and
-a loaded set is held to the node cap as a cached set in memory is
-(atoms.held_to_node_cap): a load raises where the walk would.
+A file also records the node count of the walk that found its atoms: a
+load raises where the walk would (atoms.held_to_node_cap), and charges
+those nodes as the walk would (atoms.charge).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .atoms import AtomSet, divisible_pairs, held_to_node_cap
+from .atoms import AtomSet, charge, divisible_pairs, held_to_node_cap
 from .group import FiniteAbelianGroup, GroupElement, elements, tables
 from .sequence import canonical_subset, index_sum
 
@@ -113,6 +113,7 @@ def cache_load(
     if not _valid_atom_list(group, subset, vectors):
         log.warning("atom cache %s failed validation; recomputing", path)
         return None
+    charge(nodes=nodes)  # a loaded set stands for the walk its file records
     return atoms
 
 

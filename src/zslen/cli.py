@@ -20,6 +20,7 @@ import time
 # the parser and the atom commands need only these modules; the other
 # handlers import their own, so a process loads only what its command runs
 from . import __version__
+from . import atoms as atoms_module
 from .atoms import (
     DEFAULT_MEMO_LIMIT,
     DEFAULT_NODE_LIMIT,
@@ -87,10 +88,6 @@ def _parse_k_range(text: str) -> tuple[int, int]:
         raise InvalidArgumentError(f"cannot parse k range {text!r}") from None
 
 
-# atom sets fetched while handling the current command, for resource counters
-_TOUCHED_ATOMS: list[AtomSet] = []
-
-
 def _get_atoms(group: FiniteAbelianGroup, subset, args) -> AtomSet:
     cache_dir = args.cache_dir
     if not cache_dir:
@@ -108,15 +105,7 @@ def _get_atoms(group: FiniteAbelianGroup, subset, args) -> AtomSet:
             except OSError as exc:  # the cache is advisory, as a failed load is
                 logging.getLogger(__name__).warning(
                     "cannot store atom cache in %s (%s); continuing", cache_dir, exc)
-    _TOUCHED_ATOMS.append(atoms)
     return atoms
-
-
-def _resource_counters() -> dict:
-    return {
-        "atom_lattice_nodes": sum(a.nodes_visited for a in _TOUCHED_ATOMS),
-        "memo_entries": sum(a.engine.memo_size for a in _TOUCHED_ATOMS if a.engine),
-    }
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -174,7 +163,6 @@ def cmd_system(args):
     group = args.group
     subset = _parse_subset(group, args.subset)
     sys_ = system(group, subset, args.bound)
-    _TOUCHED_ATOMS.append(enumerate_atoms(group, subset))  # the set it walked
     return {
         "group": list(group.invariant_factors),
         "subset": [list(g.coords) for g in sys_.subset],
@@ -194,7 +182,6 @@ def cmd_unions(args):
     if lo < 1 or hi < lo:
         raise InvalidArgumentError(f"bad k range {args.k!r}")
     unions = unions_range(group, hi)
-    _TOUCHED_ATOMS.append(enumerate_atoms(group))  # the set it walked
     return {
         "group": list(group.invariant_factors),
         "unions": [
@@ -216,7 +203,6 @@ def cmd_delta(args):
     group = args.group
     subset = _parse_subset(group, args.subset)
     report = delta_of_group(group, subset, args.bound)
-    _TOUCHED_ATOMS.append(enumerate_atoms(group, subset))  # the set it walked
     return {
         "group": list(group.invariant_factors),
         "subset": [list(g.coords) for g in report.subset],
@@ -270,7 +256,6 @@ def cmd_verify_structure(args):
 
     group = args.group
     report = verify_structure_theorem(group, args.bound)
-    _TOUCHED_ATOMS.append(enumerate_atoms(group))  # the cached A(G) it walked
     results = {
         "group": list(group.invariant_factors),
         "bound": args.bound,
@@ -325,14 +310,13 @@ def cmd_numerical(args):
 
 
 def cmd_transfer_check(args):
-    from .transfer import check_atom_correspondence, check_transfer, instance_atoms, make_instance
+    from .transfer import check_atom_correspondence, check_transfer, make_instance
 
     group = args.group
     subset = _parse_subset(group, args.subset)
     instance = make_instance(group, subset, args.primes_per_class)
     report = check_transfer(instance, args.samples, args.max_word_length, args.seed)
     corr = check_atom_correspondence(instance)
-    _TOUCHED_ATOMS.extend((instance_atoms(instance), enumerate_atoms(group, subset)))
     results = {
         "group": list(group.invariant_factors),
         "primes_per_class": args.primes_per_class,
@@ -563,7 +547,7 @@ def main(argv=None) -> int:
         report.update(command=command, config={})
         return _error_report(report, EXIT_INVALID_ARGUMENTS, "invalid-argument", str(exc))
     started = time.perf_counter()
-    _TOUCHED_ATOMS.clear()
+    atoms_module._ATOM_SETS.clear()  # each command walks, and counts, its own sets
     report.update(command=args.command, config=_config_echo(args))
     try:
         _validate_common(args)
@@ -574,11 +558,11 @@ def main(argv=None) -> int:
         # a command's ceilings hold for its handler's calls; one that the
         # command does not take keeps the cap in force
         with limits(node_limit=getattr(args, "node_limit", None),
-                    memo_limit=getattr(args, "memo_limit", None)):
+                    memo_limit=getattr(args, "memo_limit", None)) as work:
             results, verdicts = args.handler(parsed)
         report["results"] = results
         report["verdicts"] = verdicts
-        report["resources"] = _resource_counters()
+        report["resources"] = work
         if not args.stable:
             report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
         if args.format == "json":

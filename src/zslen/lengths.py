@@ -49,13 +49,14 @@ InvalidArgumentError and stores nothing.
 engine_for keeps the one engine of an AtomSet on the set itself, so the
 memo lives as long as the atom set and there is no module-level table.
 The engine holds no ceiling: a miss in lengths_mask, and each pass of
-product_levels, reads the memo cap in force (atoms.limits), so a memo hit
-or a system_table read is answered under any cap.  length_set checks the
-group, then packs B's key from its items and reads the memo: a positive
-mask makes B a product of atoms, hence zero-sum.  Only without one does
-it run the zero-sum fold, engine_for and the miss path.  Each query
-passes once through lengths_mask, and the engine hands out one LengthSet
-per distinct mask.
+product_levels, reads the memo cap in force (atoms.limits) and charges the
+entries it stores, as a new engine charges its seed entry; so a memo hit
+or a system_table read is answered under any cap, and charges nothing.
+length_set checks the group, then packs B's key from its items and reads
+the memo: a positive mask makes B a product of atoms, hence zero-sum.
+Only without one does it run the zero-sum fold, engine_for and the miss
+path.  Each query passes once through lengths_mask, and the engine hands
+out one LengthSet per distinct mask.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .atoms import CAPS, AtomSet, below_rows
+from .atoms import CAPS, AtomSet, below_rows, charge
 from .errors import InvalidArgumentError, ResourceLimitError
 from .record import Record, _set
 from .sequence import Sequence, index_sum
@@ -200,6 +201,7 @@ class FactorizationEngine:
             self._by_pivot[next(i for i, x in enumerate(v) if x)].append(v)
         self._index = [_divisor_rows(bucket, width) for bucket in self._by_pivot]
         self._memo: dict[int, int] = {0: 1}
+        charge(memo=1)
         self._length_sets: dict[int, LengthSet] = {}
         # the system of the largest bound run on this engine (invariants.system)
         self.system_table = None
@@ -319,9 +321,9 @@ class FactorizationEngine:
 
         A level that adds entries is refused with ResourceLimitError, before
         it is stored, if the memo would then pass the memo cap, read once
-        per pass (atoms.limits).  As with
-        lengths_mask, a pass is refused exactly when it would store more
-        entries than the limit leaves room for.
+        per pass (atoms.limits).  As with lengths_mask, a pass is refused
+        exactly when it would store more entries than the limit leaves room
+        for, and each level charges the entries it adds (atoms.charge).
         """
         bits = self.widen(top)
         width, memo, limit = self.width, self._memo, CAPS.get()[1]
@@ -339,11 +341,13 @@ class FactorizationEngine:
         pending[0][0] = 1
         for n in range(top + 1):
             level, pending[n] = pending[n], {}
-            if len(memo) + len(level) > limit:
+            size = len(memo)
+            if size + len(level) > limit:
                 new = sum(key not in memo for key in level)
-                if new and len(memo) + new > limit:
+                if new and size + new > limit:
                     raise ResourceLimitError("memo table", limit)
             memo.update(level)
+            charge(memo=len(memo) - size)
             room = top - n
             for key, mask in level.items():
                 mask <<= 1
@@ -363,7 +367,7 @@ class FactorizationEngine:
 
         vec is either a tuple of the engine's width with nonnegative
         integer entries, or a key packed at the current field width.
-        A miss reads the memo cap (atoms.limits); a hit reads nothing.
+        A miss reads the memo cap and charges what it stores (atoms.limits).
         Every frame on the stack is a vector not yet in the memo that will
         be stored there, so a new frame is refused once the memo and the
         stack together would pass the cap: the cap then bounds the stack
@@ -381,8 +385,8 @@ class FactorizationEngine:
         cached = memo.get(vec)
         if cached is not None:
             return cached
-        limit = CAPS.get()[1]
-        if len(memo) >= limit:
+        limit, size = CAPS.get()[1], len(memo)
+        if size >= limit:
             raise ResourceLimitError("memo table", limit)
         dividing, fmask = self._dividing, self._field_mask
         stack: list[tuple] = []
@@ -399,6 +403,7 @@ class FactorizationEngine:
                 child_mask = memo.get(child)
                 if child_mask is None:
                     if len(memo) + len(stack) + 1 >= limit:
+                        charge(memo=len(memo) - size)  # what it stored before the refusal
                         raise ResourceLimitError("memo table", limit)
                     stack.append((vec, bits, divisors, bucket, mask))
                     vec, mask = child, 0
@@ -416,6 +421,7 @@ class FactorizationEngine:
                     mask |= child_mask << 1
             memo[vec] = mask
             if not stack:
+                charge(memo=len(memo) - size)
                 return mask
             child_mask = mask
             vec, bits, divisors, bucket, mask = stack.pop()

@@ -33,8 +33,10 @@ def test_a_loaded_set_is_held_to_the_node_cap(tmp_path, c33, monkeypatch):
         with limits(node_limit=nodes - 1), pytest.raises(ResourceLimitError) as info:
             cache_load(tmp_path, c33, atoms.letters)
     assert (info.value.bound_name, info.value.limit) == ("lattice node", nodes - 1)
-    with limits(node_limit=nodes):
+    with limits(node_limit=nodes) as work:
         assert cache_load(tmp_path, c33, atoms.letters) == atoms
+    # a load charges the nodes of the walk its file records
+    assert work == {"atom_lattice_nodes": nodes, "memo_entries": 0}
 
 
 @pytest.mark.parametrize("nodes", [None, -1, True, 1.5, "7"],

@@ -2,7 +2,9 @@
 (group, G0), one engine per atom set, one H-atom set per Krull instance.
 The ceilings are set once, by `limits`, for the calls in its block: the
 node cap is held against a cached set's walk, the memo cap against the
-work a call adds to the one shared memo, and each ends with its block."""
+work a call adds to the one shared memo, and each ends with its block.
+The block also tallies the work its calls charge, and adds it to the
+enclosing block's on exit."""
 
 import importlib
 import inspect
@@ -143,6 +145,54 @@ def test_a_cap_ends_with_its_block(c3, fresh_atom_cache):
             engine.lengths_mask((0, 12, 12))
         assert CAPS.get() == (5, DEFAULT_MEMO_LIMIT)
     assert CAPS.get() == (DEFAULT_NODE_LIMIT, DEFAULT_MEMO_LIMIT)
+
+
+def test_a_block_tallies_the_walk_and_the_memo_it_filled(c3, fresh_atom_cache):
+    with limits() as work:
+        system(c3, None, 8)
+    atoms = enumerate_atoms(c3)
+    assert work == {"atom_lattice_nodes": atoms.nodes_visited,
+                    "memo_entries": atoms.engine.memo_size}
+    # a cold query charges what its miss stores; the registry's set, the
+    # system table and a memo hit charge nothing
+    size = atoms.engine.memo_size
+    cold = parse_sequence(c3, "[1:6,2:6]")
+    with limits() as work:
+        system(c3, None, 8)
+        length_set(cold, atoms)
+        length_set(cold, atoms)
+    assert atoms.engine.memo_size > size
+    assert work == {"atom_lattice_nodes": 0, "memo_entries": atoms.engine.memo_size - size}
+    # a refused miss charges the entries it stored before the refusal
+    size = atoms.engine.memo_size
+    with pytest.raises(ResourceLimitError), limits(memo_limit=size + 40) as refused:
+        length_set(parse_sequence(c3, "[1:30,2:30]"), atoms)
+    assert refused == {"atom_lattice_nodes": 0, "memo_entries": atoms.engine.memo_size - size}
+    assert atoms.engine.memo_size > size
+
+
+def test_a_nested_block_adds_its_work_to_the_enclosing_one(c3, c5, fresh_atom_cache):
+    with limits() as outer:
+        enumerate_atoms(c3)
+        with limits(node_limit=10**6) as inner:
+            enumerate_atoms(c5)
+        # a block that raises adds the work done before the raise: here the
+        # seed entry of the engine whose first miss the cap refuses
+        with pytest.raises(ResourceLimitError), limits(memo_limit=1) as refused:
+            length_set(parse_sequence(c5, "[1:5]"), enumerate_atoms(c5))
+    assert inner == {"atom_lattice_nodes": enumerate_atoms(c5).nodes_visited, "memo_entries": 0}
+    assert refused == {"atom_lattice_nodes": 0, "memo_entries": 1}
+    assert outer == {"atom_lattice_nodes": enumerate_atoms(c3).nodes_visited
+                     + inner["atom_lattice_nodes"], "memo_entries": 1}
+    assert atoms_module.TALLY.get() is None  # outside any block, work is not tallied
+
+
+def test_a_delta_star_block_tallies_each_subset_walk(c5, walks):
+    with limits() as work:
+        delta_star(c5)
+    assert len(walks) == 15  # the nonempty subsets of the nonzero elements
+    nodes = sum(atoms_module.minimal_nonzero_vectors(c5, classes)[1] for classes in tuple(walks))
+    assert work == {"atom_lattice_nodes": nodes, "memo_entries": 0}
 
 
 @pytest.mark.parametrize("call", [

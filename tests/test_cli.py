@@ -69,39 +69,6 @@ def test_davenport_and_lengths_write_the_cache(capsys, tmp_path, command, extra)
     assert list(tmp_path.glob("atoms_*.json"))
 
 
-@pytest.mark.parametrize("argv", [["unions", "--k", "1..4"], ["delta", "--bound", "8"]])
-def test_scans_report_the_set_they_walked(capsys, fresh_atom_cache, argv):
-    # the scans resolve A(G) themselves, as system does (next test); the
-    # report still counts its walk and its engine's memo
-    code, report = run_json(capsys, argv[0], "--group", "3", *argv[1:])
-    assert code == 0
-    assert report["resources"]["atom_lattice_nodes"] > 0
-    assert report["resources"]["memo_entries"] > 0
-
-
-def test_resource_counters_reported(capsys):
-    code, report = run_json(capsys, "system", "--group", "3", "--bound", "8")
-    assert code == 0
-    assert report["resources"]["atom_lattice_nodes"] > 0
-    assert report["resources"]["memo_entries"] > 0
-
-
-def test_transfer_check_reports_its_walks(capsys):
-    # the H-atom walk and the A(G0) walk, and both engines' memos
-    code, report = run_json(capsys, "transfer-check", "--group", "3", "--samples", "10")
-    assert code == 0
-    assert report["resources"]["atom_lattice_nodes"] > 0
-    assert report["resources"]["memo_entries"] > 0
-
-
-def test_verify_structure_reports_its_walks(capsys):
-    # the cached A(G) that system walks for the fits, and its engine's memo
-    code, report = run_json(capsys, "verify-structure", "--group", "3", "--bound", "6")
-    assert code == 0
-    assert report["resources"]["atom_lattice_nodes"] > 0
-    assert report["resources"]["memo_entries"] > 0
-
-
 def test_system_csv(capsys):
     code, out = run(capsys, "system", "--group", "3", "--bound", "6", "--format", "csv")
     assert code == 0
@@ -119,7 +86,7 @@ def test_unions_subcommand(capsys):
     assert all(row["interval"] for row in rows.values())
 
 
-def test_unions_checks_k_before_it_walks(capsys, monkeypatch, fresh_atom_cache):
+def test_unions_checks_k_before_it_walks(capsys, monkeypatch):
     def walk(*args):
         raise AssertionError("A(G) walked for a k range that is refused")
 
@@ -633,6 +600,30 @@ def test_each_format_answers_and_csv_elsewhere_is_a_usage_error(capsys, command,
     assert "results" not in report
 
 
+def test_each_format_repeats_itself_in_one_process(capsys, fresh_atom_cache):
+    # from empty caches, as a fresh process starts, a second pass over the
+    # cases prints what the first did, though the first filled every cache
+    # they use: the counters are each command's own work, not cache sizes
+    def each_case():
+        return {f"{command} {fmt}": run(capsys, *BASE_ARGV[command], "--format", fmt, "--stable")
+                for command, fmt in FORMAT_CASES}
+
+    assert each_case() == each_case()
+
+
+# the commands that walk atoms, and whether an engine runs for them
+WALKING = {command: command not in ("atoms", "davenport", "delta-star")
+           for command in BASE_ARGV if command not in ("fit", "numerical")}
+
+
+@pytest.mark.parametrize("command", WALKING)
+def test_each_walking_command_reports_its_work(capsys, command):
+    code, report = run_json(capsys, *BASE_ARGV[command])
+    assert code == 0
+    assert report["resources"]["atom_lattice_nodes"] > 0
+    assert (report["resources"]["memo_entries"] > 0) == WALKING[command]
+
+
 OPTION_VALUE = {
     "--cache-dir": ["cache"], "--node-limit": ["100"], "--memo-limit": ["100"],
     "--max-order": ["64"], "--seed": ["1"], "--group": ["3"], "--bound": ["3"],
@@ -761,11 +752,9 @@ CEILINGS = [
 
 @pytest.mark.parametrize("argv, ceiling", CEILINGS,
                          ids=[f"{argv[0]} {ceiling}" for argv, ceiling in CEILINGS])
-def test_kept_ceiling_bounds_the_work(capsys, request, argv, ceiling):
-    if ceiling == "--memo-limit":
-        # on a fresh registry, as a one-command process runs: a warm memo
-        # answers its hits under any memo limit
-        request.getfixturevalue("fresh_atom_cache")
+def test_kept_ceiling_bounds_the_work(capsys, argv, ceiling):
+    # main empties the atom registry before each command, so no engine
+    # warmed by an earlier command answers hits under the memo limit
     code, report = run_json(capsys, *argv, ceiling, "1")
     assert code == 3
     assert report["error"]["type"] == "resource-limit"
