@@ -277,81 +277,109 @@ def unions_range(group: FiniteAbelianGroup, k_max: int) -> dict[int, UnionOfLeng
     An automorphism s of G maps atoms to atoms and keeps lengths, L(sB) =
     L(B), so a level keeps one product per orbit of the automorphisms (see
     _atom_images): the orbit's largest key, the only one the engine is asked
-    about.  Level k+1 is (level k) x atoms, reduced the same way; it meets
-    every orbit, since sB * A = s(B * s^-1 A).  s permutes the key's fields,
-    which never carry, so s(BA) = sB + sA: a level holds, for each orbit,
-    the keys of one product's images, and a product's images are the sums of
-    its factors' images.  s keeps sizes, so the level stores the orbit's
-    size |B| next to the images.  A pair (product, atom) whose identity key
-    the level has already formed is the same product again, so its images
-    and maximum are formed at most once per identity key; the keys that are
-    their orbit's largest image are the level's own keys, so only the others
-    are kept in a set, which the identity alone leaves empty.
+    about.  Level k+1 is built from (level k) x atoms, reduced the same way;
+    it meets every orbit it builds, since sB * A = s(B * s^-1 A).  s
+    permutes the key's fields, which never carry, so s(BA) = sB + sA: a
+    level holds, for each orbit, the keys of one product's images, and a
+    product's images are the sums of its factors' images.  s keeps sizes,
+    so a level maps each size |B| to the images of its products.  A pair
+    (product, atom) whose identity key the size has already formed is the
+    same product again, so its images and maximum are formed at most once
+    per identity key; the keys that are their orbit's largest image are the
+    level's own keys, so only the others are kept in a set, which the
+    identity alone leaves empty.
 
-    The walk skips the products that cannot add a length.  No atom but [0:1]
-    holds 0, so the atoms that divide a product B of atoms other than [0:1]
-    are themselves not [0:1].  With m and M the least and largest size of
-    those atoms, each factorization of B into l atoms has l*m <= |B| <= l*M,
-    so L(B) lies in the span [ceil(|B|/M), floor(|B|/m)].  Level k starts
-    the union at its base 1 + U_(k-1) and ORs in the length set of each
-    product it queries; when the union already holds the whole span of |B|,
-    L(B) adds nothing to U_k, and B is not queried.  The union only grows
-    within a level, so a size once covered stays covered; the table of
-    covered sizes is rebuilt when the union changes.  Products are queried
-    as the level is formed, so the union fills early.  Below k_max every
-    product is still formed, as the next level is built from it; at k_max a
-    pair whose size is covered is dropped before its images are formed.
+    The walk forms only the sizes that can still add a length.  No atom but
+    [0:1] holds 0, so the atoms that divide a product B of atoms other than
+    [0:1] are themselves not [0:1].  With m and M the least and largest
+    size of those atoms, each factorization of B into l atoms has
+    l*m <= |B| <= l*M, so L(B) lies in the span [ceil(|B|/M), floor(|B|/m)].
+    Level j starts its union at the base 1 + U_(j-1), and since [0:1] is a
+    prime, U_(j-1) holds (j-k) + U_(k-1) for j >= k: before level k, a
+    product of size S at a level j >= k is known to add no length when its
+    span lies in (j-k+1) + U_(k-1).  A size S of level k is needed when
+    that fails for S itself or for some size S + z of a level j > k built
+    from it, z a sum of t = j - k atom sizes.  Shifted back by j - k + 1,
+    each of those spans holds k - 1, as (k+t)*m <= S + z <= (k+t)*M, so
+    together they make the one interval
+    [ceil((S - d)/M) - 1, floor((S + d)/m) - 1], d = (k_max - k)(M - m),
+    whose ends z = t*m and z = t*M reach at t = k_max - k.  S is needed
+    exactly when U_(k-1) does not hold that interval, a test of O(1) per
+    size, and level k forms only its needed sizes.  That is exact: a
+    skipped size adds no length at its level and builds no needed product
+    above it.  A needed size less one atom's size is needed at level k - 1
+    (U_(k-1) holds 1 + U_(k-2), and the interval one level down is wider),
+    so the level meets every orbit of a needed size.
 
-    Each level forms len(previous level) products per atom other than
-    [0:1]; their running total is charged against PRODUCT_LIMIT before
-    the level is formed, the cut at k_max notwithstanding.
+    A level visits its sizes largest first and ORs the length set of each
+    product it queries into its union, which so fills early.  A product is
+    queried only when the union does not yet hold its span, and at k_max a
+    size stops being formed once the union holds its span.  A size is
+    formed by rows, one product of size S - |A| of the level below times
+    the atoms A of size |A|; each row adds the pairs (product, atom) it
+    formed to a count, and the walk is refused once the count passes
+    PRODUCT_LIMIT, less than one row past it.  A span is worked out when
+    its size is visited, so nothing is held per size up to k_max * M.
     """
     if type(k_max) is not int or k_max < 1:
         raise InvalidArgumentError(f"k_max must be a positive integer: {k_max!r}")
     atoms = enumerate_atoms(group)
     engine = engine_for(atoms)
     images = _atom_images(atoms, engine.widen(k_max * max(map(max, atoms.vectors()))))
-    factors = [(sum(engine.unpack(a[0])), a) for a in images]  # (size, images)
-    least = min((size for size, _ in factors), default=1)
-    most = max((size for size, _ in factors), default=1)
-    # spans[s]: the mask of [ceil(s/most), floor(s/least)], holding L(B) for |B| = s
-    spans = [(2 << s // least) - (1 << -(-s // most)) for s in range(k_max * most + 1)]
+    factors: dict[int, list] = {}  # size -> images of the atoms of that size
+    for a in images:
+        factors.setdefault(sum(engine.unpack(a[0])), []).append(a)
+    least, most = min(factors, default=1), max(factors, default=1)
     lengths_mask = engine.lengths_mask
     out: dict[int, UnionOfLengths] = {}
-    # (size, images) of one product per orbit; none when [0:1] is the one atom
-    level = [(0, (0,) * len(images[0]))] if images else []
+    # size -> images of one product per orbit; none when [0:1] is the one atom
+    level = {0: [(0,) * len(images[0])]} if images else {}
     union_mask = 1  # U_0 = {0}
     formed = 0
     for k in range(1, k_max + 1):
-        formed += len(level) * len(images)
-        if formed > PRODUCT_LIMIT:
-            raise ResourceLimitError("atom products", PRODUCT_LIMIT, formed)
         last = k == k_max  # the last level needs only the keys
+        base = union_mask  # U_(k-1)
+        lam, rho = (base & -base).bit_length() - 1, base.bit_length() - 1
+        slack = (k_max - k) * (most - least)
         union_mask <<= 1
-        covered = [union_mask & span == span for span in spans]
-        # the identity keys formed at this level: those that are their
-        # orbit's largest image are the keys of nxt, the rest are in seen
-        seen: set[int] = set()
-        nxt: dict[int, tuple | None] = {}  # largest image -> (size, images)
-        for size_b, b in level:
-            b0 = b[0]
-            for size_a, a in factors:
-                size = size_b + size_a
-                ident = b0 + a[0]
-                if last and covered[size] or ident in nxt or ident in seen:
-                    continue
-                top = max(map(add, b, a))
-                if top != ident:
-                    seen.add(ident)
-                if top in nxt:
-                    continue
-                nxt[top] = None if last else (size, [*map(add, b, a)])
-                if not covered[size]:
-                    mask = union_mask | lengths_mask(top)
-                    if mask != union_mask:
-                        union_mask = mask
-                        covered = [mask & span == span for span in spans]
-        level = nxt.values()
+        nxt = {}
+        for size in sorted({s + a for s in level for a in factors}, reverse=True):
+            # the spans of size and of the sizes built from it, shifted back
+            lo, hi = -(-(size - slack) // most) - 1, (size + slack) // least - 1
+            if lam <= lo and hi <= rho and base >> lo & (full := (2 << hi - lo) - 1) == full:
+                continue  # no product of this size can add a length
+            span = (2 << size // least) - (1 << -(-size // most))
+            if last and union_mask & span == span:
+                continue
+            # the identity keys formed at this size: those that are their
+            # orbit's largest image are the keys of tops, the rest are in seen
+            seen: set[int] = set()
+            tops: dict[int, list | None] = {}  # largest image -> images
+            rows = ((b, fs) for a, fs in factors.items() for b in level.get(size - a, ()))
+            for b, fs in rows:
+                b0, n = b[0], len(fs)
+                for a in fs:
+                    ident = b0 + a[0]
+                    if ident in tops or ident in seen:
+                        continue
+                    top = max(map(add, b, a))
+                    if top != ident:
+                        seen.add(ident)
+                    if top in tops:
+                        continue
+                    tops[top] = None if last else [*map(add, b, a)]
+                    if union_mask & span != span:
+                        union_mask |= lengths_mask(top)
+                        if last and union_mask & span == span:
+                            n = fs.index(a) + 1  # the rest of the size adds nothing
+                            break
+                formed += n
+                if formed > PRODUCT_LIMIT:
+                    raise ResourceLimitError("atom products", PRODUCT_LIMIT, formed)
+                if n < len(fs):
+                    break
+            nxt[size] = list(tops.values())
+        level = nxt
         out[k] = UnionOfLengths(k, LengthSet.from_mask(union_mask).values)
     return out
 

@@ -58,14 +58,17 @@ def test_traced_sweeps_pass_walks_each_system_once(tmp_path):
     # every key and product holding the prime 0; 19,069 queries and 11,059
     # memo entries when `system` queried lengths_mask once per zero-sum key;
     # 2,657 queries and 2,219 memo entries when the U_k walk queried every
-    # orbit, not only those whose size its union did not yet cover.
+    # orbit, not only those whose size its union did not yet cover; 440
+    # queries and 1,702 memo entries when it formed every size in the order
+    # it met them, not only the sizes that can still add a length, largest
+    # first.
     # The tracer counts lengths_mask calls and sums the memos of the engines
     # that lengths_mask ran on, so the forward pass of `system`, which calls
     # no lengths_mask, leaves out the C3+C3 and C2+C4 engines: what is left
     # is the U_k walk of C5.  test_sweeps_ops_fill_the_memos_they_did pins
     # all three memos.
-    assert layers["lengths.queries"] == 440
-    assert layers["lengths.memo_entries"] == 1702
+    assert layers["lengths.queries"] == 132
+    assert layers["lengths.memo_entries"] == 966
     assert layers["structure_fit.fits"] == 16
     assert layers["atoms.nodes"] == 451  # 641 in element order
 
@@ -74,7 +77,8 @@ def test_sweeps_ops_fill_the_memos_they_did(monkeypatch):
     # the in-process ops of a `sweeps` pass, on a fresh atom cache: the
     # forward pass of `system` stores exactly the entries the per-key
     # queries stored, C3+C3 4,862 + C2+C4 3,978, and the U_k walk of C5
-    # stores 1,702 (2,219 when it queried every orbit)
+    # stores 966 (1,702 when it formed every size in the order it met them,
+    # 2,219 when it queried every orbit)
     import zslen.atoms
     from zslen import (
         delta_of_group, enumerate_atoms, make_group, system, unions_range,
@@ -89,7 +93,7 @@ def test_sweeps_ops_fill_the_memos_they_did(monkeypatch):
     unions_range(c5, 6)
     verify_structure_theorem(c33, 9)
     memos = [enumerate_atoms(g).engine.memo_size for g in (c33, c24, c5)]
-    assert memos == [4862, 3978, 1702]
+    assert memos == [4862, 3978, 966]
 
 
 def test_reach_rows_read_names_that_exist(monkeypatch):

@@ -334,17 +334,34 @@ def test_union_resource_limit(c33, monkeypatch):
 
 
 def test_union_limit_charges_products_formed(c4, monkeypatch):
-    # A(C4) has 6 atoms besides the prime [0:1]; one product per orbit of
-    # the identity and negation at each level, times those 6 atoms, makes
-    # 1,812 products for k <= 7
+    # A(C4) has 6 atoms besides the prime [0:1]; each size of a level
+    # charges the (product, atom) pairs it forms, one product per orbit of
+    # the identity and negation: 740 pairs for k <= 7.  1,812 when every
+    # level formed all its orbits and was charged len(level) x 6 pairs.
     assert len(enumerate_atoms(c4)) == 7
     expected = unions_range(c4, 7)
-    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 1812)
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 740)
     assert unions_range(c4, 7) == expected
-    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 1811)
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 739)
     with pytest.raises(ResourceLimitError) as info:
         unions_range(c4, 7)
-    assert info.value.reached == 1812
+    assert info.value.reached == 740
+
+
+def test_union_limit_is_met_before_memory_grows_with_k(c5, fresh_atom_cache, monkeypatch):
+    # the walk holds nothing of size k_max * D before it forms a product: a
+    # table of the spans of every size up to k_max * D, each up to
+    # k_max * D / 2 bits wide, peaked at 14.4 MB for k_max = 4000
+    enumerate_atoms(c5)
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            unions_range(c5, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @functools.lru_cache(maxsize=None)
@@ -403,35 +420,39 @@ def test_unions_past_the_image_ceiling_use_identity_and_negation(monkeypatch, fr
 
 def test_union_limit_charges_products_formed_per_orbit(c5, monkeypatch):
     # one product per orbit of C5's 4 automorphisms, over the 14 atoms other
-    # than the prime [0:1]: k <= 6 forms 16,296 products.  The unmerged walk
-    # over all 15 atoms formed 102,390, the orbit walk over all 15 26,595.
+    # than the prime [0:1], and only the sizes that can still add a length:
+    # k <= 6 forms 3,480 (product, atom) pairs.  16,296 when every orbit was
+    # formed and charged; the unmerged walk over all 15 atoms formed 102,390,
+    # the orbit walk over all 15 26,595.
     expected = unions_range(c5, 6)
-    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 16296)
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 3480)
     assert unions_range(c5, 6) == expected
-    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 16295)
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 3479)
     with pytest.raises(ResourceLimitError) as info:
         unions_range(c5, 6)
-    assert info.value.reached == 16296
+    assert info.value.reached == 3480
 
 
 def test_unions_memo_is_pinned(c5, fresh_atom_cache):
     # a fresh engine: only the largest key of each orbit of zero-free
-    # products whose size the union does not yet cover is queried, so the
-    # memo holds 1,702 entries after k <= 6 (2,219 when every orbit was
-    # queried, 12,269 when every product was, 3,593 when those holding 0
-    # were too)
+    # products whose size can still add a length, and whose span the union
+    # does not yet cover, is queried, so the memo holds 966 entries after
+    # k <= 6 (1,702 when every size was formed in the order met, 2,219 when
+    # every orbit was queried, 12,269 when every product was, 3,593 when
+    # those holding 0 were too)
     assert enumerate_atoms(c5).engine is None
     unions_range(c5, 6)
-    assert engine_for(enumerate_atoms(c5)).memo_size == 1702
+    assert engine_for(enumerate_atoms(c5)).memo_size == 966
 
 
 def test_unions_with_two_byte_fields(fresh_atom_cache):
     # level entries of C2 reach 2 * 130 = 260, past one byte per field.  The
-    # walk forms only the powers [1:2k] of the one atom besides [0:1], and
-    # each has the one length k that the base 1 + U_(k-1) already holds, so
-    # nothing is queried and the memo holds only the empty product: 1 entry
-    # (131 when every power [1:2k] was queried, 8,646 when the products with
-    # the prime [0:1] were queried too)
+    # one atom besides [0:1] is [1:2], and a power [1:2k] has the one length
+    # k that the base 1 + U_(k-1) already holds, so no size can add a
+    # length: the walk forms no product (it formed every power when it
+    # formed every size), nothing is queried and the memo holds only the
+    # empty product: 1 entry (131 when every power [1:2k] was queried, 8,646
+    # when the products with the prime [0:1] were queried too)
     group = make_group([2])
     atoms = enumerate_atoms(group)
     assert atoms.engine is None
