@@ -64,10 +64,9 @@ def system(group: FiniteAbelianGroup, subset=None, bound: int = 8) -> SystemOfLe
 
     The engine's forward pass (FactorizationEngine.product_levels) builds
     the products of atoms level by level in |B|, each with its length
-    mask, and stores them in the memo.  Each distinct mask keeps its first
-    key in (length, lex) order: per level, the lex-least key of each mask
-    not seen at a shorter length.  Only those keys are unpacked, into the
-    witnesses.
+    mask, and stores none of them in the memo.  Each distinct mask keeps
+    its first key in (length, lex) order: per level, the key of each mask
+    not seen at a shorter length whose unpacked vector is lex-least.
 
     When 0 is in G0 it is letter 0 and the one prime of B(G0)
     (AtomSet.prime_letters), so B(G0) = F({0}) x B(G0 - {0}) and
@@ -95,21 +94,12 @@ def system(group: FiniteAbelianGroup, subset=None, bound: int = 8) -> SystemOfLe
         entries = tuple(entry for entry in table.entries if entry[1].length <= bound)
         return SystemOfLengthSets(group, alphabet, bound, entries)
     lead = int(0 in atoms.prime_letters)  # the zero element is letter 0
-    if engine.widen(bound) == 8:
-        # one byte per letter: lex order, letter 0 first, is the numeric
-        # order of the byte-reversed key
-        width = engine.width
-
-        def lex(key: int) -> int:
-            return int.from_bytes(key.to_bytes(width, "little"), "big")
-    else:
-        lex = engine.unpack
     first: dict[int, int] = {}  # length mask -> first key
     for level in engine.product_levels(bound, atoms.prime_letters):
-        fresh: dict[int, tuple] = {}  # new mask -> (lex order, key)
+        fresh: dict[int, tuple] = {}  # new mask -> (vector, key)
         for key, mask in level.items():
             if mask not in first:
-                order = lex(key)
+                order = engine.unpack(key)  # tuples compare in lex order
                 seen = fresh.get(mask)
                 if seen is None or order < seen[0]:
                     fresh[mask] = (order, key)
@@ -356,6 +346,7 @@ def unions_range(group: FiniteAbelianGroup, k_max: int) -> dict[int, UnionOfLeng
             seen: set[int] = set()
             tops: dict[int, list | None] = {}  # largest image -> images
             rows = ((b, fs) for a, fs in factors.items() for b in level.get(size - a, ()))
+            done = False  # the rest of the size adds nothing
             for b, fs in rows:
                 b0, n = b[0], len(fs)
                 for a in fs:
@@ -370,13 +361,14 @@ def unions_range(group: FiniteAbelianGroup, k_max: int) -> dict[int, UnionOfLeng
                     tops[top] = None if last else [*map(add, b, a)]
                     if union_mask & span != span:
                         union_mask |= lengths_mask(top)
-                        if last and union_mask & span == span:
-                            n = fs.index(a) + 1  # the rest of the size adds nothing
+                        done = last and union_mask & span == span
+                        if done:
+                            n = fs.index(a) + 1
                             break
                 formed += n
                 if formed > PRODUCT_LIMIT:
                     raise ResourceLimitError("atom products", PRODUCT_LIMIT, formed)
-                if n < len(fs):
+                if done:
                     break
             nxt[size] = list(tops.values())
         level = nxt

@@ -37,8 +37,9 @@ calls widen(top) with the largest entry it will form, which re-keys the
 memo at most once and returns the field width in bits.  It then builds
 its keys at that width and unpacks only the witnesses it reports.
 `system` asks no query at all: product_levels extends the products of
-atoms forward, level by level in length, and stores each level's masks
-in the memo.  The engine keeps the system of the largest bound run on it
+atoms forward, level by level in length, and yields each level's masks
+without storing them, so lengths_mask is the memo's one writer.  The
+engine keeps the system of the largest bound run on it
 (system_table), and `system` reads every smaller bound from that table
 with no second pass and nothing stored.  The U_k walk queries sums of
 atom keys that it shifts into the fields itself.  Fixing the width first
@@ -48,10 +49,11 @@ InvalidArgumentError and stores nothing.
 
 engine_for keeps the one engine of an AtomSet on the set itself, so the
 memo lives as long as the atom set and there is no module-level table.
-The engine holds no ceiling: a miss in lengths_mask, and each pass of
-product_levels, reads the memo cap in force (atoms.limits) and charges the
-entries it stores, as a new engine charges its seed entry; so a memo hit
-or a system_table read is answered under any cap, and charges nothing.
+The engine holds no ceiling: a miss in lengths_mask reads the memo cap in
+force (atoms.limits) and charges the entries it stores, as a new engine
+charges its seed entry, and each pass of product_levels counts and
+charges the entries it forms as if it stored them; so a memo hit or a
+system_table read is answered under any cap, and charges nothing.
 length_set checks the group, then packs B's key from its items and reads
 the memo: a positive mask makes B a product of atoms, hence zero-sum.
 Only without one does it run the zero-sum fold, engine_for and the miss
@@ -302,7 +304,7 @@ class FactorizationEngine:
     def product_levels(self, top: int, avoid: tuple[int, ...]):
         """Yield, for n = 0..top, the dict key -> length mask of the
         products of length n of the atoms that use no letter in avoid,
-        each level once it is final and stored in the memo.
+        each level once it is final.  The pass stores nothing in the memo.
 
         The pass runs forward from level 0 = {0: 1}: each product B of a
         final level n gives B + A the mask of B shifted by one, for every
@@ -319,14 +321,16 @@ class FactorizationEngine:
         masks are exact.  The keys are packed at the width widen(top) sets,
         so no query may widen the field while the levels are read.
 
-        A level that adds entries is refused with ResourceLimitError, before
-        it is stored, if the memo would then pass the memo cap, read once
-        per pass (atoms.limits).  As with lengths_mask, a pass is refused
-        exactly when it would store more entries than the limit leaves room
-        for, and each level charges the entries it adds (atoms.charge).
+        The pass counts against the memo cap, read once per pass
+        (atoms.limits): the memo's own entries, plus each entry it forms
+        after the empty product.  A nonempty level is refused with
+        ResourceLimitError, before it is yielded, if that count would then
+        pass the cap, and each level charges its entries (atoms.charge).  On
+        a fresh engine, whose memo holds only the empty product, that is
+        the count and the refusal of the per-key queries the pass replaced.
         """
         bits = self.widen(top)
-        width, memo, limit = self.width, self._memo, CAPS.get()[1]
+        width, limit = self.width, CAPS.get()[1]
         # grow[p]: (length, packed atoms) of the atoms whose pivot is at or
         # below p, by length ascending
         by_length = [[[] for _ in range(top + 1)] for _ in range(width)]
@@ -339,15 +343,14 @@ class FactorizationEngine:
         grow = [[(size, keys) for size, keys in enumerate(row) if keys] for row in by_length]
         pending: list[dict[int, int]] = [{} for _ in range(top + 1)]
         pending[0][0] = 1
+        used = len(self._memo)  # the memo's entries and those the pass formed
         for n in range(top + 1):
             level, pending[n] = pending[n], {}
-            size = len(memo)
-            if size + len(level) > limit:
-                new = sum(key not in memo for key in level)
-                if new and size + new > limit:
+            if n and level:
+                used += len(level)
+                if used > limit:
                     raise ResourceLimitError("memo table", limit)
-            memo.update(level)
-            charge(memo=len(memo) - size)
+                charge(memo=len(level))
             room = top - n
             for key, mask in level.items():
                 mask <<= 1

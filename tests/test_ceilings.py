@@ -151,8 +151,11 @@ def test_a_block_tallies_the_walk_and_the_memo_it_filled(c3, fresh_atom_cache):
     with limits() as work:
         system(c3, None, 8)
     atoms = enumerate_atoms(c3)
-    assert work == {"atom_lattice_nodes": atoms.nodes_visited,
-                    "memo_entries": atoms.engine.memo_size}
+    # the engine's seed entry and the 14 products the forward pass formed,
+    # which it charges but does not store (it stored them, 15 memo entries,
+    # before the pass left the memo to lengths_mask)
+    assert atoms.engine.memo_size == 1
+    assert work == {"atom_lattice_nodes": atoms.nodes_visited, "memo_entries": 15}
     # a cold query charges what its miss stores; the registry's set, the
     # system table and a memo hit charge nothing
     size = atoms.engine.memo_size

@@ -336,16 +336,18 @@ def test_union_resource_limit(c33, monkeypatch):
 def test_union_limit_charges_products_formed(c4, monkeypatch):
     # A(C4) has 6 atoms besides the prime [0:1]; each size of a level
     # charges the (product, atom) pairs it forms, one product per orbit of
-    # the identity and negation: 740 pairs for k <= 7.  1,812 when every
-    # level formed all its orbits and was charged len(level) x 6 pairs.
+    # the identity and negation: 726 pairs for k <= 7.  740 when a size at
+    # k_max whose span the union came to hold on the last atom of a row
+    # went on to form the rest of its rows; 1,812 when every level formed
+    # all its orbits and was charged len(level) x 6 pairs.
     assert len(enumerate_atoms(c4)) == 7
     expected = unions_range(c4, 7)
-    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 740)
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 726)
     assert unions_range(c4, 7) == expected
-    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 739)
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 725)
     with pytest.raises(ResourceLimitError) as info:
         unions_range(c4, 7)
-    assert info.value.reached == 740
+    assert info.value.reached == 726
 
 
 def test_union_limit_is_met_before_memory_grows_with_k(c5, fresh_atom_cache, monkeypatch):
@@ -421,16 +423,18 @@ def test_unions_past_the_image_ceiling_use_identity_and_negation(monkeypatch, fr
 def test_union_limit_charges_products_formed_per_orbit(c5, monkeypatch):
     # one product per orbit of C5's 4 automorphisms, over the 14 atoms other
     # than the prime [0:1], and only the sizes that can still add a length:
-    # k <= 6 forms 3,480 (product, atom) pairs.  16,296 when every orbit was
-    # formed and charged; the unmerged walk over all 15 atoms formed 102,390,
-    # the orbit walk over all 15 26,595.
+    # k <= 6 forms 3,476 (product, atom) pairs.  3,480 when a size at k_max
+    # whose span the union came to hold on the last atom of a row went on to
+    # form the rest of its rows; 16,296 when every orbit was formed and
+    # charged; the unmerged walk over all 15 atoms formed 102,390, the orbit
+    # walk over all 15 26,595.
     expected = unions_range(c5, 6)
-    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 3480)
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 3476)
     assert unions_range(c5, 6) == expected
-    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 3479)
+    monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 3475)
     with pytest.raises(ResourceLimitError) as info:
         unions_range(c5, 6)
-    assert info.value.reached == 3480
+    assert info.value.reached == 3476
 
 
 def test_unions_memo_is_pinned(c5, fresh_atom_cache):

@@ -290,13 +290,14 @@ def test_engine_on_arbitrary_vectors_matches_brute_force(case):
 
 
 def test_system_memo_size_pinned(c33, fresh_atom_cache):
-    # a fresh engine: memo_size after system(C3+C3, 9) is the number of
-    # distinct vectors the recursion visits; 5,420 when the walk queried the
-    # keys holding the prime 0 too, now 2,710 as only zero-free keys are
+    # a fresh engine: the forward pass of system(C3+C3, 9) stores nothing,
+    # so the memo keeps its seed entry only.  2,710 when the pass stored
+    # each level, the distinct vectors the recursion visits; 5,420 when the
+    # walk queried the keys holding the prime 0 too
     atoms = enumerate_atoms(c33)
     assert atoms.engine is None
     system(c33, None, 9)
-    assert lengths.engine_for(atoms).memo_size == 2710
+    assert lengths.engine_for(atoms).memo_size == 1
 
 
 def test_cold_walk_pinned():

@@ -5,12 +5,14 @@ FactorizationEngine.product_levels.  The oracle below is the scan it
 replaced: the zero-sum walk of G0 without 0 (sequence.enumerate_zero_sum,
 each sequence packed into an engine key), one lengths_mask query per key,
 the first key of each length mask, then the shifts past the prime 0.
-Entries, witnesses and the engine's final memo (its key -> mask pairs)
-must agree on a fresh engine, on one warmed by length_set queries and on
-one that a larger-bound `system` filled; so must the memo limit (set by
-atoms.limits) at which a run is refused.  A bound up to the largest one
-run on an engine is read from the engine's table: that read must give
-the answer of a fresh atom set and leave the memo as it was.
+Entries and witnesses must agree on a fresh engine, on one warmed by
+length_set queries and on one that a larger-bound `system` ran on; so
+must the memo limit (set by atoms.limits) at which a fresh run is
+refused.  The pass stores nothing: the memo (its key -> mask pairs, in
+order) is left as the run found it, and lengths_mask is its one writer.
+A bound up to the largest one run on an engine is read from the
+engine's table: that read must give the answer of a fresh atom set and
+leave the memo as it was too.
 
 `system` runs on the engine of the cached A(G0), so each example first
 empties the atom cache (the fresh_atom_cache fixture); the oracle runs on
@@ -147,8 +149,9 @@ def test_system_matches_the_walk(fresh_atom_cache, case, warm_up):
     ours, oracle = enumerate_atoms(group, subset), fresh_atoms(group, subset)
     warm(ours, warm_up, bound, lambda b, atoms: system(group, subset, b))
     warm(oracle, warm_up, bound, lambda b, atoms: walk_system(group, b, atoms))
+    memo = list(memo_of(ours).items())
     assert list(system(group, subset, bound).entries) == walk_system(group, bound, oracle)
-    assert memo_of(ours) == memo_of(oracle)
+    assert list(memo_of(ours).items()) == memo
 
 
 @settings(max_examples=150, **FIXTURE_OK)
@@ -180,14 +183,17 @@ def test_system_reads_smaller_bounds_from_its_table(fresh_atom_cache, case, smal
     ([5], 8, 99),
 ])
 def test_memo_limit_thresholds(fresh_atom_cache, mods, bound, needed):
-    # on a fresh engine a run succeeds exactly when its final memo fits:
-    # at limit = the walk's final memo size it passes, one below it refuses
+    # on a fresh engine a run succeeds exactly when the walk's final memo
+    # fits: at limit = its size the pass runs, and charges that many
+    # entries, one below it refuses; the pass itself stores nothing
     group = make_group(mods)
     oracle = fresh_atoms(group, None)
     walk_system(group, bound, oracle)
     assert engine_for(oracle).memo_size == needed
-    fresh_system(fresh_atom_cache, group, None, bound, memo_limit=needed)
-    assert memo_of(enumerate_atoms(group)) == memo_of(oracle)
+    with limits() as work:
+        fresh_system(fresh_atom_cache, group, None, bound, memo_limit=needed)
+    assert work["memo_entries"] == needed
+    assert memo_of(enumerate_atoms(group)) == {0: 1}
     ours = lambda b, limit: fresh_system(fresh_atom_cache, group, None, b, memo_limit=limit)  # noqa: E731
     walk = lambda b, limit: walk_system(group, b, fresh_atoms(group, None), limit)  # noqa: E731
     for run in (ours, walk):
@@ -212,11 +218,31 @@ def test_memo_limit_refuses_where_the_walk_does(fresh_atom_cache, case):
     with limits(memo_limit=needed):
         limited = system(group, subset, bound)
         assert len(limited) == len(walk_system(group, bound, oracle))
-        # the engine is at its limit; a read of its table stores nothing
-        assert engine_for(ours).memo_size == needed
+        # the pass stored nothing; a read of the table stores nothing
+        assert memo_of(ours) == {0: 1}
         for b, fresh in zip(smaller, expected):
             assert system(group, subset, b) == fresh
+        assert memo_of(ours) == {0: 1}
     if needed > 1:  # the empty product is in every memo from the start
         with pytest.raises(ResourceLimitError):
             fresh_system(fresh_atom_cache, group, subset, bound, memo_limit=needed - 1)
-        assert engine_for(enumerate_atoms(group, subset)).memo_size <= needed - 1
+        assert memo_of(enumerate_atoms(group, subset)) == {0: 1}
+
+
+@pytest.mark.parametrize("mods", [[3, 3], [2, 4], [5]])
+def test_a_product_the_pass_formed_is_a_miss_after_it(fresh_atom_cache, mods):
+    # the pass keeps none of its products, so a length_set of one of them
+    # after `system` misses: it gives the answer of a fresh engine and
+    # charges what that miss stores
+    group = make_group(mods)
+    atoms = enumerate_atoms(group)
+    zero_free = [w for w in atoms.atoms if w.items[0][0]]  # index 0 is the zero
+    b = zero_free[0] * zero_free[-1] * zero_free[-2]
+    expected = length_set(b, fresh_atoms(group, None))
+    system(group, None, b.length)  # the pass forms b at its last level
+    engine = engine_for(atoms)
+    assert engine.memo_size == 1
+    assert engine.product_key(b.items, atoms.positions) is None
+    with limits() as work:
+        assert length_set(b, atoms) == expected
+    assert work["memo_entries"] == engine.memo_size - 1 > 0

@@ -65,10 +65,14 @@ def test_identity_only_c2_4_is_pinned(fresh_atom_cache):
     assert walked(group, 3) == {1: (1,), 2: tuple(range(2, 6)), 3: tuple(range(2, 8))}
 
 
-# the oracle takes about 0.9 s on C2+C4 to k = 6 and 3 s on C7 to k = 6
+# the oracle takes about 0.9 s on C2+C4 to k = 6 and 3 s on C7 to k = 6.
+# C2^3 to k = 6 has a U_5 that needs the rest of a size whose span the
+# union already holds: a walk that stops such a size below k_max reads
+# U_5 = {3..9}, not {3..10}.
 @pytest.mark.parametrize("mods, k_max", [
     ((5,), 6), ((3, 3), 3), ((2, 4), 4), ((1,), 6), ((2,), 8), ((3,), 8), ((4,), 7),
     ((6,), 6), ((7,), 5), ((2, 2), 7), ((2, 2, 2), 4), ((5,), 8), ((2, 4), 6),
+    ((2, 2, 2), 6),
 ])
 def test_cut_walk_equals_orbit_walk_over_whole_groups(fresh_atom_cache, mods, k_max):
     group = make_group(list(mods))
