@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, count
 from typing import Iterable
 
 from .atoms import CAPS, AtomSet, below_rows, charge
@@ -101,18 +102,15 @@ class LengthSet(Record):
 
     @classmethod
     def from_mask(cls, mask: int) -> "LengthSet":
-        """The set of bit positions of a positive mask.  Its values are
-        sorted, distinct and nonnegative by construction, so __init__ is
-        not run."""
+        """The set of bit positions of a positive mask, read off its binary
+        text in one pass linear in the width.  Its values are sorted,
+        distinct and nonnegative by construction, so __init__ is not run."""
         if mask <= 0:
             raise InvalidArgumentError("empty bitmask")
-        values = []
-        while mask:
-            low = mask & -mask
-            values.append(low.bit_length() - 1)
-            mask ^= low
+        # byte i is nonzero iff bit i is set
+        bits = bin(mask)[:1:-1].encode().replace(b"0", b"\0")
         out = object.__new__(cls)
-        _set(out, "values", tuple(values))
+        _set(out, "values", tuple(compress(count(), bits)))
         return out
 
     def to_mask(self) -> int:

@@ -6,6 +6,7 @@ import json
 import logging
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,16 @@ def test_numerical_subcommand(capsys):
     assert report["results"]["elasticity"] == "7/3"
     assert report["results"]["min_delta"] == 2
     assert report["results"]["member"] is True
+
+
+def test_numerical_refuses_a_span_past_the_cap_at_once(capsys):
+    # L(10**12) of <6,10,15> would span 10**11 lengths; nothing is tabulated
+    started = time.perf_counter()
+    code, report = run_json(capsys, "numerical", "--gens", "6,10,15", "--n", "1000000000000")
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert report["error"]["type"] == "resource-limit"
+    assert report["error"]["bound"] == "numerical table"
 
 
 def test_transfer_check_subcommand(capsys):

@@ -613,3 +613,19 @@ def test_from_mask_is_trusted_but_rejects_empty_masks():
     for mask in (0, -1, -8):
         with pytest.raises(InvalidArgumentError):
             LengthSet.from_mask(mask)
+
+
+def test_from_mask_decodes_a_wide_mask():
+    """L(400000) of <6,10,15> from the full table: 39,999 lengths on a mask
+    66,667 bits wide, decoded in one pass (popping bits copied the mask
+    once per length)."""
+    from zslen.numerical import _length_masks, make_numerical
+
+    for mask in _length_masks(make_numerical([6, 10, 15]), 400000):
+        pass
+    expected = LengthSet.of(i for i in range(mask.bit_length()) if mask >> i & 1)
+    assert len(expected.values) == 39999
+    assert LengthSet.from_mask(mask) == expected
+    for mask in (0, -1, -(1 << 70)):
+        with pytest.raises(InvalidArgumentError, match="empty bitmask"):
+            LengthSet.from_mask(mask)

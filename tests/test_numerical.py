@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zslen.errors import InvalidArgumentError
+from zslen import numerical
+from zslen.atoms import limits
+from zslen.errors import InvalidArgumentError, ResourceLimitError
 from zslen.lengths import LengthSet, elasticity_of
 from zslen.numerical import (
+    _length_masks,
     accumulated_delta,
     contains,
     make_numerical,
@@ -141,8 +144,8 @@ def test_membership_reads_the_apery_table():
 
 
 def test_length_table_memory_is_windowed():
-    """L(n) keeps the last max(generators) masks of the table, not one mask
-    per integer up to n (~30 MB for <3,5> at n = 20000)."""
+    """L(n) tabulates one period of the table, not one mask per integer up
+    to n (~30 MB for <3,5> at n = 20000): 21 rows, then the progression."""
     h = make_numerical([3, 5])
     tracemalloc.start()
     try:
@@ -234,3 +237,82 @@ def test_elasticity_approached_at_lcm_multiples():
     h = make_numerical([2, 3])
     n = 2 * 3 * 4
     assert elasticity_of(num_length_set(h, n)) == Fraction(3, 2)
+
+
+def shift_start(h):
+    """(P, N): L(m + P) = (n1 + L(m)) | (nk + L(m)) for every m >= N."""
+    gens = h.generators
+    n1, nk = gens[0], gens[-1]
+    return n1 * nk, n1 * nk + (len(gens) - 2) * (nk - n1) * nk
+
+
+@pytest.mark.parametrize("gens", [
+    (1,), (2, 3), (3, 5, 7), (4, 9, 11), (6, 10, 15),
+    pytest.param((11, 13, 29, 31), marks=pytest.mark.slow),  # 10,230 rows, ~10 s
+    (5, 7), (7, 9, 11, 13), (3, 4, 5), (8, 9, 10, 11),
+    pytest.param((10, 11, 17), marks=pytest.mark.slow),
+    (4, 6, 9), (5, 8, 9, 12), (6, 7, 8),
+], ids=lambda gens: ",".join(map(str, gens)))
+def test_shift_identity_matches_the_full_table(gens):
+    """Every member n up to max(30*n1*nk, N + 3P): below N + P the answer
+    is the table's own row, from N + P on the progression is added with
+    q >= 1."""
+    h = make_numerical(list(gens))
+    period, start = shift_start(h)
+    for n, mask in enumerate(_length_masks(h, max(30 * period, start + 3 * period))):
+        if mask:
+            assert num_length_set(h, n).to_mask() == mask, n
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True)
+       .filter(lambda g: math.gcd(*g) == 1), st.data())
+def test_shift_identity_matches_the_table_on_drawn_monoids(gens, data):
+    h = make_numerical(gens)
+    period, start = shift_start(h)
+    n = data.draw(st.integers(0, start + 4 * period))
+    for mask in _length_masks(h, n):
+        pass
+    if mask:
+        assert num_length_set(h, n).to_mask() == mask
+    else:
+        with pytest.raises(InvalidArgumentError):
+            num_length_set(h, n)
+
+
+@pytest.mark.parametrize("n, need", [
+    (200, 201),        # n < N = 225: the table's 201 rows (span 20)
+    (1000, 281),       # n0 = 225 + 775 % 90 = 280: 281 rows (span 100)
+    (400000, 40000),   # n0 = 310: the span 66666 - 26667 + 1 binds
+])
+def test_numerical_table_is_held_to_the_memo_cap(monkeypatch, n, need):
+    """<6,10,15>: the larger of the rows built and the answer's span is
+    held to the memo cap before any row is built, and nothing is charged."""
+    h = make_numerical([6, 10, 15])
+    with limits(memo_limit=need) as work:
+        num_length_set(h, n)
+    assert work == {"atom_lattice_nodes": 0, "memo_entries": 0}
+
+    def no_table(monoid, bound):
+        raise AssertionError("tabulated past the cap")
+
+    monkeypatch.setattr(numerical, "_length_masks", no_table)
+    with limits(memo_limit=need - 1), pytest.raises(ResourceLimitError) as refused:
+        num_length_set(h, n)
+    assert (refused.value.bound_name, refused.value.limit, refused.value.reached) == (
+        "numerical table", need - 1, need)
+
+
+def test_accumulated_delta_folds_each_distinct_mask_once(monkeypatch):
+    """<11,13,29,31> to 1000: 965 members share 136 length sets."""
+    folded = []
+    gaps = numerical.mask_gaps
+
+    def spy(mask):
+        folded.append(mask)
+        return gaps(mask)
+
+    monkeypatch.setattr(numerical, "mask_gaps", spy)
+    h = make_numerical([11, 13, 29, 31])
+    assert accumulated_delta(h, 1000) == (2, 4)
+    assert len(folded) == len(set(folded)) == 136
