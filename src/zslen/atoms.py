@@ -27,13 +27,14 @@ and finds the atoms dividing an element in the factorization engine.
 An AtomSet holds the walk's vectors over letters with classes, and owns
 the one engine built over it.  Letters are labels: the elements of G0 for
 B(G0), prime names for a Krull instance.  build_atoms, the one builder,
-caches nothing; the owner of an atom set decides how long its memo lives.
-enumerate_atoms keeps one set per (group, G0), so repeated length queries
-and the verify suites reuse one memo (the CLI empties this registry before
-each command); a KrullInstance owns its H-atoms, which die with it;
-delta_star owns nothing and drops each subset's set.  Only a walk proves
-a list of atoms complete, so the whole-monoid scans of B(G0) take no atom
-set: each resolves A(G0) by enumerate_atoms itself.
+caches nothing, and has two callers, enumerate_atoms and
+transfer.instance_atoms; the owner of an atom set decides how long its
+memo lives.  enumerate_atoms keeps one set per (group, G0), so repeated
+length queries and the verify suites reuse one memo (the CLI empties this
+registry before each command); a KrullInstance owns its H-atoms, which
+die with it.
+Only a walk proves a list of atoms complete, so the whole-monoid scans of
+B(G0) take no atom set: each resolves A(G0) by enumerate_atoms itself.
 
 The two ceilings are set once, by `with limits(...)`, and read only where
 work is charged to the block's tally: the node cap once per walk, by

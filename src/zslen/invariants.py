@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from operator import add
 
-from .atoms import AtomSet, build_atoms, davenport, enumerate_atoms
+from .atoms import AtomSet, davenport, enumerate_atoms
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, automorphisms, elements, tables
 from .lengths import LengthSet, delta_of, engine_for, length_set
@@ -71,11 +71,22 @@ def system(group: FiniteAbelianGroup, subset=None, bound: int = 8) -> SystemOfLe
     When 0 is in G0 it is letter 0 and the one prime of B(G0)
     (AtomSet.prime_letters), so B(G0) = F({0}) x B(G0 - {0}) and
     L(0^c B) = c + L(B).  The pass then uses the atoms without 0 only
-    (it avoids the prime letters), so it forms the zero-free sequences.  Each length mask m keeps its first
-    zero-free key B_m, and gives the sets m << c for c <= bound - |B_m|,
-    witnessed by 0^c B_m.  A set keeps the witness of least (length, c):
-    letter 0 comes first in the (length, lex) order over all of G0, so
-    that is the key met first there.
+    (it avoids the prime letters), so it forms the zero-free sequences.
+    Each length mask m keeps its first zero-free key B_m, and gives the
+    sets m << c for c <= bound - |B_m|, witnessed by 0^c B_m.  A set keeps
+    the witness of least (length, c): letter 0 comes first in the
+    (length, lex) order over all of G0, so that is the key met first there.
+
+    Each such set is written once.  With low = min L(B), the candidates
+    for a set S << t, S a shape (a mask with bit 0 set), are the B_m with
+    m = S << low, low <= t, and their (length, c) is
+    (|B| - low + t, t - low); so (|B| - low, -low) orders them the same
+    way for every t.  The first keys are taken in that order, and each
+    writes m << c for c = 0, 1, ... until it meets a set already written.
+    A better candidate B' of the same shape has |B'| - low' <= |B| - low,
+    and writes, or finds written, every t from the first it meets up to
+    bound - (|B'| - low'), at least the top of B; so once one of the sets
+    of B is written, all its later ones are too.
 
     The engine keeps the system of the largest bound run on it
     (FactorizationEngine.system_table), and a bound b' up to that one is
@@ -96,25 +107,23 @@ def system(group: FiniteAbelianGroup, subset=None, bound: int = 8) -> SystemOfLe
     lead = int(0 in atoms.prime_letters)  # the zero element is letter 0
     first: dict[int, int] = {}  # length mask -> first key
     for level in engine.product_levels(bound, atoms.prime_letters):
-        fresh: dict[int, tuple] = {}  # new mask -> (vector, key)
+        fresh: dict[int, list[int]] = {}  # new mask -> its keys
         for key, mask in level.items():
             if mask not in first:
-                order = engine.unpack(key)  # tuples compare in lex order
-                seen = fresh.get(mask)
-                if seen is None or order < seen[0]:
-                    fresh[mask] = (order, key)
-        first.update((mask, key) for mask, (_, key) in fresh.items())
+                fresh.setdefault(mask, []).append(key)
+        # the lex-least key of each: unpacked vectors compare in lex order
+        first.update((mask, min(keys, key=engine.unpack)) for mask, keys in fresh.items())
     if lead:
-        by_size: list[list[tuple[int, int]]] = [[] for _ in range(bound + 1)]
+        ranked = []  # (|B| - low, -low, mask, key), low = min L(B)
         for mask, key in first.items():
-            by_size[sum(engine.unpack(key))].append((mask, key))
-        # per length, c ascending: the first candidate to reach a set has
-        # the least (length, c), and only the output is held
+            low = (mask & -mask).bit_length() - 1
+            ranked.append((sum(engine.unpack(key)) - low, -low, mask, key))
         first = {}
-        for length in range(bound + 1):
-            for c in range(length + 1):
-                for mask, key in by_size[length - c]:
-                    first.setdefault(mask << c, key + c)
+        for rank, neg_low, mask, key in sorted(ranked):
+            for c in range(bound - rank + neg_low + 1):  # c <= bound - |B|
+                if mask << c in first:
+                    break
+                first[mask << c] = key + c
     entries = sorted(
         (
             (LengthSet.from_mask(mask), Sequence.from_dense(group, alphabet, engine.unpack(key)))
@@ -496,19 +505,23 @@ def delta_star(group: FiniteAbelianGroup) -> DeltaStarReport:
     without it, as 0 is a prime of B(G0), so every nonempty subset is
     covered.
 
-    The scan is 2^|G|, so the group order is capped at
-    DEFAULT_SUBSET_SCAN_MAX_ORDER.  Each subset's atom set, built uncached,
-    is dropped after use.  The node cap bounds each subset's walk, not
-    the scan's total.
+    B(G0) is a divisor-closed submonoid of B(G), so A(G0) is the atoms of
+    A(G) whose support lies in G0: one walk (enumerate_atoms) serves every
+    subset.  Their vectors over all of G are zero on the letters outside
+    G0, columns that add no integer relation, so min_distance reads them
+    as it reads the vectors over G0.  The scan is 2^|G| row reductions,
+    so the group order is capped at DEFAULT_SUBSET_SCAN_MAX_ORDER.
     """
     els = elements(group)
     if len(els) > DEFAULT_SUBSET_SCAN_MAX_ORDER:
         raise ResourceLimitError("subset scan group order", DEFAULT_SUBSET_SCAN_MAX_ORDER, len(els))
-    nonzero = els[1:]  # elements(group) starts with 0
-    values: set[int] = set()
-    for mask in range(1, 1 << len(nonzero)):
-        subset = tuple(g for i, g in enumerate(nonzero) if mask >> i & 1)
-        values.add(min_distance(build_atoms(group, subset, subset).vectors()))
+    vectors = enumerate_atoms(group).vectors()
+    # support bitmask over element indices: letter i is element i, 0 first
+    supports = [sum(1 << i for i, x in enumerate(v) if x) for v in vectors]
+    values = {
+        min_distance([v for v, support in zip(vectors, supports) if not support & ~mask])
+        for mask in range(2, 1 << len(els), 2)  # bit 0, the zero element, clear
+    }
     values.discard(0)  # half-factorial: Delta(G0) is empty
     return DeltaStarReport(group, tuple(sorted(values)), (1 << len(els)) - 1)
 

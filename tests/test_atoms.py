@@ -1,13 +1,16 @@
+import ast
 import hashlib
 import itertools
 import json
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import zslen
 from zslen.atoms import (
     AtomSet,
     davenport,
@@ -368,3 +371,48 @@ def test_prime_letters_are_those_of_unit_atoms(c3):
     assert [krull.letters[i] for i in krull.prime_letters] == ["p0.0", "p0.1"]
     letters = enumerate_atoms(c3).letters
     assert AtomSet(c3, letters, ((1, 0, 0), (1, 1, 2), (0, 3, 0))).prime_letters == ()
+
+
+class _Readers(ast.NodeVisitor):
+    """The (module, function) pairs whose body reads a name, None for the
+    module's top level."""
+
+    def __init__(self, module: str, name: str):
+        self.module, self.name, self.scope, self.found = module, name, [None], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if node.id == self.name:
+            self.found.add((self.module, self.scope[-1]))
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name:
+            self.found.add((self.module, self.scope[-1]))
+        self.generic_visit(node)
+
+
+def _readers(name: str, sources) -> set:
+    found = set()
+    for module, text in sources:
+        visitor = _Readers(module, name)
+        visitor.visit(ast.parse(text))
+        found |= visitor.found
+    return found
+
+
+def test_build_atoms_has_two_callers():
+    # A(G0) comes from the registry of enumerate_atoms, and a Krull
+    # instance walks its own H-atoms; every other scan restricts a walk it
+    # already holds, as delta_star restricts A(G) to each subset
+    sources = [(path.stem, path.read_text())
+               for path in sorted(Path(zslen.__file__).parent.glob("*.py"))]
+    assert _readers("build_atoms", sources) == {
+        ("atoms", "enumerate_atoms"), ("transfer", "instance_atoms")}
+    stub = "def f(g):\n    def inner():\n        return m.build_atoms(g)\n    return inner\nbuild_atoms\n"
+    assert _readers("build_atoms", [("m", stub)]) == {("m", "inner"), ("m", None)}

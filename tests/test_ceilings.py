@@ -190,12 +190,12 @@ def test_a_nested_block_adds_its_work_to_the_enclosing_one(c3, c5, fresh_atom_ca
     assert atoms_module.TALLY.get() is None  # outside any block, work is not tallied
 
 
-def test_a_delta_star_block_tallies_each_subset_walk(c5, walks):
+def test_a_delta_star_block_tallies_its_one_walk(c5, fresh_atom_cache, walks):
+    # every subset's atoms are read off the one walk of A(G)
     with limits() as work:
         delta_star(c5)
-    assert len(walks) == 15  # the nonempty subsets of the nonzero elements
-    nodes = sum(atoms_module.minimal_nonzero_vectors(c5, classes)[1] for classes in tuple(walks))
-    assert work == {"atom_lattice_nodes": nodes, "memo_entries": 0}
+    assert len(walks) == 1
+    assert work == {"atom_lattice_nodes": enumerate_atoms(c5).nodes_visited, "memo_entries": 0}
 
 
 @pytest.mark.parametrize("call", [

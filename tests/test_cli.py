@@ -279,6 +279,21 @@ def test_node_limit_holds_for_atoms_from_the_cache(capsys, tmp_path):
     assert code == 0
 
 
+def test_node_limit_bounds_the_whole_delta_star_command(capsys):
+    # delta-star walks A(G) once, so the cap is met or refused by that walk
+    # alone, not by each subset's
+    from zslen.atoms import enumerate_atoms
+
+    nodes = enumerate_atoms(make_group([12])).nodes_visited
+    argv = ["delta-star", "--group", "12", "--stable"]
+    code, report = run_json(capsys, *argv, "--node-limit", str(nodes))
+    assert code == 0
+    assert report["resources"]["atom_lattice_nodes"] == nodes
+    code, refused = run_json(capsys, *argv, "--node-limit", str(nodes - 1))
+    assert code == 3
+    assert refused["error"]["bound"] == "lattice node"
+
+
 def test_exit_code_invalid_arguments(capsys):
     code, report = run_json(capsys, "davenport", "--group", "0")
     assert code == 2

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from zslen import atoms as atoms_module
 from zslen import invariants
-from zslen.atoms import build_atoms, davenport, enumerate_atoms, minimal_nonzero_vectors
+from zslen.atoms import build_atoms, davenport, enumerate_atoms, limits, minimal_nonzero_vectors
 from zslen.errors import InvalidArgumentError, ResourceLimitError
 from zslen.group import elements, make_group, order_of, tables
 from zslen.invariants import (
@@ -521,10 +521,16 @@ def test_delta_star_subset_of_delta(c4):
     assert 1 in ds.values  # G0 = G contributes min Delta(G) = 1
 
 
-def test_delta_star_keeps_no_atom_sets(c4):
-    before = len(atoms_module._ATOM_SETS)
+def test_a_second_delta_star_walks_nothing(c4, fresh_atom_cache, monkeypatch):
     delta_star(c4)
-    assert len(atoms_module._ATOM_SETS) == before
+
+    def refuse(*args, **kw):
+        raise AssertionError("A(G) is walked once")
+
+    monkeypatch.setattr(atoms_module, "minimal_nonzero_vectors", refuse)
+    with limits() as work:
+        assert delta_star(c4).values == (1, 2)
+    assert work == {"atom_lattice_nodes": 0, "memo_entries": 0}
 
 
 def test_delta_star_reads_neither_the_scan_nor_the_engine(c4, monkeypatch):
@@ -622,6 +628,37 @@ def test_delta_star_exact_values(moduli, values):
     assert report.subsets_scanned == 2 ** group.order - 1
     # max Delta*(G) = max{exp(G) - 2, r(G) - 1} (Geroldinger and Zhong, 2016)
     assert max(values) == max(group.invariant_factors[-1] - 2, group.rank - 1)
+
+
+def per_subset_delta_star(group):
+    """Delta*(G) by one walk of A(G0) per zero-free subset G0, as
+    delta_star once found it."""
+    values = {min_distance(build_atoms(group, s, s).vectors()) for s in _zero_free_subsets(group)}
+    return tuple(sorted(values - {0}))
+
+
+@pytest.mark.parametrize("moduli", [
+    [1], [2], [3], [4], [5], [6], [7], [8], [9], [10], [2, 2], [2, 4], [3, 3], [2, 2, 2],
+])
+def test_delta_star_equals_the_per_subset_walks(moduli):
+    group = make_group(moduli)
+    assert delta_star(group).values == per_subset_delta_star(group)
+
+
+@pytest.mark.parametrize("moduli", [[5], [2, 2], [6]])
+def test_delta_star_reduces_the_atoms_of_each_zero_free_subset_once(moduli, monkeypatch):
+    # each row reduction reads A(G0), its vectors over all of G, and never
+    # the prime [0:1]
+    group = make_group(moduli)
+    els = elements(group)
+    reduced = []
+    reduce = invariants.min_distance
+    monkeypatch.setattr(invariants, "min_distance", lambda vs: reduced.append(vs) or reduce(vs))
+    delta_star(group)
+    expected = [[a.dense(els) for a in build_atoms(group, s, s).atoms]
+                for s in _zero_free_subsets(group)]
+    assert sorted(sorted(map(tuple, vs)) for vs in reduced) == sorted(
+        sorted(map(tuple, vs)) for vs in expected)
 
 
 @pytest.mark.parametrize("invariant", [davenport])  # the one invariant of G given A(G)

@@ -143,6 +143,14 @@ def widen_field(atoms):
 @example((make_group([2, 2, 2]), None, 10), ("larger", 2))
 @example((make_group([3]), (make_group([3]).zero(),), 4), ("queried", [[0]], True))  # G0 = {0}
 @example((make_group([8]), None, 0), ("fresh",))
+# several zero-free keys per shape of length set: the zero shift must keep
+# the least (length, c) of each shifted set
+@example((make_group([2]), None, 60), ("fresh",))
+@example((make_group([3]), None, 40), ("fresh",))
+@example((make_group([2, 2]), None, 24), ("fresh",))
+# first keys of one shape that |B| alone ranks apart from (|B| - min L, -min L):
+# of these examples only this one sees a shift ranked by |B|
+@example((make_group([7]), tuple(elements(make_group([7]))[:6]), 10), ("fresh",))
 def test_system_matches_the_walk(fresh_atom_cache, case, warm_up):
     group, subset, bound = case
     fresh_atom_cache()
