@@ -47,9 +47,11 @@ node cap in force, as a fresh walk under it would raise.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cached_property
+from itertools import accumulate, compress
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .group import FiniteAbelianGroup, GroupElement, elements, tables
@@ -98,16 +100,29 @@ def limits(*, node_limit: int | None = None, memo_limit: int | None = None):
 
 def below_rows(vectors, caps) -> list[list[int]]:
     """rows[i][k] has bit j set when vectors[j][i] <= k, for k up to
-    caps[i]: the AND over letters of rows[i][v[i]] marks the vectors below
-    v, for v within caps.  They serve divisible_pairs and the factorization
-    engine's divisor buckets; the atom walk keeps its own complement-form
-    rows (minimal_nonzero_vectors)."""
-    rows = [[0] * (c + 1) for c in caps]
+    caps[i] and entries at least 0: the AND over letters of rows[i][v[i]]
+    marks the vectors below v, for v within caps.  They serve
+    divisible_pairs and the factorization engine's divisor buckets; the
+    atom walk keeps its own complement-form rows (minimal_nonzero_vectors).
+
+    One pass over the nonzero entries marks bit j of a bitmap per (letter,
+    value), built as a little-endian bytearray.  A vector has one value
+    per letter, so the bitmaps of a letter are disjoint, and rows[i][k] is
+    the vectors with entry 0 (all bits less the marked ones) plus the
+    bitmaps of the values 1..k: a prefix sum per letter, one big-int
+    addition per (letter, value).  An entry above caps[i] is in no row of
+    letter i."""
+    size, full = (len(vectors) + 7) >> 3, (1 << len(vectors)) - 1
+    marks = [defaultdict(lambda: bytearray(size)) for _ in caps]  # value -> bitmap
     for j, vec in enumerate(vectors):
-        bit = 1 << j
-        for row, f in zip(rows, vec):
-            for k in range(f, len(row)):
-                row[k] |= bit
+        at, bit = j >> 3, 1 << (j & 7)
+        for i in compress(range(len(caps)), vec):
+            marks[i][vec[i]][at] |= bit
+    rows = []
+    for mark, cap in zip(marks, caps):
+        bits = {x: int.from_bytes(b, "little") for x, b in mark.items()}
+        zero = full - sum(bits.values())  # disjoint bitmaps: the sum is their OR
+        rows.append(list(accumulate((bits.get(k, 0) for k in range(1, cap + 1)), initial=zero)))
     return rows
 
 

@@ -1,14 +1,20 @@
 """Versioned on-disk cache for atom sets.
 
 Cache files are JSON documents written atomically (temp file + rename).
-Loads check the file's shape and validate the stored dense vectors (the
-antichain check, atoms.divisible_pairs) before building
-the atom set straight from them.  A file that fails a check produces a
-warning and a recompute, never a crash.  The checks cannot see a missing
-atom: over C2+C2, a file listing (0,1)^2(1,0)^2 in place of (0,1)^2 and
-(1,0)^2 is an antichain of zero-sum vectors, loads as 4 atoms, and gives
-D = 4.  Only the walk proves a list complete, so the cache directory
-must be trusted not to hold such a file.
+Loads check the file's shape and validate the stored dense vectors before
+building the atom set straight from them: the entry checks run column by
+column, and the antichain check (atoms.divisible_pairs) ANDs rows that
+atoms.below_rows builds in one pass over the nonzero entries, so a load
+costs about what the walk it replaces costs.  A file that fails a check
+produces a warning and a recompute, never a crash.  A good load imports
+neither logging, which only a warning needs, nor hashlib, which loads
+OpenSSL and only the key of a proper subset needs.
+
+The checks cannot see a missing atom: over C2+C2, a file listing
+(0,1)^2(1,0)^2 in place of (0,1)^2 and (1,0)^2 is an antichain of
+zero-sum vectors, loads as 4 atoms, and gives D = 4.  Only the walk
+proves a list complete, so the cache directory must be trusted not to
+hold such a file.
 
 A file also records the node count of the walk that found its atoms: a
 load raises where the walk would (atoms.held_to_node_cap), and charges
@@ -17,18 +23,15 @@ those nodes as the walk would (atoms.charge).
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import os
 import tempfile
+from itertools import compress
 from pathlib import Path
 
 from .atoms import AtomSet, charge, divisible_pairs, held_to_node_cap
 from .group import FiniteAbelianGroup, GroupElement, elements, tables
 from .sequence import canonical_subset, index_sum
-
-log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 2  # 2: the walk's node count
 
@@ -40,6 +43,8 @@ def cache_key(group: FiniteAbelianGroup, subset) -> str:
     if subset == elements(group):
         token = "all"
     else:
+        import hashlib  # loads OpenSSL, which only a subset key needs
+
         blob = ";".join(",".join(map(str, g.coords)) for g in subset)
         token = hashlib.sha256(blob.encode()).hexdigest()[:16]
     return f"atoms_c{facs}_{token}"
@@ -84,7 +89,7 @@ def cache_load(
     try:
         doc = json.loads(path.read_text())
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
-        log.warning("unreadable atom cache %s (%s); recomputing", path, exc)
+        _warn("unreadable atom cache %s (%s); recomputing", path, exc)
         return None
     try:  # a JSON value of the wrong shape raises here
         version = doc.get("format_version")
@@ -93,28 +98,34 @@ def cache_load(
         vectors = tuple(tuple(vec) for vec in doc.get("atoms", []))
         nodes = doc.get("nodes_visited")
     except (AttributeError, TypeError) as exc:
-        log.warning("malformed atom cache %s (%s); recomputing", path, exc)
+        _warn("malformed atom cache %s (%s); recomputing", path, exc)
         return None
     if version != FORMAT_VERSION:
-        log.warning("atom cache %s has format %r, want %r; recomputing",
-                    path, version, FORMAT_VERSION)
+        _warn("atom cache %s has format %r, want %r; recomputing",
+              path, version, FORMAT_VERSION)
         return None
     if factors != group.invariant_factors:
-        log.warning("atom cache %s is for a different group; recomputing", path)
+        _warn("atom cache %s is for a different group; recomputing", path)
         return None
     if stored_subset != [g.coords for g in subset]:
-        log.warning("atom cache %s is for a different subset; recomputing", path)
+        _warn("atom cache %s is for a different subset; recomputing", path)
         return None
     if type(nodes) is not int or nodes < 0:
-        log.warning("atom cache %s failed validation; recomputing", path)
+        _warn("atom cache %s failed validation; recomputing", path)
         return None
     # before the antichain check, which can cost as much as the walk
     atoms = held_to_node_cap(AtomSet(group, subset, vectors, nodes))
     if not _valid_atom_list(group, subset, vectors):
-        log.warning("atom cache %s failed validation; recomputing", path)
+        _warn("atom cache %s failed validation; recomputing", path)
         return None
     charge(nodes=nodes)  # a loaded set stands for the walk its file records
     return atoms
+
+
+def _warn(*args) -> None:
+    import logging  # only a file that fails a check needs it
+
+    logging.getLogger(__name__).warning(*args, stacklevel=2)  # the record names the caller
 
 
 def _valid_atom_list(
@@ -130,9 +141,9 @@ def _valid_atom_list(
     tab = tables(group)
     letters = [tab.index[g] for g in subset]
     caps = [tab.order[i] for i in letters]
-    for vec in vectors:
-        if len(vec) != len(caps) or any(type(m) is not int or not 0 <= m <= c for m, c in zip(vec, caps)):
-            return False
-        if not any(vec) or index_sum(tab, zip(letters, vec)):
-            return False
-    return bool(vectors) and not divisible_pairs(vectors)
+    if {len(vec) for vec in vectors} - {len(caps)} or {type(m) for vec in vectors for m in vec} - {int}:
+        return False
+    if any(min(col) < 0 or max(col) > cap for col, cap in zip(zip(*vectors), caps)):
+        return False
+    zero_sum = (any(vec) and not index_sum(tab, compress(zip(letters, vec), vec)) for vec in vectors)
+    return bool(vectors) and all(zero_sum) and not divisible_pairs(vectors)

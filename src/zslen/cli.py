@@ -93,8 +93,6 @@ def _get_atoms(group: FiniteAbelianGroup, subset, args) -> AtomSet:
     if not cache_dir:
         atoms = enumerate_atoms(group, subset)
     else:
-        import logging
-
         from .cache import cache_load, cache_store
 
         atoms = cache_load(cache_dir, group, subset)
@@ -103,6 +101,8 @@ def _get_atoms(group: FiniteAbelianGroup, subset, args) -> AtomSet:
             try:
                 cache_store(cache_dir, atoms)
             except OSError as exc:  # the cache is advisory, as a failed load is
+                import logging
+
                 logging.getLogger(__name__).warning(
                     "cannot store atom cache in %s (%s); continuing", cache_dir, exc)
     return atoms

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import zslen
 from zslen.atoms import (
     AtomSet,
+    below_rows,
     davenport,
     davenport_star,
     divisible_pairs,
@@ -344,6 +345,50 @@ def test_antichain_violations_reports_divisible_atoms(c3):
 def test_antichain_violations_reads_a_krull_instance(mods, primes):
     krull = instance_atoms(make_instance(make_group(mods), None, primes))
     assert divisible_pairs(krull.vectors()) == []
+
+
+def below_rows_oracle(vectors, caps):
+    """Per entry: bit j of rows[i][k] is set iff vectors[j][i] <= k."""
+    return [[sum(1 << j for j, v in enumerate(vectors) if v[i] <= k) for k in range(cap + 1)]
+            for i, cap in enumerate(caps)]
+
+
+def divisible_pairs_oracle(vectors):
+    """Every ordered pair, l outer and j inner, compared componentwise."""
+    return [(j, l) for l, b in enumerate(vectors) for j, a in enumerate(vectors)
+            if j != l and all(x <= y for x, y in zip(a, b))]
+
+
+@st.composite
+def vector_lists(draw):
+    width = draw(st.integers(0, 6))
+    return draw(st.lists(st.tuples(*[st.integers(0, 5)] * width), max_size=40)), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_lists(), st.data())
+def test_below_rows_matches_the_per_entry_oracle(drawn, data):
+    vectors, width = drawn
+    tops = [max(col, default=0) for col in zip(*vectors)] or [0] * width
+    # caps at, above and below the column maxima; below drops the entries above
+    caps = [max(0, top + data.draw(st.integers(-3, 3))) for top in tops]
+    assert below_rows(vectors, caps) == below_rows_oracle(vectors, caps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_lists())
+def test_divisible_pairs_matches_the_pairwise_scan(drawn):
+    vectors, _ = drawn
+    assert divisible_pairs(vectors) == divisible_pairs_oracle(vectors)
+
+
+@pytest.mark.parametrize("mods", [[2, 2, 4], [2, 6]])
+def test_divisible_pairs_matches_the_pairwise_scan_over_atoms(mods):
+    atoms = list(enumerate_atoms(make_group(mods)).vectors())
+    assert divisible_pairs(atoms) == divisible_pairs_oracle(atoms) == []
+    # a repeat, a product of two atoms and a square each add divisible pairs
+    extra = atoms + [atoms[5], tuple(map(sum, zip(atoms[3], atoms[-1]))), tuple(2 * x for x in atoms[-2])]
+    assert divisible_pairs(extra) == divisible_pairs_oracle(extra) != []
 
 
 @pytest.mark.parametrize("mods", [[3], [4], [2, 2], [5], [6], [2, 4], [3, 3], [2, 2, 2], [2, 6], [4, 4]])

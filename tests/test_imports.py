@@ -81,6 +81,16 @@ def test_atoms_command_loads_no_compute_module():
     assert [m for m in COMPUTE + ["hashlib"] if m in added] == []
 
 
+def test_cached_atoms_command_loads_neither_hashlib_nor_logging(tmp_path):
+    # the first run stores the whole-group file, the second loads it; its
+    # key is "all", so no hash is taken, and a good file warns of nothing
+    run = f'cli.main(["atoms", "--group", "2,2,4", "--cache-dir", {str(tmp_path)!r}])'
+    added = loaded_after(f"from zslen import cli\n{run}\n{run}")
+    assert "zslen.cache" in added
+    assert [m for m in ("hashlib", "_hashlib", "logging") if m in added] == []
+    assert [p.name for p in tmp_path.iterdir()] == ["atoms_c2x2x4_all.json"]
+
+
 def test_verify_all_loads_neither_the_cache_nor_hashlib():
     added = loaded_after('from zslen import cli\ncli.main(["verify", "all", "--small"])')
     assert "zslen.verify" in added

@@ -17,6 +17,11 @@ the table that ran to n: the second, n = 400000, is now read off one
 period of it by the shift identity with the same bytes.  The `delta-star`
 json cases were re-pinned when Delta*(G) came to read one walk of A(G):
 `resources.atom_lattice_nodes` counts that walk, not one walk per subset.
+Five refusals pin exit 3 and the error report of a cap, in json and text
+(an error report prints the same JSON in both): `atoms` and `davenport`
+of C2+C2+C4 under `--node-limit 1` (bound `lattice node`), and
+`lengths`, `system` and `unions` under `--memo-limit 1` (bound `memo
+table`).
 """
 
 import pytest
